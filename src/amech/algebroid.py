@@ -17,6 +17,9 @@ import numpy as np
 
 from .dsl import SystemSpec
 from .expr import Expr, ScalarFunction, evaluate, grad
+# Bound under algebroid's own name: the traced benchmark run
+# (perfbench/spans.py) wraps `algebroid._fd_tensor_jacobian`.
+from .expr import _fd_gradient as _fd_tensor_jacobian
 from .errors import AmechError
 
 __all__ = [
@@ -31,9 +34,6 @@ __all__ = [
     "omega_E_matrix",
     "DualObservable",
 ]
-
-FD_H = 1e-6
-
 
 def momentum_names(n: int) -> tuple[str, ...]:
     """Names of the dual-bundle fiber coordinates, by basis position."""
@@ -95,27 +95,13 @@ class AlgebroidChart:
         """d rho[i, A] / d x[j], shape (m, n, m)."""
         if self._rho_jacobian is not None:
             return self._rho_jacobian(x)
-        return _fd_tensor_jacobian(self.rho, x, (self.m, self.n))
+        return _fd_tensor_jacobian(self.rho, x)
 
     def structure_jacobian(self, x: np.ndarray) -> np.ndarray:
         """d C[c, a, b] / d x[j], shape (n, n, n, m)."""
         if self._structure_jacobian is not None:
             return self._structure_jacobian(x)
-        return _fd_tensor_jacobian(self.structure, x, (self.n, self.n, self.n))
-
-
-def _fd_tensor_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                        shape: tuple[int, ...]) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(shape + (x.size,))
-    for j in range(x.size):
-        h = FD_H * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        out[..., j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
-    return out
+        return _fd_tensor_jacobian(self.structure, x)
 
 
 def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
@@ -216,8 +202,8 @@ def check_structure(chart: AlgebroidChart, x: np.ndarray,
         dcs = chart.structure_jacobian(x)
         source = "ad"
     else:
-        drho = _fd_tensor_jacobian(chart.rho, x, (chart.m, chart.n))
-        dcs = _fd_tensor_jacobian(chart.structure, x, (chart.n, chart.n, chart.n))
+        drho = _fd_tensor_jacobian(chart.rho, x)
+        dcs = _fd_tensor_jacobian(chart.structure, x)
         source = "fd"
 
     if chart.m == 0:

@@ -36,6 +36,10 @@ from .vakonomic import h_w1, vakonomic_bracket, vakonomic_from_spec
 
 __all__ = ["main", "cmd_validate", "cmd_simulate", "cmd_constrain", "cmd_bracket"]
 
+# Checked by argparse and again by cmd_simulate, which manifest replay reaches
+# without argparse.
+SIMULATE_MODES = ("el", "hamilton", "vakonomic", "sode")
+
 
 class UsageError(Exception):
     """Bad flags or bindings; maps to exit code 2."""
@@ -221,7 +225,7 @@ def cmd_simulate(args) -> int:
     spec = model["spec"]
     facts = model["facts"]
     mode = args.mode
-    if mode not in ("el", "hamilton", "vakonomic", "sode"):
+    if mode not in SIMULATE_MODES:
         raise UsageError(f"unknown mode {mode!r}")
 
     chart = chart_from_spec(spec)
@@ -504,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate one of the dynamics modes")
     _add_model_args(p)
     p.add_argument("--mode", default="el",
-                   choices=["el", "hamilton", "vakonomic", "sode"])
+                   choices=SIMULATE_MODES)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3,

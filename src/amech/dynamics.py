@@ -13,9 +13,9 @@ from typing import Callable
 import numpy as np
 
 from .algebroid import AlgebroidChart, DualObservable, DualPoint, as_dual_observable
-from .errors import NewtonFailed, SingularHessian
+from .errors import SingularHessian
 from .expr import Expr, ScalarFunction
-from .linalg import rank_rtol
+from .linalg import damped_newton, rank_rtol
 
 __all__ = [
     "EPoint",
@@ -146,35 +146,17 @@ def legendre_inverse(sys: LagrangianSystem, at: DualPoint,
 
     Local only; convergence failure raises rather than returning a bad point.
     """
-    x = at.x
-    y = np.array(at.p if seed is None else seed, dtype=float)
-
-    def residual(yv: np.ndarray) -> np.ndarray:
-        _, ly = sys.gradients(EPoint(x, yv))
+    def residual(y: np.ndarray) -> np.ndarray:
+        _, ly = sys.gradients(EPoint(at.x, y))
         return ly - at.p
 
-    r = residual(y)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return EPoint(x, y)
-        _, w = sys.second_derivatives(EPoint(x, y))
-        try:
-            step = np.linalg.solve(w, r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonFailed(f"velocity Hessian singular at y={y!r}") from exc
-        t = 1.0
-        while t > 1e-4:
-            cand = y - t * step
-            rc = residual(cand)
-            if np.max(np.abs(rc)) < np.max(np.abs(r)) or np.max(np.abs(rc)) < tol:
-                y, r = cand, rc
-                break
-            t *= 0.5
-        else:
-            raise NewtonFailed("Legendre inverse line search stalled")
-    if np.max(np.abs(r)) < tol:
-        return EPoint(x, y)
-    raise NewtonFailed(f"Legendre inverse did not converge, residual {np.max(np.abs(r)):.3e}")
+    def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+        _, w = sys.second_derivatives(EPoint(at.x, y))
+        return np.linalg.solve(w, r)
+
+    y = damped_newton(residual, step, at.p if seed is None else seed,
+                      "Legendre inverse", tol=tol, max_iter=max_iter)
+    return EPoint(at.x, y)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Every derivative in the package flows through this module: gradients and
 Hessians are computed by evaluating the tree on dual numbers (nested duals for
 second order), with a central finite-difference path for callables that have
-no tree.
+no tree. `_fd_gradient` is the package's one first-order difference rule: it
+also differentiates the tensor fields of closure-defined charts and the
+constraint fields of the constraint algorithm.
 """
 
 from __future__ import annotations
@@ -492,16 +494,25 @@ def _fd_step(x: float) -> float:
     return FD_STEP * max(1.0, abs(x))
 
 
-def _fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        h = _fd_step(x[i])
+def _fd_gradient(fn: Callable[[np.ndarray], "float | np.ndarray"],
+                 x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a scalar- or array-valued function.
+
+    The result has shape fn(x).shape + (x.size,); fn is called at x only when
+    x is empty, to learn that shape.
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        h = _fd_step(x[j])
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return g
+        xp[j] += h
+        xm[j] -= h
+        cols.append(np.subtract(fn(xp), fn(xm)) / (2.0 * h))
+    if not cols:
+        return np.zeros(np.shape(fn(x)) + (0,))
+    return np.stack(cols, axis=-1)
 
 
 def _fd_hessian(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:

@@ -1,17 +1,20 @@
-"""Rank-revealing linear algebra shared by the dynamics and constraint code.
+"""Linear algebra shared by the dynamics and constraint code.
 
 All rank and kernel decisions in the package go through these helpers so that
 a single tolerance knob controls them. The knob is relative to the largest
 singular value and can be overridden with the AMECH_TOL environment variable.
+The module also holds the minimum-norm least-squares solve and the one damped
+Newton loop that every nonlinear root-find of the package runs on.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 import numpy as np
 
-from .errors import RankAmbiguous
+from .errors import NewtonFailed, RankAmbiguous
 
 __all__ = [
     "rank_rtol",
@@ -19,6 +22,7 @@ __all__ = [
     "row_space_rank",
     "decide_rank",
     "min_norm_lstsq",
+    "damped_newton",
     "AMBIGUITY_BAND",
 ]
 
@@ -103,3 +107,43 @@ def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=rank_rtol())
     residual = float(np.max(np.abs(a @ x - b))) if b.size else 0.0
     return x, residual
+
+
+def damped_newton(residual: Callable[[np.ndarray], np.ndarray],
+                  step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  x0: np.ndarray, what: str,
+                  error: type[NewtonFailed] = NewtonFailed,
+                  tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+    """Root of residual by Newton steps with a halving line search.
+
+    step(x, r) returns the Newton correction, subtracted as x - t * step for
+    the first t in 1, 1/2, 1/4, ... that lowers the max-abs residual. The
+    point is returned once that residual is below tol; an empty residual
+    returns x0 at once. A stalled line search, an exhausted budget and a
+    singular matrix inside step raise error, described by what.
+    """
+    x = np.array(x0, dtype=float)
+    r = residual(x)
+    for _ in range(max_iter):
+        size = np.max(np.abs(r), initial=0.0)
+        if size < tol:
+            return x
+        try:
+            dx = step(x, r)
+        except np.linalg.LinAlgError as exc:
+            raise error(f"{what}: singular Jacobian at {x!r}") from exc
+        t = 1.0
+        while t > 1e-4:
+            cand = x - t * dx
+            rc = residual(cand)
+            cand_size = np.max(np.abs(rc))
+            if cand_size < size or cand_size < tol:
+                x, r = cand, rc
+                break
+            t *= 0.5
+        else:
+            raise error(f"{what} stalled")
+    size = np.max(np.abs(r), initial=0.0)
+    if size < tol:
+        return x
+    raise error(f"{what} did not converge, residual {size:.3e}")

@@ -19,8 +19,11 @@ from .algebroid import DualPoint
 from .dynamics import EPoint, LagrangianSystem, _el_force_rhs, cartan
 from .errors import (AmechError, InconsistentDynamics,
                      LinearSolveResidualTooLarge, MaxLevelsExceeded,
-                     NewtonFailed, NotOnFinalManifold)
-from .linalg import decide_rank, min_norm_lstsq, null_space, rank_rtol
+                     NotOnFinalManifold)
+# Bound under presym's own name: the traced benchmark run (perfbench/spans.py)
+# wraps `presym._fd_gradient`.
+from .expr import _fd_gradient
+from .linalg import damped_newton, decide_rank, min_norm_lstsq, null_space, rank_rtol
 
 __all__ = [
     "PresymplecticProblem",
@@ -37,7 +40,6 @@ __all__ = [
     "hamiltonian_problem_from_lagrangian",
 ]
 
-FD_H = 1e-6
 # A function counts as absent (value and gradient both noise) below these.
 ZERO_VALUE_TOL = 1e-9
 ZERO_GRAD_TOL = 1e-7
@@ -60,19 +62,6 @@ class PresymplecticProblem:
     alpha: Callable[[np.ndarray], np.ndarray]
     anchor: Callable[[np.ndarray], np.ndarray]
     constraints: tuple[ScalarField, ...] = ()
-
-
-def _fd_gradient(fn: ScalarField, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    g = np.zeros(z.size)
-    for j in range(z.size):
-        h = FD_H * max(1.0, abs(z[j]))
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += h
-        zm[j] -= h
-        g[j] = (fn(zp) - fn(zm)) / (2.0 * h)
-    return g
 
 
 def _constraint_jacobian(constraints: Sequence[ScalarField],
@@ -173,32 +162,15 @@ def consistency_residual(problem: PresymplecticProblem, z: np.ndarray,
 def _project_onto(constraints: Sequence[ScalarField], z0: np.ndarray,
                   tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
     """Move a point onto the joint zero set by damped Gauss-Newton."""
-    z = np.asarray(z0, dtype=float).copy()
-    if not constraints:
-        return z
 
     def vals(zz: np.ndarray) -> np.ndarray:
         return np.array([g(zz) for g in constraints])
 
-    r = vals(z)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return z
-        j = _constraint_jacobian(constraints, z)
-        step, _ = min_norm_lstsq(j, r)
-        t = 1.0
-        while t > 1e-4:
-            cand = z - t * step
-            rc = vals(cand)
-            if np.max(np.abs(rc)) < np.max(np.abs(r)) or np.max(np.abs(rc)) < tol:
-                z, r = cand, rc
-                break
-            t *= 0.5
-        else:
-            raise NewtonFailed("constraint projection stalled")
-    if np.max(np.abs(r)) < tol:
-        return z
-    raise NewtonFailed(f"constraint projection did not converge, residual {np.max(np.abs(r)):.3e}")
+    def step(zz: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return min_norm_lstsq(_constraint_jacobian(constraints, zz), r)[0]
+
+    return damped_newton(vals, step, z0, "constraint projection",
+                         tol=tol, max_iter=max_iter)
 
 
 def _rank_of(mat: np.ndarray) -> int:
@@ -461,40 +433,20 @@ class HamiltonianSideData:
         n = sys.chart.n
         tr = list(self.transverse_idx)
 
-        def residual(yt: np.ndarray) -> np.ndarray:
+        def full(yt: np.ndarray) -> np.ndarray:
             yy = np.zeros(n)
             yy[tr] = yt
-            _, ly = sys.gradients(EPoint(x, yy))
+            return yy
+
+        def residual(yt: np.ndarray) -> np.ndarray:
+            _, ly = sys.gradients(EPoint(x, full(yt)))
             return ly[tr] - p[tr]
 
-        yt = p[tr].copy()
-        r = residual(yt)
-        for _ in range(50):
-            if np.max(np.abs(r), initial=0.0) < 1e-12:
-                break
-            yy = np.zeros(n)
-            yy[tr] = yt
-            _, w = sys.second_derivatives(EPoint(x, yy))
-            try:
-                step = np.linalg.solve(w[np.ix_(tr, tr)], r)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonFailed("transverse velocity block singular") from exc
-            t = 1.0
-            while t > 1e-4:
-                cand = yt - t * step
-                rc = residual(cand)
-                if np.max(np.abs(rc)) < np.max(np.abs(r)) or np.max(np.abs(rc)) < 1e-12:
-                    yt, r = cand, rc
-                    break
-                t *= 0.5
-            else:
-                raise NewtonFailed("partial Legendre inverse stalled")
-        else:
-            if np.max(np.abs(r), initial=0.0) >= 1e-12:
-                raise NewtonFailed("partial Legendre inverse did not converge")
-        out = np.zeros(n)
-        out[tr] = yt
-        return out
+        def step(yt: np.ndarray, r: np.ndarray) -> np.ndarray:
+            _, w = sys.second_derivatives(EPoint(x, full(yt)))
+            return np.linalg.solve(w[np.ix_(tr, tr)], r)
+
+        return full(damped_newton(residual, step, p[tr], "partial Legendre inverse"))
 
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
         y = self._solve_velocity(x, p)

@@ -4,8 +4,7 @@ The constraint submanifold is given as a graph over the free velocities,
 y^alpha = Psi^alpha(x, y^a). State is (x, y^a, p_alpha); dependent momenta
 are recomputed from the primary constraint at every evaluation, never
 integrated. The bracket on the constrained phase space coincides with the
-linear Poisson bracket of the dual bundle and is implemented as a direct
-delegation.
+linear Poisson bracket of the dual bundle and is exported as an alias of it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .algebroid import AlgebroidChart, DualPoint, chart_from_spec, lie_poisson_b
 from .dsl import SystemSpec
 from .errors import MuSolveFailed, SingularR
 from .expr import Expr, ScalarFunction, substitute, variables_of
-from .linalg import rank_rtol
+from .linalg import damped_newton, rank_rtol
 
 __all__ = [
     "VakState",
@@ -207,7 +206,11 @@ def regularity_matrix(sys: VakonomicSystem, x: np.ndarray, ya: np.ndarray,
     """The matrix whose invertibility makes the constrained dynamics explicit."""
     d = _PointData(sys, np.asarray(x, dtype=float), np.asarray(ya, dtype=float),
                    np.asarray(palpha, dtype=float))
-    r = d.R
+    return _regularity_report(d.R)
+
+
+def _regularity_report(r: np.ndarray) -> RegularityMatrixReport:
+    """Singular values, determinant and regularity verdict of a built R."""
     svals = np.linalg.svd(r, compute_uv=False) if r.size else np.zeros(0)
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
@@ -251,7 +254,7 @@ def vakonomic_rhs(sys: VakonomicSystem,
     else:
         pdot = np.zeros(0)
 
-    rep = regularity_matrix(sys, s.x, s.ya, s.palpha)
+    rep = _regularity_report(d.R)
     if not rep.regular:
         raise SingularR(
             f"regularity matrix singular (sigma_min={rep.min_singular_value:.3e}); "
@@ -269,13 +272,7 @@ def vakonomic_rhs(sys: VakonomicSystem,
     return xdot, yadot, pdot
 
 
-def vakonomic_bracket(chart: AlgebroidChart, F, G, at: DualPoint) -> float:
-    """Poisson bracket on the constrained phase space.
-
-    Coordinate-identical to the linear bracket on the dual bundle, so this
-    delegates rather than reimplementing.
-    """
-    return lie_poisson_bracket(chart, F, G, at)
+vakonomic_bracket = lie_poisson_bracket
 
 
 def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
@@ -284,34 +281,17 @@ def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     """Free velocities solving the primary constraint at fixed (x, p)."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    ya = np.zeros(sys.n_free) if seed is None else np.array(seed, dtype=float)
     palpha = p[list(sys.constrained)]
 
     def phi(y: np.ndarray) -> np.ndarray:
         return w1_constraints(sys, x, p, y)
 
-    r = phi(ya)
-    for _ in range(max_iter):
-        if np.max(np.abs(r), initial=0.0) < tol:
-            return ya
-        d = _PointData(sys, x, ya, palpha)
-        try:
-            step = np.linalg.solve(-d.R, r)
-        except np.linalg.LinAlgError as exc:
-            raise MuSolveFailed("regularity matrix singular during velocity solve") from exc
-        t = 1.0
-        while t > 1e-4:
-            cand = ya - t * step
-            rc = phi(cand)
-            if np.max(np.abs(rc)) < np.max(np.abs(r)) or np.max(np.abs(rc)) < tol:
-                ya, r = cand, rc
-                break
-            t *= 0.5
-        else:
-            raise MuSolveFailed("velocity solve stalled")
-    if np.max(np.abs(r), initial=0.0) < tol:
-        return ya
-    raise MuSolveFailed(f"velocity solve did not converge, residual {np.max(np.abs(r)):.3e}")
+    def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(-_PointData(sys, x, y, palpha).R, r)
+
+    return damped_newton(phi, step, np.zeros(sys.n_free) if seed is None else seed,
+                         "velocity solve", error=MuSolveFailed, tol=tol,
+                         max_iter=max_iter)
 
 
 def hamiltonian_section(sys: VakonomicSystem, at: DualPoint,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from amech.algebroid import AlgebroidChart
 from amech.errors import EvalDomainError, UnboundVariableError
 from amech.expr import (
     Binary,
@@ -23,6 +24,7 @@ from amech.expr import (
     substitute,
     variables_of,
 )
+from amech.expr import _fd_gradient
 
 X, Y = Var("x"), Var("y")
 
@@ -198,3 +200,37 @@ def test_operator_overloads_build_expected_nodes():
     assert isinstance(n, Unary) and n.op == "neg"
     assert isinstance(1.0 - X, Binary)
     assert isinstance(2.0 / X, Binary)
+
+
+# -- the central-difference rule ---------------------------------------------
+
+
+def test_fd_gradient_of_a_scalar_function():
+    g = _fd_gradient(lambda v: v[0] ** 2 * v[1], np.array([1.5, -2.0]))
+    assert g.shape == (2,)
+    assert_allclose(g, [-6.0, 2.25], atol=1e-8)
+    assert _fd_gradient(lambda v: 1.0, np.zeros(0)).shape == (0,)
+
+
+def test_fd_gradient_of_a_tensor_valued_function():
+    def f(v):
+        return np.array([[v[0] * v[1], v[1], 1.0], [v[0] ** 2, 0.0, -v[1]]])
+
+    jac = _fd_gradient(f, np.array([2.0, 3.0]))
+    assert jac.shape == (2, 3, 2)
+    expected = np.zeros((2, 3, 2))
+    expected[0, 0] = [3.0, 2.0]
+    expected[0, 1] = [0.0, 1.0]
+    expected[1, 0] = [4.0, 0.0]
+    expected[1, 2] = [0.0, -1.0]
+    assert_allclose(jac, expected, atol=1e-8)
+
+
+def test_fd_jacobians_of_a_base_free_closure_chart():
+    n = 3
+    cs = np.zeros((n, n, n))
+    cs[2, 0, 1], cs[2, 1, 0] = 1.0, -1.0
+    chart = AlgebroidChart(0, n, lambda x: np.zeros((0, n)), lambda x: cs)
+    assert chart.deriv_source == "fd"
+    assert chart.rho_jacobian(np.zeros(0)).shape == (0, n, 0)
+    assert chart.structure_jacobian(np.zeros(0)).shape == (n, n, n, 0)
