@@ -60,8 +60,8 @@ class AlgebroidChart:
     rho(x) is the m x n anchor matrix (columns are the anchor images of the
     basis sections), structure(x) the n x n x n tensor C[c, a, b], exactly
     antisymmetric in its last two slots. Charts built from a parsed spec
-    differentiate by dual numbers; closure-defined charts fall back to central
-    finite differences with step 1e-6 * max(1, |x|).
+    differentiate their expression trees exactly; closure-defined charts fall
+    back to central finite differences with step 1e-6 * max(1, |x|).
     """
 
     def __init__(self, m: int, n: int,

@@ -15,7 +15,7 @@ import numpy as np
 from .algebroid import AlgebroidChart, DualObservable, DualPoint, as_dual_observable
 from .errors import SingularHessian
 from .expr import Expr, ScalarFunction
-from .linalg import damped_newton, rank_rtol
+from .linalg import damped_newton, regularity
 
 __all__ = [
     "EPoint",
@@ -169,12 +169,7 @@ class RegularityReport:
 def is_regular(sys: LagrangianSystem, at: EPoint) -> RegularityReport:
     """Regularity of the velocity Hessian by relative SVD threshold."""
     _, w = sys.second_derivatives(at)
-    svals = np.linalg.svd(w, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    return RegularityReport(regular=smin > rank_rtol() * smax and smax > 0.0,
-                            min_singular_value=smin,
-                            max_singular_value=smax)
+    return RegularityReport(*regularity(w))
 
 
 def _el_force_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -194,14 +189,15 @@ def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, n
     """Euler-Lagrange vector field at a point of a regular Lagrangian.
 
     Returns (xdot, ydot) with xdot = rho y and ydot from the force system,
-    solved by LU with partial pivoting on the raw Hessian.
+    solved by LU with partial pivoting on the raw Hessian after the
+    regularity test on that same Hessian.
     """
-    report = is_regular(sys, at)
-    if not report.regular:
-        raise SingularHessian(
-            f"velocity Hessian singular (sigma_min={report.min_singular_value:.3e}); "
-            "use the constraint algorithm")
     w, b = _el_force_rhs(sys, at)
+    regular, smin, _ = regularity(w)
+    if not regular:
+        raise SingularHessian(
+            f"velocity Hessian singular (sigma_min={smin:.3e}); "
+            "use the constraint algorithm")
     f = np.linalg.solve(w, b)
     xdot = sys.chart.rho(at.x) @ at.y if sys.chart.m else np.zeros(0)
     return xdot, f

@@ -1,9 +1,9 @@
-"""Expression trees and forward-mode differentiation.
+"""Expression trees and their symbolic derivatives.
 
 Every derivative in the package flows through this module: gradients and
-Hessians are computed by evaluating the tree on dual numbers (nested duals for
-second order), with a central finite-difference path for callables that have
-no tree. `_fd_gradient` is the package's one first-order difference rule: it
+Hessians are evaluated from the partial-derivative trees that `derivative`
+builds, with a central finite-difference path for callables that have no
+tree. `_fd_gradient` is the package's one first-order difference rule: it
 also differentiates the tensor fields of closure-defined charts and the
 constraint fields of the constraint algorithm.
 """
@@ -11,8 +11,9 @@ constraint fields of the constraint algorithm.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ __all__ = [
     "Unary",
     "Binary",
     "Pow",
-    "Dual",
+    "derivative",
     "evaluate",
     "grad",
     "hessian",
@@ -37,8 +38,6 @@ __all__ = [
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "ln", "sqrt")
 BINARY_OPS = ("+", "-", "*", "/")
-
-Scalar = Union[float, "Dual"]
 
 
 class Expr:
@@ -126,138 +125,15 @@ def _as_expr(v: "Expr | float") -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers
-
-
-@dataclass(frozen=True)
-class Dual:
-    """Value plus a vector of derivatives, one slot per seeded variable.
-
-    Arithmetic applies the exact chain rule. The slots may themselves hold
-    Dual numbers, which is how second derivatives are obtained.
-    """
-
-    value: Scalar
-    derivs: tuple
-
-    @staticmethod
-    def seed(value: Scalar, index: int, width: int) -> "Dual":
-        slots = tuple(1.0 if j == index else 0.0 for j in range(width))
-        return Dual(value, slots)
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value,
-                        tuple(a + b for a, b in zip(self.derivs, other.derivs)))
-        return Dual(self.value + other, self.derivs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value,
-                        tuple(a - b for a, b in zip(self.derivs, other.derivs)))
-        return Dual(self.value - other, self.derivs)
-
-    def __rsub__(self, other):
-        return Dual(other - self.value, tuple(-d for d in self.derivs))
-
-    def __neg__(self):
-        return Dual(-self.value, tuple(-d for d in self.derivs))
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value * other.value,
-                        tuple(a * other.value + self.value * b
-                              for a, b in zip(self.derivs, other.derivs)))
-        return Dual(self.value * other, tuple(d * other for d in self.derivs))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            q = self.value / other.value
-            return Dual(q, tuple((a - q * b) / other.value
-                                 for a, b in zip(self.derivs, other.derivs)))
-        return Dual(self.value / other, tuple(d / other for d in self.derivs))
-
-    def __rtruediv__(self, other):
-        q = other / self.value
-        return Dual(q, tuple(-q * d / self.value for d in self.derivs))
-
-    def __pow__(self, exponent: int):
-        if exponent == 0:
-            return Dual(_one_like(self.value), tuple(_zero_like(d) for d in self.derivs))
-        v = self.value ** exponent
-        factor = exponent * self.value ** (exponent - 1)
-        return Dual(v, tuple(factor * d for d in self.derivs))
-
-    def sin(self):
-        c = _cos(self.value)
-        return Dual(_sin(self.value), tuple(c * d for d in self.derivs))
-
-    def cos(self):
-        s = _sin(self.value)
-        return Dual(_cos(self.value), tuple(-s * d for d in self.derivs))
-
-    def exp(self):
-        e = _exp(self.value)
-        return Dual(e, tuple(e * d for d in self.derivs))
-
-    def ln(self):
-        return Dual(_ln(self.value), tuple(d / self.value for d in self.derivs))
-
-    def sqrt(self):
-        r = _sqrt(self.value)
-        return Dual(r, tuple(d / (2.0 * r) for d in self.derivs))
-
-
-def _one_like(v: Scalar) -> Scalar:
-    if isinstance(v, Dual):
-        return Dual(_one_like(v.value), tuple(_zero_like(d) for d in v.derivs))
-    return 1.0
-
-
-def _zero_like(v: Scalar) -> Scalar:
-    if isinstance(v, Dual):
-        return Dual(_zero_like(v.value), tuple(_zero_like(d) for d in v.derivs))
-    return 0.0
-
-
-def _sin(v: Scalar) -> Scalar:
-    return v.sin() if isinstance(v, Dual) else math.sin(v)
-
-
-def _cos(v: Scalar) -> Scalar:
-    return v.cos() if isinstance(v, Dual) else math.cos(v)
-
-
-def _exp(v: Scalar) -> Scalar:
-    return v.exp() if isinstance(v, Dual) else math.exp(v)
-
-
-def _ln(v: Scalar) -> Scalar:
-    return v.ln() if isinstance(v, Dual) else math.log(v)
-
-
-def _sqrt(v: Scalar) -> Scalar:
-    return v.sqrt() if isinstance(v, Dual) else math.sqrt(v)
-
-
-def primal(v: Scalar) -> float:
-    """Strip all derivative structure and return the underlying float."""
-    while isinstance(v, Dual):
-        v = v.value
-    return v
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
-_UNARY_FN = {"sin": _sin, "cos": _cos, "exp": _exp, "ln": _ln, "sqrt": _sqrt}
+_UNARY_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
+             "sqrt": math.sqrt}
+_BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
 
 
-def _eval_node(node: Expr, env: Mapping[str, Scalar], path: tuple) -> Scalar:
+def _eval_node(node: Expr, env: Mapping[str, float], path: tuple) -> float:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -269,27 +145,20 @@ def _eval_node(node: Expr, env: Mapping[str, Scalar], path: tuple) -> Scalar:
         v = _eval_node(node.arg, env, path + (node.op,))
         if node.op == "neg":
             return -v
-        p = primal(v)
-        if node.op == "ln" and p <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {p}", _format_path(path + ("ln",)))
-        if node.op == "sqrt" and p < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {p}", _format_path(path + ("sqrt",)))
+        if node.op == "ln" and v <= 0.0:
+            raise EvalDomainError(f"ln of non-positive value {v}", _format_path(path + ("ln",)))
+        if node.op == "sqrt" and v < 0.0:
+            raise EvalDomainError(f"sqrt of negative value {v}", _format_path(path + ("sqrt",)))
         return _UNARY_FN[node.op](v)
     if isinstance(node, Binary):
         left = _eval_node(node.left, env, path + (node.op, "left"))
         right = _eval_node(node.right, env, path + (node.op, "right"))
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if primal(right) == 0.0:
+        if node.op == "/" and right == 0.0:
             raise EvalDomainError("division by zero", _format_path(path + ("/",)))
-        return left / right
+        return _BINARY_FN[node.op](left, right)
     if isinstance(node, Pow):
         base = _eval_node(node.base, env, path + ("^", "base"))
-        if node.exponent < 0 and primal(base) == 0.0:
+        if node.exponent < 0 and base == 0.0:
             raise EvalDomainError("zero base with negative exponent", _format_path(path + ("^",)))
         return base ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
@@ -299,61 +168,138 @@ def _format_path(path: tuple) -> str:
     return "/".join(path) if path else "<root>"
 
 
-def evaluate(expr: Expr, bindings: Mapping[str, Scalar]) -> Scalar:
+def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     """Evaluate the tree under the given bindings.
 
-    Plain floats in, plain float out; seeding Dual numbers in the bindings
-    propagates derivatives. Association is fixed by the tree shape, so the
-    result is bit-identical across calls.
+    Plain floats in, plain float out. Association is fixed by the tree shape,
+    so the result is bit-identical across calls.
     """
     return _eval_node(expr, bindings, ())
+
+
+# ---------------------------------------------------------------------------
+# Symbolic differentiation
+
+_ZERO, _ONE, _TWO = Const(0.0), Const(1.0), Const(2.0)
+
+
+def _is(node: Expr, value: float) -> bool:
+    return isinstance(node, Const) and node.value == value
+
+
+def _fold(op: str, a: Expr, b: Expr) -> Expr:
+    """The node a op b, with constant arithmetic, zeros and ones folded away."""
+    if isinstance(a, Const) and isinstance(b, Const) and not (op == "/" and b.value == 0.0):
+        return Const(_BINARY_FN[op](a.value, b.value))
+    if (_is(a, 0.0) and op in "*/") or (_is(b, 0.0) and op == "*"):
+        return _ZERO
+    if (_is(b, 0.0) and op in "+-") or (_is(b, 1.0) and op in "*/"):
+        return a
+    if (_is(a, 0.0) and op == "+") or (_is(a, 1.0) and op == "*"):
+        return b
+    if _is(a, 0.0) and op == "-":
+        return Unary("neg", b)
+    return Binary(op, a, b)
+
+
+def derivative(node: Expr, var: str) -> Expr:
+    """Partial derivative of the tree with respect to one variable, as a tree.
+
+    The result reuses the subtrees of node, so it applies a unary op or a
+    power only to values that evaluating node also produces; its new
+    divisions are by such values, or by 2 sqrt(a) for a sqrt(a) in node.
+    Folding while building drops every branch that does not depend on var.
+    """
+    if isinstance(node, Const):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.name == var else _ZERO
+    if isinstance(node, Unary):
+        op, a, da = node.op, node.arg, derivative(node.arg, var)
+        if op == "neg":
+            return _fold("-", _ZERO, da)
+        if op == "ln":
+            return _fold("/", da, a)
+        if op == "sqrt":
+            return _fold("/", da, _fold("*", _TWO, node))
+        if op == "exp":
+            return _fold("*", node, da)
+        if op == "sin":
+            return _fold("*", Unary("cos", a), da)
+        return _fold("*", Unary("neg", Unary("sin", a)), da)
+    if isinstance(node, Binary):
+        op, left, right = node.op, node.left, node.right
+        dl, dr = derivative(left, var), derivative(right, var)
+        if op in "+-":
+            return _fold(op, dl, dr)
+        if op == "*":
+            return _fold("+", _fold("*", dl, right), _fold("*", left, dr))
+        # (l/r)' = (l' - (l/r) r') / r divides by r only, never by r^2
+        return _fold("/", _fold("-", dl, _fold("*", node, dr)), right)
+    if isinstance(node, Pow):
+        n, base = node.exponent, node.base
+        power = _ONE if n == 1 else base if n == 2 else Pow(base, n - 1)
+        return _fold("*", _fold("*", Const(float(n)), power), derivative(base, var))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _partials(expr: Expr, wrt: tuple, order: int) -> list:
+    """(names, tree) of every first partial, or of every upper-triangle second
+    partial row by row.
+
+    Built on the first request and kept on the root node, so the trees go
+    when the expression goes. The memo is not a dataclass field, so equality
+    and hashing of the node are unchanged.
+    """
+    memo = vars(expr).setdefault("_partials", {})
+    if (order, wrt) not in memo:
+        if order == 1:
+            memo[1, wrt] = [((name,), derivative(expr, name)) for name in wrt]
+        else:
+            memo[2, wrt] = [((a, b), derivative(tree, b))
+                            for k, ((a,), tree) in enumerate(_partials(expr, wrt, 1))
+                            for b in wrt[k:]]
+    return memo[order, wrt]
+
+
+def _eval_partials(expr: Expr, wrt: Sequence[str], order: int,
+                   bindings: Mapping[str, float]) -> list[float]:
+    if not wrt:
+        raise ValueError("wrt must name at least one variable")
+    _eval_node(expr, bindings, ())
+    values = []
+    for names, tree in _partials(expr, tuple(wrt), order):
+        try:
+            values.append(_eval_node(tree, bindings, ()))
+        except EvalDomainError as exc:
+            # the failing node lies in a generated tree; name the derivative
+            label = " and ".join(f"'{name}'" for name in names)
+            raise EvalDomainError(f"derivative with respect to {label} is undefined",
+                                  _format_path(())) from exc
+    return values
 
 
 def grad(expr: Expr, wrt: Sequence[str], bindings: Mapping[str, float]) -> np.ndarray:
     """First derivatives of expr with respect to the listed variables.
 
-    One forward pass with one dual slot per entry of wrt.
+    expr is evaluated first, so its own domain errors surface unchanged; a
+    derivative that is undefined where expr is defined (sqrt at zero) raises
+    EvalDomainError naming its variables.
     """
-    if not wrt:
-        raise ValueError("wrt must name at least one variable")
-    width = len(wrt)
-    env: dict[str, Scalar] = dict(bindings)
-    for i, name in enumerate(wrt):
-        if name in bindings:
-            env[name] = Dual.seed(bindings[name], i, width)
-    out = evaluate(expr, env)
-    if isinstance(out, Dual):
-        return np.array(out.derivs, dtype=float)
-    return np.zeros(width)
+    return np.array(_eval_partials(expr, wrt, 1, bindings))
 
 
 def hessian(expr: Expr, wrt: Sequence[str], bindings: Mapping[str, float]) -> np.ndarray:
-    """Second-derivative matrix via forward-over-forward duals.
+    """Second-derivative matrix of expr; errors as in grad.
 
-    The upper triangle is computed and mirrored, so the result is exactly
+    The upper triangle is evaluated and mirrored, so the result is exactly
     symmetric.
     """
-    if not wrt:
-        raise ValueError("wrt must name at least one variable")
-    width = len(wrt)
-    env: dict[str, Scalar] = dict(bindings)
-    for i, name in enumerate(wrt):
-        if name not in bindings:
-            continue
-        inner = Dual.seed(bindings[name], i, width)
-        env[name] = Dual.seed(inner, i, width)
-    out = evaluate(expr, env)
-    h = np.zeros((width, width))
-    if isinstance(out, Dual):
-        for i in range(width):
-            slot = out.derivs[i]
-            if isinstance(slot, Dual):
-                row = slot.derivs
-                for j in range(i, width):
-                    h[i, j] = row[j]
-    for i in range(width):
-        for j in range(i):
-            h[i, j] = h[j, i]
+    values = iter(_eval_partials(expr, wrt, 2, bindings))
+    h = np.empty((len(wrt), len(wrt)))
+    for i in range(len(wrt)):
+        for j in range(i, len(wrt)):
+            h[i, j] = h[j, i] = next(values)
     return h
 
 
@@ -445,10 +391,10 @@ FD_STEP = 1e-6
 class ScalarFunction:
     """Scalar function of an ordered tuple of named real variables.
 
-    Wraps either an expression tree (derivatives by dual numbers, exact) or a
-    plain callable (derivatives by central finite differences with step
-    1e-6 * max(1, |x|)). The `source` attribute reports which path is active
-    so validators can say where their numbers came from.
+    Wraps either an expression tree (exact derivatives from symbolic partial
+    trees) or a plain callable (derivatives by central finite differences with
+    step 1e-6 * max(1, |x|)). The `source` attribute reports which path is
+    active so validators can say where their numbers came from.
     """
 
     def __init__(self, names: Sequence[str], *, expr: Expr | None = None,

@@ -22,6 +22,7 @@ __all__ = [
     "row_space_rank",
     "decide_rank",
     "min_norm_lstsq",
+    "regularity",
     "damped_newton",
     "AMBIGUITY_BAND",
 ]
@@ -90,6 +91,19 @@ def decide_rank(a: np.ndarray) -> int:
     if inside.size:
         raise RankAmbiguous(inside, AMBIGUITY_BAND)
     return int(np.sum(normalized >= high))
+
+
+def regularity(a: np.ndarray) -> tuple[bool, float, float]:
+    """(regular, smallest, largest singular value) of a square matrix.
+
+    Regular means the smallest singular value exceeds the shared relative
+    threshold times a positive largest one; an empty matrix is not regular
+    here, and callers that accept it say so themselves.
+    """
+    svals = np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)
+    smax = float(svals[0]) if svals.size else 0.0
+    smin = float(svals[-1]) if svals.size else 0.0
+    return smax > 0.0 and smin > rank_rtol() * smax, smin, smax
 
 
 def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:

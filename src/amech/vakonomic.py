@@ -18,7 +18,7 @@ from .algebroid import AlgebroidChart, DualPoint, chart_from_spec, lie_poisson_b
 from .dsl import SystemSpec
 from .errors import MuSolveFailed, SingularR
 from .expr import Expr, ScalarFunction, substitute, variables_of
-from .linalg import damped_newton, rank_rtol
+from .linalg import damped_newton, regularity
 
 __all__ = [
     "VakState",
@@ -189,7 +189,11 @@ def w1_constraints(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     p = np.asarray(p, dtype=float)
     ya = np.asarray(ya, dtype=float)
     palpha = p[list(sys.constrained)]
-    d = _PointData(sys, x, ya, palpha)
+    return _w1_residual(sys, _PointData(sys, x, ya, palpha), p, palpha)
+
+
+def _w1_residual(sys: VakonomicSystem, d: _PointData, p: np.ndarray,
+                 palpha: np.ndarray) -> np.ndarray:
     return p[list(sys.free)] + palpha @ d.psiy - d.lty
 
 
@@ -210,13 +214,14 @@ def regularity_matrix(sys: VakonomicSystem, x: np.ndarray, ya: np.ndarray,
 
 
 def _regularity_report(r: np.ndarray) -> RegularityMatrixReport:
-    """Singular values, determinant and regularity verdict of a built R."""
-    svals = np.linalg.svd(r, compute_uv=False) if r.size else np.zeros(0)
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    regular = bool(r.size == 0 or (smax > 0.0 and smin > rank_rtol() * smax))
+    """Singular values, determinant and regularity verdict of a built R.
+
+    An empty R (no free velocities) leaves nothing to solve, so it is regular.
+    """
+    regular, smin, _ = regularity(r)
     return RegularityMatrixReport(R=r, det=float(np.linalg.det(r)) if r.size else 1.0,
-                                  min_singular_value=smin, regular=regular)
+                                  min_singular_value=smin,
+                                  regular=bool(r.size == 0 or regular))
 
 
 def momenta(sys: VakonomicSystem, s: VakState) -> np.ndarray:
@@ -282,12 +287,20 @@ def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     palpha = p[list(sys.constrained)]
+    # the Newton loop steps from the point whose residual it accepted last, so
+    # the step reuses that point's derivatives instead of rebuilding them
+    last: list = [None, None]
+
+    def point(y: np.ndarray) -> _PointData:
+        if last[0] is not y:
+            last[:] = [y, _PointData(sys, x, y, palpha)]
+        return last[1]
 
     def phi(y: np.ndarray) -> np.ndarray:
-        return w1_constraints(sys, x, p, y)
+        return _w1_residual(sys, point(y), p, palpha)
 
     def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(-_PointData(sys, x, y, palpha).R, r)
+        return np.linalg.solve(-point(y).R, r)
 
     return damped_newton(phi, step, np.zeros(sys.n_free) if seed is None else seed,
                          "velocity solve", error=MuSolveFailed, tol=tol,

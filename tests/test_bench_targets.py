@@ -1,16 +1,27 @@
-"""Every function the traced benchmark run wraps still exists by that name.
+"""The benchmark scripts still fit the library they drive.
 
-perfbench/spans.py patches functions of the amech modules by name; a rename in
-the library would otherwise surface only as a crash of the traced run.
+perfbench/spans.py patches functions of the amech modules by name, and
+perfbench/percall.py calls library functions with fixed signatures; a rename
+or a signature change in the library would otherwise surface only as a crash
+of the next benchmark run.
 """
 
 import importlib
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from amech import presets
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+# set to 1 by perfbench/run.py when it is imported
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# perfbench scripts import each other by these top-level names
+PERFBENCH_MODULES = ("percall", "run", "calibrate")
 
 
 def _load_spans():
@@ -40,3 +51,24 @@ def test_nested_pairs_name_wrapped_targets():
     keys = {f"{layer}.{attr}" for layer, _, attr in spans.TARGETS}
     for child, parent in spans.NESTED:
         assert child in keys and parent in keys
+
+
+@pytest.fixture
+def percall(monkeypatch):
+    for var in BLAS_VARS:
+        # recorded now, so teardown restores the value or unsets the variable
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    loaded = [name for name in PERFBENCH_MODULES if name in sys.modules]
+    yield importlib.import_module("percall")
+    for name in PERFBENCH_MODULES:
+        if name not in loaded:
+            sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("pid", presets.ids())
+def test_percall_functions_run_on_every_preset(percall, pid):
+    calls = percall.calls_of(pid)
+    assert calls and set(calls) <= set(percall.ROWS)
+    for fn in calls.values():
+        fn()

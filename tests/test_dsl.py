@@ -19,16 +19,8 @@ from amech.errors import (
     EvalDomainError,
     UndeclaredNameError,
 )
-from amech.expr import (
-    Binary,
-    Const,
-    Pow,
-    Unary,
-    Var,
-    evaluate,
-    format_expr,
-    variables_of,
-)
+from amech.expr import evaluate, format_expr, variables_of
+from strategies import NAMES as _NAMES, exprs as _exprs
 
 WELL_FORMED = """\
 # planar system with one base coordinate
@@ -227,28 +219,6 @@ def test_format_system_round_trips_semantics():
 
 
 # -- generated expressions: print then reparse is the identity ----------------
-
-_NAMES = ("x", "y", "z")
-
-
-def _exprs():
-    leaves = st.one_of(
-        st.integers(min_value=-40, max_value=40).map(lambda k: Const(k / 10.0)),
-        st.sampled_from(_NAMES).map(Var),
-    )
-
-    def extend(children):
-        return st.one_of(
-            st.tuples(st.sampled_from(("+", "-", "*", "/")), children, children)
-              .map(lambda t: Binary(t[0], t[1], t[2])),
-            st.tuples(st.sampled_from(("neg", "sin", "cos", "exp", "ln", "sqrt")), children)
-              .map(lambda t: Unary(t[0], t[1])),
-            st.tuples(children, st.integers(min_value=-3, max_value=3))
-              .map(lambda t: Pow(t[0], t[1])),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=12)
-
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(expr=_exprs(), vals=st.tuples(*[st.floats(min_value=0.5, max_value=1.5)

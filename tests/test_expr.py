@@ -1,9 +1,11 @@
-"""Expression trees, dual-number differentiation, and ScalarFunction."""
+"""Expression trees, symbolic differentiation, and ScalarFunction."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from amech.algebroid import AlgebroidChart
@@ -11,7 +13,6 @@ from amech.errors import EvalDomainError, UnboundVariableError
 from amech.expr import (
     Binary,
     Const,
-    Dual,
     Expr,
     Pow,
     ScalarFunction,
@@ -24,7 +25,8 @@ from amech.expr import (
     substitute,
     variables_of,
 )
-from amech.expr import _fd_gradient
+from amech.expr import _fd_gradient, _fd_hessian
+from strategies import NAMES, exprs
 
 X, Y = Var("x"), Var("y")
 
@@ -88,18 +90,6 @@ def test_zeroth_power_is_one_with_zero_derivative():
     assert hessian(f, ("x",), {"x": 3.7})[0, 0] == 0.0
 
 
-def test_dual_arithmetic_product_and_quotient():
-    a = Dual.seed(2.0, 0, 2)
-    b = Dual.seed(3.0, 1, 2)
-    p = a * b
-    assert p.value == 6.0 and p.derivs == (3.0, 2.0)
-    q = a / b
-    assert q.value == pytest.approx(2.0 / 3.0)
-    assert_allclose(q.derivs, [1.0 / 3.0, -2.0 / 9.0], rtol=1e-15)
-    r = 1.0 / a
-    assert r.value == 0.5 and r.derivs == (-0.25, -0.0)
-
-
 def test_unbound_variable_reports_name_and_path():
     f = Unary("sin", Var("theta")) + X
     with pytest.raises(UnboundVariableError) as err:
@@ -124,6 +114,18 @@ def test_domain_error_during_gradient_too():
     f = Unary("ln", X)
     with pytest.raises(EvalDomainError):
         grad(f, ("x",), {"x": -2.0})
+
+
+@pytest.mark.parametrize("derive", [grad, hessian])
+@pytest.mark.parametrize("f", [Unary("sqrt", X), Unary("sqrt", X ** 2)],
+                         ids=["sqrt(x)", "sqrt(x^2)"])
+def test_derivative_at_a_sqrt_zero_is_a_domain_error(f, derive):
+    # f itself is defined at x = 0, its derivative is not
+    assert evaluate(f, {"x": 0.0}) == 0.0
+    with pytest.raises(EvalDomainError) as err:
+        derive(f, ("x",), {"x": 0.0})
+    assert "with respect to 'x'" in str(err.value)
+    assert err.value.path == "<root>"
 
 
 def test_pow_requires_integer_exponent():
@@ -234,3 +236,45 @@ def test_fd_jacobians_of_a_base_free_closure_chart():
     assert chart.deriv_source == "fd"
     assert chart.rho_jacobian(np.zeros(0)).shape == (0, n, 0)
     assert chart.structure_jacobian(np.zeros(0)).shape == (n, n, n, 0)
+
+
+# -- the symbolic route against the difference rules on generated trees -------
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(expr=exprs(), vals=st.tuples(*[st.floats(min_value=0.5, max_value=1.5)
+                                      for _ in NAMES]))
+def test_symbolic_derivatives_match_finite_differences(expr, vals):
+    x = np.array(vals)
+
+    def env(v):
+        return dict(zip(NAMES, (float(c) for c in v)))
+
+    # a failure here may only be a documented one; anything else propagates
+    try:
+        value = evaluate(expr, env(x))
+        g = grad(expr, NAMES, env(x))
+        h = hessian(expr, NAMES, env(x))
+    except (EvalDomainError, OverflowError):
+        return
+    assert np.array_equal(h, h.T)
+    if not (math.isfinite(value) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+        return
+
+    # compare only where f is smooth on the difference stencils: the Hessian
+    # is defined and nearly constant on the grid of steps _fd_hessian uses
+    step = 1e-4 * np.maximum(1.0, np.abs(x))
+    scale = max(1.0, abs(value), np.max(np.abs(g)), np.max(np.abs(h)))
+    try:
+        grid = [hessian(expr, NAMES, env(x + np.array(s) * step))
+                for s in itertools.product((-1.0, 0.0, 1.0), repeat=len(NAMES))]
+    except (EvalDomainError, OverflowError):
+        return
+    if not all(np.all(np.abs(hg - h) <= 1e-2 * scale) for hg in grid):
+        return
+
+    def f(v):
+        return evaluate(expr, env(v))
+
+    assert np.max(np.abs(g - _fd_gradient(f, x))) <= 1e-8 * scale
+    assert np.max(np.abs(h - _fd_hessian(f, x))) <= 1e-5 * scale

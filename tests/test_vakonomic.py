@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from amech import vakonomic
 from amech.algebroid import DualPoint
 from amech.dsl import parse_expression, parse_system
 from amech.dynamics import EPoint, euler_lagrange_rhs, system_from_spec
@@ -186,6 +187,26 @@ def test_mu_solve_round_trip():
     p = momenta(sys, s)
     ya = mu_solve(sys, s.x, p)
     assert_allclose(ya, s.ya, atol=1e-11)
+
+
+def test_mu_solve_builds_the_point_data_once_per_newton_point(monkeypatch):
+    # plate_ball's primary constraint is linear in the free velocities, so the
+    # solve takes one Newton step: the start point and the accepted point
+    sys = _sys("plate_ball")
+    s = VakState(x=np.array([0.2, -0.6]), ya=np.array([0.8, 0.1]),
+                 palpha=np.array([0.5, -0.2, 0.3]))
+    p = momenta(sys, s)
+    built = []
+
+    class Counting(vakonomic._PointData):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(vakonomic, "_PointData", Counting)
+    ya = mu_solve(sys, s.x, p)
+    assert_allclose(ya, s.ya, atol=1e-11)
+    assert len(built) == 2
 
 
 def test_mu_solve_failure_for_degenerate_cost():
