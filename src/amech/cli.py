@@ -201,20 +201,15 @@ def _sode_locus_project(problem, run, sys_, z0: np.ndarray) -> np.ndarray:
     """Project onto the final set and the second-order locus inside it."""
     from .presym import _project_onto
 
-    n = sys_.chart.n
+    m, n = sys_.chart.m, sys_.chart.n
 
-    def defect_fn(i: int):
+    def defect(z: np.ndarray) -> np.ndarray:
         # tol=inf: during projection the point is off the final set, so the
         # restricted solve may be inconsistent; only the defect value matters.
-        def g(z: np.ndarray) -> float:
-            solved = solve_on_final(problem, z, run=run, tol=np.inf)
-            return float(solved.X[i] - z[sys_.chart.m + i])
+        return solve_on_final(problem, z, run=run, tol=np.inf).X[:n] - z[m:]
 
-        return g
-
-    constraints = list(run.final_constraints) + [defect_fn(i) for i in range(n)]
     z = _project_onto(run.final_constraints, z0)
-    z = _project_onto(constraints, z, tol=1e-10)
+    z = _project_onto(run.final_constraints + (defect,), z, tol=1e-10)
     solve_on_final(problem, z, run=run)
     return z
 

@@ -4,8 +4,10 @@ A problem bundles the presymplectic matrix field, the forcing covector and
 the anchor that maps fiber directions to coordinate tangents. The engine
 grows a sequence of constraint levels until the forcing is compatible with
 the admissible fiber directions, then solves the restricted dynamical
-equation. The Lagrangian and Hamiltonian sides of a concrete system are
-wired up by the two problem builders at the bottom.
+equation. Each level adds one constraint field, the pairing z -> alpha(z) @ E
+of the forcing with the directions E it keeps, one component per column.
+The Lagrangian and Hamiltonian sides of a concrete system are wired up by the
+two problem builders at the bottom.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ __all__ = [
 # A function counts as absent (value and gradient both noise) below these.
 ZERO_VALUE_TOL = 1e-9
 ZERO_GRAD_TOL = 1e-7
+MAX_LEVELS = 10  # levels grown before giving up on stabilization
 
-ScalarField = Callable[[np.ndarray], float]
+# A constraint field returns one value (float) or several (1-D array).
+ConstraintField = Callable[[np.ndarray], "float | np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,9 @@ class PresymplecticProblem:
     """Presymplectic data over a d-dimensional coordinate space.
 
     omega(z) is r x r skew, alpha(z) an r-covector, anchor(z) the d x r map
-    from fiber vectors to coordinate tangents. constraints are scalar fields
-    cutting the level-0 set (empty for a problem posed on the whole space).
+    from fiber vectors to coordinate tangents. constraints are fields whose
+    joint zero set is the level-0 set (empty for a problem posed on the whole
+    space); each may return one value or an array of them.
     """
 
     d: int
@@ -61,14 +66,20 @@ class PresymplecticProblem:
     omega: Callable[[np.ndarray], np.ndarray]
     alpha: Callable[[np.ndarray], np.ndarray]
     anchor: Callable[[np.ndarray], np.ndarray]
-    constraints: tuple[ScalarField, ...] = ()
+    constraints: tuple[ConstraintField, ...] = ()
 
 
-def _constraint_jacobian(constraints: Sequence[ScalarField],
+def _values(constraints: Sequence[ConstraintField], z: np.ndarray) -> np.ndarray:
+    """Values of every constraint field at z, stacked into one vector."""
+    return np.concatenate([np.zeros(0)] + [np.ravel(g(z)) for g in constraints])
+
+
+def _constraint_jacobian(constraints: Sequence[ConstraintField],
                          z: np.ndarray) -> np.ndarray:
-    if not constraints:
-        return np.zeros((0, np.asarray(z).size))
-    return np.vstack([_fd_gradient(g, z) for g in constraints])
+    """Rows of the stacked constraint values' Jacobian at z."""
+    z = np.asarray(z, dtype=float)
+    return np.vstack([np.zeros((0, z.size))]
+                     + [_fd_gradient(g, z).reshape(-1, z.size) for g in constraints])
 
 
 def kernel(omega_matrix: np.ndarray, rtol: float | None = None) -> np.ndarray:
@@ -94,23 +105,20 @@ def perp(omega_matrix: np.ndarray, f_basis: np.ndarray,
     return null_space(f_basis.T @ omega_matrix.T, rtol=rtol)
 
 
-def _fiber_basis(problem: PresymplecticProblem,
-                 constraints: Sequence[ScalarField],
+def _fiber_basis(problem: PresymplecticProblem, j: np.ndarray,
                  z: np.ndarray) -> np.ndarray:
-    """Basis of the admissible fiber directions cut out by the constraints."""
-    j = _constraint_jacobian(constraints, z)
+    """Basis of the admissible fiber directions cut out by constraint rows j."""
     a = j @ problem.anchor(z)
-    if a.shape[0]:
-        decide_rank(a)
+    decide_rank(a)
     return null_space(a)
 
 
 @dataclass(frozen=True)
 class ConstraintLevel:
-    """One level of the algorithm: accumulated constraints cutting Q_k."""
+    """Level k: the level-0 constraint fields plus one pairing field per level."""
 
     k: int
-    constraints: tuple[ScalarField, ...]
+    constraints: tuple[ConstraintField, ...]
     new_rank: int
     fiber_constraint_rank: int
     probe_residuals: tuple[float, ...]
@@ -131,12 +139,11 @@ class ConstraintRun:
     probes: tuple[np.ndarray, ...]
 
     @property
-    def final_constraints(self) -> tuple[ScalarField, ...]:
+    def final_constraints(self) -> tuple[ConstraintField, ...]:
         return self.levels[-1].constraints
 
     def membership_residual(self, z: np.ndarray) -> float:
-        vals = [abs(g(z)) for g in self.final_constraints]
-        return max(vals) if vals else 0.0
+        return float(np.max(np.abs(_values(self.final_constraints, z)), initial=0.0))
 
     def report(self) -> dict:
         return {"levels": [lvl.report() for lvl in self.levels],
@@ -151,7 +158,7 @@ def consistency_residual(problem: PresymplecticProblem, z: np.ndarray,
     subspace at z; the value is basis-independent through the max-abs norm.
     """
     z = np.asarray(z, dtype=float)
-    e_basis = _fiber_basis(problem, level.constraints, z)
+    e_basis = _fiber_basis(problem, _constraint_jacobian(level.constraints, z), z)
     v = perp(problem.omega(z), e_basis)
     if not v.shape[1]:
         return 0.0
@@ -159,103 +166,79 @@ def consistency_residual(problem: PresymplecticProblem, z: np.ndarray,
     return float(np.max(np.abs(pair)))
 
 
-def _project_onto(constraints: Sequence[ScalarField], z0: np.ndarray,
-                  tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+def _project_onto(constraints: Sequence[ConstraintField], z0: np.ndarray,
+                  tol: float = 1e-12) -> np.ndarray:
     """Move a point onto the joint zero set by damped Gauss-Newton."""
-
-    def vals(zz: np.ndarray) -> np.ndarray:
-        return np.array([g(zz) for g in constraints])
 
     def step(zz: np.ndarray, r: np.ndarray) -> np.ndarray:
         return min_norm_lstsq(_constraint_jacobian(constraints, zz), r)[0]
 
-    return damped_newton(vals, step, z0, "constraint projection",
-                         tol=tol, max_iter=max_iter)
+    return damped_newton(lambda zz: _values(constraints, zz), step, z0,
+                         "constraint projection", tol=tol)
 
 
-def _rank_of(mat: np.ndarray) -> int:
-    if mat.size == 0 or not mat.shape[0]:
-        return 0
-    return decide_rank(mat)
+def _kept_columns(candidates: ConstraintField, probes: Sequence[np.ndarray],
+                  jacs: Sequence[np.ndarray]) -> list[int]:
+    """Components of a candidate field that cut the probe set further.
+
+    A component nonzero at some probe is kept; one that vanishes at every
+    probe is kept when its gradient is not noise and adds rank, at some probe,
+    to the accumulated rows jacs[p] plus the rows kept before it.
+    """
+    values = np.vstack([candidates(z) for z in probes])
+    vanishes = ~np.any(np.abs(values) > ZERO_VALUE_TOL, axis=0)
+    grads = [_fd_gradient(candidates, z) for z in probes] if vanishes.any() else []
+    kept: list[int] = []
+    for c in range(vanishes.size):
+        if not vanishes[c]:
+            kept.append(c)
+        elif (any(np.max(np.abs(g[c]), initial=0.0) > ZERO_GRAD_TOL for g in grads)
+              and any(decide_rank(np.vstack([j, g[kept + [c]]]))
+                      > decide_rank(np.vstack([j, g[kept]]))
+                      for j, g in zip(jacs, grads))):
+            kept.append(c)
+    return kept
 
 
 def run_constraint_algorithm(problem: PresymplecticProblem,
-                             seeds: Sequence[np.ndarray],
-                             max_levels: int = 10,
-                             value_tol: float = ZERO_VALUE_TOL) -> ConstraintRun:
+                             seeds: Sequence[np.ndarray]) -> ConstraintRun:
     """Grow constraint levels until the forcing is compatible at every probe.
 
-    Probe points are projected onto each new zero set; a level is final when
-    no candidate function is nonzero at a probe and none adds rank to the
-    accumulated constraint Jacobian.
+    Probe points are projected onto each new zero set. The candidate
+    directions are the omega-orthogonal complements of the admissible ones at
+    every probe; those kept become the columns of E in the next level's field
+    z -> alpha(z) @ E. A level is final when none is kept.
     """
     if not seeds:
         raise ValueError("need at least one seed point")
-    probes = [_project_onto(problem.constraints, np.asarray(s, dtype=float))
-              for s in seeds]
+    accumulated = list(problem.constraints)
+    probes = [_project_onto(accumulated, np.asarray(s, dtype=float)) for s in seeds]
 
-    accumulated: list[ScalarField] = list(problem.constraints)
-    base_rank = max((_rank_of(_constraint_jacobian(accumulated, z))
-                     for z in probes), default=0)
-    levels = [ConstraintLevel(
-        k=0, constraints=tuple(accumulated), new_rank=base_rank,
-        fiber_constraint_rank=problem.r - _fiber_basis(problem, accumulated, probes[0]).shape[1],
-        probe_residuals=tuple(max((abs(g(z)) for g in accumulated), default=0.0)
-                              for z in probes))]
+    def pairing(e: np.ndarray) -> ConstraintField:
+        return lambda zz: problem.alpha(zz) @ e
 
-    for k in range(max_levels):
-        candidates: list[ScalarField] = []
-        for z in probes:
-            e_basis = _fiber_basis(problem, accumulated, z)
-            v = perp(problem.omega(z), e_basis)
-            for col in range(v.shape[1]):
-                e = v[:, col].copy()
-                candidates.append(lambda zz, e=e: float(problem.alpha(zz) @ e))
-
-        # Drop candidates that are numerically absent everywhere.
-        live: list[ScalarField] = []
-        for g in candidates:
-            present = False
-            for z in probes:
-                if abs(g(z)) > value_tol:
-                    present = True
-                    break
-                if np.max(np.abs(_fd_gradient(g, z)), initial=0.0) > ZERO_GRAD_TOL:
-                    present = True
-                    break
-            if present:
-                live.append(g)
-
-        nonzero_at_probe = any(abs(g(z)) > value_tol for g in live for z in probes)
-        old_rank = max(_rank_of(_constraint_jacobian(accumulated, z)) for z in probes)
-
-        # Keep only candidates that genuinely cut the probe set further.
-        new_constraints: list[ScalarField] = []
-        for g in live:
-            if any(abs(g(z)) > value_tol for z in probes):
-                new_constraints.append(g)
-                continue
-            if any(_rank_of(_constraint_jacobian(accumulated + new_constraints + [g], z))
-                   > _rank_of(_constraint_jacobian(accumulated + new_constraints, z))
-                   for z in probes):
-                new_constraints.append(g)
-
-        if not nonzero_at_probe and not new_constraints:
-            return ConstraintRun(problem=problem, levels=tuple(levels),
-                                 stabilization_level=k,
-                                 probes=tuple(probes))
-
-        accumulated = accumulated + new_constraints
-        probes = [_project_onto(accumulated, z) for z in probes]
-        new_rank = max(_rank_of(_constraint_jacobian(accumulated, z))
-                       for z in probes) - old_rank
+    levels: list[ConstraintLevel] = []
+    old_rank = 0
+    for k in range(MAX_LEVELS):
+        jacs = [_constraint_jacobian(accumulated, z) for z in probes]
+        rank = max(decide_rank(j) for j in jacs)
+        bases = [_fiber_basis(problem, j, z) for j, z in zip(jacs, probes)]
         levels.append(ConstraintLevel(
-            k=k + 1, constraints=tuple(accumulated), new_rank=new_rank,
-            fiber_constraint_rank=problem.r - _fiber_basis(problem, accumulated, probes[0]).shape[1],
-            probe_residuals=tuple(max((abs(g(z)) for g in accumulated), default=0.0)
-                                  for z in probes)))
+            k=k, constraints=tuple(accumulated), new_rank=rank - old_rank,
+            fiber_constraint_rank=problem.r - bases[0].shape[1],
+            probe_residuals=tuple(float(np.max(np.abs(_values(accumulated, z)),
+                                               initial=0.0)) for z in probes)))
+        old_rank = rank
 
-    raise MaxLevelsExceeded(f"no stabilization within {max_levels} levels")
+        e = np.hstack([perp(problem.omega(z), b) for z, b in zip(probes, bases)])
+        kept = _kept_columns(pairing(e), probes, jacs) if e.shape[1] else []
+        if not kept:
+            return ConstraintRun(problem=problem, levels=tuple(levels),
+                                 stabilization_level=k, probes=tuple(probes))
+        accumulated.append(pairing(e[:, kept]))
+        probes = [_project_onto(accumulated, z) for z in probes]
+
+    raise MaxLevelsExceeded(f"no stabilization within {MAX_LEVELS} levels")
 
 
 @dataclass(frozen=True)
@@ -277,7 +260,7 @@ def solve_on_final(problem: PresymplecticProblem, z: np.ndarray,
     z = np.asarray(z, dtype=float)
     if basis is None:
         constraints = run.final_constraints if run is not None else problem.constraints
-        basis = _fiber_basis(problem, constraints, z)
+        basis = _fiber_basis(problem, _constraint_jacobian(constraints, z), z)
     alpha = problem.alpha(z)
     if not basis.shape[1]:
         residual = float(np.max(np.abs(alpha), initial=0.0))
@@ -411,12 +394,12 @@ class HamiltonianSideData:
         n = sys.chart.n
         self.transverse_idx = tuple(a for a in range(n) if a not in self.kernel_idx)
 
-    def primary_constraints(self) -> tuple[ScalarField, ...]:
+    def primary_constraints(self) -> tuple[ConstraintField, ...]:
         """phi_A = p_A - dL/dy_A for kernel directions, as fields on (x, p)."""
         sys = self.sys
         m, n = sys.chart.m, sys.chart.n
 
-        def make(a: int) -> ScalarField:
+        def make(a: int) -> ConstraintField:
             def phi(z: np.ndarray) -> float:
                 x = z[:m]
                 # dL/dy along a kernel direction is velocity-independent.

@@ -284,11 +284,18 @@ def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
              seed: np.ndarray | None = None,
              tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
     """Free velocities solving the primary constraint at fixed (x, p)."""
+    return _mu_solve_point(sys, x, p, seed, tol, max_iter)[0]
+
+
+def _mu_solve_point(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
+                    seed: np.ndarray | None = None, tol: float = 1e-12,
+                    max_iter: int = 50) -> tuple[np.ndarray, _PointData]:
+    """mu_solve's velocities and the point data built at them."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     palpha = p[list(sys.constrained)]
     # the Newton loop steps from the point whose residual it accepted last, so
-    # the step reuses that point's derivatives instead of rebuilding them
+    # the step, and the caller, reuse that point's derivatives
     last: list = [None, None]
 
     def point(y: np.ndarray) -> _PointData:
@@ -302,9 +309,10 @@ def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.linalg.solve(-point(y).R, r)
 
-    return damped_newton(phi, step, np.zeros(sys.n_free) if seed is None else seed,
-                         "velocity solve", error=MuSolveFailed, tol=tol,
-                         max_iter=max_iter)
+    ya = damped_newton(phi, step, np.zeros(sys.n_free) if seed is None else seed,
+                       "velocity solve", error=MuSolveFailed, tol=tol,
+                       max_iter=max_iter)
+    return ya, point(ya)
 
 
 def hamiltonian_section(sys: VakonomicSystem, at: DualPoint,
@@ -316,8 +324,7 @@ def hamiltonian_section(sys: VakonomicSystem, at: DualPoint,
     velocity, so no implicit differentiation is needed.
     """
     chart = sys.chart
-    ya = mu_solve(sys, at.x, at.p, seed=seed)
-    d = _PointData(sys, at.x, ya, at.p[list(sys.constrained)])
+    _, d = _mu_solve_point(sys, at.x, at.p, seed=seed)
     u = d.y_full.copy()
     cs = chart.structure(at.x)
     cp = np.einsum("cab,c->ab", cs, at.p)

@@ -1,5 +1,7 @@
 """Constraint-algorithm engine: kernels, levels, restricted solves, SODE."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +18,10 @@ from amech.errors import (
 from amech.linalg import rank_rtol
 from amech.presets import load as load_preset
 from amech.presym import (
+    ConstraintLevel,
+    ConstraintRun,
     PresymplecticProblem,
+    _constraint_jacobian,
     _project_onto,
     consistency_residual,
     hamiltonian_problem_from_lagrangian,
@@ -132,6 +137,46 @@ def test_project_onto_reports_failure():
         _project_onto([g], np.array([0.5]))
 
 
+def _circle(z):
+    return float(z[0] ** 2 + z[1] ** 2 - 1.0)
+
+
+def _line(z):
+    return float(z[0] - 2.0 * z[1])
+
+
+def _circle_and_line(z):
+    return np.array([_circle(z), _line(z)])
+
+
+def test_vector_field_projects_like_its_scalar_components():
+    z0 = np.array([2.0, 1.5])
+    z = _project_onto([_circle_and_line], z0)
+    assert np.array_equal(z, _project_onto([_circle, _line], z0))
+    assert abs(_circle(z)) < 1e-12 and abs(_line(z)) < 1e-12
+
+
+def test_vector_field_membership_matches_scalar_components():
+    def run_of(constraints):
+        level = ConstraintLevel(k=0, constraints=tuple(constraints), new_rank=2,
+                                fiber_constraint_rank=0, probe_residuals=())
+        return ConstraintRun(problem=None, levels=(level,), stabilization_level=0,
+                             probes=())
+
+    z = np.array([0.3, -1.2])
+    vector = run_of([_circle_and_line]).membership_residual(z)
+    assert vector == run_of([_circle, _line]).membership_residual(z)
+    assert vector == max(abs(_circle(z)), abs(_line(z)))
+
+
+def test_constraint_jacobian_stacks_scalar_and_vector_rows():
+    z = np.array([0.3, -1.2])
+    mixed = _constraint_jacobian([_line, _circle_and_line], z)
+    assert mixed.shape == (3, 2)
+    assert np.array_equal(mixed, _constraint_jacobian([_line, _circle, _line], z))
+    assert_allclose(mixed, [[1.0, -2.0], [0.6, -2.4], [1.0, -2.0]], atol=1e-8)
+
+
 # -- regular Lagrangian: level zero, solve equals the direct field ------------
 
 
@@ -215,6 +260,28 @@ def test_hamiltonian_side_constraint_sequence():
         assert abs(z[3]) < 1e-9 and abs(z[4]) < 1e-9
         assert abs(z[0]) < 1e-9 and abs(z[1]) < 1e-9
         assert run.membership_residual(z) < 1e-9
+
+
+@pytest.mark.parametrize("side", ["lagrangian", "hamiltonian"])
+def test_each_level_adds_one_field_within_an_alpha_budget(side):
+    # one pairing field per level, differenced once per probe and level: a
+    # capri analysis stays far below the thousands of alpha calls that one
+    # scalar field per candidate direction made
+    sys = _ck()
+    if side == "lagrangian":
+        problem, fields = lagrangian_problem(sys), [0, 1]
+    else:
+        problem, fields = hamiltonian_problem_from_lagrangian(sys)[0], [2, 3]
+    calls = []
+
+    def alpha(z, _alpha=problem.alpha):
+        calls.append(1)
+        return _alpha(z)
+
+    run = run_constraint_algorithm(dataclasses.replace(problem, alpha=alpha),
+                                   _seeds(3, 4, 3, seed=2))
+    assert [len(level.constraints) for level in run.levels] == fields
+    assert len(calls) <= 500
 
 
 def test_primary_constraints_are_momentum_zeroes():

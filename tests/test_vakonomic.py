@@ -209,6 +209,26 @@ def test_mu_solve_builds_the_point_data_once_per_newton_point(monkeypatch):
     assert len(built) == 2
 
 
+def test_hamiltonian_section_reuses_the_solved_point_data(monkeypatch):
+    # the one-step velocity solve builds the data at the start point and at
+    # the solved velocity; the section reads the latter instead of rebuilding
+    sys = _sys("plate_ball")
+    s = VakState(x=np.array([0.2, -0.6]), ya=np.array([0.8, 0.1]),
+                 palpha=np.array([0.5, -0.2, 0.3]))
+    at = DualPoint(s.x, momenta(sys, s))
+    built = []
+
+    class Counting(vakonomic._PointData):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(vakonomic, "_PointData", Counting)
+    u, _ = hamiltonian_section(sys, at)
+    assert_allclose(u[list(sys.free)], s.ya, atol=1e-11)
+    assert len(built) == 2
+
+
 def test_mu_solve_failure_for_degenerate_cost():
     text = ("system lin1\nbase []\nfiber [e1]\nanchor zero\n"
             "lagrangian = e1\nvakonomic { }\n")
