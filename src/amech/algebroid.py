@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dsl import SystemSpec
-from .expr import Expr, ScalarFunction, evaluate, grad
+from .expr import (Const, Expr, ScalarFunction, Unary, evaluate, grad, lazy_generated,
+                   partials)
 # Bound under algebroid's own name: the traced benchmark run
 # (perfbench/spans.py) wraps `algebroid._fd_tensor_jacobian`.
 from .expr import _fd_gradient as _fd_tensor_jacobian
@@ -34,6 +35,9 @@ __all__ = [
     "omega_E_matrix",
     "DualObservable",
 ]
+
+_ZERO = Const(0.0)
+
 
 def momentum_names(n: int) -> tuple[str, ...]:
     """Names of the dual-bundle fiber coordinates, by basis position."""
@@ -105,7 +109,11 @@ class AlgebroidChart:
 
 
 def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
-    """Build an evaluating chart from a parsed system document."""
+    """Build an evaluating chart from a parsed system document.
+
+    rho, C and their Jacobians are each one generated call; the tree walks
+    below are their reference and fallback.
+    """
     m, n = spec.m, spec.n
     base = spec.base
     params = dict(spec.params)
@@ -115,7 +123,7 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
         e.update(zip(base, (float(c) for c in x)))
         return e
 
-    def rho(x: np.ndarray) -> np.ndarray:
+    def rho_walk(x: np.ndarray) -> np.ndarray:
         e = env(x)
         out = np.zeros((m, n))
         for a, row in enumerate(spec.anchor):
@@ -123,7 +131,7 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
                 out[i, a] = evaluate(entry, e)
         return out
 
-    def structure(x: np.ndarray) -> np.ndarray:
+    def structure_walk(x: np.ndarray) -> np.ndarray:
         e = env(x)
         out = np.zeros((n, n, n))
         for (a, b), coeffs in spec.bracket.items():
@@ -133,7 +141,7 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
                 out[c, b, a] = -v
         return out
 
-    def rho_jacobian(x: np.ndarray) -> np.ndarray:
+    def rho_jacobian_walk(x: np.ndarray) -> np.ndarray:
         e = env(x)
         out = np.zeros((m, n, m))
         if m == 0:
@@ -143,7 +151,7 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
                 out[i, a, :] = grad(entry, base, e)
         return out
 
-    def structure_jacobian(x: np.ndarray) -> np.ndarray:
+    def structure_jacobian_walk(x: np.ndarray) -> np.ndarray:
         e = env(x)
         out = np.zeros((n, n, n, m))
         if m == 0:
@@ -155,9 +163,39 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
                 out[c, b, a, :] = -g
         return out
 
-    return AlgebroidChart(m, n, rho, structure,
-                          rho_jacobian=rho_jacobian,
-                          structure_jacobian=structure_jacobian,
+    # (tree, negated) in each row-major slot of rho and C, None for a zero,
+    # filled in the walks' order
+    rho_slots: list = [None] * (m * n)
+    for a, row in enumerate(spec.anchor):
+        for i, entry in enumerate(row):
+            rho_slots[i * n + a] = (entry, False)
+    c_slots: list = [None] * n ** 3
+    for (a, b), coeffs in spec.bracket.items():
+        for c, coef in enumerate(coeffs):
+            c_slots[(c * n + a) * n + b] = (coef, False)
+            c_slots[(c * n + b) * n + a] = (coef, True)
+
+    def generated(slots: list, shape: tuple, walk, jacobian: bool):
+        def signed(tree: Expr, negated: bool) -> Expr:
+            return Unary("neg", tree) if negated else tree
+
+        def layout() -> tuple:
+            if not jacobian:
+                return [([_ZERO if s is None else signed(*s) for s in slots], shape)], ()
+            trees = [tree for s in slots
+                     for tree in ([_ZERO] * m if s is None
+                                  else [signed(d, s[1]) for d in partials(s[0], base)])]
+            # the walk evaluates each entry before its partials
+            checks = [s[0] for s in slots if s is not None] if m else []
+            return [(trees, shape + (m,))], checks
+
+        return lazy_generated(base, params, layout, walk)
+
+    return AlgebroidChart(m, n, generated(rho_slots, (m, n), rho_walk, False),
+                          generated(c_slots, (n, n, n), structure_walk, False),
+                          rho_jacobian=generated(rho_slots, (m, n), rho_jacobian_walk, True),
+                          structure_jacobian=generated(c_slots, (n, n, n),
+                                                       structure_jacobian_walk, True),
                           base_names=base, fiber_names=spec.fiber,
                           params=params, spec=spec)
 

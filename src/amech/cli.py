@@ -20,7 +20,7 @@ import numpy as np
 from . import presets
 from .algebroid import DualPoint, DualObservable, chart_from_spec, check_structure
 from .dsl import parse_expression, parse_system
-from .dynamics import (EPoint, _el_force_rhs, euler_lagrange_rhs,
+from .dynamics import (EPoint, _el_force, euler_lagrange_rhs,
                        hamiltonian_from_lagrangian, hamilton_rhs, is_regular,
                        system_from_spec)
 from .errors import (DslError, EvalDomainError, InconsistentDynamics,
@@ -285,9 +285,9 @@ def cmd_simulate(args) -> int:
         def rhs(t, state):
             del t
             at = EPoint(state[:m], state[m:])
-            w, b = _el_force_rhs(sys_, at)
+            w, b, rho = _el_force(sys_, at)
             xi_v, _ = min_norm_lstsq(w, b)
-            xdot = chart.rho(state[:m]) @ state[m:] if m else np.zeros(0)
+            xdot = rho @ state[m:] if m else np.zeros(0)
             return np.concatenate([xdot, xi_v])
 
         def energy(t, state):

@@ -8,22 +8,24 @@ Euler-Lagrange vector field and the Hamilton equations on the dual bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .algebroid import AlgebroidChart, DualObservable, DualPoint, as_dual_observable
 from .errors import SingularHessian
 from .expr import Expr, ScalarFunction
-from .linalg import damped_newton, regularity
+from .linalg import damped_newton, memo_last, regularity
 
 __all__ = [
     "EPoint",
     "CartanData",
+    "LagrangianDerivatives",
     "LagrangianSystem",
     "RegularityReport",
     "system_from_spec",
     "cartan",
+    "energy_differential",
     "legendre",
     "legendre_inverse",
     "is_regular",
@@ -47,6 +49,16 @@ class EPoint:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("bundle point has non-finite entries")
+
+
+class LagrangianDerivatives(NamedTuple):
+    """L at one bundle point with its first and second derivative blocks."""
+
+    value: float
+    lx: np.ndarray
+    ly: np.ndarray
+    hxy: np.ndarray
+    w: np.ndarray
 
 
 class LagrangianSystem:
@@ -85,9 +97,15 @@ class LagrangianSystem:
         h = self._sf.hessian(np.concatenate([at.x, at.y]))
         return h[:m, m:], h[m:, m:]
 
+    def derivatives(self, at: EPoint) -> LagrangianDerivatives:
+        """L, dL/dx, dL/dy, d2L/dx dy and d2L/dy dy from one evaluation."""
+        m = self.chart.m
+        value, g, h = self._sf.derivatives(np.concatenate([at.x, at.y]))
+        return LagrangianDerivatives(value, g[:m], g[m:], h[:m, m:], h[m:, m:])
+
     def energy(self, at: EPoint) -> float:
-        _, ly = self.gradients(at)
-        return float(ly @ at.y) - self.value(at)
+        value, g = self._sf.value_and_gradient(np.concatenate([at.x, at.y]))
+        return float(g[self.chart.m:] @ at.y) - value
 
 
 def system_from_spec(spec) -> LagrangianSystem:
@@ -115,22 +133,32 @@ def cartan(sys: LagrangianSystem, at: EPoint) -> CartanData:
     """Cartan objects of the Lagrangian at one bundle point."""
     chart = sys.chart
     n = chart.n
-    lx, ly = sys.gradients(at)
-    hxy, w = sys.second_derivatives(at)
+    d = sys.derivatives(at)
     rho = chart.rho(at.x)
     cs = chart.structure(at.x)
 
-    mx = hxy.T @ rho if chart.m else np.zeros((n, n))
-    ul = mx - mx.T + np.einsum("c,cab->ab", ly, cs)
+    mx = d.hxy.T @ rho if chart.m else np.zeros((n, n))
+    ul = mx - mx.T + np.einsum("c,cab->ab", d.ly, cs)
     omega = np.zeros((2 * n, 2 * n))
     omega[:n, :n] = ul
-    omega[:n, n:] = w
-    omega[n:, :n] = -w.T
+    omega[:n, n:] = d.w
+    omega[n:, :n] = -d.w.T
 
-    el = float(ly @ at.y) - sys.value(at)
-    dx_part = rho.T @ (hxy @ at.y - lx) if chart.m else np.zeros(n)
-    del_ = np.concatenate([dx_part, w @ at.y])
-    return CartanData(at=at, omegaL=omega, W=w, EL=el, dEL=del_)
+    el = float(d.ly @ at.y) - d.value
+    return CartanData(at=at, omegaL=omega, W=d.w, EL=el,
+                      dEL=_energy_differential(chart, d, rho, at.y))
+
+
+def energy_differential(sys: LagrangianSystem, at: EPoint) -> np.ndarray:
+    """Components of dE_L in the dual frame, X-components first: cartan's dEL
+    without the Cartan matrix."""
+    return _energy_differential(sys.chart, sys.derivatives(at), sys.chart.rho(at.x), at.y)
+
+
+def _energy_differential(chart: AlgebroidChart, d: LagrangianDerivatives,
+                         rho: np.ndarray, y: np.ndarray) -> np.ndarray:
+    dx_part = rho.T @ (d.hxy @ y - d.lx) if chart.m else np.zeros(chart.n)
+    return np.concatenate([dx_part, d.w @ y])
 
 
 def legendre(sys: LagrangianSystem, at: EPoint) -> DualPoint:
@@ -146,17 +174,22 @@ def legendre_inverse(sys: LagrangianSystem, at: DualPoint,
 
     Local only; convergence failure raises rather than returning a bad point.
     """
-    def residual(y: np.ndarray) -> np.ndarray:
-        _, ly = sys.gradients(EPoint(at.x, y))
-        return ly - at.p
+    return _legendre_inverse_point(sys, at, seed, tol, max_iter)[0]
+
+
+def _legendre_inverse_point(sys: LagrangianSystem, at: DualPoint,
+                            seed: np.ndarray | None = None, tol: float = 1e-12,
+                            max_iter: int = 50) -> tuple[EPoint, LagrangianDerivatives]:
+    """legendre_inverse's point and the derivatives of L there."""
+    # residual and step read one evaluation per Newton point
+    point = memo_last(lambda y: sys.derivatives(EPoint(at.x, y)))
 
     def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        _, w = sys.second_derivatives(EPoint(at.x, y))
-        return np.linalg.solve(w, r)
+        return np.linalg.solve(point(y).w, r)
 
-    y = damped_newton(residual, step, at.p if seed is None else seed,
+    y = damped_newton(lambda y: point(y).ly - at.p, step, at.p if seed is None else seed,
                       "Legendre inverse", tol=tol, max_iter=max_iter)
-    return EPoint(at.x, y)
+    return EPoint(at.x, y), point(y)
 
 
 @dataclass(frozen=True)
@@ -174,15 +207,20 @@ def is_regular(sys: LagrangianSystem, at: EPoint) -> RegularityReport:
 
 def _el_force_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
     """(W, right-hand side b) of the Euler-Lagrange force system W f = b."""
+    return _el_force(sys, at)[:2]
+
+
+def _el_force(sys: LagrangianSystem,
+              at: EPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_el_force_rhs's W and b, and the anchor rho(x) it used."""
     chart = sys.chart
-    lx, ly = sys.gradients(at)
-    hxy, w = sys.second_derivatives(at)
+    d = sys.derivatives(at)
     cs = chart.structure(at.x)
     rho = chart.rho(at.x)
-    drive = np.einsum("c,cab,b->a", ly, cs, at.y)
+    drive = np.einsum("c,cab,b->a", d.ly, cs, at.y)
     if chart.m:
-        drive = drive + hxy.T @ (rho @ at.y) - rho.T @ lx
-    return w, -drive
+        drive = drive + d.hxy.T @ (rho @ at.y) - rho.T @ d.lx
+    return d.w, -drive, rho
 
 
 def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -192,14 +230,14 @@ def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, n
     solved by LU with partial pivoting on the raw Hessian after the
     regularity test on that same Hessian.
     """
-    w, b = _el_force_rhs(sys, at)
+    w, b, rho = _el_force(sys, at)
     regular, smin, _ = regularity(w)
     if not regular:
         raise SingularHessian(
             f"velocity Hessian singular (sigma_min={smin:.3e}); "
             "use the constraint algorithm")
     f = np.linalg.solve(w, b)
-    xdot = sys.chart.rho(at.x) @ at.y if sys.chart.m else np.zeros(0)
+    xdot = rho @ at.y if sys.chart.m else np.zeros(0)
     return xdot, f
 
 
@@ -240,9 +278,8 @@ class LegendreEnergy(DualObservable):
         return self.sys.energy(legendre_inverse(self.sys, at))
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
-        y = legendre_inverse(self.sys, at).y
-        lx, _ = self.sys.gradients(EPoint(at.x, y))
-        return -lx, y
+        point, d = _legendre_inverse_point(self.sys, at)
+        return -d.lx, point.y
 
 
 def hamiltonian_from_lagrangian(sys: LagrangianSystem) -> LegendreEnergy:

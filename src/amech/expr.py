@@ -1,15 +1,28 @@
 """Expression trees and their symbolic derivatives.
 
 Every derivative in the package flows through this module: gradients and
-Hessians are evaluated from the partial-derivative trees that `derivative`
-builds, with a central finite-difference path for callables that have no
-tree. `_fd_gradient` is the package's one first-order difference rule: it
-also differentiates the tensor fields of closure-defined charts and the
+Hessians come from the partial-derivative trees that `derivative` builds,
+with a central finite-difference path for callables that have no tree.
+`_fd_gradient` is the package's one first-order difference rule: it also
+differentiates the tensor fields of closure-defined charts and the
 constraint fields of the constraint algorithm.
+
+Two routes evaluate the trees. The tree walk (`evaluate`, `grad`,
+`hessian`) is the reference: it checks every primitive's domain and reports
+a failure with its path. The hot paths (`ScalarFunction`, the chart tensors)
+run generated code instead: `generate` emits one straight-line Python
+function per list of trees and variable order, one operation per line in
+the tree's own order, with repeated subexpressions computed once, so every
+number is bit-identical to the walk. `lazy_generated` builds that code at
+the first call, reuses compiled code with the same source text, and runs
+the walk wherever the generated code raises ArithmeticError or ValueError
+(so the walk raises its own error) or the trees name a variable outside the
+names and params (so the walk reports it unbound).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -27,12 +40,15 @@ __all__ = [
     "Binary",
     "Pow",
     "derivative",
+    "partials",
     "evaluate",
     "grad",
     "hessian",
     "substitute",
     "variables_of",
     "format_expr",
+    "generate",
+    "lazy_generated",
     "ScalarFunction",
 ]
 
@@ -42,6 +58,11 @@ BINARY_OPS = ("+", "-", "*", "/")
 
 class Expr:
     """Immutable expression node; subclasses carry the actual payload."""
+
+    def __getstate__(self) -> dict:
+        # the payload only: memos kept on a node (partial trees, generated
+        # code) are rebuilt on demand
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     def __add__(self, other: "Expr | float") -> "Expr":
         return Binary("+", self, _as_expr(other))
@@ -262,6 +283,11 @@ def _partials(expr: Expr, wrt: tuple, order: int) -> list:
     return memo[order, wrt]
 
 
+def partials(expr: Expr, wrt: Sequence[str]) -> list[Expr]:
+    """The first partial trees of expr, one per name in wrt (built once)."""
+    return [tree for _, tree in _partials(expr, tuple(wrt), 1)]
+
+
 def _eval_partials(expr: Expr, wrt: Sequence[str], order: int,
                    bindings: Mapping[str, float]) -> list[float]:
     if not wrt:
@@ -301,6 +327,155 @@ def hessian(expr: Expr, wrt: Sequence[str], bindings: Mapping[str, float]) -> np
         for j in range(i, len(wrt)):
             h[i, j] = h[j, i] = next(values)
     return h
+
+
+# ---------------------------------------------------------------------------
+# Generated straight-line code
+
+# compiled functions kept for reuse, keyed by their source text
+GENERATED_CACHE_SIZE = 64
+
+_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
+              "sqrt": math.sqrt, "_zeros": np.zeros,
+              "_index": functools.partial(np.array, dtype=np.intp),
+              "_inf": math.inf, "_nan": math.nan}
+
+
+def _literal(value: float) -> str:
+    if math.isfinite(value):
+        return f"({value!r})"
+    if math.isnan(value):
+        return "_nan"
+    return "_inf" if value > 0 else "(-_inf)"
+
+
+def _statement(key: tuple) -> str:
+    op, *args = key
+    if op == "neg":
+        return f"-{args[0]}"
+    if op in _UNARY_FN:
+        return f"{op}({args[0]})"
+    if op == "^":
+        return f"{args[0]} ** ({args[1]})"
+    return f"{args[0]} {op} {args[1]}"
+
+
+def _straight_line(trees: Sequence[Expr],
+                   slots: Mapping[str, str]) -> tuple[list[str], list[str]]:
+    """Statements that compute every tree, and the operand holding each value.
+
+    One operation per statement, applied to the same operands as in the tree,
+    so each value is rounded exactly as the walk rounds it. A node met before,
+    by identity or as the same operation on the same operands, reuses its
+    temporary: linear in the number of distinct nodes. A Var outside slots
+    raises KeyError.
+    """
+    lines: list[str] = []
+    seen: dict[int, str] = {}
+    temps: dict[tuple, str] = {}
+
+    def visit(node: Expr) -> str:
+        operand = seen.get(id(node))
+        if operand is not None:
+            return operand
+        if isinstance(node, Const):
+            operand = _literal(node.value)
+        elif isinstance(node, Var):
+            operand = slots[node.name]
+        else:
+            if isinstance(node, Unary):
+                key = (node.op, visit(node.arg))
+            elif isinstance(node, Binary):
+                key = (node.op, visit(node.left), visit(node.right))
+            elif isinstance(node, Pow):
+                key = ("^", visit(node.base), node.exponent)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            operand = temps.get(key)
+            if operand is None:
+                operand = temps[key] = f"t{len(temps)}"
+                lines.append(f"{operand} = {_statement(key)}")
+        seen[id(node)] = operand
+        return operand
+
+    return lines, [visit(tree) for tree in trees]
+
+
+@functools.lru_cache(maxsize=GENERATED_CACHE_SIZE)
+def _compile(source: str) -> Callable:
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<amech generated>", "exec"), namespace)
+    return namespace["_generated"]
+
+
+def generate(names: Sequence[str], params: Mapping[str, float],
+             groups: Sequence[tuple[Sequence[Expr], tuple[int, ...] | None]],
+             checks: Sequence[Expr] = ()) -> Callable[[list[float]], object] | None:
+    """One function of a list of floats, bound to names in order, that
+    evaluates every tree of groups and of checks.
+
+    It returns one value per group, or a tuple of them: the group's single
+    float for shape None, else an array of that shape (a tuple) filled in
+    row-major order. Trees in checks are evaluated for their domain errors
+    only. Variables take the names first, then params, as in the walk. The
+    function checks nothing: a domain failure surfaces as ArithmeticError
+    or ValueError. None when a tree names anything else.
+    """
+    slots = {name: _literal(float(value)) for name, value in params.items()}
+    slots.update((name, f"v{i}") for i, name in enumerate(names))
+    trees = list(checks) + [tree for group, _ in groups for tree in group]
+    try:
+        lines, operands = _straight_line(trees, slots)
+    except KeyError:
+        return None
+    # an array starts as zeros and gets every slot that is not a literal +0.0
+    # in one scatter, through indices built once when the code is compiled
+    indices, parts, zero = [], [], _literal(0.0)
+    k = len(checks)
+    for g, (group, shape) in enumerate(groups):
+        ops = operands[k:k + len(group)]
+        k += len(group)
+        if shape is None:
+            parts.append(ops[0])
+            continue
+        kept = [i for i, op in enumerate(ops) if op != zero]
+        indices.append(f"_idx{g} = _index({kept!r})\n")
+        lines.append(f"_out{g} = _zeros({len(ops)})")
+        if kept:
+            lines.append(f"_out{g}[_idx{g}] = ({''.join(f'{ops[i]}, ' for i in kept)})")
+        parts.append(f"_out{g}" if len(shape) == 1 else f"_out{g}.reshape({shape})")
+    unpack = "".join(f"v{i}, " for i in range(len(names)))
+    source = ("".join(indices) + "def _generated(v):\n"
+              + (f"    {unpack}= v\n" if names else "")
+              + "".join(f"    {line}\n" for line in lines)
+              + f"    return {', '.join(parts)}\n")
+    return _compile(source)
+
+
+def lazy_generated(names: Sequence[str], params: Mapping[str, float],
+                   layout: Callable[[], tuple],
+                   reference: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """f(x): the code `generate` makes of layout() run at x, else reference(x).
+
+    layout() returns (groups, checks); it runs, with the code generation, at
+    the first call, never before. reference is the tree walk of the same
+    values: it runs when the trees cannot be compiled and whenever the
+    generated code raises ArithmeticError or ValueError, so the caller sees
+    the walk's own error, message and path.
+    """
+    compiled: list = []
+
+    def f(x: np.ndarray) -> object:
+        if not compiled:
+            compiled.append(generate(names, params, *layout()))
+        if compiled[0] is not None:
+            try:
+                return compiled[0](np.asarray(x, dtype=float).tolist())
+            except (ArithmeticError, ValueError):
+                pass  # the walk below raises the documented error
+        return reference(x)
+
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +563,51 @@ def _fmt(expr: Expr, context: int) -> str:
 FD_STEP = 1e-6
 
 
+def _bindings(names: Sequence[str], params: Mapping[str, float],
+              v: Sequence[float]) -> dict[str, float]:
+    env = dict(params)
+    env.update(zip(names, (float(c) for c in v)))
+    return env
+
+
+def _jet_layout(expr: Expr, names: tuple, order: int) -> tuple:
+    """The groups of ScalarFunction's generated jet of this order: the value,
+    then the gradient, then the Hessian with its upper triangle mirrored."""
+    n = len(names)
+    groups = [([expr], None)]
+    if order >= 1:
+        groups.append((partials(expr, names), (n,)))
+    if order == 2:
+        upper = iter([tree for _, tree in _partials(expr, names, 2)])
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = next(upper)
+        groups.append(([tree for row in rows for tree in row], (n, n)))
+    return groups, ()
+
+
+def _jet_walk(expr: Expr, names: tuple, params: Mapping[str, float], order: int,
+              v: Sequence[float]):
+    """The same jet by the tree walk, in the order value, gradient, Hessian,
+    so its first error is the walk's."""
+    env = _bindings(names, params, v)
+    value = evaluate(expr, env)
+    if order == 0:
+        return value
+    g = grad(expr, names, env) if names else np.zeros(0)
+    if order == 1:
+        return value, g
+    return value, g, hessian(expr, names, env) if names else np.zeros((0, 0))
+
+
 class ScalarFunction:
     """Scalar function of an ordered tuple of named real variables.
 
     Wraps either an expression tree (exact derivatives from symbolic partial
-    trees) or a plain callable (derivatives by central finite differences with
-    step 1e-6 * max(1, |x|)). The `source` attribute reports which path is
+    trees, run as generated code with the tree walk as fallback) or a plain
+    callable (derivatives by central finite differences with step
+    1e-6 * max(1, |x|)). The `source` attribute reports which path is
     active so validators can say where their numbers came from.
     """
 
@@ -407,33 +621,53 @@ class ScalarFunction:
         self.fn = fn
         self.params = dict(params) if params else {}
         self.source = "ad" if expr is not None else "fd"
+        if expr is not None:
+            # value; value and gradient; value, gradient and Hessian, kept on
+            # the root node for every function of the same names and params
+            memo = vars(expr).setdefault("_jets", {})
+            key = (self.names, tuple(sorted(self.params.items())))
+            if key not in memo:
+                memo[key] = [lazy_generated(
+                    self.names, self.params,
+                    functools.partial(_jet_layout, expr, self.names, order),
+                    functools.partial(_jet_walk, expr, self.names, self.params, order))
+                    for order in range(3)]
+            self._jets = memo[key]
 
     def _env(self, v: Sequence[float]) -> dict[str, float]:
-        env = dict(self.params)
-        env.update(zip(self.names, (float(c) for c in v)))
-        return env
+        return _bindings(self.names, self.params, v)
 
     def value(self, v: Sequence[float]) -> float:
         if self.expr is not None:
-            return float(evaluate(self.expr, self._env(v)))
+            return float(self._jets[0](v))
         return float(self.fn(np.asarray(v, dtype=float)))
 
     def gradient(self, v: Sequence[float]) -> np.ndarray:
         if self.expr is not None:
             if not self.names:
                 return np.zeros(0)
-            return grad(self.expr, self.names, self._env(v))
+            return self._jets[1](v)[1]
         return _fd_gradient(self.fn, np.asarray(v, dtype=float))
 
     def hessian(self, v: Sequence[float]) -> np.ndarray:
         if self.expr is not None:
             if not self.names:
                 return np.zeros((0, 0))
-            return hessian(self.expr, self.names, self._env(v))
+            return self._jets[2](v)[2]
         return _fd_hessian(self.fn, np.asarray(v, dtype=float))
 
     def value_and_gradient(self, v: Sequence[float]) -> tuple[float, np.ndarray]:
+        if self.expr is not None and self.names:
+            value, g = self._jets[1](v)
+            return float(value), g
         return self.value(v), self.gradient(v)
+
+    def derivatives(self, v: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray]:
+        """(value, gradient, Hessian) at v, from one call of the generated code."""
+        if self.expr is not None:
+            value, g, h = self._jets[2](v)
+            return float(value), g, h
+        return self.value(v), self.gradient(v), self.hessian(v)
 
 
 def _fd_step(x: float) -> float:

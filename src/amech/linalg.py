@@ -10,7 +10,7 @@ Newton loop that every nonlinear root-find of the package runs on.
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "min_norm_lstsq",
     "regularity",
     "damped_newton",
+    "memo_last",
     "AMBIGUITY_BAND",
 ]
 
@@ -161,3 +162,23 @@ def damped_newton(residual: Callable[[np.ndarray], np.ndarray],
     if size < tol:
         return x
     raise error(f"{what} did not converge, residual {size:.3e}")
+
+
+T = TypeVar("T")
+
+
+def memo_last(build: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
+    """build(x), computed once while x is the same object as at the last call.
+
+    damped_newton steps from the very point whose residual it accepted last,
+    so a residual and a step that read their data through one memo_last
+    share one evaluation per Newton point.
+    """
+    last: list = [None, None]
+
+    def at(x: np.ndarray) -> T:
+        if last[0] is not x:
+            last[:] = [x, build(x)]
+        return last[1]
+
+    return at

@@ -135,8 +135,9 @@ def _rk4_step(problem: OdeProblem, t: float, y: np.ndarray, h: float) -> np.ndar
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Dormand-Prince 4(5) tableau; the last b5 weight is zero so the pair costs
-# seven evaluations per attempted step.
+# Dormand-Prince 4(5) tableau. The last b5 weight is zero and the last stage
+# row equals b5, so the seventh stage is the slope at the fifth-order update:
+# first same as last, six new evaluations per attempted step.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -153,17 +154,20 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_E = _DP_B5 - _DP_B4
 
 
-def _dp45_step(problem: OdeProblem, t: float, y: np.ndarray,
-               h: float) -> tuple[np.ndarray, np.ndarray]:
-    """One attempted step: fifth-order update and embedded error estimate."""
+def _dp45_step(problem: OdeProblem, t: float, y: np.ndarray, h: float,
+               k1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One attempted step from the slope k1 at (t, y).
+
+    Returns the fifth-order update, the embedded error estimate and the slope
+    at the update, which is the next step's k1 when the step is accepted.
+    """
     ks = np.zeros((7, problem.dim))
-    ks[0] = _checked_rhs(problem, t, y)
+    ks[0] = k1
     for i in range(1, 7):
         yi = y + h * (_DP_A[i] @ ks[:i])
         ks[i] = _checked_rhs(problem, t + _DP_C[i] * h, yi)
-    y_new = y + h * (_DP_B5 @ ks)
     err = h * (_DP_E @ ks)
-    return y_new, err
+    return yi, err, ks[6]
 
 
 def _eval_monitors(monitors: Mapping[str, Monitor], t: float,
@@ -234,6 +238,7 @@ def _run_dp45(problem: OdeProblem, config: IntegratorConfig,
     t = t0
     y = y0
     attempts = 0
+    k1 = None  # slope at (t, y), kept across a rejected attempt
     while t < t1:
         if attempts >= config.max_steps:
             raise MaxStepsExceeded(f"max_steps={config.max_steps} reached at t={t!r}")
@@ -241,12 +246,14 @@ def _run_dp45(problem: OdeProblem, config: IntegratorConfig,
             raise ToleranceUnreachable(f"step size underflow at t={t!r}")
         h = min(h, t1 - t)
         attempts += 1
-        y_new, err = _dp45_step(problem, t, y, h)
+        if k1 is None:
+            k1 = _checked_rhs(problem, t, y)
+        y_new, err, k_new = _dp45_step(problem, t, y, h, k1)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if err_norm <= 1.0:
             t = t + h
-            y = y_new
+            y, k1 = y_new, k_new
             times.append(t)
             states.append(y)
             factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2

@@ -18,14 +18,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebroid import DualPoint
-from .dynamics import EPoint, LagrangianSystem, _el_force_rhs, cartan
+from .dynamics import (EPoint, LagrangianDerivatives, LagrangianSystem, _el_force_rhs, cartan,
+                       energy_differential)
 from .errors import (AmechError, InconsistentDynamics,
                      LinearSolveResidualTooLarge, MaxLevelsExceeded,
                      NotOnFinalManifold)
 # Bound under presym's own name: the traced benchmark run (perfbench/spans.py)
 # wraps `presym._fd_gradient`.
 from .expr import _fd_gradient
-from .linalg import damped_newton, decide_rank, min_norm_lstsq, null_space, rank_rtol
+from .linalg import (damped_newton, decide_rank, memo_last, min_norm_lstsq, null_space,
+                     rank_rtol)
 
 __all__ = [
     "PresymplecticProblem",
@@ -337,7 +339,7 @@ def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
         return cartan(sys, EPoint(z[:m], z[m:])).omegaL
 
     def alpha(z: np.ndarray) -> np.ndarray:
-        return -cartan(sys, EPoint(z[:m], z[m:])).dEL
+        return -energy_differential(sys, EPoint(z[:m], z[m:]))
 
     def anchor(z: np.ndarray) -> np.ndarray:
         return _prolongation_anchor(chart, z[:m])
@@ -410,8 +412,10 @@ class HamiltonianSideData:
 
         return tuple(make(a) for a in self.kernel_idx)
 
-    def _solve_velocity(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Full velocity with kernel components zero and dL/dy_T = p_T."""
+    def _solve_velocity(self, x: np.ndarray,
+                        p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
+        """Full velocity with kernel components zero and dL/dy_T = p_T, and
+        the derivatives of L there."""
         sys = self.sys
         n = sys.chart.n
         tr = list(self.transverse_idx)
@@ -421,26 +425,25 @@ class HamiltonianSideData:
             yy[tr] = yt
             return yy
 
-        def residual(yt: np.ndarray) -> np.ndarray:
-            _, ly = sys.gradients(EPoint(x, full(yt)))
-            return ly[tr] - p[tr]
+        # residual and step read one evaluation per Newton point
+        point = memo_last(lambda yt: sys.derivatives(EPoint(x, full(yt))))
 
         def step(yt: np.ndarray, r: np.ndarray) -> np.ndarray:
-            _, w = sys.second_derivatives(EPoint(x, full(yt)))
-            return np.linalg.solve(w[np.ix_(tr, tr)], r)
+            return np.linalg.solve(point(yt).w[np.ix_(tr, tr)], r)
 
-        return full(damped_newton(residual, step, p[tr], "partial Legendre inverse"))
+        yt = damped_newton(lambda yt: point(yt).ly[tr] - p[tr], step, p[tr],
+                           "partial Legendre inverse")
+        return full(yt), point(yt)
 
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
-        y = self._solve_velocity(x, p)
+        y, _ = self._solve_velocity(x, p)
         return self.sys.energy(EPoint(x, y))
 
     def gradients(self, x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self._solve_velocity(x, p)
-        lx, _ = self.sys.gradients(EPoint(x, y))
+        y, d = self._solve_velocity(x, p)
         hp = np.zeros(self.sys.chart.n)
         hp[list(self.transverse_idx)] = y[list(self.transverse_idx)]
-        return -lx, hp
+        return -d.lx, hp
 
 
 def hamiltonian_problem_from_lagrangian(

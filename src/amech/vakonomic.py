@@ -16,9 +16,9 @@ import numpy as np
 
 from .algebroid import AlgebroidChart, DualPoint, chart_from_spec, lie_poisson_bracket
 from .dsl import SystemSpec
-from .errors import MuSolveFailed, SingularR
+from .errors import AmechError, MuSolveFailed, SingularR
 from .expr import Expr, ScalarFunction, substitute, variables_of
-from .linalg import damped_newton, regularity
+from .linalg import damped_newton, memo_last, regularity
 
 __all__ = [
     "VakState",
@@ -135,19 +135,22 @@ class _PointData:
         m, nf, nc = sys.chart.m, sys.n_free, sys.n_constrained
         n = sys.chart.n
         v = np.concatenate([x, ya])
-        self.lt_value = sys._lt.value(v)
-        g = sys._lt.gradient(v)
-        h = sys._lt.hessian(v)
+        self.lt_value, g, h = sys._lt.derivatives(v)
         self.ltx, self.lty = g[:m], g[m:]
         self.ltxy, self.ltyy = h[:m, m:], h[m:, m:]
-        self.psi_value = np.array([f.value(v) for f in sys._psi])
+        try:
+            psi = [f.derivatives(v) for f in sys._psi]
+        except (AmechError, ArithmeticError):
+            # the reference order evaluates every Psi before any derivative
+            for f in sys._psi:
+                f.value(v)
+            raise
+        self.psi_value = np.array([value for value, _, _ in psi])
         self.psix = np.zeros((nc, m))
         self.psiy = np.zeros((nc, nf))
         self.psixy = np.zeros((nc, m, nf))
         self.psiyy = np.zeros((nc, nf, nf))
-        for j, f in enumerate(sys._psi):
-            gj = f.gradient(v)
-            hj = f.hessian(v)
+        for j, (_, gj, hj) in enumerate(psi):
             self.psix[j] = gj[:m]
             self.psiy[j] = gj[m:]
             self.psixy[j] = hj[:m, m:]
@@ -294,14 +297,8 @@ def _mu_solve_point(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     palpha = p[list(sys.constrained)]
-    # the Newton loop steps from the point whose residual it accepted last, so
-    # the step, and the caller, reuse that point's derivatives
-    last: list = [None, None]
-
-    def point(y: np.ndarray) -> _PointData:
-        if last[0] is not y:
-            last[:] = [y, _PointData(sys, x, y, palpha)]
-        return last[1]
+    # the step, and the caller, reuse the derivatives the residual built
+    point = memo_last(lambda y: _PointData(sys, x, y, palpha))
 
     def phi(y: np.ndarray) -> np.ndarray:
         return _w1_residual(sys, point(y), p, palpha)

@@ -18,6 +18,9 @@ from amech.algebroid import (
     omega_E_matrix,
 )
 from amech.dsl import parse_expression, parse_system
+from amech.errors import EvalDomainError
+from amech.expr import evaluate, grad
+from amech.presets import ids as preset_ids, load as load_preset
 
 SO3 = """\
 system so3
@@ -211,3 +214,57 @@ def test_omega_E_blocks():
     assert_allclose(omega[n:, n:], np.zeros((n, n)), atol=0)
     cp = np.einsum("cab,c->ab", chart.structure(at.x), at.p)
     assert_allclose(omega[:n, :n], cp, atol=0)
+
+
+def _walked_tensors(spec, x):
+    """rho, C and their Jacobians by the tree walk, entry by entry."""
+    m, n = spec.m, spec.n
+    env = dict(spec.params)
+    env.update(zip(spec.base, (float(c) for c in x)))
+    rho, cs = np.zeros((m, n)), np.zeros((n, n, n))
+    drho, dcs = np.zeros((m, n, m)), np.zeros((n, n, n, m))
+    for a, row in enumerate(spec.anchor):
+        for i, entry in enumerate(row):
+            rho[i, a] = evaluate(entry, env)
+            if m:
+                drho[i, a] = grad(entry, spec.base, env)
+    for (a, b), coeffs in spec.bracket.items():
+        for c, coef in enumerate(coeffs):
+            v = evaluate(coef, env)
+            cs[c, a, b], cs[c, b, a] = v, -v
+            if m:
+                g = grad(coef, spec.base, env)
+                dcs[c, a, b], dcs[c, b, a] = g, -g
+    return rho, cs, drho, dcs
+
+
+@pytest.mark.parametrize("pid", preset_ids())
+def test_generated_chart_tensors_equal_the_tree_walk_bit_for_bit(pid):
+    spec = load_preset(pid).spec
+    chart = chart_from_spec(spec)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, size=chart.m)
+        got = (chart.rho(x), chart.structure(x), chart.rho_jacobian(x),
+               chart.structure_jacobian(x))
+        for g, w in zip(got, _walked_tensors(spec, x)):
+            # tobytes also tells -0.0 from 0.0
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_chart_domain_error_is_the_walks():
+    # the partial 1/q of ln(q) is defined at q = -1, the entry is not
+    spec = parse_system("""\
+system logq
+base [q]
+fiber [v]
+anchor { v -> (ln(q)) }
+lagrangian = 0.5*v^2
+""")
+    chart = chart_from_spec(spec)
+    assert chart.rho_jacobian(np.array([2.0]))[0, 0, 0] == 0.5
+    for f in (chart.rho, chart.rho_jacobian):
+        with pytest.raises(EvalDomainError) as err:
+            f(np.array([-1.0]))
+        assert str(err.value) == "ln of non-positive value -1.0 at node ln"
+        assert err.value.path == "ln"

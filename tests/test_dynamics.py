@@ -20,7 +20,9 @@ from amech.dynamics import (
     sode_defect,
     system_from_spec,
 )
+from amech import dynamics
 from amech.errors import NewtonFailed, SingularHessian
+from amech.expr import ScalarFunction
 from amech.presets import load as load_preset
 from amech.dsl import parse_system
 
@@ -223,3 +225,38 @@ def test_sode_defect():
     v = np.array([2.0])
     assert sode_defect(at, (np.array([0.5]), v))[0] == 0.0
     assert sode_defect(at, (np.array([0.8]), v))[0] == pytest.approx(0.3)
+
+
+def test_legendre_inverse_makes_one_derivative_evaluation_per_newton_point(monkeypatch):
+    # the quartic velocity term needs several Newton points; residual and
+    # step at one point share a single evaluation of L's derivatives
+    sys = system_from_spec(parse_system(QUARTIC))
+    evaluations, points = [], []
+    for name in ("value", "gradient", "hessian", "value_and_gradient", "derivatives"):
+        def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
+            evaluations.append(_name)
+            return _f(self, v)
+        monkeypatch.setattr(ScalarFunction, name, counting)
+
+    def newton(residual, step, x0, what, **kwargs):
+        def counted(y):
+            points.append(y)
+            return residual(y)
+        return damped_newton(counted, step, x0, what, **kwargs)
+
+    damped_newton = dynamics.damped_newton
+    monkeypatch.setattr(dynamics, "damped_newton", newton)
+    at = legendre_inverse(sys, DualPoint(np.array([0.4]), np.array([2.5])))
+    assert len(points) >= 3
+    assert evaluations == ["derivatives"] * len(points)
+    assert sys.gradients(at)[1][0] == pytest.approx(2.5, abs=1e-12)
+
+
+def test_euler_lagrange_rhs_evaluates_the_anchor_once():
+    sys = _tq()
+    calls = []
+    rho = sys.chart.rho
+    sys.chart.rho = lambda x: calls.append(x) or rho(x)
+    xdot, _ = euler_lagrange_rhs(sys, EPoint(np.array([0.7]), np.array([0.3])))
+    assert len(calls) == 1
+    assert xdot[0] == 0.3

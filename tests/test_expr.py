@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from amech.expr import (
     Var,
     evaluate,
     format_expr,
+    generate,
     grad,
     hessian,
     substitute,
     variables_of,
 )
-from amech.expr import _fd_gradient, _fd_hessian
+from amech.expr import _fd_gradient, _fd_hessian, _jet_layout
 from strategies import NAMES, exprs
 
 X, Y = Var("x"), Var("y")
@@ -278,3 +280,95 @@ def test_symbolic_derivatives_match_finite_differences(expr, vals):
 
     assert np.max(np.abs(g - _fd_gradient(f, x))) <= 1e-8 * scale
     assert np.max(np.abs(h - _fd_hessian(f, x))) <= 1e-5 * scale
+
+
+# -- the generated code against the tree walk ---------------------------------
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _walk_or_error(steps):
+    """Results of the walk's calls in order, or the first exception raised."""
+    try:
+        return [step() for step in steps], None
+    except Exception as exc:  # compared by type, message and path below
+        return None, exc
+
+
+def _assert_same_error(call, expected):
+    with pytest.raises(type(expected)) as err:
+        call()
+    assert type(err.value) is type(expected)
+    assert str(err.value) == str(expected)
+    assert getattr(err.value, "path", None) == getattr(expected, "path", None)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(expr=exprs(),
+       vals=st.tuples(*[st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0))
+                        for _ in NAMES]))
+def test_generated_code_matches_the_tree_walk_bit_for_bit(expr, vals):
+    env = dict(zip(NAMES, vals))
+    sf = ScalarFunction(NAMES, expr=expr)
+    walked, error = _walk_or_error([lambda: evaluate(expr, env),
+                                    lambda: grad(expr, NAMES, env),
+                                    lambda: hessian(expr, NAMES, env)])
+    # the generated code itself, without the fallback
+    raw = generate(NAMES, {}, _jet_layout(expr, NAMES, 2)[0])
+    if error is None:
+        for got in (raw(list(vals)), sf.derivatives(np.array(vals))):
+            assert [_bits(a) for a in got] == [_bits(a) for a in walked]
+        assert _bits(sf.value(vals)) == _bits(walked[0])
+        assert _bits(sf.gradient(vals)) == _bits(walked[1])
+        assert _bits(sf.hessian(vals)) == _bits(walked[2])
+        return
+    # it fails where the walk fails, and the caller sees the walk's error
+    with pytest.raises((ArithmeticError, ValueError)):
+        raw(list(vals))
+    _assert_same_error(lambda: sf.derivatives(np.array(vals)), error)
+    _, value_error = _walk_or_error([lambda: evaluate(expr, env)])
+    if value_error is not None:
+        _assert_same_error(lambda: sf.value(vals), value_error)
+    _, grad_error = _walk_or_error([lambda: grad(expr, NAMES, env)])
+    if grad_error is not None:
+        _assert_same_error(lambda: sf.gradient(vals), grad_error)
+
+
+def test_a_name_outside_names_and_params_is_never_compiled():
+    f = Unary("sin", Var("theta")) + X * Var("k")
+    assert generate(("x",), {"k": 2.0}, [([f], None)]) is None
+    sf = ScalarFunction(("x",), expr=f, params={"k": 2.0})
+    for call in (sf.value, sf.gradient, sf.hessian, sf.derivatives):
+        with pytest.raises(UnboundVariableError) as err:
+            call([1.0])
+        assert err.value.name == "theta"
+        assert "sin" in err.value.path
+
+
+def test_generated_code_binds_names_before_params():
+    f = Var("k") * X ** 2
+    sf = ScalarFunction(("x", "k"), expr=f, params={"k": 2.5})
+    assert sf.value([2.0, 3.0]) == 12.0
+    assert_allclose(sf.gradient([2.0, 3.0]), [12.0, 4.0])
+
+
+def test_functions_of_one_tree_share_its_generated_code():
+    # a fresh ScalarFunction per call (as d_E_function and the bracket make)
+    # reuses the code generated for the first one
+    f = Unary("sin", X) * Y
+    first = ScalarFunction(("x", "y"), expr=f, params={"k": 1.0})
+    assert ScalarFunction(("x", "y"), expr=f, params={"k": 1.0})._jets is first._jets
+    assert ScalarFunction(("y", "x"), expr=f, params={"k": 1.0})._jets is not first._jets
+    assert ScalarFunction(("x", "y"), expr=f, params={"k": 2.0})._jets is not first._jets
+
+
+def test_an_evaluated_expression_still_pickles():
+    f = Unary("sin", X) * Y
+    sf = ScalarFunction(("x", "y"), expr=f)
+    before = sf.derivatives([0.3, 0.7])
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f
+    again = ScalarFunction(("x", "y"), expr=g).derivatives([0.3, 0.7])
+    assert [_bits(a) for a in again] == [_bits(a) for a in before]

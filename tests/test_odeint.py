@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from amech import odeint
 from amech.errors import MaxStepsExceeded, StepFailure, ToleranceUnreachable
 from amech.odeint import (
     DriftReport,
@@ -209,3 +210,31 @@ def test_trajectory_rejects_bad_time_grid():
         Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 1)), labels=("y",))
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)), labels=("y",))
+
+
+def test_dp45_reuses_the_last_stage_as_the_next_first(monkeypatch):
+    # a stiff decay from a far too large first step: rejections and acceptances
+    calls = []
+
+    def rhs(t, y):
+        calls.append((t, y.copy()))
+        return np.array([-50.0 * y[0] + math.sin(t), y[0]])
+
+    attempts = []
+    step = odeint._dp45_step
+
+    def counted(*args):
+        attempts.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(odeint, "_dp45_step", counted)
+    traj = integrate(OdeProblem(dim=2, rhs=rhs),
+                     IntegratorConfig(t0=0.0, t1=1.0, method="dp45", h=0.5, rtol=1e-6),
+                     np.array([1.0, 0.0]))
+    accepted = len(traj.times) - 1
+    assert len(attempts) > accepted > 0
+    assert len(calls) == 1 + 6 * len(attempts)
+    # every accepted state is exactly a point where the last stage was taken
+    seen = {(t, y.tobytes()) for t, y in calls}
+    for t, y in zip(traj.times, traj.states):
+        assert (t, y.tobytes()) in seen

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from amech.dsl import parse_system
-from amech.dynamics import EPoint, euler_lagrange_rhs, legendre, system_from_spec
+from amech.dynamics import (EPoint, cartan, energy_differential, euler_lagrange_rhs, legendre,
+                            system_from_spec)
 from amech.errors import (
     AmechError,
     InconsistentDynamics,
@@ -367,3 +368,18 @@ def test_run_requires_seeds():
     sys = system_from_spec(load_preset("tq_pendulum").spec)
     with pytest.raises(ValueError):
         run_constraint_algorithm(lagrangian_problem(sys), [])
+
+
+@pytest.mark.parametrize("pid", ["capri_kobayashi", "plate_ball", "tq_pendulum"])
+def test_alpha_is_the_energy_differential_without_the_cartan_matrix(pid):
+    sys = system_from_spec(load_preset(pid).spec)
+    structure_calls = []
+    structure = sys.chart.structure
+    sys.chart.structure = lambda x: structure_calls.append(x) or structure(x)
+    m, n = sys.chart.m, sys.chart.n
+    z = np.linspace(0.6, 1.4, m + n)
+    at = EPoint(z[:m], z[m:])
+    alpha = lagrangian_problem(sys).alpha(z)
+    assert not structure_calls
+    assert np.array_equal(alpha, -energy_differential(sys, at))
+    assert np.array_equal(energy_differential(sys, at), cartan(sys, at).dEL)

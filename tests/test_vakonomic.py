@@ -8,7 +8,8 @@ from amech import vakonomic
 from amech.algebroid import DualPoint
 from amech.dsl import parse_expression, parse_system
 from amech.dynamics import EPoint, euler_lagrange_rhs, system_from_spec
-from amech.errors import MuSolveFailed, SingularR
+from amech.algebroid import AlgebroidChart
+from amech.errors import EvalDomainError, MuSolveFailed, SingularR
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import load as load_preset
 from amech.vakonomic import (
@@ -308,3 +309,16 @@ def test_constructor_validation():
         VakonomicSystem(chart, (7,), (L,), L)
     with pytest.raises(ValueError):
         VakonomicSystem(chart, (2,), (), L)
+
+
+def test_point_data_reports_a_constraint_value_error_before_a_derivative_error():
+    # at y1 = 0 the first constraint is defined but not differentiable and
+    # the second is undefined; every Psi is evaluated before any derivative,
+    # so the second one's error is the one reported
+    chart = AlgebroidChart(0, 3, lambda x: np.zeros((0, 3)), lambda x: np.zeros((3, 3, 3)))
+    sys = VakonomicSystem(chart, (1, 2),
+                          [parse_expression("sqrt(y1)"), parse_expression("ln(y1)")],
+                          parse_expression("0.5*y1^2"))
+    with pytest.raises(EvalDomainError) as err:
+        momenta(sys, VakState(x=np.zeros(0), ya=np.array([0.0]), palpha=np.zeros(2)))
+    assert str(err.value) == "ln of non-positive value 0.0 at node ln"
