@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebroid import AlgebroidChart, DualObservable, DualPoint, as_dual_observable
 from .errors import SingularHessian
-from .expr import Expr, ScalarFunction
+from .expr import Const, Expr, ScalarFunction, Var, _fold, partials
 from .linalg import damped_newton, memo_last, regularity
 
 __all__ = [
@@ -59,6 +59,11 @@ class LagrangianDerivatives(NamedTuple):
     ly: np.ndarray
     hxy: np.ndarray
     w: np.ndarray
+    hxx: np.ndarray
+
+    def energy(self, y: np.ndarray) -> float:
+        """E_L = y dL/dy - L at the velocity y these derivatives were taken at."""
+        return float(self.ly @ y) - self.value
 
 
 class LagrangianSystem:
@@ -82,6 +87,7 @@ class LagrangianSystem:
 
             self._sf = ScalarFunction(names, fn=packed)
         self.source = self._sf.source
+        self._energy: ScalarFunction | None = None
 
     def value(self, at: EPoint) -> float:
         return self._sf.value(np.concatenate([at.x, at.y]))
@@ -98,14 +104,33 @@ class LagrangianSystem:
         return h[:m, m:], h[m:, m:]
 
     def derivatives(self, at: EPoint) -> LagrangianDerivatives:
-        """L, dL/dx, dL/dy, d2L/dx dy and d2L/dy dy from one evaluation."""
+        """L, dL/dx, dL/dy, d2L/dx dy, d2L/dy dy and d2L/dx dx from one
+        evaluation."""
         m = self.chart.m
         value, g, h = self._sf.derivatives(np.concatenate([at.x, at.y]))
-        return LagrangianDerivatives(value, g[:m], g[m:], h[:m, m:], h[m:, m:])
+        return LagrangianDerivatives(value, g[:m], g[m:], h[:m, m:], h[m:, m:], h[:m, :m])
 
     def energy(self, at: EPoint) -> float:
         value, g = self._sf.value_and_gradient(np.concatenate([at.x, at.y]))
         return float(g[self.chart.m:] @ at.y) - value
+
+    def energy_derivatives(self, at: EPoint) -> tuple[float, np.ndarray, np.ndarray]:
+        """E_L = y dL/dy - L with its gradient and Hessian in (x, y), exact.
+
+        Expression systems only. The E_L tree and its code are built at the
+        first call.
+        """
+        if self._energy is None:
+            lagrangian = self._sf.expr
+            if lagrangian is None:
+                raise ValueError("energy derivatives need an expression Lagrangian")
+            el = Const(0.0)
+            for name, partial in zip(self.chart.fiber_names,
+                                     partials(lagrangian, self.chart.fiber_names)):
+                el = _fold("+", el, _fold("*", Var(name), partial))
+            self._energy = ScalarFunction(self._sf.names, expr=_fold("-", el, lagrangian),
+                                          params=self.chart.params)
+        return self._energy.derivatives(np.concatenate([at.x, at.y]))
 
 
 def system_from_spec(spec) -> LagrangianSystem:
@@ -144,8 +169,7 @@ def cartan(sys: LagrangianSystem, at: EPoint) -> CartanData:
     omega[:n, n:] = d.w
     omega[n:, :n] = -d.w.T
 
-    el = float(d.ly @ at.y) - d.value
-    return CartanData(at=at, omegaL=omega, W=d.w, EL=el,
+    return CartanData(at=at, omegaL=omega, W=d.w, EL=d.energy(at.y),
                       dEL=_energy_differential(chart, d, rho, at.y))
 
 
@@ -275,7 +299,9 @@ class LegendreEnergy(DualObservable):
         return self.value(DualPoint(x, p))
 
     def value(self, at: DualPoint) -> float:
-        return self.sys.energy(legendre_inverse(self.sys, at))
+        # E_L from the derivatives the Newton solve ends on
+        point, d = _legendre_inverse_point(self.sys, at)
+        return d.energy(point.y)
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
         point, d = _legendre_inverse_point(self.sys, at)

@@ -5,7 +5,7 @@ Hessians come from the partial-derivative trees that `derivative` builds,
 with a central finite-difference path for callables that have no tree.
 `_fd_gradient` is the package's one first-order difference rule: it also
 differentiates the tensor fields of closure-defined charts and the
-constraint fields of the constraint algorithm.
+constraint fields that carry no Jacobian of their own.
 
 Two routes evaluate the trees. The tree walk (`evaluate`, `grad`,
 `hessian`) is the reference: it checks every primitive's domain and reports

@@ -8,6 +8,12 @@ equation. Each level adds one constraint field, the pairing z -> alpha(z) @ E
 of the forcing with the directions E it keeps, one component per column.
 The Lagrangian and Hamiltonian sides of a concrete system are wired up by the
 two problem builders at the bottom.
+
+Constraint gradients are exact wherever the problem carries the Jacobian of
+its forcing (both builders set it for an expression Lagrangian): a level
+field's Jacobian is E^T d(alpha), and the primary constraints of the
+Hamiltonian side read theirs from one Hessian of L. Plain closures are
+differenced.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from .linalg import (damped_newton, decide_rank, memo_last, min_norm_lstsq, null
 
 __all__ = [
     "PresymplecticProblem",
+    "Pairing",
+    "PrimaryConstraint",
     "ConstraintLevel",
     "ConstraintRun",
     "SodeResult",
@@ -49,7 +57,8 @@ ZERO_VALUE_TOL = 1e-9
 ZERO_GRAD_TOL = 1e-7
 MAX_LEVELS = 10  # levels grown before giving up on stabilization
 
-# A constraint field returns one value (float) or several (1-D array).
+# A constraint field returns one value (float) or several (1-D array). A field
+# with a `jacobian(z)` method is differentiated by it, any other by differences.
 ConstraintField = Callable[[np.ndarray], "float | np.ndarray"]
 
 
@@ -58,9 +67,10 @@ class PresymplecticProblem:
     """Presymplectic data over a d-dimensional coordinate space.
 
     omega(z) is r x r skew, alpha(z) an r-covector, anchor(z) the d x r map
-    from fiber vectors to coordinate tangents. constraints are fields whose
-    joint zero set is the level-0 set (empty for a problem posed on the whole
-    space); each may return one value or an array of them.
+    from fiber vectors to coordinate tangents. alpha_jacobian(z), when given,
+    is the r x d matrix d alpha / dz. constraints are fields whose joint zero
+    set is the level-0 set (empty for a problem posed on the whole space);
+    each may return one value or an array of them.
     """
 
     d: int
@@ -69,6 +79,24 @@ class PresymplecticProblem:
     alpha: Callable[[np.ndarray], np.ndarray]
     anchor: Callable[[np.ndarray], np.ndarray]
     constraints: tuple[ConstraintField, ...] = ()
+    alpha_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+class Pairing:
+    """Level field z -> alpha(z) @ e: the forcing paired with the columns of e."""
+
+    def __init__(self, problem: PresymplecticProblem, e: np.ndarray):
+        self.problem = problem
+        self.e = e
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        return self.problem.alpha(z) @ self.e
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """e^T d(alpha) at z; differenced when the problem has no alpha_jacobian."""
+        if self.problem.alpha_jacobian is None:
+            return _fd_gradient(self, z)
+        return self.e.T @ self.problem.alpha_jacobian(z)
 
 
 def _values(constraints: Sequence[ConstraintField], z: np.ndarray) -> np.ndarray:
@@ -76,12 +104,19 @@ def _values(constraints: Sequence[ConstraintField], z: np.ndarray) -> np.ndarray
     return np.concatenate([np.zeros(0)] + [np.ravel(g(z)) for g in constraints])
 
 
+def _field_jacobian(g: ConstraintField, z: np.ndarray) -> np.ndarray:
+    """Jacobian of one field at z, one row per value."""
+    jacobian = getattr(g, "jacobian", None)
+    rows = jacobian(z) if jacobian is not None else _fd_gradient(g, z)
+    return np.reshape(rows, (-1, z.size))
+
+
 def _constraint_jacobian(constraints: Sequence[ConstraintField],
                          z: np.ndarray) -> np.ndarray:
     """Rows of the stacked constraint values' Jacobian at z."""
     z = np.asarray(z, dtype=float)
     return np.vstack([np.zeros((0, z.size))]
-                     + [_fd_gradient(g, z).reshape(-1, z.size) for g in constraints])
+                     + [_field_jacobian(g, z) for g in constraints])
 
 
 def kernel(omega_matrix: np.ndarray, rtol: float | None = None) -> np.ndarray:
@@ -189,7 +224,7 @@ def _kept_columns(candidates: ConstraintField, probes: Sequence[np.ndarray],
     """
     values = np.vstack([candidates(z) for z in probes])
     vanishes = ~np.any(np.abs(values) > ZERO_VALUE_TOL, axis=0)
-    grads = [_fd_gradient(candidates, z) for z in probes] if vanishes.any() else []
+    grads = [_field_jacobian(candidates, z) for z in probes] if vanishes.any() else []
     kept: list[int] = []
     for c in range(vanishes.size):
         if not vanishes[c]:
@@ -216,9 +251,6 @@ def run_constraint_algorithm(problem: PresymplecticProblem,
     accumulated = list(problem.constraints)
     probes = [_project_onto(accumulated, np.asarray(s, dtype=float)) for s in seeds]
 
-    def pairing(e: np.ndarray) -> ConstraintField:
-        return lambda zz: problem.alpha(zz) @ e
-
     levels: list[ConstraintLevel] = []
     old_rank = 0
     for k in range(MAX_LEVELS):
@@ -233,11 +265,11 @@ def run_constraint_algorithm(problem: PresymplecticProblem,
         old_rank = rank
 
         e = np.hstack([perp(problem.omega(z), b) for z, b in zip(probes, bases)])
-        kept = _kept_columns(pairing(e), probes, jacs) if e.shape[1] else []
+        kept = _kept_columns(Pairing(problem, e), probes, jacs) if e.shape[1] else []
         if not kept:
             return ConstraintRun(problem=problem, levels=tuple(levels),
                                  stabilization_level=k, probes=tuple(probes))
-        accumulated.append(pairing(e[:, kept]))
+        accumulated.append(Pairing(problem, e[:, kept]))
         probes = [_project_onto(accumulated, z) for z in probes]
 
     raise MaxLevelsExceeded(f"no stabilization within {MAX_LEVELS} levels")
@@ -325,12 +357,25 @@ def _prolongation_anchor(chart, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forcing_jacobian(chart, x: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """d alpha for alpha = -[rho^T d_x f ; d_v f], f a function of (x, v)
+    with gradient g and Hessian h at the point."""
+    m, n = chart.m, chart.n
+    out = np.zeros((2 * n, m + n))
+    out[n:] = -h[m:]
+    if m:
+        out[:n] = -(chart.rho(x).T @ h[:m])
+        out[:n, :m] -= np.einsum("iaj,i->aj", chart.rho_jacobian(x), g[:m])
+    return out
+
+
 def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
     """Presymplectic problem of the Cartan section with energy forcing.
 
     Coordinates are z = (x, y); fiber directions are (X_A, V_A). The forcing
     is the negated energy differential so that solving omega X = alpha gives
-    the dynamics rather than its time-reverse.
+    the dynamics rather than its time-reverse. An expression Lagrangian
+    also gives its exact Jacobian, from the Hessian of the E_L tree.
     """
     chart = sys.chart
     m, n = chart.m, chart.n
@@ -341,11 +386,16 @@ def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
     def alpha(z: np.ndarray) -> np.ndarray:
         return -energy_differential(sys, EPoint(z[:m], z[m:]))
 
+    def alpha_jacobian(z: np.ndarray) -> np.ndarray:
+        _, g, h = sys.energy_derivatives(EPoint(z[:m], z[m:]))
+        return _forcing_jacobian(chart, z[:m], g, h)
+
     def anchor(z: np.ndarray) -> np.ndarray:
         return _prolongation_anchor(chart, z[:m])
 
     return PresymplecticProblem(d=m + n, r=2 * n, omega=omega, alpha=alpha,
-                                anchor=anchor)
+                                anchor=anchor,
+                                alpha_jacobian=alpha_jacobian if sys.source == "ad" else None)
 
 
 def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
@@ -381,13 +431,42 @@ def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
     return idx
 
 
+class PrimaryConstraint:
+    """phi_A(x, p) = p_A - dL/dy_A(x, 0) for one kernel direction A.
+
+    dL/dy along a kernel direction is velocity-independent, so its gradient
+    row is (-d2L/dy_A dx at (x, 0), e_A), read from one Hessian of L.
+    """
+
+    def __init__(self, sys: LagrangianSystem, a: int):
+        self.sys = sys
+        self.a = a
+
+    def __call__(self, z: np.ndarray) -> float:
+        m, n = self.sys.chart.m, self.sys.chart.n
+        _, ly = self.sys.gradients(EPoint(z[:m], np.zeros(n)))
+        return float(z[m + self.a] - ly[self.a])
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Gradient row at z; differenced for a callable L."""
+        if self.sys.source != "ad":
+            return _fd_gradient(self, z)
+        m, n = self.sys.chart.m, self.sys.chart.n
+        hxy, _ = self.sys.second_derivatives(EPoint(z[:m], np.zeros(n)))
+        row = np.zeros(m + n)
+        row[:m] = -hxy[:, self.a]
+        row[m + self.a] = 1.0
+        return row
+
+
 class HamiltonianSideData:
     """Hamiltonian function and primary constraints of a possibly singular L.
 
     The Hamiltonian is the energy composed with a partial Legendre inverse:
     kernel velocities are pinned to zero, transverse ones solved by Newton.
     Gradients use the envelope identities dh/dx = -dL/dx and dh/dp_T = y_T,
-    exact at the solved velocity.
+    exact at the solved velocity; the Hessian adds the implicit-function
+    derivatives of y_T there, so only second derivatives of L are needed.
     """
 
     def __init__(self, sys: LagrangianSystem):
@@ -395,22 +474,11 @@ class HamiltonianSideData:
         self.kernel_idx = _kernel_indices(sys)
         n = sys.chart.n
         self.transverse_idx = tuple(a for a in range(n) if a not in self.kernel_idx)
+        self._last: tuple = (None, None)
 
     def primary_constraints(self) -> tuple[ConstraintField, ...]:
         """phi_A = p_A - dL/dy_A for kernel directions, as fields on (x, p)."""
-        sys = self.sys
-        m, n = sys.chart.m, sys.chart.n
-
-        def make(a: int) -> ConstraintField:
-            def phi(z: np.ndarray) -> float:
-                x = z[:m]
-                # dL/dy along a kernel direction is velocity-independent.
-                _, ly = sys.gradients(EPoint(x, np.zeros(n)))
-                return float(z[m + a] - ly[a])
-
-            return phi
-
-        return tuple(make(a) for a in self.kernel_idx)
+        return tuple(PrimaryConstraint(self.sys, a) for a in self.kernel_idx)
 
     def _solve_velocity(self, x: np.ndarray,
                         p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
@@ -435,15 +503,44 @@ class HamiltonianSideData:
                            "partial Legendre inverse")
         return full(yt), point(yt)
 
+    def _solved(self, x: np.ndarray,
+                p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
+        """_solve_velocity(x, p), kept for the last (x, p) by value, so that
+        alpha and its Jacobian at one point share one Newton solve."""
+        key = (np.asarray(x, dtype=float).tobytes(), np.asarray(p, dtype=float).tobytes())
+        if self._last[0] != key:
+            self._last = (key, self._solve_velocity(x, p))
+        return self._last[1]
+
     def value(self, x: np.ndarray, p: np.ndarray) -> float:
-        y, _ = self._solve_velocity(x, p)
-        return self.sys.energy(EPoint(x, y))
+        # E_L from the derivatives the Newton solve ends on
+        y, d = self._solved(x, p)
+        return d.energy(y)
 
     def gradients(self, x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y, d = self._solve_velocity(x, p)
+        y, d = self._solved(x, p)
         hp = np.zeros(self.sys.chart.n)
         hp[list(self.transverse_idx)] = y[list(self.transverse_idx)]
         return -d.lx, hp
+
+    def hessian(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Second derivatives of h in (x, p).
+
+        At the solved velocity dy_T = W_TT^-1 (dp_T - L_{y_T x} dx) and
+        d(dh/dx) = -L_xx dx - L_{x y_T} dy_T; kernel rows vanish.
+        """
+        _, d = self._solved(x, p)
+        m = self.sys.chart.m
+        tr = np.array(self.transverse_idx, dtype=np.intp)
+        lxt = d.hxy[:, tr]
+        # rows of dy_T / d(x, p_T)
+        dyt = np.linalg.solve(d.w[np.ix_(tr, tr)], np.hstack([-lxt.T, np.eye(tr.size)]))
+        h = np.zeros((m + self.sys.chart.n,) * 2)
+        h[:m, :m] = -d.hxx - lxt @ dyt[:, :m]
+        h[:m, m + tr] = -lxt @ dyt[:, m:]
+        h[m + tr, :m] = dyt[:, :m]
+        h[np.ix_(m + tr, m + tr)] = dyt[:, m:]
+        return h
 
 
 def hamiltonian_problem_from_lagrangian(
@@ -452,7 +549,8 @@ def hamiltonian_problem_from_lagrangian(
 
     Coordinates are z = (x, p); level-0 constraints are the primary ones
     (empty for regular L). The forcing is the negated differential of the
-    induced Hamiltonian.
+    induced Hamiltonian; an expression Lagrangian also gives its exact
+    Jacobian, from the Hessian of the Hamiltonian.
     """
     from .algebroid import omega_E_matrix
 
@@ -468,10 +566,16 @@ def hamiltonian_problem_from_lagrangian(
         dx_part = chart.rho(z[:m]).T @ hx if m else np.zeros(n)
         return -np.concatenate([dx_part, hp])
 
+    def alpha_jacobian(z: np.ndarray) -> np.ndarray:
+        x, p = z[:m], z[m:]
+        return _forcing_jacobian(chart, x, np.concatenate(data.gradients(x, p)),
+                                 data.hessian(x, p))
+
     def anchor(z: np.ndarray) -> np.ndarray:
         return _prolongation_anchor(chart, z[:m])
 
-    problem = PresymplecticProblem(d=m + n, r=2 * n, omega=omega, alpha=alpha,
-                                   anchor=anchor,
-                                   constraints=data.primary_constraints())
+    problem = PresymplecticProblem(
+        d=m + n, r=2 * n, omega=omega, alpha=alpha, anchor=anchor,
+        constraints=data.primary_constraints(),
+        alpha_jacobian=alpha_jacobian if sys.source == "ad" else None)
     return problem, data

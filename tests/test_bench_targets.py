@@ -12,9 +12,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from amech import presets
+from amech.dynamics import system_from_spec
+from amech.presym import (hamiltonian_problem_from_lagrangian, lagrangian_problem,
+                          run_constraint_algorithm)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -72,3 +76,22 @@ def test_percall_functions_run_on_every_preset(percall, pid):
     assert calls and set(calls) <= set(percall.ROWS)
     for fn in calls.values():
         fn()
+
+
+@pytest.mark.parametrize("side", ["lagrangian", "hamiltonian"])
+def test_wrapped_problem_keeps_its_exact_jacobian(side):
+    # the traced run rebuilds each problem with dataclasses.replace; the
+    # level fields must still find alpha_jacobian there, or the traced
+    # constraint algorithm would difference what the untraced run does not
+    sys = system_from_spec(presets.load("capri_kobayashi").spec)
+    if side == "lagrangian":
+        problem = lagrangian_problem(sys)
+    else:
+        problem, _ = hamiltonian_problem_from_lagrangian(sys)
+    wrapped = spans._wrap_problem(spans.Tracer(), problem)
+    assert wrapped.alpha_jacobian is not None
+    assert wrapped.alpha_jacobian is problem.alpha_jacobian
+    rng = np.random.default_rng(3)
+    seeds = [rng.uniform(0.6, 1.4, problem.d) for _ in range(3)]
+    assert (run_constraint_algorithm(wrapped, seeds).report()
+            == run_constraint_algorithm(problem, seeds).report())

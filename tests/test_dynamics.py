@@ -260,3 +260,31 @@ def test_euler_lagrange_rhs_evaluates_the_anchor_once():
     xdot, _ = euler_lagrange_rhs(sys, EPoint(np.array([0.7]), np.array([0.3])))
     assert len(calls) == 1
     assert xdot[0] == 0.3
+
+
+def test_legendre_energy_value_reads_the_newton_point(monkeypatch):
+    # E_L = y dL/dy - L comes from the derivatives the Newton solve ends on:
+    # one evaluation of L per Newton point and none after it, and the value
+    # is the energy at the solved velocity bit for bit
+    sys = system_from_spec(parse_system(QUARTIC))
+    at = DualPoint(np.array([0.4]), np.array([2.5]))
+    expected = sys.energy(legendre_inverse(sys, at))
+    evaluations, points = [], []
+    for name in ("value", "gradient", "hessian", "value_and_gradient", "derivatives"):
+        def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
+            evaluations.append(_name)
+            return _f(self, v)
+        monkeypatch.setattr(ScalarFunction, name, counting)
+
+    def newton(residual, step, x0, what, **kwargs):
+        def counted(y):
+            points.append(y)
+            return residual(y)
+        return damped_newton(counted, step, x0, what, **kwargs)
+
+    damped_newton = dynamics.damped_newton
+    monkeypatch.setattr(dynamics, "damped_newton", newton)
+    value = hamiltonian_from_lagrangian(sys).value(at)
+    assert len(points) >= 3
+    assert evaluations == ["derivatives"] * len(points)
+    assert value == expected

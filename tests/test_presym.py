@@ -7,20 +7,24 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from amech import presym
+from amech.algebroid import chart_from_spec
 from amech.dsl import parse_system
-from amech.dynamics import (EPoint, cartan, energy_differential, euler_lagrange_rhs, legendre,
-                            system_from_spec)
+from amech.dynamics import (EPoint, LagrangianSystem, cartan, energy_differential,
+                            euler_lagrange_rhs, legendre, system_from_spec)
 from amech.errors import (
     AmechError,
     InconsistentDynamics,
     NewtonFailed,
     NotOnFinalManifold,
 )
+from amech.expr import ScalarFunction, _fd_gradient, evaluate
 from amech.linalg import rank_rtol
-from amech.presets import load as load_preset
+from amech.presets import ids as preset_ids, load as load_preset
 from amech.presym import (
     ConstraintLevel,
     ConstraintRun,
+    Pairing,
     PresymplecticProblem,
     _constraint_jacobian,
     _project_onto,
@@ -383,3 +387,127 @@ def test_alpha_is_the_energy_differential_without_the_cartan_matrix(pid):
     assert not structure_calls
     assert np.array_equal(alpha, -energy_differential(sys, at))
     assert np.array_equal(energy_differential(sys, at), cartan(sys, at).dEL)
+
+
+def test_hamiltonian_value_reads_the_newton_point(monkeypatch):
+    # E_L comes from the derivatives of the partial Legendre solve: no
+    # value-and-gradient evaluation after it, and the same bits as the
+    # energy at the solved velocity
+    sys = _ck()
+    _, data = hamiltonian_problem_from_lagrangian(sys)
+    x, p = np.array([0.3, -0.2, 1.1]), np.array([0.0, 0.0, 0.4, -0.2])
+    y, _ = data._solve_velocity(x, p)
+    expected = sys.energy(EPoint(x, y))
+    evaluations = []
+    for name in ("value", "gradient", "hessian", "value_and_gradient", "derivatives"):
+        def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
+            evaluations.append(_name)
+            return _f(self, v)
+        monkeypatch.setattr(ScalarFunction, name, counting)
+    value = data.value(x, p)
+    assert evaluations and set(evaluations) == {"derivatives"}
+    assert value == expected
+
+
+# -- exact constraint Jacobians -------------------------------------------------
+
+SIDES = ("lagrangian", "hamiltonian")
+
+
+def _problem(sys, side):
+    if side == "lagrangian":
+        return lagrangian_problem(sys)
+    return hamiltonian_problem_from_lagrangian(sys)[0]
+
+
+def _assert_matches_fd(exact, f, z):
+    # central differences with step 1e-6 * max(1, |z|) agree to about 1e-10
+    # of the entries' scale; a missing or wrong term is of the scale itself
+    fd = _fd_gradient(f, z)
+    scale = max(1.0, np.max(np.abs(fd), initial=0.0))
+    assert np.shape(exact) == fd.shape
+    assert np.max(np.abs(exact - fd), initial=0.0) <= 1e-7 * scale
+
+
+def _counting_fd(monkeypatch):
+    calls = []
+    fd_gradient = presym._fd_gradient
+    monkeypatch.setattr(presym, "_fd_gradient",
+                        lambda f, z: calls.append(f) or fd_gradient(f, z))
+    return calls
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("pid", preset_ids())
+def test_exact_jacobians_match_finite_differences(pid, side):
+    sys = system_from_spec(load_preset(pid).spec)
+    problem = _problem(sys, side)
+    assert problem.alpha_jacobian is not None
+    rng = np.random.default_rng(11)
+    seeds = [rng.uniform(0.6, 1.4, problem.d) for _ in range(3)]
+    run = run_constraint_algorithm(problem, seeds)
+    e = rng.normal(size=(problem.r, 2))
+    for z in seeds + list(run.probes):
+        _assert_matches_fd(problem.alpha_jacobian(z), problem.alpha, z)
+        _assert_matches_fd(Pairing(problem, e).jacobian(z), Pairing(problem, e), z)
+        for g in run.final_constraints:
+            _assert_matches_fd(g.jacobian(z), g, z)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_capri_constraint_algorithm_differences_nothing(side, monkeypatch):
+    calls = _counting_fd(monkeypatch)
+    run = run_constraint_algorithm(_problem(_ck(), side), _seeds(3, 4, 3, seed=2))
+    assert run.stabilization_level == 1
+    assert calls == []
+
+
+def test_energy_tree_is_built_at_the_first_jacobian_request():
+    # regular presets stop at level 0 and never ask for a Jacobian
+    sys = system_from_spec(load_preset("tq_pendulum").spec)
+    problem = lagrangian_problem(sys)
+    run_constraint_algorithm(problem, _seeds(1, 1, 3, seed=0))
+    assert sys._energy is None
+    problem.alpha_jacobian(np.array([0.3, 0.4]))
+    assert sys._energy is not None
+
+
+def _level_ranks(run):
+    return run.stabilization_level, [(lvl.new_rank, lvl.fiber_constraint_rank)
+                                     for lvl in run.levels]
+
+
+def test_callable_lagrangian_takes_the_difference_path():
+    spec = load_preset("capri_kobayashi").spec
+    chart = chart_from_spec(spec)
+    names = chart.base_names + chart.fiber_names
+
+    def lagrangian(x, y):
+        env = dict(chart.params)
+        env.update(zip(names, np.concatenate([x, y]).tolist()))
+        return evaluate(spec.lagrangian, env)
+
+    sys = LagrangianSystem(chart, lagrangian)
+    l_problem = lagrangian_problem(sys)
+    h_problem, data = hamiltonian_problem_from_lagrangian(sys)
+    assert l_problem.alpha_jacobian is None and h_problem.alpha_jacobian is None
+    z = np.array([0.9, 1.1, 1.0, 0.1, 0.2, 0.3, 0.4])
+    field = Pairing(l_problem, np.eye(8)[:, :2])
+    primary = data.primary_constraints()[0]
+    assert np.array_equal(field.jacobian(z), _fd_gradient(field, z))
+    assert np.array_equal(primary.jacobian(z), _fd_gradient(primary, z))
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_difference_path_reaches_the_same_levels(side, monkeypatch):
+    # the tree problem stripped of its Jacobians: every constraint gradient
+    # is differenced, as for a callable L
+    problem = _problem(_ck(), side)
+    plain = dataclasses.replace(
+        problem, alpha_jacobian=None,
+        constraints=tuple((lambda z, _g=g: _g(z)) for g in problem.constraints))
+    seeds = _seeds(3, 4, 3, seed=5)
+    tree = run_constraint_algorithm(problem, seeds)
+    calls = _counting_fd(monkeypatch)
+    assert _level_ranks(run_constraint_algorithm(plain, seeds)) == _level_ranks(tree)
+    assert calls
