@@ -315,8 +315,10 @@ class DualObservable:
         return g[:self.chart.m], g[self.chart.m:]
 
 
-def as_dual_observable(chart: AlgebroidChart, f) -> DualObservable:
-    if isinstance(f, DualObservable):
+def as_dual_observable(chart: AlgebroidChart, f):
+    """f itself when it has gradients(at) (a DualObservable, or a Hamiltonian
+    with exact gradients), else a DualObservable of the expression or callable."""
+    if hasattr(f, "gradients"):
         return f
     return DualObservable(chart, f)
 

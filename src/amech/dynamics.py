@@ -1,8 +1,11 @@
 """Lagrangian and Hamiltonian dynamics on one algebroid chart.
 
 Builds the Cartan objects (presymplectic matrix, energy, its differential),
-the Legendre transform and its local Newton inverse, the regular
-Euler-Lagrange vector field and the Hamilton equations on the dual bundle.
+the Legendre transform, the regular Euler-Lagrange vector field and the
+Hamilton equations on the dual bundle. The induced Hamiltonian
+`LegendreEnergy` holds the one Newton inverse of the Legendre map: for a
+regular L on all of E*, for a singular L on its momentum image, cut out by
+the `PrimaryConstraint` fields of the kernel directions.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebroid import AlgebroidChart, DualObservable, DualPoint, as_dual_observable
+from .algebroid import AlgebroidChart, DualPoint, as_dual_observable
 from .errors import SingularHessian
-from .expr import Const, Expr, ScalarFunction, Var, _fold, partials
+from .expr import Const, Expr, ScalarFunction, Var, _fd_gradient, _fold, partials
 from .linalg import damped_newton, memo_last, regularity
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "hamilton_rhs",
     "hamiltonian_from_lagrangian",
     "LegendreEnergy",
+    "PrimaryConstraint",
     "sode_defect",
 ]
 
@@ -191,29 +195,12 @@ def legendre(sys: LagrangianSystem, at: EPoint) -> DualPoint:
     return DualPoint(x=at.x, p=ly)
 
 
-def legendre_inverse(sys: LagrangianSystem, at: DualPoint,
-                     seed: np.ndarray | None = None,
-                     tol: float = 1e-12, max_iter: int = 50) -> EPoint:
+def legendre_inverse(sys: LagrangianSystem, at: DualPoint) -> EPoint:
     """Velocity with dL/dy(x, y) = p, by damped Newton seeded at y = p.
 
     Local only; convergence failure raises rather than returning a bad point.
     """
-    return _legendre_inverse_point(sys, at, seed, tol, max_iter)[0]
-
-
-def _legendre_inverse_point(sys: LagrangianSystem, at: DualPoint,
-                            seed: np.ndarray | None = None, tol: float = 1e-12,
-                            max_iter: int = 50) -> tuple[EPoint, LagrangianDerivatives]:
-    """legendre_inverse's point and the derivatives of L there."""
-    # residual and step read one evaluation per Newton point
-    point = memo_last(lambda y: sys.derivatives(EPoint(at.x, y)))
-
-    def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(point(y).w, r)
-
-    y = damped_newton(lambda y: point(y).ly - at.p, step, at.p if seed is None else seed,
-                      "Legendre inverse", tol=tol, max_iter=max_iter)
-    return EPoint(at.x, y), point(y)
+    return EPoint(at.x, LegendreEnergy(sys)._solve_velocity(at.x, at.p)[0])
 
 
 @dataclass(frozen=True)
@@ -282,30 +269,122 @@ def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, n
     return xdot, pdot
 
 
-class LegendreEnergy(DualObservable):
-    """Energy through the inverse Legendre transform, with exact gradients.
+class PrimaryConstraint:
+    """phi_A(x, p) = p_A - dL/dy_A(x, 0) for one kernel direction A.
 
-    Stationarity of p y - L(x, y) in y makes the p-gradient the recovered
-    velocity and the x-gradient -dL/dx at that velocity, so no finite
-    differencing of the Newton inverse is ever needed.
+    dL/dy along a kernel direction is velocity-independent, so its gradient
+    row is (-d2L/dy_A dx at (x, 0), e_A), read from one Hessian of L.
     """
 
-    def __init__(self, sys: LagrangianSystem):
-        self.chart = sys.chart
+    def __init__(self, sys: LagrangianSystem, a: int):
         self.sys = sys
-        self.source = "envelope"
+        self.a = a
+
+    def __call__(self, z: np.ndarray) -> float:
+        m, n = self.sys.chart.m, self.sys.chart.n
+        _, ly = self.sys.gradients(EPoint(z[:m], np.zeros(n)))
+        return float(z[m + self.a] - ly[self.a])
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Gradient row at z; differenced for a callable L."""
+        if self.sys.source != "ad":
+            return _fd_gradient(self, z)
+        m, n = self.sys.chart.m, self.sys.chart.n
+        hxy, _ = self.sys.second_derivatives(EPoint(z[:m], np.zeros(n)))
+        row = np.zeros(m + n)
+        row[:m] = -hxy[:, self.a]
+        row[m + self.a] = 1.0
+        return row
+
+
+class LegendreEnergy:
+    """The induced Hamiltonian H = E_L o FL^-1, regular or on the momentum
+    image of a singular L.
+
+    Velocities along kernel_idx, a constant coordinate-aligned kernel of the
+    velocity Hessian (empty for a regular L), are pinned to zero; the
+    transverse ones solve dL/dy_T = p_T by damped Newton seeded at p_T.
+    Stationarity of p y - L(x, y) in y makes the gradients exact at the
+    solved velocity, dH/dx = -dL/dx and dH/dp_T = y_T, so the Newton inverse
+    is never differenced; the Hessian adds the implicit-function derivatives
+    of y_T there, so only second derivatives of L are needed.
+    """
+
+    def __init__(self, sys: LagrangianSystem, kernel_idx: tuple[int, ...] = ()):
+        self.sys = sys
+        self.chart = sys.chart
+        self.kernel_idx = tuple(kernel_idx)
+        self.transverse_idx = tuple(a for a in range(sys.chart.n)
+                                    if a not in self.kernel_idx)
+        self._tr = np.array(self.transverse_idx, dtype=np.intp)
+        self._tt = np.ix_(self._tr, self._tr)
+        self._last: tuple = (None, None)
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> float:
         return self.value(DualPoint(x, p))
 
+    def primary_constraints(self) -> tuple[PrimaryConstraint, ...]:
+        """phi_A = p_A - dL/dy_A for kernel directions, as fields on (x, p)."""
+        return tuple(PrimaryConstraint(self.sys, a) for a in self.kernel_idx)
+
+    def _solve_velocity(self, x: np.ndarray,
+                        p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
+        """Full velocity with kernel components zero and dL/dy_T = p_T, and
+        the derivatives of L there."""
+        sys, tr, tt = self.sys, self._tr, self._tt
+        n = sys.chart.n
+
+        def full(yt: np.ndarray) -> np.ndarray:
+            y = np.zeros(n)
+            y[tr] = yt
+            return y
+
+        # residual and step read one evaluation per Newton point
+        point = memo_last(lambda yt: sys.derivatives(EPoint(x, full(yt))))
+
+        def step(yt: np.ndarray, r: np.ndarray) -> np.ndarray:
+            return np.linalg.solve(point(yt).w[tt], r)
+
+        yt = damped_newton(lambda yt: point(yt).ly[tr] - p[tr], step, p[tr],
+                           "Legendre inverse")
+        return full(yt), point(yt)
+
+    def _solved(self, x: np.ndarray,
+                p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
+        """_solve_velocity(x, p), kept for the last (x, p) by value, so that
+        a value, gradients and Hessian at one point share one Newton solve."""
+        key = (x.tobytes(), p.tobytes())
+        if self._last[0] != key:
+            self._last = (key, self._solve_velocity(x, p))
+        return self._last[1]
+
     def value(self, at: DualPoint) -> float:
         # E_L from the derivatives the Newton solve ends on
-        point, d = _legendre_inverse_point(self.sys, at)
-        return d.energy(point.y)
+        y, d = self._solved(at.x, at.p)
+        return d.energy(y)
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
-        point, d = _legendre_inverse_point(self.sys, at)
-        return -d.lx, point.y
+        # the kernel components of the solved velocity are zero
+        y, d = self._solved(at.x, at.p)
+        return -d.lx, y.copy()
+
+    def hessian(self, at: DualPoint) -> np.ndarray:
+        """Second derivatives of H in (x, p).
+
+        At the solved velocity dy_T = W_TT^-1 (dp_T - L_{y_T x} dx) and
+        d(dH/dx) = -L_xx dx - L_{x y_T} dy_T; kernel rows vanish.
+        """
+        _, d = self._solved(at.x, at.p)
+        m, tr = self.chart.m, self._tr
+        lxt = d.hxy[:, tr]
+        # rows of dy_T / d(x, p_T)
+        dyt = np.linalg.solve(d.w[self._tt], np.hstack([-lxt.T, np.eye(tr.size)]))
+        h = np.zeros((m + self.chart.n,) * 2)
+        h[:m, :m] = -d.hxx - lxt @ dyt[:, :m]
+        h[:m, m + tr] = -lxt @ dyt[:, m:]
+        h[m + tr, :m] = dyt[:, :m]
+        h[np.ix_(m + tr, m + tr)] = dyt[:, m:]
+        return h
 
 
 def hamiltonian_from_lagrangian(sys: LagrangianSystem) -> LegendreEnergy:

@@ -9,6 +9,8 @@ of the forcing with the directions E it keeps, one component per column.
 The Lagrangian and Hamiltonian sides of a concrete system are wired up by the
 two problem builders at the bottom.
 
+The Hamiltonian side takes its Hamiltonian, Hessian and primary constraints
+from `dynamics.LegendreEnergy` with the kernel of the velocity Hessian.
 Constraint gradients are exact wherever the problem carries the Jacobian of
 its forcing (both builders set it for an expression Lagrangian): a level
 field's Jacobian is E^T d(alpha), and the primary constraints of the
@@ -24,16 +26,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebroid import DualPoint
-from .dynamics import (EPoint, LagrangianDerivatives, LagrangianSystem, _el_force_rhs, cartan,
-                       energy_differential)
+from .dynamics import (EPoint, LagrangianSystem, LegendreEnergy, PrimaryConstraint,
+                       _el_force_rhs, cartan, energy_differential)
 from .errors import (AmechError, InconsistentDynamics,
                      LinearSolveResidualTooLarge, MaxLevelsExceeded,
                      NotOnFinalManifold)
 # Bound under presym's own name: the traced benchmark run (perfbench/spans.py)
 # wraps `presym._fd_gradient`.
 from .expr import _fd_gradient
-from .linalg import (damped_newton, decide_rank, memo_last, min_norm_lstsq, null_space,
-                     rank_rtol)
+from .linalg import damped_newton, decide_rank, min_norm_lstsq, null_space, rank_rtol
 
 __all__ = [
     "PresymplecticProblem",
@@ -431,120 +432,13 @@ def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
     return idx
 
 
-class PrimaryConstraint:
-    """phi_A(x, p) = p_A - dL/dy_A(x, 0) for one kernel direction A.
-
-    dL/dy along a kernel direction is velocity-independent, so its gradient
-    row is (-d2L/dy_A dx at (x, 0), e_A), read from one Hessian of L.
-    """
-
-    def __init__(self, sys: LagrangianSystem, a: int):
-        self.sys = sys
-        self.a = a
-
-    def __call__(self, z: np.ndarray) -> float:
-        m, n = self.sys.chart.m, self.sys.chart.n
-        _, ly = self.sys.gradients(EPoint(z[:m], np.zeros(n)))
-        return float(z[m + self.a] - ly[self.a])
-
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Gradient row at z; differenced for a callable L."""
-        if self.sys.source != "ad":
-            return _fd_gradient(self, z)
-        m, n = self.sys.chart.m, self.sys.chart.n
-        hxy, _ = self.sys.second_derivatives(EPoint(z[:m], np.zeros(n)))
-        row = np.zeros(m + n)
-        row[:m] = -hxy[:, self.a]
-        row[m + self.a] = 1.0
-        return row
-
-
-class HamiltonianSideData:
-    """Hamiltonian function and primary constraints of a possibly singular L.
-
-    The Hamiltonian is the energy composed with a partial Legendre inverse:
-    kernel velocities are pinned to zero, transverse ones solved by Newton.
-    Gradients use the envelope identities dh/dx = -dL/dx and dh/dp_T = y_T,
-    exact at the solved velocity; the Hessian adds the implicit-function
-    derivatives of y_T there, so only second derivatives of L are needed.
-    """
-
-    def __init__(self, sys: LagrangianSystem):
-        self.sys = sys
-        self.kernel_idx = _kernel_indices(sys)
-        n = sys.chart.n
-        self.transverse_idx = tuple(a for a in range(n) if a not in self.kernel_idx)
-        self._last: tuple = (None, None)
-
-    def primary_constraints(self) -> tuple[ConstraintField, ...]:
-        """phi_A = p_A - dL/dy_A for kernel directions, as fields on (x, p)."""
-        return tuple(PrimaryConstraint(self.sys, a) for a in self.kernel_idx)
-
-    def _solve_velocity(self, x: np.ndarray,
-                        p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
-        """Full velocity with kernel components zero and dL/dy_T = p_T, and
-        the derivatives of L there."""
-        sys = self.sys
-        n = sys.chart.n
-        tr = list(self.transverse_idx)
-
-        def full(yt: np.ndarray) -> np.ndarray:
-            yy = np.zeros(n)
-            yy[tr] = yt
-            return yy
-
-        # residual and step read one evaluation per Newton point
-        point = memo_last(lambda yt: sys.derivatives(EPoint(x, full(yt))))
-
-        def step(yt: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return np.linalg.solve(point(yt).w[np.ix_(tr, tr)], r)
-
-        yt = damped_newton(lambda yt: point(yt).ly[tr] - p[tr], step, p[tr],
-                           "partial Legendre inverse")
-        return full(yt), point(yt)
-
-    def _solved(self, x: np.ndarray,
-                p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
-        """_solve_velocity(x, p), kept for the last (x, p) by value, so that
-        alpha and its Jacobian at one point share one Newton solve."""
-        key = (np.asarray(x, dtype=float).tobytes(), np.asarray(p, dtype=float).tobytes())
-        if self._last[0] != key:
-            self._last = (key, self._solve_velocity(x, p))
-        return self._last[1]
-
-    def value(self, x: np.ndarray, p: np.ndarray) -> float:
-        # E_L from the derivatives the Newton solve ends on
-        y, d = self._solved(x, p)
-        return d.energy(y)
-
-    def gradients(self, x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y, d = self._solved(x, p)
-        hp = np.zeros(self.sys.chart.n)
-        hp[list(self.transverse_idx)] = y[list(self.transverse_idx)]
-        return -d.lx, hp
-
-    def hessian(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Second derivatives of h in (x, p).
-
-        At the solved velocity dy_T = W_TT^-1 (dp_T - L_{y_T x} dx) and
-        d(dh/dx) = -L_xx dx - L_{x y_T} dy_T; kernel rows vanish.
-        """
-        _, d = self._solved(x, p)
-        m = self.sys.chart.m
-        tr = np.array(self.transverse_idx, dtype=np.intp)
-        lxt = d.hxy[:, tr]
-        # rows of dy_T / d(x, p_T)
-        dyt = np.linalg.solve(d.w[np.ix_(tr, tr)], np.hstack([-lxt.T, np.eye(tr.size)]))
-        h = np.zeros((m + self.sys.chart.n,) * 2)
-        h[:m, :m] = -d.hxx - lxt @ dyt[:, :m]
-        h[:m, m + tr] = -lxt @ dyt[:, m:]
-        h[m + tr, :m] = dyt[:, :m]
-        h[np.ix_(m + tr, m + tr)] = dyt[:, m:]
-        return h
+# Bound under presym's own name: the traced benchmark run (perfbench/spans.py)
+# wraps `presym.HamiltonianSideData._solve_velocity`.
+HamiltonianSideData = LegendreEnergy
 
 
 def hamiltonian_problem_from_lagrangian(
-        sys: LagrangianSystem) -> tuple[PresymplecticProblem, HamiltonianSideData]:
+        sys: LagrangianSystem) -> tuple[PresymplecticProblem, LegendreEnergy]:
     """Dual-bundle presymplectic problem of a Lagrangian, on its momentum image.
 
     Coordinates are z = (x, p); level-0 constraints are the primary ones
@@ -556,20 +450,20 @@ def hamiltonian_problem_from_lagrangian(
 
     chart = sys.chart
     m, n = chart.m, chart.n
-    data = HamiltonianSideData(sys)
+    data = LegendreEnergy(sys, _kernel_indices(sys))
 
     def omega(z: np.ndarray) -> np.ndarray:
         return omega_E_matrix(chart, DualPoint(z[:m], z[m:]))
 
     def alpha(z: np.ndarray) -> np.ndarray:
-        hx, hp = data.gradients(z[:m], z[m:])
+        hx, hp = data.gradients(DualPoint(z[:m], z[m:]))
         dx_part = chart.rho(z[:m]).T @ hx if m else np.zeros(n)
         return -np.concatenate([dx_part, hp])
 
     def alpha_jacobian(z: np.ndarray) -> np.ndarray:
-        x, p = z[:m], z[m:]
-        return _forcing_jacobian(chart, x, np.concatenate(data.gradients(x, p)),
-                                 data.hessian(x, p))
+        at = DualPoint(z[:m], z[m:])
+        return _forcing_jacobian(chart, at.x, np.concatenate(data.gradients(at)),
+                                 data.hessian(at))
 
     def anchor(z: np.ndarray) -> np.ndarray:
         return _prolongation_anchor(chart, z[:m])

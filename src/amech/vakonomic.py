@@ -283,16 +283,14 @@ def vakonomic_rhs(sys: VakonomicSystem,
 vakonomic_bracket = lie_poisson_bracket
 
 
-def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
-             seed: np.ndarray | None = None,
-             tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
-    """Free velocities solving the primary constraint at fixed (x, p)."""
-    return _mu_solve_point(sys, x, p, seed, tol, max_iter)[0]
+def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Free velocities solving the primary constraint at fixed (x, p), by
+    damped Newton seeded at zero."""
+    return _mu_solve_point(sys, x, p)[0]
 
 
-def _mu_solve_point(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
-                    seed: np.ndarray | None = None, tol: float = 1e-12,
-                    max_iter: int = 50) -> tuple[np.ndarray, _PointData]:
+def _mu_solve_point(sys: VakonomicSystem, x: np.ndarray,
+                    p: np.ndarray) -> tuple[np.ndarray, _PointData]:
     """mu_solve's velocities and the point data built at them."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -306,14 +304,13 @@ def _mu_solve_point(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.linalg.solve(-point(y).R, r)
 
-    ya = damped_newton(phi, step, np.zeros(sys.n_free) if seed is None else seed,
-                       "velocity solve", error=MuSolveFailed, tol=tol,
-                       max_iter=max_iter)
+    ya = damped_newton(phi, step, np.zeros(sys.n_free), "velocity solve",
+                       error=MuSolveFailed)
     return ya, point(ya)
 
 
-def hamiltonian_section(sys: VakonomicSystem, at: DualPoint,
-                        seed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hamiltonian_section(sys: VakonomicSystem,
+                        at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
     """Components (u, w) of the dynamics section on the constrained phase space.
 
     u_A are the dual-fiber drives dH/dp_A and w_A the momentum drives; the
@@ -321,7 +318,7 @@ def hamiltonian_section(sys: VakonomicSystem, at: DualPoint,
     velocity, so no implicit differentiation is needed.
     """
     chart = sys.chart
-    _, d = _mu_solve_point(sys, at.x, at.p, seed=seed)
+    _, d = _mu_solve_point(sys, at.x, at.p)
     u = d.y_full.copy()
     cs = chart.structure(at.x)
     cp = np.einsum("cab,c->ab", cs, at.p)

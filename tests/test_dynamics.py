@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from amech.algebroid import DualPoint, chart_from_spec
+from amech.algebroid import DualObservable, DualPoint, chart_from_spec, lie_poisson_bracket
 from amech.dynamics import (
     EPoint,
     LegendreEnergy,
@@ -20,11 +20,11 @@ from amech.dynamics import (
     sode_defect,
     system_from_spec,
 )
-from amech import dynamics
+from amech import dynamics, expr
 from amech.errors import NewtonFailed, SingularHessian
 from amech.expr import ScalarFunction
 from amech.presets import load as load_preset
-from amech.dsl import parse_system
+from amech.dsl import parse_expression, parse_system
 
 # affine algebra on the line with a velocity cross term; all Cartan pieces
 # (anchor transpose, mixed Hessian, structure term) are nonzero
@@ -288,3 +288,26 @@ def test_legendre_energy_value_reads_the_newton_point(monkeypatch):
     assert len(points) >= 3
     assert evaluations == ["derivatives"] * len(points)
     assert value == expected
+
+
+@pytest.mark.parametrize("pid", ["so3_rigid_body", "tq_pendulum"])
+def test_hamilton_and_bracket_take_the_exact_gradients(pid, monkeypatch):
+    # the Hamiltonian passes through as_dual_observable as it is; wrapped as
+    # a plain callable of (x, p), its gradients would difference the Newton
+    # inverse
+    sys = system_from_spec(load_preset(pid).spec)
+    chart = sys.chart
+    H = hamiltonian_from_lagrangian(sys)
+    G = DualObservable(chart, parse_expression(chart.momentum_names[0]))
+    calls = []
+    fd_gradient = expr._fd_gradient
+    monkeypatch.setattr(expr, "_fd_gradient",
+                        lambda f, v: calls.append(f) or fd_gradient(f, v))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        at = legendre(sys, EPoint(rng.uniform(0.6, 1.4, chart.m),
+                                  rng.uniform(-0.5, 0.5, chart.n)))
+        hamilton_rhs(chart, H, at)
+        lie_poisson_bracket(chart, H, G, at)
+        lie_poisson_bracket(chart, G, H, at)
+    assert calls == []

@@ -10,8 +10,9 @@ from numpy.testing import assert_allclose
 from amech import presym
 from amech.algebroid import chart_from_spec
 from amech.dsl import parse_system
-from amech.dynamics import (EPoint, LagrangianSystem, cartan, energy_differential,
-                            euler_lagrange_rhs, legendre, system_from_spec)
+from amech.dynamics import (EPoint, LagrangianSystem, LegendreEnergy, cartan,
+                            energy_differential, euler_lagrange_rhs,
+                            hamiltonian_from_lagrangian, legendre, system_from_spec)
 from amech.errors import (
     AmechError,
     InconsistentDynamics,
@@ -303,11 +304,33 @@ def test_hamiltonian_value_matches_energy_through_legendre():
     _, data = hamiltonian_problem_from_lagrangian(sys)
     at = EPoint(np.array([0.0, 0.0, 1.1]), np.array([0.0, 0.0, 0.4, -0.2]))
     dp = legendre(sys, at)
-    assert data.value(dp.x, dp.p) == pytest.approx(sys.energy(at), abs=1e-10)
-    gx, gp = data.gradients(dp.x, dp.p)
+    assert data.value(dp) == pytest.approx(sys.energy(at), abs=1e-10)
+    gx, gp = data.gradients(dp)
     lx, _ = sys.gradients(at)
     assert_allclose(gx, -lx, atol=1e-10)
     assert_allclose(gp, [0.0, 0.0, 0.4, -0.2], atol=1e-10)
+
+
+REGULAR = [pid for pid in preset_ids() if "hamilton" in load_preset(pid).facts["modes"]]
+
+
+@pytest.mark.parametrize("pid", REGULAR)
+def test_regular_hamiltonian_side_is_the_legendre_energy(pid):
+    # one class: with an empty kernel the Hamiltonian side's data is the
+    # Hamiltonian of the Hamilton mode, number for number
+    sys = system_from_spec(load_preset(pid).spec)
+    _, data = hamiltonian_problem_from_lagrangian(sys)
+    H = hamiltonian_from_lagrangian(sys)
+    assert presym.HamiltonianSideData is LegendreEnergy
+    assert data.kernel_idx == ()
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        at = legendre(sys, EPoint(rng.uniform(0.6, 1.4, sys.chart.m),
+                                  rng.uniform(-0.5, 0.5, sys.chart.n)))
+        assert data.value(at) == H.value(at)
+        for got, want in zip(data.gradients(at), H.gradients(at)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(data.hessian(at), H.hessian(at))
 
 
 # -- SODE extraction ----------------------------------------------------------
@@ -404,7 +427,7 @@ def test_hamiltonian_value_reads_the_newton_point(monkeypatch):
             evaluations.append(_name)
             return _f(self, v)
         monkeypatch.setattr(ScalarFunction, name, counting)
-    value = data.value(x, p)
+    value = data(x, p)
     assert evaluations and set(evaluations) == {"derivatives"}
     assert value == expected
 
