@@ -10,6 +10,7 @@ reruns are bitwise identical on the data outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -489,7 +490,10 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help="seed for sampled points and probes")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and each parse starts from the defaults."""
     parser = argparse.ArgumentParser(
         prog="amech",
         description="Mechanics on Lie algebroid charts: validate models, "

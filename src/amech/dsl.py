@@ -20,6 +20,7 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -285,8 +286,16 @@ def parse_expression(text: str) -> Expr:
     return node
 
 
+@functools.lru_cache(maxsize=1)
 def parse_system(text: str) -> SystemSpec:
-    """Parse and name-check a full system document."""
+    """Parse and name-check a full system document.
+
+    The last document parsed is kept: the same text gives the same spec
+    object, so the partial trees and generated code kept on its expression
+    nodes serve every later command on that model. Callers must not mutate
+    the spec's `bracket` or `params` (`with_params` copies). Errors are not
+    kept; a bad document raises on every call.
+    """
     tokens = _tokenize(text)
     parser = _Parser(tokens)
 

@@ -122,18 +122,24 @@ class LagrangianSystem:
         """E_L = y dL/dy - L with its gradient and Hessian in (x, y), exact.
 
         Expression systems only. The E_L tree and its code are built at the
-        first call.
+        first call for the Lagrangian's root node, names and params, and kept
+        on that node like its partial trees, so every later system of the
+        same Lagrangian reuses them.
         """
         if self._energy is None:
             lagrangian = self._sf.expr
             if lagrangian is None:
                 raise ValueError("energy derivatives need an expression Lagrangian")
-            el = Const(0.0)
-            for name, partial in zip(self.chart.fiber_names,
-                                     partials(lagrangian, self.chart.fiber_names)):
-                el = _fold("+", el, _fold("*", Var(name), partial))
-            self._energy = ScalarFunction(self._sf.names, expr=_fold("-", el, lagrangian),
-                                          params=self.chart.params)
+            memo = vars(lagrangian).setdefault("_energy", {})
+            key = (self._sf.names, self.chart.m, tuple(sorted(self._sf.params.items())))
+            if key not in memo:
+                el = Const(0.0)
+                for name, partial in zip(self.chart.fiber_names,
+                                         partials(lagrangian, self.chart.fiber_names)):
+                    el = _fold("+", el, _fold("*", Var(name), partial))
+                memo[key] = ScalarFunction(self._sf.names, expr=_fold("-", el, lagrangian),
+                                           params=self.chart.params)
+            self._energy = memo[key]
         return self._energy.derivatives(np.concatenate([at.x, at.y]))
 
 

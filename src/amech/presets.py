@@ -8,6 +8,7 @@ expectations from here so they live in one place.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,8 +228,14 @@ def ids() -> tuple[str, ...]:
     return tuple(sorted(_CATALOGUE))
 
 
+@functools.cache
 def load(preset_id: str) -> Preset:
-    """Parse and return a catalogue entry; unknown ids are an error."""
+    """Parse and return a catalogue entry; unknown ids are an error.
+
+    Each entry is parsed once per process and the same `Preset` is returned
+    after that, so its spec's expression memos outlive one command; an
+    unknown id is never kept.
+    """
     try:
         dsl, facts = _CATALOGUE[preset_id]
     except KeyError:
