@@ -111,9 +111,20 @@ class AlgebroidChart:
 def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
     """Build an evaluating chart from a parsed system document.
 
-    rho, C and their Jacobians are each one generated call; the tree walks
-    below are their reference and fallback.
+    rho, C and their Jacobians are each one generated call, made once per
+    spec and kept on it, so every later chart of the spec reuses the code.
     """
+    code = vars(spec).get("_chart_code")
+    if code is None:
+        code = vars(spec)["_chart_code"] = _chart_code(spec)
+    rho, structure, rho_jacobian, structure_jacobian = code
+    return AlgebroidChart(spec.m, spec.n, rho, structure, rho_jacobian=rho_jacobian,
+                          structure_jacobian=structure_jacobian, base_names=spec.base,
+                          fiber_names=spec.fiber, params=spec.params, spec=spec)
+
+
+def _chart_code(spec: SystemSpec) -> tuple:
+    """rho, C, d rho and dC as lazily generated code, the walks their reference."""
     m, n = spec.m, spec.n
     base = spec.base
     params = dict(spec.params)
@@ -191,13 +202,10 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
 
         return lazy_generated(base, params, layout, walk)
 
-    return AlgebroidChart(m, n, generated(rho_slots, (m, n), rho_walk, False),
-                          generated(c_slots, (n, n, n), structure_walk, False),
-                          rho_jacobian=generated(rho_slots, (m, n), rho_jacobian_walk, True),
-                          structure_jacobian=generated(c_slots, (n, n, n),
-                                                       structure_jacobian_walk, True),
-                          base_names=base, fiber_names=spec.fiber,
-                          params=params, spec=spec)
+    return (generated(rho_slots, (m, n), rho_walk, False),
+            generated(c_slots, (n, n, n), structure_walk, False),
+            generated(rho_slots, (m, n), rho_jacobian_walk, True),
+            generated(c_slots, (n, n, n), structure_jacobian_walk, True))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ class SystemSpec:
 
     anchor[A] holds the m expressions of the anchor image of fiber element A;
     bracket maps ordered index pairs (A, B) with A < B to n coefficient
-    expressions. Pairs that are absent are zero.
+    expressions. Pairs that are absent are zero. A spec never changes, so
+    code built from it is kept on it, under underscore names.
     """
 
     name: str
@@ -77,6 +78,10 @@ class SystemSpec:
     params: Mapping[str, float]
     lagrangian: Expr
     vakonomic: VakonomicBlock | None = None
+
+    def __getstate__(self) -> dict:
+        # the fields only: the code kept on a spec is rebuilt on demand
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     @property
     def m(self) -> int:

@@ -9,15 +9,17 @@ linear Poisson bracket of the dual bundle and is exported as an alias of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebroid import AlgebroidChart, DualPoint, chart_from_spec, lie_poisson_bracket
 from .dsl import SystemSpec
-from .errors import AmechError, MuSolveFailed, SingularR
-from .expr import Expr, ScalarFunction, substitute, variables_of
+from .errors import MuSolveFailed, SingularR
+from .expr import Expr, ScalarFunction, _jet_layout, lazy_generated, substitute, variables_of
 from .linalg import damped_newton, memo_last, regularity
 
 __all__ = [
@@ -80,6 +82,11 @@ class VakonomicSystem:
         names = chart.base_names + self.free_names
         self._lt = _scalar(names, restricted_lagrangian, chart)
         self._psi = tuple(_scalar(names, f, chart) for f in psi)
+        self._point = _point_function(self._lt, self._psi)
+        self._free_idx = np.array(self.free, dtype=np.intp)
+        self._con_idx = np.array(self.constrained, dtype=np.intp)
+        # fiber order of the free entries followed by the constrained ones
+        self._order = np.argsort(self.free + self.constrained)
 
     @property
     def n_free(self) -> int:
@@ -103,7 +110,10 @@ class VakonomicSystem:
 
     def ode_rhs(self, t: float, vec: np.ndarray) -> np.ndarray:
         del t
-        xdot, yadot, pdot = vakonomic_rhs(self, self.unpack(vec))
+        m, nf = self.chart.m, self.n_free
+        # integrate rejects a non-finite state, so the slices go unchecked
+        xdot, yadot, pdot = vakonomic_rhs(
+            self, SimpleNamespace(x=vec[:m], ya=vec[m:m + nf], palpha=vec[m + nf:]))
         return np.concatenate([xdot, yadot, pdot])
 
 
@@ -113,8 +123,57 @@ def _scalar(names, f, chart) -> ScalarFunction:
     return ScalarFunction(names, fn=lambda v: float(f(v)))
 
 
+def _point_function(lt: ScalarFunction,
+                    psi: tuple[ScalarFunction, ...]) -> Callable[[np.ndarray], tuple]:
+    """v -> Ltilde's value, gradient and Hessian, then every Psi's stacked.
+
+    For trees, one generated call, kept on Ltilde's root node for these
+    names, params and Psi trees; _point_walk is its reference, and the route
+    for callables.
+    """
+    walk = functools.partial(_point_walk, lt, psi)
+    if lt.expr is None or any(f.expr is None for f in psi):
+        return walk
+    trees = tuple(f.expr for f in psi)
+    memo = vars(lt.expr).setdefault("_point", {})
+    # the entry's layout holds the Psi trees, so their ids stay theirs
+    key = (lt.names, tuple(sorted(lt.params.items())), tuple(map(id, trees)))
+    if key not in memo:
+        memo[key] = lazy_generated(lt.names, lt.params,
+                                   functools.partial(_point_layout, lt.expr, trees, lt.names),
+                                   walk)
+    return memo[key]
+
+
+def _point_layout(lt: Expr, psi: tuple[Expr, ...], names: tuple) -> tuple:
+    """Ltilde's jet groups, then the Psi values, gradients and Hessians."""
+    nc, nv = len(psi), len(names)
+    jets = [_jet_layout(f, names, 2)[0] for f in psi]
+    return _jet_layout(lt, names, 2)[0] + [
+        ([tree for jet in jets for tree in jet[k][0]], shape)
+        for k, shape in enumerate([(nc,), (nc, nv), (nc, nv, nv)])], ()
+
+
+def _point_walk(lt: ScalarFunction, psi: tuple[ScalarFunction, ...],
+                v: np.ndarray) -> tuple:
+    """_point_function's values function by function: Ltilde's jet, every Psi
+    value, then the Psi jets, so the first error raised is the reference's."""
+    value, g, h = lt.derivatives(v)
+    for f in psi:
+        f.value(v)
+    jets = [f.derivatives(v) for f in psi]
+    nc, nv = len(psi), len(v)
+    return (value, g, h, np.array([jet[0] for jet in jets]),
+            np.array([jet[1] for jet in jets]).reshape(nc, nv),
+            np.array([jet[2] for jet in jets]).reshape(nc, nv, nv))
+
+
 def vakonomic_from_spec(spec: SystemSpec) -> VakonomicSystem:
-    """Vakonomic system of a parsed document; no block means the whole bundle."""
+    """Vakonomic system of a parsed document; no block means the whole bundle.
+
+    The restricted Lagrangian is substituted once per spec and kept on it, so
+    every later system of the spec finds its partial trees and code.
+    """
     chart = chart_from_spec(spec)
     if spec.vakonomic is None:
         constrained: tuple[int, ...] = ()
@@ -122,8 +181,11 @@ def vakonomic_from_spec(spec: SystemSpec) -> VakonomicSystem:
     else:
         constrained = spec.vakonomic.constrained
         psi_exprs = spec.vakonomic.psi
-    mapping = {spec.fiber[a]: e for a, e in zip(constrained, psi_exprs)}
-    lt = substitute(spec.lagrangian, mapping) if mapping else spec.lagrangian
+    lt = vars(spec).get("_restricted_lagrangian")
+    if lt is None:
+        mapping = {spec.fiber[a]: e for a, e in zip(constrained, psi_exprs)}
+        lt = vars(spec)["_restricted_lagrangian"] = \
+            substitute(spec.lagrangian, mapping) if mapping else spec.lagrangian
     return VakonomicSystem(chart, constrained, psi_exprs, lt)
 
 
@@ -132,45 +194,22 @@ class _PointData:
 
     def __init__(self, sys: VakonomicSystem, x: np.ndarray, ya: np.ndarray,
                  palpha: np.ndarray):
-        m, nf, nc = sys.chart.m, sys.n_free, sys.n_constrained
-        n = sys.chart.n
-        v = np.concatenate([x, ya])
-        self.lt_value, g, h = sys._lt.derivatives(v)
+        m = sys.chart.m
+        (self.lt_value, g, h, self.psi_value, psi_g,
+         psi_h) = sys._point(np.concatenate([x, ya]))
         self.ltx, self.lty = g[:m], g[m:]
         self.ltxy, self.ltyy = h[:m, m:], h[m:, m:]
-        try:
-            psi = [f.derivatives(v) for f in sys._psi]
-        except (AmechError, ArithmeticError):
-            # the reference order evaluates every Psi before any derivative
-            for f in sys._psi:
-                f.value(v)
-            raise
-        self.psi_value = np.array([value for value, _, _ in psi])
-        self.psix = np.zeros((nc, m))
-        self.psiy = np.zeros((nc, nf))
-        self.psixy = np.zeros((nc, m, nf))
-        self.psiyy = np.zeros((nc, nf, nf))
-        for j, (_, gj, hj) in enumerate(psi):
-            self.psix[j] = gj[:m]
-            self.psiy[j] = gj[m:]
-            self.psixy[j] = hj[:m, m:]
-            self.psiyy[j] = hj[m:, m:]
+        self.psix, self.psiy = psi_g[:, :m], psi_g[:, m:]
+        self.psixy, self.psiyy = psi_h[:, :m, m:], psi_h[:, m:, m:]
 
-        self.y_full = np.zeros(n)
-        self.y_full[list(sys.free)] = ya
-        if nc:
-            self.y_full[list(sys.constrained)] = self.psi_value
-
-        self.p_full = np.zeros(n)
-        self.p_full[list(sys.free)] = self.lty - palpha @ self.psiy
-        if nc:
-            self.p_full[list(sys.constrained)] = palpha
+        self.y_full = np.concatenate([ya, self.psi_value])[sys._order]
+        self.p_full = np.concatenate([self.lty - palpha @ self.psiy, palpha])[sys._order]
 
         # lam_i = d(Ltilde)/dx_i - p_beta dPsi^beta/dx_i drives every momentum
         # equation through the anchor.
         self.lam = self.ltx - palpha @ self.psix if m else np.zeros(0)
         self.R = self.ltyy - np.einsum("b,bij->ij", palpha, self.psiyy) \
-            if nc else self.ltyy
+            if sys.n_constrained else self.ltyy
 
 
 def pontryagin_H(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
@@ -179,9 +218,13 @@ def pontryagin_H(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     ya = np.asarray(ya, dtype=float)
-    d = _PointData(sys, x, ya, p[list(sys.constrained)])
-    free_part = float(p[list(sys.free)] @ ya) if sys.n_free else 0.0
-    con_part = float(p[list(sys.constrained)] @ d.psi_value) if sys.n_constrained else 0.0
+    return _pontryagin(sys, _PointData(sys, x, ya, p[sys._con_idx]), p, ya)
+
+
+def _pontryagin(sys: VakonomicSystem, d: _PointData, p: np.ndarray,
+                ya: np.ndarray) -> float:
+    free_part = float(p[sys._free_idx] @ ya) if sys.n_free else 0.0
+    con_part = float(p[sys._con_idx] @ d.psi_value) if sys.n_constrained else 0.0
     return free_part + con_part - d.lt_value
 
 
@@ -191,13 +234,13 @@ def w1_constraints(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     ya = np.asarray(ya, dtype=float)
-    palpha = p[list(sys.constrained)]
+    palpha = p[sys._con_idx]
     return _w1_residual(sys, _PointData(sys, x, ya, palpha), p, palpha)
 
 
 def _w1_residual(sys: VakonomicSystem, d: _PointData, p: np.ndarray,
                  palpha: np.ndarray) -> np.ndarray:
-    return p[list(sys.free)] + palpha @ d.psiy - d.lty
+    return p[sys._free_idx] + palpha @ d.psiy - d.lty
 
 
 @dataclass(frozen=True)
@@ -210,17 +253,12 @@ class RegularityMatrixReport:
 
 def regularity_matrix(sys: VakonomicSystem, x: np.ndarray, ya: np.ndarray,
                       palpha: np.ndarray) -> RegularityMatrixReport:
-    """The matrix whose invertibility makes the constrained dynamics explicit."""
-    d = _PointData(sys, np.asarray(x, dtype=float), np.asarray(ya, dtype=float),
-                   np.asarray(palpha, dtype=float))
-    return _regularity_report(d.R)
-
-
-def _regularity_report(r: np.ndarray) -> RegularityMatrixReport:
-    """Singular values, determinant and regularity verdict of a built R.
+    """The matrix whose invertibility makes the constrained dynamics explicit.
 
     An empty R (no free velocities) leaves nothing to solve, so it is regular.
     """
+    r = _PointData(sys, np.asarray(x, dtype=float), np.asarray(ya, dtype=float),
+                   np.asarray(palpha, dtype=float)).R
     regular, smin, _ = regularity(r)
     return RegularityMatrixReport(R=r, det=float(np.linalg.det(r)) if r.size else 1.0,
                                   min_singular_value=smin,
@@ -229,13 +267,13 @@ def _regularity_report(r: np.ndarray) -> RegularityMatrixReport:
 
 def momenta(sys: VakonomicSystem, s: VakState) -> np.ndarray:
     """Full momentum covector, dependent components from the constraint."""
-    d = _PointData(sys, s.x, s.ya, s.palpha)
-    return d.p_full
+    return _PointData(sys, s.x, s.ya, s.palpha).p_full
 
 
 def h_w1(sys: VakonomicSystem, s: VakState) -> float:
     """Hamiltonian on the primary constraint set, evaluated at a state."""
-    return pontryagin_H(sys, s.x, momenta(sys, s), s.ya)
+    d = _PointData(sys, s.x, s.ya, s.palpha)
+    return _pontryagin(sys, d, d.p_full, s.ya)
 
 
 def vakonomic_rhs(sys: VakonomicSystem,
@@ -244,7 +282,8 @@ def vakonomic_rhs(sys: VakonomicSystem,
 
     Returns (xdot, yadot, palphadot). The free-velocity equation comes from
     expanding the momentum equation for p_a by the chain rule and solving
-    against the regularity matrix.
+    against the regularity matrix. s is a VakState, or any (x, ya, palpha)
+    of float arrays.
     """
     chart = sys.chart
     d = _PointData(sys, s.x, s.ya, s.palpha)
@@ -254,29 +293,23 @@ def vakonomic_rhs(sys: VakonomicSystem,
     xdot = rho @ d.y_full if chart.m else np.zeros(0)
     cterm = np.einsum("bad,d,b->a", cs, d.y_full, d.p_full)
 
-    con = list(sys.constrained)
-    free = list(sys.free)
-    if con:
-        pdot = (d.lam @ rho[:, con] if chart.m else 0.0) - cterm[con]
-        pdot = np.asarray(pdot, dtype=float).reshape(len(con))
-    else:
-        pdot = np.zeros(0)
+    con, free = sys._con_idx, sys._free_idx
+    pdot = (d.lam @ rho[:, con] if chart.m else 0.0) - cterm[con]
 
-    rep = _regularity_report(d.R)
-    if not rep.regular:
-        raise SingularR(
-            f"regularity matrix singular (sigma_min={rep.min_singular_value:.3e}); "
-            "use the constraint algorithm")
+    regular, smin, _ = regularity(d.R)
+    if d.R.size and not regular:
+        raise SingularR(f"regularity matrix singular (sigma_min={smin:.3e}); "
+                        "use the constraint algorithm")
 
     rhs = -cterm[free]
     if chart.m:
         rhs = rhs + d.lam @ rho[:, free]
         mixed = d.ltxy - np.einsum("b,bia->ia", s.palpha, d.psixy) \
-            if con else d.ltxy
+            if con.size else d.ltxy
         rhs = rhs - xdot @ mixed
-    if con:
+    if con.size:
         rhs = rhs + pdot @ d.psiy
-    yadot = np.linalg.solve(d.R, rhs) if free else np.zeros(0)
+    yadot = np.linalg.solve(d.R, rhs) if free.size else np.zeros(0)
     return xdot, yadot, pdot
 
 
@@ -294,7 +327,7 @@ def _mu_solve_point(sys: VakonomicSystem, x: np.ndarray,
     """mu_solve's velocities and the point data built at them."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    palpha = p[list(sys.constrained)]
+    palpha = p[sys._con_idx]
     # the step, and the caller, reuse the derivatives the residual built
     point = memo_last(lambda y: _PointData(sys, x, y, palpha))
 
@@ -359,11 +392,7 @@ def euler_poincare_residual(sys: VakonomicSystem, times: np.ndarray,
     sigmas = np.zeros((k, n))
     for i in range(k):
         d = _PointData(sys, np.zeros(0), ya_series[i], palpha_series[i])
-        g = np.zeros(n)
-        g[list(sys.free)] = d.lty
-        if sys.n_constrained:
-            g[list(sys.constrained)] = palpha_series[i]
-        gammas[i] = g
+        gammas[i] = np.concatenate([d.lty, palpha_series[i]])[sys._order]
         sigmas[i] = d.y_full
 
     worst = 0.0

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amech import presets
+from amech import presets, vakonomic
 from amech.dynamics import system_from_spec
 from amech.presym import (hamiltonian_problem_from_lagrangian, lagrangian_problem,
                           run_constraint_algorithm)
@@ -95,3 +95,27 @@ def test_wrapped_problem_keeps_its_exact_jacobian(side):
     seeds = [rng.uniform(0.6, 1.4, problem.d) for _ in range(3)]
     assert (run_constraint_algorithm(wrapped, seeds).report()
             == run_constraint_algorithm(problem, seeds).report())
+
+
+@pytest.mark.parametrize("pid", [pid for pid in presets.ids()
+                                 if "vakonomic" in presets.load(pid).facts["modes"]])
+def test_one_vakonomic_ode_rhs_reaches_each_traced_name_once(pid, monkeypatch):
+    # the traced run patches the module-level vakonomic_rhs and the class's
+    # _PointData.__init__; vakonomic_rhs.us_per_call and hessians_per_rhs
+    # count per call of the first, so ode_rhs must reach each exactly once
+    sys = vakonomic.vakonomic_from_spec(presets.load(pid).spec)
+    reached = []
+    real_rhs, real_init = vakonomic.vakonomic_rhs, vakonomic._PointData.__init__
+
+    def rhs(*args):
+        reached.append("vakonomic_rhs")
+        return real_rhs(*args)
+
+    def init(self, *args):
+        reached.append("_PointData.__init__")
+        real_init(self, *args)
+
+    monkeypatch.setattr(vakonomic, "vakonomic_rhs", rhs)
+    monkeypatch.setattr(vakonomic._PointData, "__init__", init)
+    sys.ode_rhs(0.0, np.full(len(sys.state_labels), 0.2))
+    assert sorted(reached) == ["_PointData.__init__", "vakonomic_rhs"]
