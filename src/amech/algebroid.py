@@ -1,15 +1,16 @@
 """One coordinate chart of a Lie algebroid and its canonical structures.
 
 A chart is the local data (anchor matrix field, structure-function field)
-together with derivative access. On top of it this module evaluates the
-structure-equation residuals, the differential of base functions, the linear
-Poisson bracket on the dual bundle and the canonical symplectic matrix.
+together with their exact Jacobians, generated from the expression trees of
+a parsed spec. On top of it this module evaluates the structure-equation
+residuals (central differences of the chart only as the "fd" cross-check),
+the differential of base functions, the linear Poisson bracket on the dual
+bundle and the canonical symplectic matrix.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,7 +22,6 @@ from .expr import (Const, Expr, ScalarFunction, Unary, evaluate, grad, lazy_gene
 # Bound under algebroid's own name: the traced benchmark run
 # (perfbench/spans.py) wraps `algebroid._fd_tensor_jacobian`.
 from .expr import _fd_gradient as _fd_tensor_jacobian
-from .errors import AmechError
 
 __all__ = [
     "AlgebroidChart",
@@ -63,17 +63,16 @@ class AlgebroidChart:
 
     rho(x) is the m x n anchor matrix (columns are the anchor images of the
     basis sections), structure(x) the n x n x n tensor C[c, a, b], exactly
-    antisymmetric in its last two slots. Charts built from a parsed spec
-    differentiate their expression trees exactly; closure-defined charts fall
-    back to central finite differences with step 1e-6 * max(1, |x|).
+    antisymmetric in its last two slots. Their Jacobians are required: a
+    chart built from a parsed spec differentiates its expression trees.
     """
 
     def __init__(self, m: int, n: int,
                  rho: Callable[[np.ndarray], np.ndarray],
                  structure: Callable[[np.ndarray], np.ndarray],
                  *,
-                 rho_jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-                 structure_jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+                 rho_jacobian: Callable[[np.ndarray], np.ndarray],
+                 structure_jacobian: Callable[[np.ndarray], np.ndarray],
                  base_names: Sequence[str] | None = None,
                  fiber_names: Sequence[str] | None = None,
                  params: dict[str, float] | None = None,
@@ -93,19 +92,14 @@ class AlgebroidChart:
         self.base_names = tuple(base_names)
         self.fiber_names = tuple(fiber_names)
         self.momentum_names = momentum_names(self.n)
-        self.deriv_source = "ad" if rho_jacobian is not None else "fd"
 
     def rho_jacobian(self, x: np.ndarray) -> np.ndarray:
         """d rho[i, A] / d x[j], shape (m, n, m)."""
-        if self._rho_jacobian is not None:
-            return self._rho_jacobian(x)
-        return _fd_tensor_jacobian(self.rho, x)
+        return self._rho_jacobian(x)
 
     def structure_jacobian(self, x: np.ndarray) -> np.ndarray:
         """d C[c, a, b] / d x[j], shape (n, n, n, m)."""
-        if self._structure_jacobian is not None:
-            return self._structure_jacobian(x)
-        return _fd_tensor_jacobian(self.structure, x)
+        return self._structure_jacobian(x)
 
 
 def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
@@ -227,30 +221,27 @@ class StructureReport:
 
 
 def check_structure(chart: AlgebroidChart, x: np.ndarray,
-                    deriv_source: str = "auto") -> StructureReport:
+                    deriv_source: str = "ad") -> StructureReport:
     """Residuals of the compatibility equations between anchor and bracket.
 
     r1 is the largest violation of the anchor-bracket relation, r2 the largest
     violation of the Jacobi-type relation for the structure functions. Both
-    vanish (to rounding) on a genuine Lie algebroid chart.
+    vanish (to rounding) on a genuine Lie algebroid chart. deriv_source "ad"
+    takes the chart's exact Jacobians, "fd" central differences of rho and C
+    as a cross-check.
     """
     x = np.asarray(x, dtype=float)
-    if deriv_source not in ("auto", "ad", "fd"):
+    if deriv_source not in ("ad", "fd"):
         raise ValueError(f"unknown derivative source {deriv_source!r}")
-    use_ad = chart._rho_jacobian is not None and deriv_source in ("auto", "ad")
-    if deriv_source == "ad" and chart._rho_jacobian is None:
-        raise AmechError("chart has no expression data, AD derivatives unavailable")
 
     rho = chart.rho(x)
     cs = chart.structure(x)
-    if use_ad:
+    if deriv_source == "ad":
         drho = chart.rho_jacobian(x)
         dcs = chart.structure_jacobian(x)
-        source = "ad"
     else:
         drho = _fd_tensor_jacobian(chart.rho, x)
         dcs = _fd_tensor_jacobian(chart.structure, x)
-        source = "fd"
 
     if chart.m == 0:
         r1 = 0.0
@@ -267,15 +258,15 @@ def check_structure(chart: AlgebroidChart, x: np.ndarray,
     cyc = term + np.einsum("dbca->dabc", term) + np.einsum("dcab->dabc", term)
     r2 = float(np.max(np.abs(cyc))) if cyc.size else 0.0
 
-    return StructureReport(point=tuple(float(c) for c in x), r1=r1, r2=r2, source=source)
+    return StructureReport(point=tuple(float(c) for c in x), r1=r1, r2=r2,
+                           source=deriv_source)
 
 
 # ---------------------------------------------------------------------------
 # Differential and brackets
 
 
-def d_E_function(chart: AlgebroidChart, f: "Expr | Callable[[np.ndarray], float]",
-                 x: np.ndarray) -> np.ndarray:
+def d_E_function(chart: AlgebroidChart, f: Expr, x: np.ndarray) -> np.ndarray:
     """Components of the algebroid differential of a base function.
 
     Returns the n-covector with entries sum_i rho[i, A] df/dx[i]; for a chart
@@ -284,42 +275,39 @@ def d_E_function(chart: AlgebroidChart, f: "Expr | Callable[[np.ndarray], float]
     x = np.asarray(x, dtype=float)
     if chart.m == 0:
         return np.zeros(chart.n)
-    if isinstance(f, Expr):
-        sf = ScalarFunction(chart.base_names, expr=f, params=chart.params)
-    else:
-        sf = ScalarFunction(chart.base_names, fn=lambda v: f(v))
-    df = sf.gradient(x)
+    df = ScalarFunction(chart.base_names, expr=f, params=chart.params).gradient(x)
     return chart.rho(x).T @ df
 
 
 class DualObservable:
     """Scalar function on the dual-bundle chart (x, p) with gradient access.
 
-    Accepts an expression in the base and momentum coordinate names, or a
-    callable of (x, p). Expressions differentiate exactly; callables use
-    central finite differences.
+    Accepts an expression in the base and momentum coordinate names, which
+    differentiates exactly, or a callable of (x, p) with no tree (a nested
+    bracket), which is differenced centrally.
     """
 
     def __init__(self, chart: AlgebroidChart,
                  f: "Expr | Callable[[np.ndarray, np.ndarray], float]"):
         self.chart = chart
-        names = chart.base_names + chart.momentum_names
         if isinstance(f, Expr):
-            self._sf = ScalarFunction(names, expr=f, params=chart.params)
+            sf = ScalarFunction(chart.base_names + chart.momentum_names, expr=f,
+                                params=chart.params)
+            self._value, self._gradient = sf.value, sf.gradient
         else:
             m = chart.m
 
             def packed(v: np.ndarray) -> float:
                 return float(f(v[:m], v[m:]))
 
-            self._sf = ScalarFunction(names, fn=packed)
-        self.source = self._sf.source
+            self._value = packed
+            self._gradient = lambda v: _fd_tensor_jacobian(packed, v)
 
     def value(self, at: DualPoint) -> float:
-        return self._sf.value(np.concatenate([at.x, at.p]))
+        return self._value(np.concatenate([at.x, at.p]))
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
-        g = self._sf.gradient(np.concatenate([at.x, at.p]))
+        g = self._gradient(np.concatenate([at.x, at.p]))
         return g[:self.chart.m], g[self.chart.m:]
 
 

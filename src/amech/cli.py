@@ -51,19 +51,23 @@ class UsageError(Exception):
 
 
 def _load_model(args) -> dict:
-    """Resolve --preset/file into spec + provenance + facts."""
+    """Resolve --preset/file into spec + provenance + facts, with the facts'
+    channels as trees (a preset's parsed once per process)."""
     if getattr(args, "preset", None):
         preset = presets.load(args.preset)
-        return {"spec": preset.spec, "dsl": preset.dsl,
-                "facts": preset.facts, "origin": {"preset": preset.id}}
+        return {"spec": preset.spec, "dsl": preset.dsl, "facts": preset.facts,
+                "channels": preset.channels, "origin": {"preset": preset.id}}
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return {"spec": parse_system(text), "dsl": text, "facts": {},
+        return {"spec": parse_system(text), "dsl": text, "facts": {}, "channels": {},
                 "origin": {"file": args.file}}
     if getattr(args, "dsl_text", None):
+        facts = dict(getattr(args, "facts", {}) or {})
         return {"spec": parse_system(args.dsl_text), "dsl": args.dsl_text,
-                "facts": dict(getattr(args, "facts", {}) or {}),
+                "facts": facts,
+                "channels": {name: parse_expression(text)
+                             for name, text in (facts.get("channels") or {}).items()},
                 "origin": dict(getattr(args, "origin", {}) or {"inline": True})}
     raise UsageError("need a model: --preset ID or a file path")
 
@@ -172,19 +176,14 @@ def cmd_validate(args) -> int:
 # simulate
 
 
-def _monitor_from_expression(labels, params, text: str) -> Callable:
-    sf = ScalarFunction(labels, expr=parse_expression(text), params=params)
+def _monitor(labels, params, tree) -> Callable:
+    sf = ScalarFunction(labels, expr=tree, params=params)
 
     def fn(t: float, state: np.ndarray) -> float:
         del t
         return sf.value(state)
 
     return fn
-
-
-def _channel_fits(labels, params, text: str) -> bool:
-    """A preset channel applies only where all its names are state or params."""
-    return variables_of(parse_expression(text)) <= set(labels) | set(params)
 
 
 def _resolve_init(labels, facts_init: dict, overrides: dict) -> np.ndarray:
@@ -297,15 +296,16 @@ def cmd_simulate(args) -> int:
 
     monitors: dict[str, Callable] = {"energy": energy}
     params = dict(chart.params)
-    for name, text in (facts.get("channels", {}) or {}).items():
-        if _channel_fits(labels, params, text):
-            monitors[name] = _monitor_from_expression(labels, params, text)
+    for name, tree in model["channels"].items():
+        # a preset channel applies only where all its names are state or params
+        if variables_of(tree) <= set(labels) | set(params):
+            monitors[name] = _monitor(labels, params, tree)
     extra = []
     for item in args.monitor or []:
         if "=" not in item:
             raise UsageError("--monitor entries must look like name=expression")
         name, _, text = item.partition("=")
-        monitors[name.strip()] = _monitor_from_expression(labels, params, text)
+        monitors[name.strip()] = _monitor(labels, params, parse_expression(text))
         extra.append([name.strip(), text])
 
     method = "dp45" if args.rtol is not None else "rk4"

@@ -5,19 +5,21 @@ the Legendre transform, the regular Euler-Lagrange vector field and the
 Hamilton equations on the dual bundle. The induced Hamiltonian
 `LegendreEnergy` holds the one Newton inverse of the Legendre map: for a
 regular L on all of E*, for a singular L on its momentum image, cut out by
-the `PrimaryConstraint` fields of the kernel directions.
+the `PrimaryConstraint` fields of the kernel directions. The Lagrangian is
+an expression tree, so every derivative here is exact, the energy's and the
+primary constraints' included; nothing in this module is differenced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebroid import AlgebroidChart, DualPoint, as_dual_observable
 from .errors import SingularHessian
-from .expr import Const, Expr, ScalarFunction, Var, _fd_gradient, _fold, partials
+from .expr import Const, Expr, ScalarFunction, Var, _fold, partials
 from .linalg import damped_newton, memo_last, regularity
 
 __all__ = [
@@ -74,23 +76,13 @@ class LagrangianSystem:
     """A chart together with a Lagrangian on its (x, y) coordinates.
 
     The Lagrangian is an expression in the base and fiber coordinate names,
-    or a callable of (x, y). Expression systems differentiate exactly.
+    differentiated exactly.
     """
 
-    def __init__(self, chart: AlgebroidChart,
-                 lagrangian: "Expr | Callable[[np.ndarray, np.ndarray], float]"):
+    def __init__(self, chart: AlgebroidChart, lagrangian: Expr):
         self.chart = chart
-        names = chart.base_names + chart.fiber_names
-        if isinstance(lagrangian, Expr):
-            self._sf = ScalarFunction(names, expr=lagrangian, params=chart.params)
-        else:
-            m = chart.m
-
-            def packed(v: np.ndarray) -> float:
-                return float(lagrangian(v[:m], v[m:]))
-
-            self._sf = ScalarFunction(names, fn=packed)
-        self.source = self._sf.source
+        self._sf = ScalarFunction(chart.base_names + chart.fiber_names,
+                                  expr=lagrangian, params=chart.params)
         self._energy: ScalarFunction | None = None
 
     def value(self, at: EPoint) -> float:
@@ -121,15 +113,13 @@ class LagrangianSystem:
     def energy_derivatives(self, at: EPoint) -> tuple[float, np.ndarray, np.ndarray]:
         """E_L = y dL/dy - L with its gradient and Hessian in (x, y), exact.
 
-        Expression systems only. The E_L tree and its code are built at the
-        first call for the Lagrangian's root node, names and params, and kept
-        on that node like its partial trees, so every later system of the
-        same Lagrangian reuses them.
+        The E_L tree and its code are built at the first call for the
+        Lagrangian's root node, names and params, and kept on that node like
+        its partial trees, so every later system of the same Lagrangian
+        reuses them.
         """
         if self._energy is None:
             lagrangian = self._sf.expr
-            if lagrangian is None:
-                raise ValueError("energy derivatives need an expression Lagrangian")
             memo = vars(lagrangian).setdefault("_energy", {})
             key = (self._sf.names, self.chart.m, tuple(sorted(self._sf.params.items())))
             if key not in memo:
@@ -292,9 +282,7 @@ class PrimaryConstraint:
         return float(z[m + self.a] - ly[self.a])
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Gradient row at z; differenced for a callable L."""
-        if self.sys.source != "ad":
-            return _fd_gradient(self, z)
+        """Gradient row at z."""
         m, n = self.sys.chart.m, self.sys.chart.n
         hxy, _ = self.sys.second_derivatives(EPoint(z[:m], np.zeros(n)))
         row = np.zeros(m + n)

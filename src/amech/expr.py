@@ -1,11 +1,12 @@
 """Expression trees and their symbolic derivatives.
 
-Every derivative in the package flows through this module: gradients and
-Hessians come from the partial-derivative trees that `derivative` builds,
-with a central finite-difference path for callables that have no tree.
-`_fd_gradient` is the package's one first-order difference rule: it also
-differentiates the tensor fields of closure-defined charts and the
-constraint fields that carry no Jacobian of their own.
+Every derivative in the package flows through this module. A model is
+given only as expression trees, and its gradients and Hessians come from
+the partial-derivative trees that `derivative` builds. The central
+difference rules `_fd_gradient` and `_fd_hessian` are cross-checks of that
+route; `_fd_gradient` also differentiates the few fields that have no tree:
+callable dual observables (the nested brackets of the Jacobi spot check)
+and constraint fields without a Jacobian of their own (the SODE defect).
 
 Two routes evaluate the trees. The tree walk (`evaluate`, `grad`,
 `hessian`) is the reference: it checks every primitive's domain and reports
@@ -602,72 +603,51 @@ def _jet_walk(expr: Expr, names: tuple, params: Mapping[str, float], order: int,
 
 
 class ScalarFunction:
-    """Scalar function of an ordered tuple of named real variables.
-
-    Wraps either an expression tree (exact derivatives from symbolic partial
-    trees, run as generated code with the tree walk as fallback) or a plain
-    callable (derivatives by central finite differences with step
-    1e-6 * max(1, |x|)). The `source` attribute reports which path is
-    active so validators can say where their numbers came from.
+    """Scalar function of an ordered tuple of named real variables, given as
+    an expression tree: exact derivatives from symbolic partial trees, run
+    as generated code with the tree walk as fallback.
     """
 
-    def __init__(self, names: Sequence[str], *, expr: Expr | None = None,
-                 fn: Callable[[np.ndarray], float] | None = None,
+    def __init__(self, names: Sequence[str], *, expr: Expr,
                  params: Mapping[str, float] | None = None):
-        if (expr is None) == (fn is None):
-            raise ValueError("provide exactly one of expr or fn")
+        if not isinstance(expr, Expr):
+            raise TypeError(f"a model function must be an expression tree, "
+                            f"got {type(expr).__name__}")
         self.names = tuple(names)
         self.expr = expr
-        self.fn = fn
         self.params = dict(params) if params else {}
-        self.source = "ad" if expr is not None else "fd"
-        if expr is not None:
-            # value; value and gradient; value, gradient and Hessian, kept on
-            # the root node for every function of the same names and params
-            memo = vars(expr).setdefault("_jets", {})
-            key = (self.names, tuple(sorted(self.params.items())))
-            if key not in memo:
-                memo[key] = [lazy_generated(
-                    self.names, self.params,
-                    functools.partial(_jet_layout, expr, self.names, order),
-                    functools.partial(_jet_walk, expr, self.names, self.params, order))
-                    for order in range(3)]
-            self._jets = memo[key]
+        # value; value and gradient; value, gradient and Hessian, kept on the
+        # root node for every function of the same names and params
+        memo = vars(expr).setdefault("_jets", {})
+        key = (self.names, tuple(sorted(self.params.items())))
+        if key not in memo:
+            memo[key] = [lazy_generated(
+                self.names, self.params,
+                functools.partial(_jet_layout, expr, self.names, order),
+                functools.partial(_jet_walk, expr, self.names, self.params, order))
+                for order in range(3)]
+        self._jets = memo[key]
 
     def _env(self, v: Sequence[float]) -> dict[str, float]:
         return _bindings(self.names, self.params, v)
 
     def value(self, v: Sequence[float]) -> float:
-        if self.expr is not None:
-            return float(self._jets[0](v))
-        return float(self.fn(np.asarray(v, dtype=float)))
+        return float(self._jets[0](v))
 
     def gradient(self, v: Sequence[float]) -> np.ndarray:
-        if self.expr is not None:
-            if not self.names:
-                return np.zeros(0)
-            return self._jets[1](v)[1]
-        return _fd_gradient(self.fn, np.asarray(v, dtype=float))
+        return self._jets[1](v)[1]
 
     def hessian(self, v: Sequence[float]) -> np.ndarray:
-        if self.expr is not None:
-            if not self.names:
-                return np.zeros((0, 0))
-            return self._jets[2](v)[2]
-        return _fd_hessian(self.fn, np.asarray(v, dtype=float))
+        return self._jets[2](v)[2]
 
     def value_and_gradient(self, v: Sequence[float]) -> tuple[float, np.ndarray]:
-        if self.expr is not None and self.names:
-            value, g = self._jets[1](v)
-            return float(value), g
-        return self.value(v), self.gradient(v)
+        value, g = self._jets[1](v)
+        return float(value), g
 
     def derivatives(self, v: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray]:
         """(value, gradient, Hessian) at v, from one call of the generated code."""
-        if self.expr is not None:
-            value, g, h = self._jets[2](v)
-            return float(value), g, h
-        return self.value(v), self.gradient(v), self.hessian(v)
+        value, g, h = self._jets[2](v)
+        return float(value), g, h
 
 
 def _fd_step(x: float) -> float:

@@ -14,7 +14,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MaxStepsExceeded, StepFailure, ToleranceUnreachable
+from .errors import (MaxStepsExceeded, SingularHessian, SingularR, StepFailure,
+                     ToleranceUnreachable)
 
 __all__ = [
     "OdeProblem",
@@ -113,7 +114,9 @@ class DriftReport:
 def _checked_rhs(problem: OdeProblem, t: float, y: np.ndarray) -> np.ndarray:
     try:
         dy = np.asarray(problem.rhs(t, y), dtype=float)
-    except (MaxStepsExceeded, ToleranceUnreachable, StepFailure):
+    # singular dynamics met mid-run keeps its own error (exit code 3)
+    except (MaxStepsExceeded, ToleranceUnreachable, StepFailure, SingularHessian,
+            SingularR):
         raise
     except Exception as exc:
         raise StepFailure(f"rhs raised at t={t!r}: {exc}") from exc

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import SystemSpec, parse_system
+from .dsl import SystemSpec, parse_expression, parse_system
+from .expr import Expr
 
 __all__ = ["Preset", "load", "ids",
            "martinet_pendulum_channels", "plate_ball_pendulum_channels"]
@@ -25,6 +26,7 @@ class Preset:
     dsl: str
     facts: dict
     spec: SystemSpec
+    channels: dict[str, Expr]  # facts["channels"], parsed
 
 
 _TQ_PENDULUM = """\
@@ -233,12 +235,14 @@ def load(preset_id: str) -> Preset:
     """Parse and return a catalogue entry; unknown ids are an error.
 
     Each entry is parsed once per process and the same `Preset` is returned
-    after that, so its spec's expression memos outlive one command; an
-    unknown id is never kept.
+    after that, so its spec's and its channels' expression memos outlive
+    one command; an unknown id is never kept.
     """
     try:
         dsl, facts = _CATALOGUE[preset_id]
     except KeyError:
         known = ", ".join(ids())
         raise KeyError(f"unknown preset {preset_id!r} (known: {known})") from None
-    return Preset(id=preset_id, dsl=dsl, facts=facts, spec=parse_system(dsl))
+    channels = {name: parse_expression(text) for name, text in facts["channels"].items()}
+    return Preset(id=preset_id, dsl=dsl, facts=facts, spec=parse_system(dsl),
+                  channels=channels)

@@ -11,11 +11,11 @@ two problem builders at the bottom.
 
 The Hamiltonian side takes its Hamiltonian, Hessian and primary constraints
 from `dynamics.LegendreEnergy` with the kernel of the velocity Hessian.
-Constraint gradients are exact wherever the problem carries the Jacobian of
-its forcing (both builders set it for an expression Lagrangian): a level
-field's Jacobian is E^T d(alpha), and the primary constraints of the
-Hamiltonian side read theirs from one Hessian of L. Plain closures are
-differenced.
+Every problem carries the exact Jacobian of its forcing, so constraint
+gradients are exact: a level field's Jacobian is E^T d(alpha), and the
+primary constraints of the Hamiltonian side read theirs from one Hessian of
+L. Only a plain closure field, such as the SODE defect that `cli` projects
+onto, is differenced.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class PresymplecticProblem:
     """Presymplectic data over a d-dimensional coordinate space.
 
     omega(z) is r x r skew, alpha(z) an r-covector, anchor(z) the d x r map
-    from fiber vectors to coordinate tangents. alpha_jacobian(z), when given,
-    is the r x d matrix d alpha / dz. constraints are fields whose joint zero
+    from fiber vectors to coordinate tangents, alpha_jacobian(z) the r x d
+    matrix d alpha / dz. constraints are fields whose joint zero
     set is the level-0 set (empty for a problem posed on the whole space);
     each may return one value or an array of them.
     """
@@ -79,8 +79,8 @@ class PresymplecticProblem:
     omega: Callable[[np.ndarray], np.ndarray]
     alpha: Callable[[np.ndarray], np.ndarray]
     anchor: Callable[[np.ndarray], np.ndarray]
+    alpha_jacobian: Callable[[np.ndarray], np.ndarray]
     constraints: tuple[ConstraintField, ...] = ()
-    alpha_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 class Pairing:
@@ -94,9 +94,7 @@ class Pairing:
         return self.problem.alpha(z) @ self.e
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """e^T d(alpha) at z; differenced when the problem has no alpha_jacobian."""
-        if self.problem.alpha_jacobian is None:
-            return _fd_gradient(self, z)
+        """e^T d(alpha) at z."""
         return self.e.T @ self.problem.alpha_jacobian(z)
 
 
@@ -375,8 +373,8 @@ def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
 
     Coordinates are z = (x, y); fiber directions are (X_A, V_A). The forcing
     is the negated energy differential so that solving omega X = alpha gives
-    the dynamics rather than its time-reverse. An expression Lagrangian
-    also gives its exact Jacobian, from the Hessian of the E_L tree.
+    the dynamics rather than its time-reverse. Its exact Jacobian comes from
+    the Hessian of the E_L tree.
     """
     chart = sys.chart
     m, n = chart.m, chart.n
@@ -395,8 +393,7 @@ def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
         return _prolongation_anchor(chart, z[:m])
 
     return PresymplecticProblem(d=m + n, r=2 * n, omega=omega, alpha=alpha,
-                                anchor=anchor,
-                                alpha_jacobian=alpha_jacobian if sys.source == "ad" else None)
+                                anchor=anchor, alpha_jacobian=alpha_jacobian)
 
 
 def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
@@ -443,8 +440,8 @@ def hamiltonian_problem_from_lagrangian(
 
     Coordinates are z = (x, p); level-0 constraints are the primary ones
     (empty for regular L). The forcing is the negated differential of the
-    induced Hamiltonian; an expression Lagrangian also gives its exact
-    Jacobian, from the Hessian of the Hamiltonian.
+    induced Hamiltonian, its exact Jacobian from the Hessian of the
+    Hamiltonian.
     """
     from .algebroid import omega_E_matrix
 
@@ -470,6 +467,5 @@ def hamiltonian_problem_from_lagrangian(
 
     problem = PresymplecticProblem(
         d=m + n, r=2 * n, omega=omega, alpha=alpha, anchor=anchor,
-        constraints=data.primary_constraints(),
-        alpha_jacobian=alpha_jacobian if sys.source == "ad" else None)
+        alpha_jacobian=alpha_jacobian, constraints=data.primary_constraints())
     return problem, data

@@ -66,8 +66,7 @@ class VakonomicSystem:
     """
 
     def __init__(self, chart: AlgebroidChart, constrained: Sequence[int],
-                 psi: Sequence["Expr | Callable"],
-                 restricted_lagrangian: "Expr | Callable"):
+                 psi: Sequence[Expr], restricted_lagrangian: Expr):
         self.chart = chart
         self.constrained = tuple(int(a) for a in constrained)
         if len(set(self.constrained)) != len(self.constrained):
@@ -80,8 +79,8 @@ class VakonomicSystem:
         self.free = tuple(a for a in range(chart.n) if a not in self.constrained)
         self.free_names = tuple(chart.fiber_names[a] for a in self.free)
         names = chart.base_names + self.free_names
-        self._lt = _scalar(names, restricted_lagrangian, chart)
-        self._psi = tuple(_scalar(names, f, chart) for f in psi)
+        self._lt = ScalarFunction(names, expr=restricted_lagrangian, params=chart.params)
+        self._psi = tuple(ScalarFunction(names, expr=f, params=chart.params) for f in psi)
         self._point = _point_function(self._lt, self._psi)
         self._free_idx = np.array(self.free, dtype=np.intp)
         self._con_idx = np.array(self.constrained, dtype=np.intp)
@@ -117,23 +116,13 @@ class VakonomicSystem:
         return np.concatenate([xdot, yadot, pdot])
 
 
-def _scalar(names, f, chart) -> ScalarFunction:
-    if isinstance(f, Expr):
-        return ScalarFunction(names, expr=f, params=chart.params)
-    return ScalarFunction(names, fn=lambda v: float(f(v)))
-
-
 def _point_function(lt: ScalarFunction,
                     psi: tuple[ScalarFunction, ...]) -> Callable[[np.ndarray], tuple]:
     """v -> Ltilde's value, gradient and Hessian, then every Psi's stacked.
 
-    For trees, one generated call, kept on Ltilde's root node for these
-    names, params and Psi trees; _point_walk is its reference, and the route
-    for callables.
+    One generated call, kept on Ltilde's root node for these names, params
+    and Psi trees; _point_walk is its reference.
     """
-    walk = functools.partial(_point_walk, lt, psi)
-    if lt.expr is None or any(f.expr is None for f in psi):
-        return walk
     trees = tuple(f.expr for f in psi)
     memo = vars(lt.expr).setdefault("_point", {})
     # the entry's layout holds the Psi trees, so their ids stay theirs
@@ -141,7 +130,7 @@ def _point_function(lt: ScalarFunction,
     if key not in memo:
         memo[key] = lazy_generated(lt.names, lt.params,
                                    functools.partial(_point_layout, lt.expr, trees, lt.names),
-                                   walk)
+                                   functools.partial(_point_walk, lt, psi))
     return memo[key]
 
 
@@ -373,12 +362,8 @@ def euler_poincare_residual(sys: VakonomicSystem, times: np.ndarray,
     """
     if sys.chart.m != 0:
         raise ValueError("reduced-equation residual needs a base-free chart")
-    for f in sys._psi:
-        if f.expr is not None and variables_of(f.expr) - set(sys.chart.params):
-            raise ValueError("constraint block must be constant")
-        if f.expr is None and np.max(np.abs(f.gradient(np.zeros(len(f.names)))),
-                                     initial=0.0) > 1e-10:
-            raise ValueError("constraint block must be constant")
+    if any(variables_of(f.expr) - set(sys.chart.params) for f in sys._psi):
+        raise ValueError("constraint block must be constant")
     times = np.asarray(times, dtype=float)
     ya_series = np.atleast_2d(np.asarray(ya_series, dtype=float))
     palpha_series = np.atleast_2d(np.asarray(palpha_series, dtype=float))

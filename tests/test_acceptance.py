@@ -27,7 +27,8 @@ from amech.dynamics import (
     legendre,
     system_from_spec,
 )
-from amech.expr import Binary, Const, ScalarFunction, Unary, Var, evaluate
+from amech.expr import (Binary, Const, ScalarFunction, Unary, Var, _fd_gradient,
+                        _fd_hessian, evaluate)
 from amech.linalg import min_norm_lstsq
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import (
@@ -460,12 +461,10 @@ def test_c12_derivatives_agree_with_finite_differences():
                 targets.append((psi_names, expr, spec.params))
     for names, expr, params in targets:
         ad = ScalarFunction(names, expr=expr, params=params)
-        fd = ScalarFunction(names, fn=ad.value)
-        assert ad.source == "ad" and fd.source == "fd"
         for _ in range(100):
             z = rng.uniform(0.5, 1.5, size=len(names))
-            ga, gf = ad.gradient(z), fd.gradient(z)
-            ha, hf = ad.hessian(z), fd.hessian(z)
+            ga, gf = ad.gradient(z), _fd_gradient(ad.value, z)
+            ha, hf = ad.hessian(z), _fd_hessian(ad.value, z)
             scale_g = max(1.0, float(np.max(np.abs(ga), initial=0.0)))
             scale_h = max(1.0, float(np.max(np.abs(ha), initial=0.0)))
             worst_g = max(worst_g, float(np.max(np.abs(ga - gf), initial=0.0)) / scale_g)

@@ -133,8 +133,6 @@ def test_d_E_function_applies_anchor_transpose():
     # f = q^2: df/dq = 1.2, components rho^T grad = (1.2, 0.72)
     out = d_E_function(chart, parse_expression("q^2"), x)
     assert_allclose(out, [1.2, 0.72], atol=1e-14)
-    out_fn = d_E_function(chart, lambda v: float(v[0] ** 2), x)
-    assert_allclose(out_fn, out, atol=1e-8)
 
 
 def test_d_E_function_zero_for_base_free_chart():
@@ -147,7 +145,6 @@ def test_dual_observable_expr_vs_callable():
     chart = chart_from_spec(parse_system(CURVED))
     expr_obs = DualObservable(chart, parse_expression("q * p1 + p2^2"))
     fn_obs = DualObservable(chart, lambda x, p: x[0] * p[0] + p[1] ** 2)
-    assert expr_obs.source == "ad" and fn_obs.source == "fd"
     at = DualPoint(np.array([0.9]), np.array([0.3, -1.2]))
     assert expr_obs.value(at) == pytest.approx(fn_obs.value(at), rel=1e-15)
     gx_e, gp_e = expr_obs.gradients(at)

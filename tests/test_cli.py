@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from amech import algebroid, expr, presym
 from amech.algebroid import chart_from_spec, check_structure
 from amech.cli import main
-from amech.presets import load as load_preset
+from amech.presets import ids as preset_ids, load as load_preset
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -250,6 +251,33 @@ def test_constrain_stabilizes_both_sides(tmp_path, side, zero_names):
     assert doc["stabilization_level"] == 1
     assert doc["levels"][1]["new_constraint_rank"] == 2
     assert doc["final_solve_residual"] < 1e-8
+
+
+def _preset_commands(pid):
+    yield ["validate", "--points", "3"]
+    for mode in load_preset(pid).facts["modes"]:
+        yield ["simulate", "--mode", mode, "--t1", "0.05", "--dt", "0.01"]
+    for side in ("lagrangian", "hamiltonian"):
+        yield ["constrain", "--side", side]
+
+
+@pytest.mark.parametrize("pid", preset_ids())
+def test_preset_commands_difference_nothing(tmp_path, pid, monkeypatch):
+    # every derivative of a model comes from its trees; of the commands only
+    # bracket's Jacobi spot check, on nested brackets, may difference
+    calls = []
+    for module, name in ((expr, "_fd_gradient"), (expr, "_fd_hessian"),
+                         (algebroid, "_fd_tensor_jacobian"), (presym, "_fd_gradient")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _real=real: calls.append(1) or _real(*args))
+    common = ["--preset", pid, "--out", str(tmp_path / "out"),
+              "--manifest", str(tmp_path / "m.json")]
+    for argv in _preset_commands(pid):
+        assert main([*argv, *common]) == 0, argv
+        assert calls == [], argv
+    assert main(["bracket", "--F", "p1", "--G", "p1^2", *common]) == 0
+    assert calls
 
 
 def test_export_preset_round_trip(tmp_path):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from amech.algebroid import AlgebroidChart
+from amech.algebroid import AlgebroidChart, chart_from_spec, check_structure
+from amech.algebroid import _fd_tensor_jacobian
+from amech.dsl import parse_system
 from amech.errors import EvalDomainError, UnboundVariableError
 from amech.expr import (
     Binary,
@@ -28,6 +30,7 @@ from amech.expr import (
     variables_of,
 )
 from amech.expr import _fd_gradient, _fd_hessian, _jet_layout
+from amech.vakonomic import VakonomicSystem
 from strategies import NAMES, exprs
 
 X, Y = Var("x"), Var("y")
@@ -171,12 +174,14 @@ def test_format_preserves_association():
 def test_scalar_function_expr_and_callable_paths_agree():
     f = Unary("exp", X * Y) + X ** 3
     sf_ad = ScalarFunction(("x", "y"), expr=f)
-    sf_fd = ScalarFunction(("x", "y"), fn=lambda v: math.exp(v[0] * v[1]) + v[0] ** 3)
-    assert sf_ad.source == "ad" and sf_fd.source == "fd"
+
+    def fn(v):
+        return math.exp(v[0] * v[1]) + v[0] ** 3
+
     v = np.array([0.4, 1.1])
-    assert sf_ad.value(v) == pytest.approx(sf_fd.value(v), rel=1e-15)
-    assert_allclose(sf_ad.gradient(v), sf_fd.gradient(v), atol=1e-8)
-    assert_allclose(sf_ad.hessian(v), sf_fd.hessian(v), atol=1e-6)
+    assert sf_ad.value(v) == pytest.approx(fn(v), rel=1e-15)
+    assert_allclose(sf_ad.gradient(v), _fd_gradient(fn, v), atol=1e-8)
+    assert_allclose(sf_ad.hessian(v), _fd_hessian(fn, v), atol=1e-6)
     val, g = sf_ad.value_and_gradient(v)
     assert val == sf_ad.value(v)
     assert np.array_equal(g, sf_ad.gradient(v))
@@ -190,10 +195,18 @@ def test_scalar_function_params_are_bound():
 
 
 def test_scalar_function_requires_exactly_one_source():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ScalarFunction(("x",))
-    with pytest.raises(ValueError):
-        ScalarFunction(("x",), expr=X, fn=lambda v: 0.0)
+    with pytest.raises(TypeError, match="expression tree"):
+        ScalarFunction(("x",), expr=lambda v: v[0])
+    assert ScalarFunction(("x",), expr=X * X).gradient([3.0])[0] == 6.0
+
+
+def test_vakonomic_lagrangian_must_be_an_expression_tree():
+    chart = chart_from_spec(parse_system(
+        "system trees\nbase [q]\nfiber [v]\nanchor { v -> (1) }\nlagrangian = 0.5*v^2\n"))
+    with pytest.raises(TypeError, match="expression tree"):
+        VakonomicSystem(chart, (), (), lambda v: 0.5 * v[1] ** 2)
 
 
 def test_operator_overloads_build_expected_nodes():
@@ -234,10 +247,23 @@ def test_fd_jacobians_of_a_base_free_closure_chart():
     n = 3
     cs = np.zeros((n, n, n))
     cs[2, 0, 1], cs[2, 1, 0] = 1.0, -1.0
-    chart = AlgebroidChart(0, n, lambda x: np.zeros((0, n)), lambda x: cs)
-    assert chart.deriv_source == "fd"
-    assert chart.rho_jacobian(np.zeros(0)).shape == (0, n, 0)
-    assert chart.structure_jacobian(np.zeros(0)).shape == (n, n, n, 0)
+
+    def rho(x):
+        return np.zeros((0, n))
+
+    def structure(x):
+        return cs
+
+    with pytest.raises(TypeError):
+        AlgebroidChart(0, n, rho, structure)
+    assert _fd_tensor_jacobian(rho, np.zeros(0)).shape == (0, n, 0)
+    assert _fd_tensor_jacobian(structure, np.zeros(0)).shape == (n, n, n, 0)
+    chart = AlgebroidChart(0, n, rho, structure,
+                           rho_jacobian=lambda x: np.zeros((0, n, 0)),
+                           structure_jacobian=lambda x: np.zeros((n, n, n, 0)))
+    fd = check_structure(chart, np.zeros(0), "fd")
+    ad = check_structure(chart, np.zeros(0), "ad")
+    assert (fd.r1, fd.r2) == (ad.r1, ad.r2) == (0.0, 0.0)
 
 
 # -- the symbolic route against the difference rules on generated trees -------

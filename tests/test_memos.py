@@ -189,3 +189,21 @@ def test_commands_leave_the_shared_spec_unchanged(tmp_path, pid):
     assert load_preset(pid) is preset
     assert format_system(preset.spec) == text
     assert preset.facts == facts
+
+
+def test_a_repeated_simulate_on_a_preset_generates_nothing(tmp_path, monkeypatch):
+    # the preset channels are parsed once, with the preset, so the monitor
+    # code built for their trees on the first run is found on the next
+    argv = ["simulate", "--preset", "tq_pendulum", "--mode", "el", "--t1", "0.02",
+            "--manifest", str(tmp_path / "m.json")]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main([*argv, "--out", str(first)]) == 0
+    generated = []
+    real_generate = expr.generate
+    monkeypatch.setattr(expr, "generate",
+                        lambda names, *args: generated.append(names)
+                        or real_generate(names, *args))
+    assert main([*argv, "--out", str(second)]) == 0
+    assert generated == []
+    assert "closed_form_energy" in first.read_text().split("\n")[0]
+    assert second.read_bytes() == first.read_bytes()

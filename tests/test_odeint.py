@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from amech import odeint
-from amech.errors import MaxStepsExceeded, StepFailure, ToleranceUnreachable
+from amech.errors import (MaxStepsExceeded, SingularHessian, SingularR, StepFailure,
+                          ToleranceUnreachable)
 from amech.odeint import (
     DriftReport,
     IntegratorConfig,
@@ -123,6 +124,22 @@ def test_step_failure_wraps_rhs_exceptions():
         integrate(OdeProblem(dim=1, rhs=rhs),
                   IntegratorConfig(t0=0.0, t1=1.0, h=0.1), np.array([1.0]))
     assert "boom" in str(err.value)
+
+
+@pytest.mark.parametrize("error", [SingularHessian, SingularR])
+def test_singular_dynamics_mid_run_keeps_its_error(error):
+    # singular dynamics is exit code 3, an integration failure exit code 4
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) == 6:
+            raise error("singular at the sixth evaluation")
+        return -y
+
+    with pytest.raises(error, match="sixth"):
+        integrate(OdeProblem(dim=1, rhs=rhs),
+                  IntegratorConfig(t0=0.0, t1=1.0, h=0.1), np.array([1.0]))
 
 
 def test_max_steps_exceeded():

@@ -8,9 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from amech import presym
-from amech.algebroid import chart_from_spec
 from amech.dsl import parse_system
-from amech.dynamics import (EPoint, LagrangianSystem, LegendreEnergy, cartan,
+from amech.dynamics import (EPoint, LegendreEnergy, cartan,
                             energy_differential, euler_lagrange_rhs,
                             hamiltonian_from_lagrangian, legendre, system_from_spec)
 from amech.errors import (
@@ -19,7 +18,7 @@ from amech.errors import (
     NewtonFailed,
     NotOnFinalManifold,
 )
-from amech.expr import ScalarFunction, _fd_gradient, evaluate
+from amech.expr import ScalarFunction, _fd_gradient
 from amech.linalg import rank_rtol
 from amech.presets import ids as preset_ids, load as load_preset
 from amech.presym import (
@@ -500,35 +499,14 @@ def _level_ranks(run):
                                      for lvl in run.levels]
 
 
-def test_callable_lagrangian_takes_the_difference_path():
-    spec = load_preset("capri_kobayashi").spec
-    chart = chart_from_spec(spec)
-    names = chart.base_names + chart.fiber_names
-
-    def lagrangian(x, y):
-        env = dict(chart.params)
-        env.update(zip(names, np.concatenate([x, y]).tolist()))
-        return evaluate(spec.lagrangian, env)
-
-    sys = LagrangianSystem(chart, lagrangian)
-    l_problem = lagrangian_problem(sys)
-    h_problem, data = hamiltonian_problem_from_lagrangian(sys)
-    assert l_problem.alpha_jacobian is None and h_problem.alpha_jacobian is None
-    z = np.array([0.9, 1.1, 1.0, 0.1, 0.2, 0.3, 0.4])
-    field = Pairing(l_problem, np.eye(8)[:, :2])
-    primary = data.primary_constraints()[0]
-    assert np.array_equal(field.jacobian(z), _fd_gradient(field, z))
-    assert np.array_equal(primary.jacobian(z), _fd_gradient(primary, z))
-
-
-@pytest.mark.parametrize("side", SIDES)
+# only the Hamiltonian side has level-0 constraints to wrap
+@pytest.mark.parametrize("side", ["hamiltonian"])
 def test_difference_path_reaches_the_same_levels(side, monkeypatch):
-    # the tree problem stripped of its Jacobians: every constraint gradient
-    # is differenced, as for a callable L
+    # the primary constraints wrapped as plain closures, which have no
+    # Jacobian: their gradients are differenced, as the SODE defect's are
     problem = _problem(_ck(), side)
     plain = dataclasses.replace(
-        problem, alpha_jacobian=None,
-        constraints=tuple((lambda z, _g=g: _g(z)) for g in problem.constraints))
+        problem, constraints=tuple((lambda z, _g=g: _g(z)) for g in problem.constraints))
     seeds = _seeds(3, 4, 3, seed=5)
     tree = run_constraint_algorithm(problem, seeds)
     calls = _counting_fd(monkeypatch)

@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from amech import vakonomic
-from amech.algebroid import DualPoint
+from amech.algebroid import DualPoint, chart_from_spec
 from amech.dsl import parse_expression, parse_system
 from amech.dynamics import EPoint, euler_lagrange_rhs, system_from_spec
-from amech.algebroid import AlgebroidChart
 from amech.errors import EvalDomainError, MuSolveFailed, SingularR
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import load as load_preset
@@ -315,7 +314,9 @@ def test_point_data_reports_a_constraint_value_error_before_a_derivative_error()
     # at y1 = 0 the first constraint is defined but not differentiable and
     # the second is undefined; every Psi is evaluated before any derivative,
     # so the second one's error is the one reported
-    chart = AlgebroidChart(0, 3, lambda x: np.zeros((0, 3)), lambda x: np.zeros((3, 3, 3)))
+    chart = chart_from_spec(parse_system(
+        "system point_errors\nbase []\nfiber [y1, y2, y3]\nanchor zero\nbracket { }\n"
+        "lagrangian = 0.5*y1^2\n"))
     sys = VakonomicSystem(chart, (1, 2),
                           [parse_expression("sqrt(y1)"), parse_expression("ln(y1)")],
                           parse_expression("0.5*y1^2"))

@@ -3,7 +3,6 @@ once per spec: bit-equal to the per-function derivatives, and derived and
 generated only on the first use of a spec."""
 
 import copy
-import functools
 
 import numpy as np
 import pytest
@@ -11,9 +10,9 @@ import pytest
 from amech import expr, vakonomic
 from amech.algebroid import chart_from_spec
 from amech.cli import main
-from amech.dsl import parse_expression, with_params
+from amech.dsl import with_params
 from amech.presets import ids as preset_ids, load as load_preset
-from amech.vakonomic import VakonomicSystem, vakonomic_from_spec
+from amech.vakonomic import vakonomic_from_spec
 
 VAK_PRESETS = [pid for pid in preset_ids() if "vakonomic" in load_preset(pid).facts["modes"]]
 
@@ -64,15 +63,6 @@ def _assert_matches_per_function(sys, d, x, ya):
 def test_fused_point_data_is_bit_equal_to_the_per_function_derivatives(pid):
     sys = vakonomic_from_spec(load_preset(pid).spec)
     for x, ya, palpha in _points(sys, 12, seed=21):
-        _assert_matches_per_function(sys, vakonomic._PointData(sys, x, ya, palpha), x, ya)
-
-
-def test_callable_constraints_take_the_per_function_route():
-    chart = vakonomic_from_spec(load_preset("martinet").spec).chart
-    sys = VakonomicSystem(chart, (2,), [lambda v: 0.5 * v[0] ** 2 * v[2]],
-                          parse_expression("0.5*(e1^2 + e2^2) + 0.25*x^2*e1^2*e2^2"))
-    assert isinstance(sys._point, functools.partial)
-    for x, ya, palpha in _points(sys, 6, seed=5):
         _assert_matches_per_function(sys, vakonomic._PointData(sys, x, ya, palpha), x, ya)
 
 
