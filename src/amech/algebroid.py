@@ -17,8 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dsl import SystemSpec
-from .expr import (Const, Expr, ScalarFunction, Unary, evaluate, grad, lazy_generated,
-                   partials)
+from .expr import Const, Expr, ScalarFunction, Unary, lazy_generated, partials
 # Bound under algebroid's own name: the traced benchmark run
 # (perfbench/spans.py) wraps `algebroid._fd_tensor_jacobian`.
 from .expr import _fd_gradient as _fd_tensor_jacobian
@@ -118,58 +117,12 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
 
 
 def _chart_code(spec: SystemSpec) -> tuple:
-    """rho, C, d rho and dC as lazily generated code, the walks their reference."""
+    """rho, C, d rho and dC as lazily generated code."""
     m, n = spec.m, spec.n
     base = spec.base
     params = dict(spec.params)
 
-    def env(x: np.ndarray) -> dict[str, float]:
-        e = dict(params)
-        e.update(zip(base, (float(c) for c in x)))
-        return e
-
-    def rho_walk(x: np.ndarray) -> np.ndarray:
-        e = env(x)
-        out = np.zeros((m, n))
-        for a, row in enumerate(spec.anchor):
-            for i, entry in enumerate(row):
-                out[i, a] = evaluate(entry, e)
-        return out
-
-    def structure_walk(x: np.ndarray) -> np.ndarray:
-        e = env(x)
-        out = np.zeros((n, n, n))
-        for (a, b), coeffs in spec.bracket.items():
-            for c, coef in enumerate(coeffs):
-                v = evaluate(coef, e)
-                out[c, a, b] = v
-                out[c, b, a] = -v
-        return out
-
-    def rho_jacobian_walk(x: np.ndarray) -> np.ndarray:
-        e = env(x)
-        out = np.zeros((m, n, m))
-        if m == 0:
-            return out
-        for a, row in enumerate(spec.anchor):
-            for i, entry in enumerate(row):
-                out[i, a, :] = grad(entry, base, e)
-        return out
-
-    def structure_jacobian_walk(x: np.ndarray) -> np.ndarray:
-        e = env(x)
-        out = np.zeros((n, n, n, m))
-        if m == 0:
-            return out
-        for (a, b), coeffs in spec.bracket.items():
-            for c, coef in enumerate(coeffs):
-                g = grad(coef, base, e)
-                out[c, a, b, :] = g
-                out[c, b, a, :] = -g
-        return out
-
-    # (tree, negated) in each row-major slot of rho and C, None for a zero,
-    # filled in the walks' order
+    # (tree, negated) in each row-major slot of rho and C, None for a zero
     rho_slots: list = [None] * (m * n)
     for a, row in enumerate(spec.anchor):
         for i, entry in enumerate(row):
@@ -180,26 +133,26 @@ def _chart_code(spec: SystemSpec) -> tuple:
             c_slots[(c * n + a) * n + b] = (coef, False)
             c_slots[(c * n + b) * n + a] = (coef, True)
 
-    def generated(slots: list, shape: tuple, walk, jacobian: bool):
+    def generated(slots: list, shape: tuple, jacobian: bool):
         def signed(tree: Expr, negated: bool) -> Expr:
             return Unary("neg", tree) if negated else tree
 
         def layout() -> tuple:
             if not jacobian:
-                return [([_ZERO if s is None else signed(*s) for s in slots], shape)], ()
+                return [([_ZERO if s is None else signed(*s) for s in slots], shape, 0)], ()
             trees = [tree for s in slots
                      for tree in ([_ZERO] * m if s is None
                                   else [signed(d, s[1]) for d in partials(s[0], base)])]
-            # the walk evaluates each entry before its partials
+            # every entry is checked before any partial, as grad checks its root
             checks = [s[0] for s in slots if s is not None] if m else []
-            return [(trees, shape + (m,))], checks
+            return [(trees, shape + (m,), 1)], checks
 
-        return lazy_generated(base, params, layout, walk)
+        return lazy_generated(base, params, layout)
 
-    return (generated(rho_slots, (m, n), rho_walk, False),
-            generated(c_slots, (n, n, n), structure_walk, False),
-            generated(rho_slots, (m, n), rho_jacobian_walk, True),
-            generated(c_slots, (n, n, n), structure_jacobian_walk, True))
+    return (generated(rho_slots, (m, n), False),
+            generated(c_slots, (n, n, n), False),
+            generated(rho_slots, (m, n), True),
+            generated(c_slots, (n, n, n), True))
 
 
 # ---------------------------------------------------------------------------

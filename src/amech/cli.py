@@ -24,9 +24,7 @@ from .dsl import parse_expression, parse_system
 from .dynamics import (EPoint, _el_force, euler_lagrange_rhs,
                        hamiltonian_from_lagrangian, hamilton_rhs, is_regular,
                        system_from_spec)
-from .errors import (DslError, EvalDomainError, InconsistentDynamics,
-                     MaxLevelsExceeded, NewtonFailed, NotOnFinalManifold,
-                     OdeError, RankAmbiguous, SingularHessian, SingularR,
+from .errors import (AmechError, DslError, OdeError, SingularHessian, SingularR,
                      UnboundVariableError)
 from .expr import ScalarFunction, variables_of
 from .linalg import min_norm_lstsq, rank_rtol
@@ -63,11 +61,8 @@ def _load_model(args) -> dict:
         return {"spec": parse_system(text), "dsl": text, "facts": {}, "channels": {},
                 "origin": {"file": args.file}}
     if getattr(args, "dsl_text", None):
-        facts = dict(getattr(args, "facts", {}) or {})
         return {"spec": parse_system(args.dsl_text), "dsl": args.dsl_text,
-                "facts": facts,
-                "channels": {name: parse_expression(text)
-                             for name, text in (facts.get("channels") or {}).items()},
+                "facts": {}, "channels": {},
                 "origin": dict(getattr(args, "origin", {}) or {"inline": True})}
     raise UsageError("need a model: --preset ID or a file path")
 
@@ -364,7 +359,6 @@ def _simulate_from_manifest(path: str, out_override: str | None,
         file=None,
         dsl_text=None if doc["input"].get("preset") else doc["input"]["dsl"],
         origin={k: v for k, v in doc["input"].items() if k != "dsl"},
-        facts={},
         mode=cfg["mode"],
         t0=cfg["t0"], t1=cfg["t1"], dt=cfg["dt"],
         rtol=cfg["rtol"], atol=cfg["atol"], max_steps=cfg["max_steps"],
@@ -567,8 +561,10 @@ def main(argv=None) -> int:
         if args.cmd == "export-preset":
             return cmd_export_preset(args)
         raise UsageError(f"unknown command {args.cmd!r}")
-    except (DslError, UsageError, UnboundVariableError, KeyError,
-            FileNotFoundError) as exc:
+    except FileNotFoundError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except (DslError, UsageError, UnboundVariableError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
@@ -578,9 +574,7 @@ def main(argv=None) -> int:
     except OdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (RankAmbiguous, InconsistentDynamics, NewtonFailed,
-            MaxLevelsExceeded, NotOnFinalManifold, EvalDomainError,
-            ValueError) as exc:
+    except (AmechError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

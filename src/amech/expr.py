@@ -10,15 +10,15 @@ and constraint fields without a Jacobian of their own (the SODE defect).
 
 Two routes evaluate the trees. The tree walk (`evaluate`, `grad`,
 `hessian`) is the reference: it checks every primitive's domain and reports
-a failure with its path. The hot paths (`ScalarFunction`, the chart tensors)
-run generated code instead: `generate` emits one straight-line Python
-function per list of trees and variable order, one operation per line in
-the tree's own order, with repeated subexpressions computed once, so every
-number is bit-identical to the walk. `lazy_generated` builds that code at
-the first call, reuses compiled code with the same source text, and runs
-the walk wherever the generated code raises ArithmeticError or ValueError
-(so the walk raises its own error) or the trees name a variable outside the
-names and params (so the walk reports it unbound).
+a failure with its path. The hot paths (`ScalarFunction`, the chart tensors,
+the vakonomic point) run generated code instead: `generate` emits one
+straight-line Python function per layout of trees and variable order, one
+operation per line in the tree's own order, with repeated subexpressions
+computed once, so every number is bit-identical to the walk. `lazy_generated`
+builds that code at the first call and reuses compiled code with the same
+source text. Where it raises ArithmeticError or ValueError, or the trees name
+a variable outside the names and params, `_walk` walks the same layout, so
+the caller sees the walk's own error or the unbound name.
 """
 
 from __future__ import annotations
@@ -199,6 +199,13 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     return _eval_node(expr, bindings, ())
 
 
+def _bindings(names: Sequence[str], params: Mapping[str, float],
+              v: Sequence[float]) -> dict[str, float]:
+    env = dict(params)
+    env.update(zip(names, (float(c) for c in v)))
+    return env
+
+
 # ---------------------------------------------------------------------------
 # Symbolic differentiation
 
@@ -289,21 +296,27 @@ def partials(expr: Expr, wrt: Sequence[str]) -> list[Expr]:
     return [tree for _, tree in _partials(expr, tuple(wrt), 1)]
 
 
+def _eval_labelled(tree: Expr, bindings: Mapping[str, float],
+                   names: Sequence[str]) -> float:
+    """Evaluate tree; in a partial with respect to names (if any) the failing
+    node is a generated one, so a domain error names the derivative instead."""
+    try:
+        return evaluate(tree, bindings)
+    except EvalDomainError as exc:
+        if not names:
+            raise
+        label = " and ".join(f"'{name}'" for name in names)
+        raise EvalDomainError(f"derivative with respect to {label} is undefined",
+                              _format_path(())) from exc
+
+
 def _eval_partials(expr: Expr, wrt: Sequence[str], order: int,
                    bindings: Mapping[str, float]) -> list[float]:
     if not wrt:
         raise ValueError("wrt must name at least one variable")
-    _eval_node(expr, bindings, ())
-    values = []
-    for names, tree in _partials(expr, tuple(wrt), order):
-        try:
-            values.append(_eval_node(tree, bindings, ()))
-        except EvalDomainError as exc:
-            # the failing node lies in a generated tree; name the derivative
-            label = " and ".join(f"'{name}'" for name in names)
-            raise EvalDomainError(f"derivative with respect to {label} is undefined",
-                                  _format_path(())) from exc
-    return values
+    evaluate(expr, bindings)
+    return [_eval_labelled(tree, bindings, names)
+            for names, tree in _partials(expr, tuple(wrt), order)]
 
 
 def grad(expr: Expr, wrt: Sequence[str], bindings: Mapping[str, float]) -> np.ndarray:
@@ -410,21 +423,23 @@ def _compile(source: str) -> Callable:
 
 
 def generate(names: Sequence[str], params: Mapping[str, float],
-             groups: Sequence[tuple[Sequence[Expr], tuple[int, ...] | None]],
+             groups: Sequence[tuple],
              checks: Sequence[Expr] = ()) -> Callable[[list[float]], object] | None:
     """One function of a list of floats, bound to names in order, that
     evaluates every tree of groups and of checks.
 
-    It returns one value per group, or a tuple of them: the group's single
-    float for shape None, else an array of that shape (a tuple) filled in
-    row-major order. Trees in checks are evaluated for their domain errors
-    only. Variables take the names first, then params, as in the walk. The
-    function checks nothing: a domain failure surfaces as ArithmeticError
-    or ValueError. None when a tree names anything else.
+    A group is (trees, shape, order); the order is for `_walk` only and may
+    be left out. The function returns one value per group, or a tuple of
+    them: the group's single float for shape None, else an array of that
+    shape (a tuple) filled in row-major order. Trees in checks are evaluated
+    for their domain errors only. Variables take the names first, then
+    params, as in the walk. The function checks nothing: a domain failure
+    surfaces as ArithmeticError or ValueError. None when a tree names
+    anything else.
     """
     slots = {name: _literal(float(value)) for name, value in params.items()}
     slots.update((name, f"v{i}") for i, name in enumerate(names))
-    trees = list(checks) + [tree for group, _ in groups for tree in group]
+    trees = list(checks) + [tree for group, *_ in groups for tree in group]
     try:
         lines, operands = _straight_line(trees, slots)
     except KeyError:
@@ -433,7 +448,7 @@ def generate(names: Sequence[str], params: Mapping[str, float],
     # in one scatter, through indices built once when the code is compiled
     indices, parts, zero = [], [], _literal(0.0)
     k = len(checks)
-    for g, (group, shape) in enumerate(groups):
+    for g, (group, shape, *_) in enumerate(groups):
         ops = operands[k:k + len(group)]
         k += len(group)
         if shape is None:
@@ -453,16 +468,32 @@ def generate(names: Sequence[str], params: Mapping[str, float],
     return _compile(source)
 
 
+def _walk(names: Sequence[str], params: Mapping[str, float], layout: tuple,
+          x: Sequence[float]) -> None:
+    """The tree walk of a (groups, checks) layout at x, run for its first
+    error: the checks, then each group's trees in order. A tree of an order-k
+    group is the partial with respect to the names indexing the group's last
+    k axes, and a domain error in it says so, as in grad and hessian."""
+    env = _bindings(names, params, x)
+    groups, checks = layout
+    for tree in checks:
+        evaluate(tree, env)
+    n = len(names)
+    for trees, _, order in groups:
+        for k, tree in enumerate(trees):
+            label = [names[k // n ** i % n] for i in reversed(range(order))]
+            _eval_labelled(tree, env, label)
+
+
 def lazy_generated(names: Sequence[str], params: Mapping[str, float],
-                   layout: Callable[[], tuple],
-                   reference: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """f(x): the code `generate` makes of layout() run at x, else reference(x).
+                   layout: Callable[[], tuple]) -> Callable[[np.ndarray], object]:
+    """f(x): the code `generate` makes of layout() run at x.
 
     layout() returns (groups, checks); it runs, with the code generation, at
-    the first call, never before. reference is the tree walk of the same
-    values: it runs when the trees cannot be compiled and whenever the
-    generated code raises ArithmeticError or ValueError, so the caller sees
-    the walk's own error, message and path.
+    the first call, never before. Where the trees cannot be compiled, or the
+    generated code raises ArithmeticError or ValueError, layout() runs again
+    and `_walk` evaluates it, so the caller sees the walk's own error,
+    message and path; nothing is kept for that.
     """
     compiled: list = []
 
@@ -473,8 +504,10 @@ def lazy_generated(names: Sequence[str], params: Mapping[str, float],
             try:
                 return compiled[0](np.asarray(x, dtype=float).tolist())
             except (ArithmeticError, ValueError):
-                pass  # the walk below raises the documented error
-        return reference(x)
+                _walk(names, params, layout(), x)
+                raise  # the walk found no error: the code's own stands
+        # a tree names a variable outside names and params: the walk reports it
+        _walk(names, params, layout(), x)
 
     return f
 
@@ -564,42 +597,21 @@ def _fmt(expr: Expr, context: int) -> str:
 FD_STEP = 1e-6
 
 
-def _bindings(names: Sequence[str], params: Mapping[str, float],
-              v: Sequence[float]) -> dict[str, float]:
-    env = dict(params)
-    env.update(zip(names, (float(c) for c in v)))
-    return env
-
-
 def _jet_layout(expr: Expr, names: tuple, order: int) -> tuple:
     """The groups of ScalarFunction's generated jet of this order: the value,
     then the gradient, then the Hessian with its upper triangle mirrored."""
     n = len(names)
-    groups = [([expr], None)]
+    groups = [([expr], None, 0)]
     if order >= 1:
-        groups.append((partials(expr, names), (n,)))
+        groups.append((partials(expr, names), (n,), 1))
     if order == 2:
         upper = iter([tree for _, tree in _partials(expr, names, 2)])
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = next(upper)
-        groups.append(([tree for row in rows for tree in row], (n, n)))
+        groups.append(([tree for row in rows for tree in row], (n, n), 2))
     return groups, ()
-
-
-def _jet_walk(expr: Expr, names: tuple, params: Mapping[str, float], order: int,
-              v: Sequence[float]):
-    """The same jet by the tree walk, in the order value, gradient, Hessian,
-    so its first error is the walk's."""
-    env = _bindings(names, params, v)
-    value = evaluate(expr, env)
-    if order == 0:
-        return value
-    g = grad(expr, names, env) if names else np.zeros(0)
-    if order == 1:
-        return value, g
-    return value, g, hessian(expr, names, env) if names else np.zeros((0, 0))
 
 
 class ScalarFunction:
@@ -623,8 +635,7 @@ class ScalarFunction:
         if key not in memo:
             memo[key] = [lazy_generated(
                 self.names, self.params,
-                functools.partial(_jet_layout, expr, self.names, order),
-                functools.partial(_jet_walk, expr, self.names, self.params, order))
+                functools.partial(_jet_layout, expr, self.names, order))
                 for order in range(3)]
         self._jets = memo[key]
 

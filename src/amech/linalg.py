@@ -45,7 +45,7 @@ def rank_rtol() -> float:
     return value
 
 
-def null_space(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of a, as columns.
 
     A matrix with no rows constrains nothing, so the basis is the identity.
@@ -56,23 +56,18 @@ def null_space(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
         return np.zeros((0, 0))
     if rows == 0 or not np.any(a):
         return np.eye(cols)
-    if rtol is None:
-        rtol = rank_rtol()
     _, s, vt = np.linalg.svd(a)
-    cutoff = rtol * s[0]
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > rank_rtol() * s[0]))
     return vt[rank:].T
 
 
-def row_space_rank(a: np.ndarray, rtol: float | None = None) -> int:
+def row_space_rank(a: np.ndarray) -> int:
     """Numerical rank with the shared relative threshold."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not np.any(a):
         return 0
-    if rtol is None:
-        rtol = rank_rtol()
     s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > rank_rtol() * s[0]))
 
 
 def decide_rank(a: np.ndarray) -> int:

@@ -118,17 +118,16 @@ def _constraint_jacobian(constraints: Sequence[ConstraintField],
                      + [_field_jacobian(g, z) for g in constraints])
 
 
-def kernel(omega_matrix: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def kernel(omega_matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of a skew matrix."""
     omega_matrix = np.asarray(omega_matrix, dtype=float)
     skew_defect = np.max(np.abs(omega_matrix + omega_matrix.T), initial=0.0)
     if skew_defect > 1e-10 * (1.0 + np.max(np.abs(omega_matrix), initial=0.0)):
         raise ValueError(f"matrix is not skew (defect {skew_defect:.3e})")
-    return null_space(omega_matrix, rtol=rtol)
+    return null_space(omega_matrix)
 
 
-def perp(omega_matrix: np.ndarray, f_basis: np.ndarray,
-         rtol: float | None = None) -> np.ndarray:
+def perp(omega_matrix: np.ndarray, f_basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the omega-orthogonal complement of span(f_basis)."""
     omega_matrix = np.asarray(omega_matrix, dtype=float)
     f_basis = np.asarray(f_basis, dtype=float)
@@ -138,7 +137,7 @@ def perp(omega_matrix: np.ndarray, f_basis: np.ndarray,
         svals = np.linalg.svd(f_basis, compute_uv=False)
         if svals[-1] <= rank_rtol() * svals[0]:
             raise ValueError("f_basis is rank-deficient")
-    return null_space(f_basis.T @ omega_matrix.T, rtol=rtol)
+    return null_space(f_basis.T @ omega_matrix.T)
 
 
 def _fiber_basis(problem: PresymplecticProblem, j: np.ndarray,
@@ -319,8 +318,7 @@ class SodeResult:
     solve_residual: float
 
 
-def sode_extract(sys: LagrangianSystem, run: ConstraintRun, at: EPoint,
-                 tol: float = 1e-8) -> SodeResult:
+def sode_extract(sys: LagrangianSystem, run: ConstraintRun, at: EPoint) -> SodeResult:
     """Extract the second-order field on the final constraint set.
 
     At a final-set point, membership of the second-order locus means the
@@ -333,7 +331,7 @@ def sode_extract(sys: LagrangianSystem, run: ConstraintRun, at: EPoint,
         raise NotOnFinalManifold(f"point violates final constraints by {membership:.3e}")
     solved = solve_on_final(run.problem, z, run=run)
     defect = solved.X[:sys.chart.n] - at.y
-    on_locus = bool(np.max(np.abs(defect), initial=0.0) < tol)
+    on_locus = bool(np.max(np.abs(defect), initial=0.0) < 1e-8)
     w, b = _el_force_rhs(sys, at)
     xi_v, resid = min_norm_lstsq(w, b)
     if resid > 1e-7:

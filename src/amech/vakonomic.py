@@ -121,7 +121,7 @@ def _point_function(lt: ScalarFunction,
     """v -> Ltilde's value, gradient and Hessian, then every Psi's stacked.
 
     One generated call, kept on Ltilde's root node for these names, params
-    and Psi trees; _point_walk is its reference.
+    and Psi trees.
     """
     trees = tuple(f.expr for f in psi)
     memo = vars(lt.expr).setdefault("_point", {})
@@ -129,8 +129,7 @@ def _point_function(lt: ScalarFunction,
     key = (lt.names, tuple(sorted(lt.params.items())), tuple(map(id, trees)))
     if key not in memo:
         memo[key] = lazy_generated(lt.names, lt.params,
-                                   functools.partial(_point_layout, lt.expr, trees, lt.names),
-                                   functools.partial(_point_walk, lt, psi))
+                                   functools.partial(_point_layout, lt.expr, trees, lt.names))
     return memo[key]
 
 
@@ -139,22 +138,8 @@ def _point_layout(lt: Expr, psi: tuple[Expr, ...], names: tuple) -> tuple:
     nc, nv = len(psi), len(names)
     jets = [_jet_layout(f, names, 2)[0] for f in psi]
     return _jet_layout(lt, names, 2)[0] + [
-        ([tree for jet in jets for tree in jet[k][0]], shape)
+        ([tree for jet in jets for tree in jet[k][0]], shape, k)
         for k, shape in enumerate([(nc,), (nc, nv), (nc, nv, nv)])], ()
-
-
-def _point_walk(lt: ScalarFunction, psi: tuple[ScalarFunction, ...],
-                v: np.ndarray) -> tuple:
-    """_point_function's values function by function: Ltilde's jet, every Psi
-    value, then the Psi jets, so the first error raised is the reference's."""
-    value, g, h = lt.derivatives(v)
-    for f in psi:
-        f.value(v)
-    jets = [f.derivatives(v) for f in psi]
-    nc, nv = len(psi), len(v)
-    return (value, g, h, np.array([jet[0] for jet in jets]),
-            np.array([jet[1] for jet in jets]).reshape(nc, nv),
-            np.array([jet[2] for jet in jets]).reshape(nc, nv, nv))
 
 
 def vakonomic_from_spec(spec: SystemSpec) -> VakonomicSystem:

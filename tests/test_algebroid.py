@@ -249,6 +249,24 @@ def test_generated_chart_tensors_equal_the_tree_walk_bit_for_bit(pid):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def test_chart_jacobian_names_the_undefined_derivative():
+    # sqrt(q) is 0 at q = 0, its partial 1/(2 sqrt(q)) is undefined there;
+    # q is the second base name, so the label comes from the slot's position
+    spec = parse_system("""\
+system sqrtq
+base [s, q]
+fiber [v]
+anchor { v -> (1, sqrt(q)) }
+lagrangian = 0.5*v^2
+""")
+    chart = chart_from_spec(spec)
+    x = np.array([1.0, 0.0])
+    assert chart.rho(x).tolist() == [[1.0], [0.0]]
+    with pytest.raises(EvalDomainError) as err:
+        chart.rho_jacobian(x)
+    assert str(err.value) == "derivative with respect to 'q' is undefined at node <root>"
+
+
 def test_chart_domain_error_is_the_walks():
     # the partial 1/q of ln(q) is defined at q = -1, the entry is not
     spec = parse_system("""\

@@ -89,6 +89,25 @@ def test_missing_model_is_a_usage_error(tmp_path):
     assert main(["validate", "--manifest", str(tmp_path / "m.json")]) == 2
 
 
+def test_missing_model_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "nofile.amech"
+    assert main(["validate", str(path), "--manifest", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+
+def test_a_package_error_outside_the_exit_code_table_is_exit_1(tmp_path, capsys):
+    # the velocity Hessian's kernel turns with q, so the Hamiltonian side is
+    # refused with a bare AmechError
+    model = tmp_path / "rot.amech"
+    model.write_text("system rot\nbase [q]\nfiber [v1, v2]\nanchor { v1 -> (1); v2 -> (0) }\n"
+                     "lagrangian = 0.5*(cos(q)*v1 + sin(q)*v2)^2\n")
+    code = main(["constrain", str(model), "--side", "hamiltonian",
+                 "--out", str(tmp_path / "r.json"), "--manifest", str(tmp_path / "m.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: kernel of the velocity Hessian varies across sample points")
+
+
 def test_unknown_mode_is_a_usage_error(capsys):
     assert main(["simulate", "--preset", "tq_pendulum", "--mode", "bogus"]) == 2
     capsys.readouterr()

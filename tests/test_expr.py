@@ -26,6 +26,7 @@ from amech.expr import (
     generate,
     grad,
     hessian,
+    lazy_generated,
     substitute,
     variables_of,
 )
@@ -371,6 +372,23 @@ def test_a_name_outside_names_and_params_is_never_compiled():
             call([1.0])
         assert err.value.name == "theta"
         assert "sin" in err.value.path
+
+
+def test_the_fallback_walk_names_a_partial_by_its_slot():
+    # sqrt(x) fails at x = -1 in the generated code and in the walk; a tree
+    # of an order-k group is labelled by the names on its last k axes, here
+    # row 1 and column 2 of a 3 x 3 group
+    slots = [Const(0.0)] * 9
+    slots[5] = Unary("sqrt", X)
+    messages = {0: "sqrt of negative value -1.0 at node sqrt",
+                1: "derivative with respect to 'z' is undefined at node <root>",
+                2: "derivative with respect to 'y' and 'z' is undefined at node <root>"}
+    for order, message in messages.items():
+        f = lazy_generated(("x", "y", "z"), {},
+                           lambda order=order: ([([Y], None, 0), (slots, (3, 3), order)], ()))
+        with pytest.raises(EvalDomainError) as err:
+            f([-1.0, 2.0, 3.0])
+        assert str(err.value) == message
 
 
 def test_generated_code_binds_names_before_params():

@@ -323,3 +323,15 @@ def test_point_data_reports_a_constraint_value_error_before_a_derivative_error()
     with pytest.raises(EvalDomainError) as err:
         momenta(sys, VakState(x=np.zeros(0), ya=np.array([0.0]), palpha=np.zeros(2)))
     assert str(err.value) == "ln of non-positive value 0.0 at node ln"
+
+
+def test_point_data_names_the_undefined_constraint_derivative():
+    # Psi = sqrt(y1) is 0 at y1 = 0, its partial is undefined there
+    chart = chart_from_spec(parse_system(
+        "system point_derivative\nbase []\nfiber [y1, y2]\nanchor zero\nbracket { }\n"
+        "lagrangian = 0.5*y1^2\n"))
+    sys = VakonomicSystem(chart, (1,), [parse_expression("sqrt(y1)")],
+                          parse_expression("0.5*y1^2"))
+    with pytest.raises(EvalDomainError) as err:
+        momenta(sys, VakState(x=np.zeros(0), ya=np.array([0.0]), palpha=np.zeros(1)))
+    assert str(err.value) == "derivative with respect to 'y1' is undefined at node <root>"
