@@ -93,13 +93,17 @@ def _json_ready(obj):
     return obj
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_json_ready(report), indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """text to the file out_path, or to standard output without one."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict, out_path: str | None) -> None:
+    _write(json.dumps(_json_ready(report), indent=2) + "\n", out_path)
 
 
 def _write_manifest(args, command: str, model: dict, config: dict,
@@ -316,9 +320,7 @@ def cmd_simulate(args) -> int:
     for name, series in _derived_channels(model, mode, traj).items():
         traj.monitors[name] = series
 
-    csv_text = traj.to_csv()
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text)
+    _write(traj.to_csv(), args.out)
 
     cfg = {
         "mode": mode,
@@ -461,12 +463,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_export_preset(args) -> int:
-    preset = presets.load(args.id)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(preset.dsl)
-    else:
-        sys.stdout.write(preset.dsl)
+    _write(presets.load(args.id).dsl, args.out)
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -45,6 +45,10 @@ __all__ = [
 FUNCTION_NAMES = ("sin", "cos", "exp", "ln", "sqrt")
 KEYWORDS = ("system", "base", "fiber", "anchor", "bracket", "params",
             "lagrangian", "vakonomic", "zero")
+# parentheses, function calls and unary minuses one expression may nest:
+# the parser and every tree walk recurse once per level, so a bound keeps
+# them inside Python's recursion limit
+MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -112,22 +116,26 @@ def with_params(spec: SystemSpec, **overrides: float) -> SystemSpec:
 # ---------------------------------------------------------------------------
 # Lexer
 
+# One match per token, with the blanks before it; a comment runs to the end
+# of its line. Matches follow each other with no gap, so the first `bad`
+# one is the first character that starts no token, and `eof` ends the text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow>->)
-  | (?P<punct>[\[\]{}(),;=^+\-*/])
+    [ \t]*
+    (?: (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>->|[\[\]{}(),;=^+\-*/])
+      | (?P<newline>\n)
+      | (?P<comment>\#[^\n]*)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -141,25 +149,24 @@ def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line = 1
     line_start = 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            col = pos - line_start + 1
-            raise DslSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
-        col = pos - line_start + 1
+        start = match.start(kind)
         if kind == "newline":
             line += 1
-            line_start = match.end()
-        elif kind not in ("ws", "comment"):
-            if kind == "punct" or kind == "arrow":
-                tokens.append(Token(value, value, line, col))
-            else:
-                tokens.append(Token(kind, value, line, col))
-        pos = match.end()
-    tokens.append(Token("eof", _EOF, line, len(text) - line_start + 1))
+            line_start = start + 1
+        elif kind == "number" or kind == "name":
+            tokens.append(Token(kind, match[kind], line, start - line_start + 1))
+        elif kind == "punct":
+            tokens.append(Token(match[kind], match[kind], line, start - line_start + 1))
+        elif kind == "eof":
+            # blanks ending the text make eof a non-empty match, after which
+            # finditer would also find an empty one
+            tokens.append(Token("eof", _EOF, line, start - line_start + 1))
+            break
+        elif kind == "bad":
+            raise DslSyntaxError(f"unexpected character {match[kind]!r}",
+                                 line, start - line_start + 1)
     return tokens
 
 
@@ -170,6 +177,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -201,6 +209,16 @@ class _Parser:
 
     # -- expression grammar -------------------------------------------------
 
+    def nested(self, opener: Token, parse: Callable[[], Expr]) -> Expr:
+        """parse() one nesting level inside opener, a '(' or a unary '-'."""
+        if self.depth == MAX_NESTING:
+            raise DslSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
+                                 opener.line, opener.column)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def parse_expr(self) -> Expr:
         node = self.parse_term()
         while self.peek().kind in ("+", "-"):
@@ -217,8 +235,7 @@ class _Parser:
 
     def parse_factor(self) -> Expr:
         if self.peek().kind == "-":
-            self.advance()
-            return Unary("neg", self.parse_factor())
+            return Unary("neg", self.nested(self.advance(), self.parse_factor))
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -244,14 +261,12 @@ class _Parser:
         if tok.kind == "name":
             self.advance()
             if tok.text in FUNCTION_NAMES:
-                self.expect("(")
-                arg = self.parse_expr()
+                arg = self.nested(self.expect("("), self.parse_expr)
                 self.expect(")")
                 return Unary(tok.text, arg)
             return Var(tok.text)
         if tok.kind == "(":
-            self.advance()
-            node = self.parse_expr()
+            node = self.nested(self.advance(), self.parse_expr)
             self.expect(")")
             return node
         raise DslSyntaxError(f"expected an expression, found {tok.text!r}",

@@ -107,8 +107,8 @@ class LagrangianSystem:
         return LagrangianDerivatives(value, g[:m], g[m:], h[:m, m:], h[m:, m:], h[:m, :m])
 
     def energy(self, at: EPoint) -> float:
-        value, g = self._sf.value_and_gradient(np.concatenate([at.x, at.y]))
-        return float(g[self.chart.m:] @ at.y) - value
+        """E_L = y dL/dy - L, from the same generated call as `derivatives`."""
+        return self.derivatives(at).energy(at.y)
 
     def energy_derivatives(self, at: EPoint) -> tuple[float, np.ndarray, np.ndarray]:
         """E_L = y dL/dy - L with its gradient and Hessian in (x, y), exact.

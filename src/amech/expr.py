@@ -231,45 +231,79 @@ def _fold(op: str, a: Expr, b: Expr) -> Expr:
     return Binary(op, a, b)
 
 
-def derivative(node: Expr, var: str) -> Expr:
+def derivative(node: Expr, var: str, memo: dict | None = None) -> Expr:
     """Partial derivative of the tree with respect to one variable, as a tree.
 
     The result reuses the subtrees of node, so it applies a unary op or a
     power only to values that evaluating node also produces; its new
     divisions are by such values, or by 2 sqrt(a) for a sqrt(a) in node.
-    Folding while building drops every branch that does not depend on var.
+    A branch in which var does not occur is 0 without a visit, and folding
+    while building drops every other branch that cancels.
+
+    memo, if given, keeps each visited node's variables and each (node, var)
+    result by node identity, for later calls over the same trees; it holds
+    the nodes, so no identity it keys is reused while it lives.
     """
-    if isinstance(node, Const):
+    return _derive(node, var, {} if memo is None else memo)
+
+
+def _free(node: Expr, memo: dict) -> frozenset[str]:
+    hit = memo.get(id(node))
+    if hit is None:
+        if isinstance(node, Const):
+            names = frozenset()
+        elif isinstance(node, Var):
+            names = frozenset((node.name,))
+        elif isinstance(node, Unary):
+            names = _free(node.arg, memo)
+        elif isinstance(node, Binary):
+            names = _free(node.left, memo) | _free(node.right, memo)
+        elif isinstance(node, Pow):
+            names = _free(node.base, memo)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        hit = memo[id(node)] = (node, names)
+    return hit[1]
+
+
+def _derive(node: Expr, var: str, memo: dict) -> Expr:
+    if var not in _free(node, memo):
         return _ZERO
+    hit = memo.get((id(node), var))
+    if hit is not None:
+        return hit[1]
     if isinstance(node, Var):
-        return _ONE if node.name == var else _ZERO
-    if isinstance(node, Unary):
-        op, a, da = node.op, node.arg, derivative(node.arg, var)
+        d = _ONE
+    elif isinstance(node, Unary):
+        op, a, da = node.op, node.arg, _derive(node.arg, var, memo)
         if op == "neg":
-            return _fold("-", _ZERO, da)
-        if op == "ln":
-            return _fold("/", da, a)
-        if op == "sqrt":
-            return _fold("/", da, _fold("*", _TWO, node))
-        if op == "exp":
-            return _fold("*", node, da)
-        if op == "sin":
-            return _fold("*", Unary("cos", a), da)
-        return _fold("*", Unary("neg", Unary("sin", a)), da)
-    if isinstance(node, Binary):
+            d = _fold("-", _ZERO, da)
+        elif op == "ln":
+            d = _fold("/", da, a)
+        elif op == "sqrt":
+            d = _fold("/", da, _fold("*", _TWO, node))
+        elif op == "exp":
+            d = _fold("*", node, da)
+        elif op == "sin":
+            d = _fold("*", Unary("cos", a), da)
+        else:
+            d = _fold("*", Unary("neg", Unary("sin", a)), da)
+    elif isinstance(node, Binary):
         op, left, right = node.op, node.left, node.right
-        dl, dr = derivative(left, var), derivative(right, var)
+        dl, dr = _derive(left, var, memo), _derive(right, var, memo)
         if op in "+-":
-            return _fold(op, dl, dr)
-        if op == "*":
-            return _fold("+", _fold("*", dl, right), _fold("*", left, dr))
-        # (l/r)' = (l' - (l/r) r') / r divides by r only, never by r^2
-        return _fold("/", _fold("-", dl, _fold("*", node, dr)), right)
-    if isinstance(node, Pow):
+            d = _fold(op, dl, dr)
+        elif op == "*":
+            d = _fold("+", _fold("*", dl, right), _fold("*", left, dr))
+        else:
+            # (l/r)' = (l' - (l/r) r') / r divides by r only, never by r^2
+            d = _fold("/", _fold("-", dl, _fold("*", node, dr)), right)
+    else:
         n, base = node.exponent, node.base
         power = _ONE if n == 1 else base if n == 2 else Pow(base, n - 1)
-        return _fold("*", _fold("*", Const(float(n)), power), derivative(base, var))
-    raise TypeError(f"not an expression node: {node!r}")
+        d = _fold("*", _fold("*", Const(float(n)), power), _derive(base, var, memo))
+    memo[id(node), var] = (node, d)
+    return d
 
 
 def _partials(expr: Expr, wrt: tuple, order: int) -> list:
@@ -278,17 +312,21 @@ def _partials(expr: Expr, wrt: tuple, order: int) -> list:
 
     Built on the first request and kept on the root node, so the trees go
     when the expression goes. The memo is not a dataclass field, so equality
-    and hashing of the node are unchanged.
+    and hashing of the node are unchanged. The partials of one order share
+    one `derivative` memo, so each node's variables are found once and a
+    subtree met in several partials is derived once per variable; the memo
+    goes when they are built.
     """
-    memo = vars(expr).setdefault("_partials", {})
-    if (order, wrt) not in memo:
+    kept = vars(expr).setdefault("_partials", {})
+    if (order, wrt) not in kept:
+        memo: dict = {}
         if order == 1:
-            memo[1, wrt] = [((name,), derivative(expr, name)) for name in wrt]
+            kept[1, wrt] = [((name,), derivative(expr, name, memo)) for name in wrt]
         else:
-            memo[2, wrt] = [((a, b), derivative(tree, b))
+            kept[2, wrt] = [((a, b), derivative(tree, b, memo))
                             for k, ((a,), tree) in enumerate(_partials(expr, wrt, 1))
                             for b in wrt[k:]]
-    return memo[order, wrt]
+    return kept[order, wrt]
 
 
 def partials(expr: Expr, wrt: Sequence[str]) -> list[Expr]:
@@ -533,17 +571,7 @@ def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def variables_of(expr: Expr) -> frozenset[str]:
     """All variable names referenced anywhere in the tree."""
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, Unary):
-        return variables_of(expr.arg)
-    if isinstance(expr, Binary):
-        return variables_of(expr.left) | variables_of(expr.right)
-    if isinstance(expr, Pow):
-        return variables_of(expr.base)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return _free(expr, {})
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -650,10 +678,6 @@ class ScalarFunction:
 
     def hessian(self, v: Sequence[float]) -> np.ndarray:
         return self._jets[2](v)[2]
-
-    def value_and_gradient(self, v: Sequence[float]) -> tuple[float, np.ndarray]:
-        value, g = self._jets[1](v)
-        return float(value), g
 
     def derivatives(self, v: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray]:
         """(value, gradient, Hessian) at v, from one call of the generated code."""

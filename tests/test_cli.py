@@ -13,6 +13,7 @@ import pytest
 from amech import algebroid, expr, presym
 from amech.algebroid import chart_from_spec, check_structure
 from amech.cli import main
+from amech.dsl import MAX_NESTING
 from amech.presets import ids as preset_ids, load as load_preset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -129,6 +130,29 @@ def test_simulate_el_csv_and_manifest(tmp_path):
     cfg = json.loads(manifest.read_text())["config"]
     assert cfg["mode"] == "el"
     assert cfg["init"] == {"q": 1.2, "v": 0.3}
+
+
+def test_simulate_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    argv = ["simulate", "--preset", "tq_pendulum", "--mode", "hamilton",
+            "--t1", "0.02", "--dt", "0.01", "--manifest", str(tmp_path / "m.json")]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_deep_nesting_is_a_syntax_error(tmp_path, capsys):
+    # one level past the parser's bound; on the line below the lagrangian
+    # keyword, at the opening parenthesis that goes one level too deep
+    depth = MAX_NESTING + 1
+    model = tmp_path / "deep.amech"
+    model.write_text("system deep\nbase [q]\nfiber [v]\nanchor { v -> (1) }\nlagrangian =\n  "
+                     + "(" * depth + "v" + ")" * depth + "^2\n")
+    assert main(["validate", str(model), "--manifest", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 6, column {depth + 2}: "
+        f"expression nested deeper than {MAX_NESTING} levels\n")
 
 
 def test_simulate_hamilton_keeps_casimir(tmp_path):

@@ -1,12 +1,19 @@
 """System-document parsing, name checking, printing, and the round trip."""
 
+import importlib.util
 import math
+import re
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from amech.dsl import (
+    MAX_NESTING,
     SystemSpec,
+    _tokenize,
     format_system,
     parse_expression,
     parse_system,
@@ -14,12 +21,14 @@ from amech.dsl import (
 )
 from amech.errors import (
     DimensionMismatchError,
+    DslError,
     DslSyntaxError,
     DuplicateIndexError,
     EvalDomainError,
     UndeclaredNameError,
 )
 from amech.expr import evaluate, format_expr, variables_of
+from amech.presets import ids as preset_ids, load as load_preset
 from strategies import NAMES as _NAMES, exprs as _exprs
 
 WELL_FORMED = """\
@@ -237,3 +246,136 @@ def test_print_parse_round_trip(expr, vals):
     if isinstance(direct, float) and (math.isinf(direct) or math.isnan(direct)):
         return
     assert evaluate(back, env) == direct
+
+
+# -- nesting ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("opener,closer", [("(", ")"), ("-", ""), ("sin(", ")"),
+                                           ("-(", ")")])
+def test_nesting_is_bounded_at_the_opening_token(opener, closer):
+    def nested(depth):
+        return opener * depth + "x" + closer * depth
+
+    levels = opener.count("(") + opener.count("-")
+    parse_expression(nested(MAX_NESTING // levels))
+    text = nested(MAX_NESTING // levels + 1)
+    with pytest.raises(DslSyntaxError, match="nested deeper than") as err:
+        parse_expression(text)
+    # at the first '(' or '-' past the bound
+    past = [i for i, c in enumerate(text) if c in "(-"][MAX_NESTING]
+    assert (err.value.line, err.value.column) == (1, past + 1)
+    # far past the bound, where an unbounded parser runs out of stack
+    with pytest.raises(DslSyntaxError, match="nested deeper than"):
+        parse_expression(nested(2000))
+
+
+# -- the tokenizer against a reference lexer ---------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<arrow>->)
+  | (?P<punct>[\[\]{}(),;=^+\-*/])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    """(kind, text, line, column) of every token, one anchored match at a
+    time; a character that starts no token raises DslSyntaxError."""
+    tokens, line, line_start, pos = [], 1, 0, 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        col = pos - line_start + 1
+        if match is None:
+            raise DslSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        kind, value = match.lastgroup, match.group()
+        if kind == "newline":
+            line += 1
+            line_start = match.end()
+        elif kind in ("punct", "arrow"):
+            tokens.append((value, value, line, col))
+        elif kind not in ("ws", "comment"):
+            tokens.append((kind, value, line, col))
+        pos = match.end()
+    tokens.append(("eof", "end of input", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except DslSyntaxError as exc:
+        return str(exc)
+
+
+def _sweep_models():
+    """Documents of the benchmark's model_sweep workload, widths 3 to 11."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look the module up by name while they are built
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    rng = np.random.default_rng(7)
+    return [workloads.generate_model(rng, k, f"sweep_k{k}").text
+            for _ in range(4) for k in range(5)]
+
+
+def test_tokens_match_the_reference_lexer():
+    docs = [load_preset(pid).dsl for pid in preset_ids()] + _sweep_models() + [
+        WELL_FORMED, "", "  \n\t", "x # note", "a->b - > c\n  1.5e-3 .5 7. 2E+4",
+        "x\r\n", "q ? 1", "lagrangian = v^2 @"]
+    for text in docs:
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+
+
+# -- mutated documents raise only DslError -----------------------------------
+
+_DSL_CHARS = "()[]{},;=^+-*/.#\n \t0123456789eExqvp_>?"
+
+_OPENERS = {"(": ")", "-": "", "sin(": ")", "-(": ")"}
+
+_edits = st.one_of(
+    # cut: a start as a fraction of the text, and a length
+    st.tuples(st.just("cut"), st.floats(0.0, 1.0), st.integers(1, 12)),
+    # insert: a few DSL characters at a fraction of the text
+    st.tuples(st.just("insert"), st.floats(0.0, 1.0), st.text(_DSL_CHARS, min_size=1, max_size=6)),
+    # nest: the whole lagrangian inside a run of one opener
+    st.tuples(st.just("nest"), st.sampled_from(sorted(_OPENERS)), st.integers(1, 400)),
+)
+
+
+def _mutate(text, edits):
+    for kind, where, arg in edits:
+        if kind == "nest":
+            opener, depth = where, arg
+            head, _, rest = text.partition("lagrangian =")
+            body, newline, tail = rest.partition("\n")
+            text = (head + "lagrangian = " + opener * depth + body + _OPENERS[opener] * depth
+                    + newline + tail)
+            continue
+        at = int(where * len(text))
+        text = text[:at] + text[at + arg:] if kind == "cut" else text[:at] + arg + text[at:]
+    return text
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pid=st.sampled_from(preset_ids()), edits=st.lists(_edits, min_size=1, max_size=4))
+def test_mutated_documents_raise_only_dsl_errors(pid, edits):
+    text = _mutate(load_preset(pid).dsl, edits)
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+    try:
+        spec = parse_system(text)
+    except DslError:
+        return
+    assert isinstance(spec, SystemSpec)

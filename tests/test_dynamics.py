@@ -236,7 +236,7 @@ def test_legendre_inverse_makes_one_derivative_evaluation_per_newton_point(monke
     # step at one point share a single evaluation of L's derivatives
     sys = system_from_spec(parse_system(QUARTIC))
     evaluations, points = [], []
-    for name in ("value", "gradient", "hessian", "value_and_gradient", "derivatives"):
+    for name in ("value", "gradient", "hessian", "derivatives"):
         def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
             evaluations.append(_name)
             return _f(self, v)
@@ -274,7 +274,7 @@ def test_legendre_energy_value_reads_the_newton_point(monkeypatch):
     at = DualPoint(np.array([0.4]), np.array([2.5]))
     expected = sys.energy(legendre_inverse(sys, at))
     evaluations, points = [], []
-    for name in ("value", "gradient", "hessian", "value_and_gradient", "derivatives"):
+    for name in ("value", "gradient", "hessian", "derivatives"):
         def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
             evaluations.append(_name)
             return _f(self, v)

@@ -21,6 +21,7 @@ from amech.expr import (
     ScalarFunction,
     Unary,
     Var,
+    derivative,
     evaluate,
     format_expr,
     generate,
@@ -30,7 +31,7 @@ from amech.expr import (
     substitute,
     variables_of,
 )
-from amech.expr import _fd_gradient, _fd_hessian, _jet_layout
+from amech.expr import _fd_gradient, _fd_hessian, _fold, _jet_layout, _partials
 from amech.vakonomic import VakonomicSystem
 from strategies import NAMES, exprs
 
@@ -183,9 +184,10 @@ def test_scalar_function_expr_and_callable_paths_agree():
     assert sf_ad.value(v) == pytest.approx(fn(v), rel=1e-15)
     assert_allclose(sf_ad.gradient(v), _fd_gradient(fn, v), atol=1e-8)
     assert_allclose(sf_ad.hessian(v), _fd_hessian(fn, v), atol=1e-6)
-    val, g = sf_ad.value_and_gradient(v)
+    val, g, h = sf_ad.derivatives(v)
     assert val == sf_ad.value(v)
     assert np.array_equal(g, sf_ad.gradient(v))
+    assert np.array_equal(h, sf_ad.hessian(v))
 
 
 def test_scalar_function_params_are_bound():
@@ -307,6 +309,79 @@ def test_symbolic_derivatives_match_finite_differences(expr, vals):
 
     assert np.max(np.abs(g - _fd_gradient(f, x))) <= 1e-8 * scale
     assert np.max(np.abs(h - _fd_hessian(f, x))) <= 1e-5 * scale
+
+
+# -- derivative against the plain recursion ----------------------------------
+
+
+def _recursive_derivative(node, var):
+    """The derivative rules applied to every branch, with no memo and no skip
+    of branches without var: the reference that `derivative` must match."""
+    if isinstance(node, Const):
+        return Const(0.0)
+    if isinstance(node, Var):
+        return Const(1.0 if node.name == var else 0.0)
+    if isinstance(node, Unary):
+        op, a, da = node.op, node.arg, _recursive_derivative(node.arg, var)
+        if op == "neg":
+            return _fold("-", Const(0.0), da)
+        if op == "ln":
+            return _fold("/", da, a)
+        if op == "sqrt":
+            return _fold("/", da, _fold("*", Const(2.0), node))
+        if op == "exp":
+            return _fold("*", node, da)
+        if op == "sin":
+            return _fold("*", Unary("cos", a), da)
+        return _fold("*", Unary("neg", Unary("sin", a)), da)
+    if isinstance(node, Binary):
+        op, left, right = node.op, node.left, node.right
+        dl, dr = _recursive_derivative(left, var), _recursive_derivative(right, var)
+        if op in "+-":
+            return _fold(op, dl, dr)
+        if op == "*":
+            return _fold("+", _fold("*", dl, right), _fold("*", left, dr))
+        return _fold("/", _fold("-", dl, _fold("*", node, dr)), right)
+    n, base = node.exponent, node.base
+    power = Const(1.0) if n == 1 else base if n == 2 else Pow(base, n - 1)
+    return _fold("*", _fold("*", Const(float(n)), power),
+                 _recursive_derivative(base, var))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(expr=exprs())
+def test_partials_match_the_plain_recursion(expr):
+    # node equality compares floats with ==, so Const(0.0) == Const(-0.0):
+    # the trees are equal up to the sign of zero constants
+    wrt = tuple(NAMES)
+    first = {a: _recursive_derivative(expr, a) for a in wrt}
+    assert _partials(expr, wrt, 1) == [((a,), first[a]) for a in wrt]
+    assert _partials(expr, wrt, 2) == [((a, b), _recursive_derivative(first[a], b))
+                                       for k, a in enumerate(wrt) for b in wrt[k:]]
+    for a in wrt:
+        assert derivative(expr, a) == first[a]
+
+
+def test_a_branch_without_the_variable_derives_to_positive_zero():
+    # the plain recursion folds y / -0.9 to 0 / -0.9 = -0.0; the skipped
+    # branch is +0.0, equal as a node but not in its bits
+    expr = X * Y / Const(-0.9)
+    second = derivative(derivative(expr, "x"), "x")
+    recursed = _recursive_derivative(_recursive_derivative(expr, "x"), "x")
+    assert second == recursed == Const(0.0)
+    assert math.copysign(1.0, second.value) == 1.0
+    assert math.copysign(1.0, recursed.value) == -1.0
+
+
+def test_a_shared_memo_derives_a_shared_subtree_once():
+    inner = Unary("sin", X * Y)
+    trees = [inner * X, inner + Y, Unary("exp", inner)]
+    memo = {}
+    firsts = [derivative(tree, "x", memo) for tree in trees]
+    # d(inner + y)/dx is d(inner)/dx itself, the result kept for inner
+    assert memo[id(inner), "x"][1] is firsts[1]
+    # a later call over the same trees returns the kept results
+    assert all(derivative(tree, "x", memo) is first for tree, first in zip(trees, firsts))
 
 
 # -- the generated code against the tree walk ---------------------------------

@@ -421,7 +421,7 @@ def test_hamiltonian_value_reads_the_newton_point(monkeypatch):
     y, _ = data._solve_velocity(x, p)
     expected = sys.energy(EPoint(x, y))
     evaluations = []
-    for name in ("value", "gradient", "hessian", "value_and_gradient", "derivatives"):
+    for name in ("value", "gradient", "hessian", "derivatives"):
         def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
             evaluations.append(_name)
             return _f(self, v)
