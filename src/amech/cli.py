@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 import time
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .dynamics import (EPoint, _el_force, euler_lagrange_rhs,
                        hamiltonian_from_lagrangian, hamilton_rhs, is_regular,
                        system_from_spec)
 from .errors import (AmechError, DslError, OdeError, SingularHessian, SingularR,
-                     UnboundVariableError)
+                     UnboundVariableError, UnknownPresetError)
 from .expr import ScalarFunction, variables_of
 from .linalg import min_norm_lstsq, rank_rtol
 from .odeint import IntegratorConfig, OdeProblem, integrate
@@ -34,11 +34,6 @@ from .presym import (hamiltonian_problem_from_lagrangian, lagrangian_problem,
 from .vakonomic import h_w1, vakonomic_bracket, vakonomic_from_spec
 
 __all__ = ["main", "cmd_validate", "cmd_simulate", "cmd_constrain", "cmd_bracket"]
-
-# Checked by argparse and again by cmd_simulate, which manifest replay reaches
-# without argparse.
-SIMULATE_MODES = ("el", "hamilton", "vakonomic", "sode")
-
 
 class UsageError(Exception):
     """Bad flags or bindings; maps to exit code 2."""
@@ -57,7 +52,10 @@ def _load_model(args) -> dict:
                 "channels": preset.channels, "origin": {"preset": preset.id}}
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise AmechError(f"{args.file}: {exc}") from None
         return {"spec": parse_system(text), "dsl": text, "facts": {}, "channels": {},
                 "origin": {"file": args.file}}
     if getattr(args, "dsl_text", None):
@@ -77,20 +75,16 @@ def _parse_bindings(pairs, what: str) -> dict[str, float]:
         try:
             out[name] = float(raw)
         except ValueError:
-            raise UsageError(f"bad number {raw!r} for {what} {name!r}") from None
+            out[name] = np.nan
+        if not np.isfinite(out[name]):
+            raise UsageError(f"bad number {raw!r} for {what} {name!r}")
     return out
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise AmechError(f"--seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -103,7 +97,7 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    _write(json.dumps(_json_ready(report), indent=2) + "\n", out_path)
+    _write(json.dumps(report, indent=2, default=lambda o: o.tolist()) + "\n", out_path)
 
 
 def _write_manifest(args, command: str, model: dict, config: dict,
@@ -120,7 +114,7 @@ def _write_manifest(args, command: str, model: dict, config: dict,
         "timing_seconds": time.monotonic() - started,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_json_ready(doc), indent=2) + "\n")
+        fh.write(json.dumps(doc, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,7 @@ def cmd_validate(args) -> int:
     model = _load_model(args)
     spec = model["spec"]
     chart = chart_from_spec(spec)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     points = []
     worst_r1 = worst_r2 = 0.0
     for _ in range(args.points):
@@ -213,88 +207,103 @@ def _sode_locus_project(problem, run, sys_, z0: np.ndarray) -> np.ndarray:
     return z
 
 
+class Mode(NamedTuple):
+    """One dynamics mode of a parsed spec, as `simulate` integrates it.
+
+    rhs(t, state) is the field and energy(t, state) its energy monitor;
+    start(y0, seed) checks the initial state, or projects it, before the run.
+    """
+
+    labels: tuple[str, ...]
+    rhs: Callable
+    energy: Callable
+    start: Callable
+
+
+# The rows call the library by its module-level names at call time, so a
+# name rebound after import (a tracer's wrapper, say) is the one they reach.
+def _el_mode(spec, sode: bool = False) -> Mode:
+    """Euler-Lagrange on E; with sode, the second-order field on the final
+    constraint set of a singular L, from a start projected onto it."""
+    sys_ = system_from_spec(spec)
+    m = sys_.chart.m
+
+    def el_rhs(t, state):
+        del t
+        xdot, ydot = euler_lagrange_rhs(sys_, EPoint(state[:m], state[m:]))
+        return np.concatenate([xdot, ydot])
+
+    def sode_rhs(t, state):
+        del t
+        w, b, rho = _el_force(sys_, EPoint(state[:m], state[m:]))
+        xi_v, _ = min_norm_lstsq(w, b)
+        return np.concatenate([rho @ state[m:] if m else np.zeros(0), xi_v])
+
+    def probe(y0, seed):
+        el_rhs(0.0, y0)  # so a singular model fails before integration starts
+        return y0
+
+    def project(y0, seed):
+        problem = lagrangian_problem(sys_)
+        rng = _rng(seed)
+        seeds = [y0] + [y0 + rng.normal(0.0, 0.3, size=y0.size) for _ in range(2)]
+        run = run_constraint_algorithm(problem, seeds)
+        return _sode_locus_project(problem, run, sys_, y0)
+
+    return Mode(sys_.chart.base_names + sys_.chart.fiber_names,
+                sode_rhs if sode else el_rhs,
+                lambda t, state: sys_.energy(EPoint(state[:m], state[m:])),
+                project if sode else probe)
+
+
+def _hamilton_mode(spec) -> Mode:
+    sys_ = system_from_spec(spec)
+    chart, m = sys_.chart, sys_.chart.m
+    H = hamiltonian_from_lagrangian(sys_)
+
+    def rhs(t, state):
+        del t
+        xdot, pdot = hamilton_rhs(chart, H, DualPoint(state[:m], state[m:]))
+        return np.concatenate([xdot, pdot])
+
+    def start(y0, seed):
+        if not is_regular(sys_, EPoint(y0[:m], y0[m:])).regular:
+            raise SingularHessian("Lagrangian is singular; run `amech constrain` "
+                                  "for the Hamiltonian-side algorithm")
+        return y0
+
+    return Mode(chart.base_names + chart.momentum_names, rhs,
+                lambda t, state: H(state[:m], state[m:]), start)
+
+
+def _vakonomic_mode(spec) -> Mode:
+    vsys = vakonomic_from_spec(spec)
+    return Mode(vsys.state_labels, vsys.ode_rhs,
+                lambda t, state: h_w1(vsys, vsys.unpack(state)),
+                lambda y0, seed: y0)
+
+
+# The simulate modes; argparse and the manifest replay check --mode against these.
+MODES: dict[str, Callable[..., Mode]] = {
+    "el": _el_mode, "hamilton": _hamilton_mode, "vakonomic": _vakonomic_mode,
+    "sode": functools.partial(_el_mode, sode=True)}
+
+
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     model = _load_model(args)
     spec = model["spec"]
-    facts = model["facts"]
-    mode = args.mode
-    if mode not in SIMULATE_MODES:
-        raise UsageError(f"unknown mode {mode!r}")
-
-    chart = chart_from_spec(spec)
+    if args.mode not in MODES:
+        raise UsageError(f"unknown mode {args.mode!r}")
     overrides = _parse_bindings(args.init, "--init")
-    facts_init = (facts.get("default_init", {}) or {}).get(mode, {})
+    mode = MODES[args.mode](spec)
+    labels = mode.labels
+    facts_init = (model["facts"].get("default_init", {}) or {}).get(args.mode, {})
+    y0, resolved = _resolve_init(labels, facts_init, overrides)
+    y0 = mode.start(y0, args.seed)
 
-    if mode == "el":
-        sys_ = system_from_spec(spec)
-        labels = chart.base_names + chart.fiber_names
-        y0, resolved = _resolve_init(labels, facts_init, overrides)
-        m = chart.m
-
-        def rhs(t, state):
-            del t
-            xdot, ydot = euler_lagrange_rhs(sys_, EPoint(state[:m], state[m:]))
-            return np.concatenate([xdot, ydot])
-
-        def energy(t, state):
-            del t
-            return sys_.energy(EPoint(state[:m], state[m:]))
-
-        # Probe once so a singular model fails before integration starts.
-        rhs(0.0, y0)
-    elif mode == "hamilton":
-        sys_ = system_from_spec(spec)
-        labels = chart.base_names + chart.momentum_names
-        y0, resolved = _resolve_init(labels, facts_init, overrides)
-        m = chart.m
-        if not is_regular(sys_, EPoint(y0[:m], y0[m:])).regular:
-            raise SingularHessian("Lagrangian is singular; run `amech constrain` "
-                                  "for the Hamiltonian-side algorithm")
-        H = hamiltonian_from_lagrangian(sys_)
-
-        def rhs(t, state):
-            del t
-            xdot, pdot = hamilton_rhs(chart, H, DualPoint(state[:m], state[m:]))
-            return np.concatenate([xdot, pdot])
-
-        def energy(t, state):
-            del t
-            return H(state[:m], state[m:])
-    elif mode == "vakonomic":
-        vsys = vakonomic_from_spec(spec)
-        labels = vsys.state_labels
-        y0, resolved = _resolve_init(labels, facts_init, overrides)
-        rhs = vsys.ode_rhs
-
-        def energy(t, state):
-            del t
-            return h_w1(vsys, vsys.unpack(state))
-    else:
-        sys_ = system_from_spec(spec)
-        labels = chart.base_names + chart.fiber_names
-        y0, resolved = _resolve_init(labels, facts_init, overrides)
-        m = chart.m
-        problem = lagrangian_problem(sys_)
-        rng = np.random.default_rng(args.seed)
-        seeds = [y0] + [y0 + rng.normal(0.0, 0.3, size=y0.size) for _ in range(2)]
-        run = run_constraint_algorithm(problem, seeds)
-        y0 = _sode_locus_project(problem, run, sys_, y0)
-
-        def rhs(t, state):
-            del t
-            at = EPoint(state[:m], state[m:])
-            w, b, rho = _el_force(sys_, at)
-            xi_v, _ = min_norm_lstsq(w, b)
-            xdot = rho @ state[m:] if m else np.zeros(0)
-            return np.concatenate([xdot, xi_v])
-
-        def energy(t, state):
-            del t
-            return sys_.energy(EPoint(state[:m], state[m:]))
-
-    monitors: dict[str, Callable] = {"energy": energy}
-    params = dict(chart.params)
+    monitors: dict[str, Callable] = {"energy": mode.energy}
+    params = dict(spec.params)
     for name, tree in model["channels"].items():
         # a preset channel applies only where all its names are state or params
         if variables_of(tree) <= set(labels) | set(params):
@@ -314,16 +323,16 @@ def cmd_simulate(args) -> int:
                                   atol=args.atol, max_steps=args.max_steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    problem_ode = OdeProblem(dim=len(labels), rhs=rhs, labels=tuple(labels))
+    problem_ode = OdeProblem(dim=len(labels), rhs=mode.rhs, labels=tuple(labels))
     traj = integrate(problem_ode, config, y0, monitors)
-
-    for name, series in _derived_channels(model, mode, traj).items():
-        traj.monitors[name] = series
+    derived = model["facts"].get("derived")
+    if derived and args.mode == "vakonomic":
+        traj.monitors.update(derived(traj, spec.params))
 
     _write(traj.to_csv(), args.out)
 
     cfg = {
-        "mode": mode,
+        "mode": args.mode,
         "method": method,
         "t0": args.t0, "t1": args.t1,
         "dt": args.dt, "rtol": args.rtol, "atol": args.atol,
@@ -336,40 +345,33 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _derived_channels(model: dict, mode: str, traj) -> dict[str, np.ndarray]:
-    facts = model.get("facts", {}) or {}
-    name = facts.get("derived")
-    if not name or mode != "vakonomic":
-        return {}
-    spec = model["spec"]
-    if name == "martinet_pendulum":
-        return presets.martinet_pendulum_channels(traj, spec.params)
-    if name == "plate_ball_pendulum":
-        return presets.plate_ball_pendulum_channels(traj, spec.params)
-    return {}
-
-
 def _simulate_from_manifest(path: str, out_override: str | None,
                             manifest_override: str | None) -> int:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("command") != "simulate":
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or not UTF-8 text
+            raise AmechError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("command") != "simulate":
         raise UsageError("manifest does not describe a simulate run")
-    cfg = doc["config"]
-    ns = argparse.Namespace(
-        preset=doc["input"].get("preset"),
-        file=None,
-        dsl_text=None if doc["input"].get("preset") else doc["input"]["dsl"],
-        origin={k: v for k, v in doc["input"].items() if k != "dsl"},
-        mode=cfg["mode"],
-        t0=cfg["t0"], t1=cfg["t1"], dt=cfg["dt"],
-        rtol=cfg["rtol"], atol=cfg["atol"], max_steps=cfg["max_steps"],
-        seed=cfg["seed"],
-        init=[f"{k}={v!r}" for k, v in cfg["init"].items()],
-        monitor=[f"{n}={e}" for n, e in cfg.get("extra_monitors", [])],
-        out=out_override or doc["outputs"]["csv"],
-        manifest=manifest_override,
-    )
+    try:
+        cfg = doc["config"]
+        ns = argparse.Namespace(
+            preset=doc["input"].get("preset"),
+            file=None,
+            dsl_text=None if doc["input"].get("preset") else doc["input"]["dsl"],
+            origin={k: v for k, v in doc["input"].items() if k != "dsl"},
+            mode=cfg["mode"],
+            t0=cfg["t0"], t1=cfg["t1"], dt=cfg["dt"],
+            rtol=cfg["rtol"], atol=cfg["atol"], max_steps=cfg["max_steps"],
+            seed=cfg["seed"],
+            init=[f"{k}={v!r}" for k, v in cfg["init"].items()],
+            monitor=[f"{n}={e}" for n, e in cfg.get("extra_monitors", [])],
+            out=out_override or doc["outputs"]["csv"],
+            manifest=manifest_override,
+        )
+    except KeyError as exc:
+        raise UsageError(f"{path}: manifest has no {exc.args[0]!r} entry") from None
     return cmd_simulate(ns)
 
 
@@ -387,7 +389,9 @@ def cmd_constrain(args) -> int:
         problem = lagrangian_problem(sys_)
     else:
         problem, _ = hamiltonian_problem_from_lagrangian(sys_)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
+    if args.probes < 1:
+        raise AmechError(f"--probes must be at least 1, got {args.probes}")
     seeds = [rng.uniform(0.6, 1.4, size=chart.m + chart.n)
              for _ in range(args.probes)]
     run = run_constraint_algorithm(problem, seeds)
@@ -497,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate one of the dynamics modes")
     _add_model_args(p)
-    p.add_argument("--mode", default="el",
-                   choices=SIMULATE_MODES)
+    p.add_argument("--mode", default="el", choices=MODES)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3,
@@ -561,7 +564,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except (DslError, UsageError, UnboundVariableError, KeyError) as exc:
+    except (DslError, UsageError, UnboundVariableError, UnknownPresetError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
@@ -571,7 +574,7 @@ def main(argv=None) -> int:
     except OdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (AmechError, ValueError) as exc:
+    except AmechError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

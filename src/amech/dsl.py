@@ -49,6 +49,10 @@ KEYWORDS = ("system", "base", "fiber", "anchor", "bracket", "params",
 # the parser and every tree walk recurse once per level, so a bound keeps
 # them inside Python's recursion limit
 MAX_NESTING = 64
+# nodes on the longest root-to-leaf path of one expression tree: each link of
+# a chain a + b + ... or a * b * ... adds one, as does each nesting level, and
+# the tree walks recurse once per node on the path
+MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -209,39 +213,57 @@ class _Parser:
 
     # -- expression grammar -------------------------------------------------
 
-    def nested(self, opener: Token, parse: Callable[[], Expr]) -> Expr:
+    # Each method below returns (node, depth): the tree's depth in nodes, a
+    # leaf being 1. parse_expr drops the depth.
+    def nested(self, opener: Token, parse: Callable[[], tuple]) -> tuple[Expr, int]:
         """parse() one nesting level inside opener, a '(' or a unary '-'."""
         if self.depth == MAX_NESTING:
             raise DslSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
                                  opener.line, opener.column)
         self.depth += 1
-        node = parse()
+        parsed = parse()
         self.depth -= 1
-        return node
+        return parsed
+
+    @staticmethod
+    def grown(node: Expr, depth: int, at: Token) -> tuple[Expr, int]:
+        """(node, depth) once depth is within MAX_DEPTH; at is the token that
+        built node, where a deeper tree is reported."""
+        if depth > MAX_DEPTH:
+            raise DslSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels",
+                                 at.line, at.column)
+        return node, depth
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = Binary(op, node, self.parse_term())
-        return node
+        return self.parse_sum()[0]
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = Binary(op, node, self.parse_factor())
-        return node
+    def chain(self, operand: Callable[[], tuple], ops: tuple) -> tuple[Expr, int]:
+        """operand (op operand)..., left-deep, so each link adds one level."""
+        node, depth = operand()
+        while self.peek().kind in ops:
+            tok = self.advance()
+            right, right_depth = operand()
+            node, depth = self.grown(Binary(tok.kind, node, right),
+                                     1 + max(depth, right_depth), tok)
+        return node, depth
 
-    def parse_factor(self) -> Expr:
+    def parse_sum(self) -> tuple[Expr, int]:
+        return self.chain(self.parse_term, ("+", "-"))
+
+    def parse_term(self) -> tuple[Expr, int]:
+        return self.chain(self.parse_factor, ("*", "/"))
+
+    def parse_factor(self) -> tuple[Expr, int]:
         if self.peek().kind == "-":
-            return Unary("neg", self.nested(self.advance(), self.parse_factor))
+            tok = self.advance()
+            arg, depth = self.nested(tok, self.parse_factor)
+            return self.grown(Unary("neg", arg), depth + 1, tok)
         return self.parse_power()
 
-    def parse_power(self) -> Expr:
-        node = self.parse_atom()
+    def parse_power(self) -> tuple[Expr, int]:
+        node, depth = self.parse_atom()
         if self.peek().kind == "^":
-            self.advance()
+            hat = self.advance()
             sign = 1
             if self.peek().kind == "-":
                 self.advance()
@@ -250,25 +272,25 @@ class _Parser:
             if not re.fullmatch(r"\d+", tok.text):
                 raise DslSyntaxError("exponent must be a constant integer",
                                      tok.line, tok.column)
-            node = Pow(node, sign * int(tok.text))
-        return node
+            return self.grown(Pow(node, sign * int(tok.text)), depth + 1, hat)
+        return node, depth
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "name":
             self.advance()
             if tok.text in FUNCTION_NAMES:
-                arg = self.nested(self.expect("("), self.parse_expr)
+                arg, depth = self.nested(self.expect("("), self.parse_sum)
                 self.expect(")")
-                return Unary(tok.text, arg)
-            return Var(tok.text)
+                return self.grown(Unary(tok.text, arg), depth + 1, tok)
+            return Var(tok.text), 1
         if tok.kind == "(":
-            node = self.nested(self.advance(), self.parse_expr)
+            parsed = self.nested(self.advance(), self.parse_sum)
             self.expect(")")
-            return node
+            return parsed
         raise DslSyntaxError(f"expected an expression, found {tok.text!r}",
                              tok.line, tok.column)
 

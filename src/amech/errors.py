@@ -44,6 +44,10 @@ class DuplicateIndexError(DslError):
     """The same fiber element appears twice where it must be unique."""
 
 
+class UnknownPresetError(AmechError, KeyError):
+    """A preset id that is not in the catalogue."""
+
+
 class UnboundVariableError(AmechError):
     """Evaluation met a variable with no binding."""
 

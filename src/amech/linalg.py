@@ -14,7 +14,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import NewtonFailed, RankAmbiguous
+from .errors import AmechError, NewtonFailed, RankAmbiguous
 
 __all__ = [
     "rank_rtol",
@@ -39,9 +39,12 @@ def rank_rtol() -> float:
     raw = os.environ.get("AMECH_TOL")
     if raw is None:
         return DEFAULT_RANK_RTOL
-    value = float(raw)
-    if value <= 0.0:
-        raise ValueError(f"AMECH_TOL must be positive, got {raw!r}")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = 0.0
+    if not value > 0.0:
+        raise AmechError(f"AMECH_TOL must be a positive number, got {raw!r}")
     return value
 
 

@@ -1,9 +1,9 @@
 """Built-in example systems with their reference data.
 
 Each preset carries its model document plus a facts block: default initial
-conditions per simulation mode, named conserved channels, expected
-constraint-algorithm outcomes and bracket tables. The suite reads all
-expectations from here so they live in one place.
+conditions per simulation mode, named conserved channels, the function of
+any derived channels, constraint-algorithm outcomes and bracket tables. The
+suite reads all expectations from here so they live in one place.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import SystemSpec, parse_expression, parse_system
+from .errors import UnknownPresetError
 from .expr import Expr
 
 __all__ = ["Preset", "load", "ids",
@@ -97,89 +98,6 @@ lagrangian = 0.5*e2^2
 vakonomic { e0 = 1; e1 = 0 }
 """
 
-_CATALOGUE: dict[str, tuple[str, dict]] = {
-    "tq_pendulum": (_TQ_PENDULUM, {
-        "modes": ["el", "hamilton", "vakonomic"],
-        "default_init": {
-            "el": {"q": 1.2, "v": 0.3},
-            "hamilton": {"q": 1.2, "p1": 0.3},
-            "vakonomic": {"q": 1.2, "v": 0.3},
-        },
-        "channels": {"closed_form_energy": "0.5*v^2 + 1 - cos(q)"},
-    }),
-    "so3_rigid_body": (_SO3_RIGID_BODY, {
-        "modes": ["el", "hamilton", "vakonomic"],
-        "default_init": {
-            "el": {"w1": 0.3, "w2": 0.4, "w3": 0.5},
-            "hamilton": {"p1": 0.3, "p2": 0.8, "p3": 1.5},
-            "vakonomic": {"w1": 0.3, "w2": 0.4, "w3": 0.5},
-        },
-        "channels": {
-            "casimir": "p1^2 + p2^2 + p3^2",
-            "closed_form_h": "0.5*(p1^2/I1 + p2^2/I2 + p3^2/I3)",
-        },
-        "bracket_samples": [
-            {"F": "p1", "G": "p2", "at": {"p3": 2.0}, "value": -2.0},
-        ],
-    }),
-    "capri_kobayashi": (_CAPRI_KOBAYASHI, {
-        "modes": ["sode"],
-        "default_init": {
-            "sode": {"rho": 1.0, "e3": 0.2, "e0": 0.3},
-        },
-        "channels": {"angular_constant": "m2*e0*rho^2 + rho^2"},
-        "constraint_algorithm": {
-            "lagrangian": {"stabilization_level": 1, "new_rank": 2,
-                           "zero_coords": ["x1", "y1"]},
-            "hamiltonian": {"stabilization_level": 1, "new_rank": 2,
-                            "primary_zero_momenta": ["p1", "p2"],
-                            "zero_coords": ["x1", "y1"]},
-        },
-    }),
-    "martinet": (_MARTINET, {
-        "modes": ["vakonomic"],
-        "default_init": {
-            "vakonomic": {"x": 0.1, "e1": 0.5, "e2": 0.8, "p3": 1.0},
-        },
-        "channels": {"cost_energy": "0.5*(e1^2 + e2^2)"},
-        "derived": "martinet_pendulum",
-    }),
-    "plate_ball": (_PLATE_BALL, {
-        "modes": ["vakonomic"],
-        "default_init": {
-            "vakonomic": {"e1": 1.0, "p5": 0.3},
-        },
-        "channels": {"speed_sq": "e1^2 + e2^2"},
-        "derived": "plate_ball_pendulum",
-        "bracket_table": [
-            {"F": "x1", "G": "p1", "value": "1"},
-            {"F": "x2", "G": "p2", "value": "1"},
-            {"F": "p3", "G": "p4", "value": "-p5"},
-            {"F": "p3", "G": "p5", "value": "p4"},
-            {"F": "p4", "G": "p5", "value": "-p3"},
-        ],
-    }),
-    "skinner_rusk_demo": (_SKINNER_RUSK_DEMO, {
-        "modes": ["el", "hamilton", "vakonomic"],
-        "default_init": {
-            "el": {"q1": 1.0, "q2": 0.3, "v1": 0.2, "v2": 0.5},
-            "hamilton": {"q1": 1.0, "q2": 0.3, "p1": 0.2, "p2": 0.5},
-            "vakonomic": {"q1": 1.0, "q2": 0.3, "v1": 0.2, "v2": 0.5},
-        },
-        "channels": {
-            "closed_form_energy":
-                "0.5*(v1^2 + v2^2) + 0.5*k*(q1^2 + q2^2)",
-        },
-    }),
-    "lie_algebra_affine": (_LIE_ALGEBRA_AFFINE, {
-        "modes": ["vakonomic"],
-        "default_init": {
-            "vakonomic": {"e2": 0.4, "p1": 0.2, "p2": 0.1},
-        },
-        "channels": {"closed_form_hw1": "0.5*e2^2 + p1"},
-    }),
-}
-
 
 def _column(traj, label: str) -> np.ndarray:
     return traj.states[:, traj.labels.index(label)]
@@ -226,6 +144,90 @@ def plate_ball_pendulum_channels(traj, params: dict | None = None) -> dict[str, 
     return {"theta": theta, "pendulum_residual": resid}
 
 
+_CATALOGUE: dict[str, tuple[str, dict]] = {
+    "tq_pendulum": (_TQ_PENDULUM, {
+        "modes": ["el", "hamilton", "vakonomic"],
+        "default_init": {
+            "el": {"q": 1.2, "v": 0.3},
+            "hamilton": {"q": 1.2, "p1": 0.3},
+            "vakonomic": {"q": 1.2, "v": 0.3},
+        },
+        "channels": {"closed_form_energy": "0.5*v^2 + 1 - cos(q)"},
+    }),
+    "so3_rigid_body": (_SO3_RIGID_BODY, {
+        "modes": ["el", "hamilton", "vakonomic"],
+        "default_init": {
+            "el": {"w1": 0.3, "w2": 0.4, "w3": 0.5},
+            "hamilton": {"p1": 0.3, "p2": 0.8, "p3": 1.5},
+            "vakonomic": {"w1": 0.3, "w2": 0.4, "w3": 0.5},
+        },
+        "channels": {
+            "casimir": "p1^2 + p2^2 + p3^2",
+            "closed_form_h": "0.5*(p1^2/I1 + p2^2/I2 + p3^2/I3)",
+        },
+        "bracket_samples": [
+            {"F": "p1", "G": "p2", "at": {"p3": 2.0}, "value": -2.0},
+        ],
+    }),
+    "capri_kobayashi": (_CAPRI_KOBAYASHI, {
+        "modes": ["sode"],
+        "default_init": {
+            "sode": {"rho": 1.0, "e3": 0.2, "e0": 0.3},
+        },
+        "channels": {"angular_constant": "m2*e0*rho^2 + rho^2"},
+        "constraint_algorithm": {
+            "lagrangian": {"stabilization_level": 1, "new_rank": 2,
+                           "zero_coords": ["x1", "y1"]},
+            "hamiltonian": {"stabilization_level": 1, "new_rank": 2,
+                            "primary_zero_momenta": ["p1", "p2"],
+                            "zero_coords": ["x1", "y1"]},
+        },
+    }),
+    "martinet": (_MARTINET, {
+        "modes": ["vakonomic"],
+        "default_init": {
+            "vakonomic": {"x": 0.1, "e1": 0.5, "e2": 0.8, "p3": 1.0},
+        },
+        "channels": {"cost_energy": "0.5*(e1^2 + e2^2)"},
+        "derived": martinet_pendulum_channels,
+    }),
+    "plate_ball": (_PLATE_BALL, {
+        "modes": ["vakonomic"],
+        "default_init": {
+            "vakonomic": {"e1": 1.0, "p5": 0.3},
+        },
+        "channels": {"speed_sq": "e1^2 + e2^2"},
+        "derived": plate_ball_pendulum_channels,
+        "bracket_table": [
+            {"F": "x1", "G": "p1", "value": "1"},
+            {"F": "x2", "G": "p2", "value": "1"},
+            {"F": "p3", "G": "p4", "value": "-p5"},
+            {"F": "p3", "G": "p5", "value": "p4"},
+            {"F": "p4", "G": "p5", "value": "-p3"},
+        ],
+    }),
+    "skinner_rusk_demo": (_SKINNER_RUSK_DEMO, {
+        "modes": ["el", "hamilton", "vakonomic"],
+        "default_init": {
+            "el": {"q1": 1.0, "q2": 0.3, "v1": 0.2, "v2": 0.5},
+            "hamilton": {"q1": 1.0, "q2": 0.3, "p1": 0.2, "p2": 0.5},
+            "vakonomic": {"q1": 1.0, "q2": 0.3, "v1": 0.2, "v2": 0.5},
+        },
+        "channels": {
+            "closed_form_energy":
+                "0.5*(v1^2 + v2^2) + 0.5*k*(q1^2 + q2^2)",
+        },
+    }),
+    "lie_algebra_affine": (_LIE_ALGEBRA_AFFINE, {
+        "modes": ["vakonomic"],
+        "default_init": {
+            "vakonomic": {"e2": 0.4, "p1": 0.2, "p2": 0.1},
+        },
+        "channels": {"closed_form_hw1": "0.5*e2^2 + p1"},
+    }),
+}
+
+
 def ids() -> tuple[str, ...]:
     return tuple(sorted(_CATALOGUE))
 
@@ -242,7 +244,7 @@ def load(preset_id: str) -> Preset:
         dsl, facts = _CATALOGUE[preset_id]
     except KeyError:
         known = ", ".join(ids())
-        raise KeyError(f"unknown preset {preset_id!r} (known: {known})") from None
+        raise UnknownPresetError(f"unknown preset {preset_id!r} (known: {known})") from None
     channels = {name: parse_expression(text) for name, text in facts["channels"].items()}
     return Preset(id=preset_id, dsl=dsl, facts=facts, spec=parse_system(dsl),
                   channels=channels)

@@ -16,20 +16,16 @@ from amech.algebroid import (
     lie_poisson_bracket,
     momentum_names,
 )
-from amech.cli import main as cli_main
+from amech.cli import MODES, main as cli_main
 from amech.dsl import parse_expression, with_params
 from amech.dynamics import (
     EPoint,
-    _el_force_rhs,
     euler_lagrange_rhs,
-    hamilton_rhs,
-    hamiltonian_from_lagrangian,
     legendre,
     system_from_spec,
 )
 from amech.expr import (Binary, Const, ScalarFunction, Unary, Var, _fd_gradient,
                         _fd_hessian, evaluate)
-from amech.linalg import min_norm_lstsq
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import (
     ids,
@@ -120,12 +116,9 @@ def test_c02_pendulum_reduces_to_classical_mechanics():
         xdot, ydot = euler_lagrange_rhs(sys_, EPoint(np.array([q]), np.array([v])))
         worst = max(worst, abs(xdot[0] - v), abs(ydot[0] + np.sin(q)))
 
-    def rhs(t, s):
-        xd, yd = euler_lagrange_rhs(sys_, EPoint(s[:1], s[1:]))
-        return np.concatenate([xd, yd])
-
-    traj = _integrate(rhs, ("q", "v"), [1.2, 0.3], t1=10.0, h=1e-3,
-                      monitors={"E": lambda t, s: sys_.energy(EPoint(s[:1], s[1:]))})
+    el = MODES["el"](load("tq_pendulum").spec)
+    traj = _integrate(el.rhs, el.labels, [1.2, 0.3], t1=10.0, h=1e-3,
+                      monitors={"E": el.energy})
     drift = _drift(traj.monitors["E"])
     ok = worst < 1e-10 and drift < 1e-6
     _verdict(2, ok, f"EL residual {worst:.2e} (< 1e-10), "
@@ -135,29 +128,20 @@ def test_c02_pendulum_reduces_to_classical_mechanics():
 def test_c03_rigid_body_hamilton_flow_and_legendre_relation():
     preset = load("so3_rigid_body")
     sys_ = system_from_spec(preset.spec)
-    chart = sys_.chart
-    H = hamiltonian_from_lagrangian(sys_)
+    ham, el = MODES["hamilton"](preset.spec), MODES["el"](preset.spec)
     h = 2.5e-3
 
-    def h_rhs(t, s):
-        xd, pd = hamilton_rhs(chart, H, DualPoint(s[:0], s))
-        return pd
-
-    p0 = _init_vector(preset, "hamilton", momentum_names(3))
-    htraj = _integrate(h_rhs, momentum_names(3), p0, t1=10.0, h=h,
-                       monitors={"H": lambda t, s: H(s[:0], s),
+    p0 = _init_vector(preset, "hamilton", ham.labels)
+    htraj = _integrate(ham.rhs, ham.labels, p0, t1=10.0, h=h,
+                       monitors={"H": ham.energy,
                                  "cas": lambda t, s: float(s @ s)})
     h_drift = _drift(htraj.monitors["H"])
     cas_drift = _drift(htraj.monitors["cas"])
 
-    def el_rhs(t, s):
-        _, yd = euler_lagrange_rhs(sys_, EPoint(s[:0], s))
-        return yd
-
-    w0 = _init_vector(preset, "el", ("w1", "w2", "w3"))
-    eltraj = _integrate(el_rhs, ("w1", "w2", "w3"), w0, t1=10.0, h=h)
+    w0 = _init_vector(preset, "el", el.labels)
+    eltraj = _integrate(el.rhs, el.labels, w0, t1=10.0, h=h)
     p_start = legendre(sys_, EPoint(w0[:0], w0)).p
-    ptraj = _integrate(h_rhs, momentum_names(3), p_start, t1=10.0, h=h)
+    ptraj = _integrate(ham.rhs, ham.labels, p_start, t1=10.0, h=h)
     mapped = np.array([legendre(sys_, EPoint(s[:0], s)).p for s in eltraj.states])
     sup = float(np.max(np.abs(mapped - ptraj.states)))
 
@@ -210,19 +194,11 @@ def test_c05_sode_section_and_radial_equation():
                         float(np.max(np.abs(res.xi_X - at.y))),
                         float(np.max(np.abs(res.xi_V - expect_v))))
 
-    chart = sys_.chart
     h = 1e-3
-
-    def rhs(t, s):
-        at = EPoint(s[:3], s[3:])
-        w, b = _el_force_rhs(sys_, at)
-        xi_v, _ = min_norm_lstsq(w, b)
-        return np.concatenate([chart.rho(s[:3]) @ s[3:], xi_v])
-
     preset = load("capri_kobayashi")
-    labels = chart.base_names + chart.fiber_names
-    y0 = _init_vector(preset, "sode", labels)
-    traj = _integrate(rhs, labels, y0, t1=5.0, h=h)
+    sode = MODES["sode"](preset.spec)
+    y0 = _init_vector(preset, "sode", sode.labels)
+    traj = _integrate(sode.rhs, sode.labels, y0, t1=5.0, h=h)
     rho_s = traj.states[:, 2]
     e3_s = traj.states[:, 5]
     r_s = traj.states[:, 6]

@@ -13,7 +13,8 @@ import pytest
 from amech import algebroid, expr, presym
 from amech.algebroid import chart_from_spec, check_structure
 from amech.cli import main
-from amech.dsl import MAX_NESTING
+from amech.dsl import MAX_DEPTH, MAX_NESTING, format_system, parse_system
+from amech.errors import DslSyntaxError
 from amech.presets import ids as preset_ids, load as load_preset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -153,6 +154,43 @@ def test_deep_nesting_is_a_syntax_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: line 6, column {depth + 2}: "
         f"expression nested deeper than {MAX_NESTING} levels\n")
+
+
+CHAIN_HEAD = "system chain\nbase [q]\nfiber [v]\nanchor { v -> (1) }\n"
+
+
+def test_a_1500_term_lagrangian_is_a_syntax_error(tmp_path, capsys):
+    # a left-deep sum is one level per term, so it meets the tree-depth bound
+    # long before the tree walks would run out of stack
+    text = CHAIN_HEAD + "lagrangian = v^2" + " + q" * 1499 + "\n"
+    with pytest.raises(DslSyntaxError, match=f"tree deeper than {MAX_DEPTH} levels"):
+        parse_system(text)
+    model = tmp_path / "long.amech"
+    model.write_text(text)
+    assert main(["validate", str(model), "--manifest", str(tmp_path / "m.json")]) == 2
+    assert "tree deeper than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chain", [
+    "v^2" + " + q" * (MAX_DEPTH - 2),            # v^2 two levels, a link each
+    "v^2 + v" + "*v" * (MAX_DEPTH - 2),          # product of MAX_DEPTH - 1 v's
+])
+def test_a_model_at_the_depth_bound_runs_every_command(tmp_path, chain):
+    text = CHAIN_HEAD + f"lagrangian = {chain}\n"
+    spec = parse_system(text)
+    assert format_system(parse_system(format_system(spec))) == format_system(spec)
+    model = tmp_path / "chain.amech"
+    model.write_text(text)
+    flags = ["--out", str(tmp_path / "out"), "--manifest", str(tmp_path / "m.json")]
+    for argv in (["validate", "--points", "2"],
+                 ["simulate", "--t1", "0.02", "--dt", "0.01", "--init", "v=0.5"],
+                 ["simulate", "--mode", "hamilton", "--t1", "0.02", "--dt", "0.01",
+                  "--init", "p1=0.5"],
+                 ["simulate", "--mode", "vakonomic", "--t1", "0.02", "--dt", "0.01",
+                  "--init", "v=0.5"],
+                 ["constrain"], ["constrain", "--side", "hamiltonian"],
+                 ["bracket", "--F", "p1", "--G", "q*p1", "--at", "q=0.2"]):
+        assert main([argv[0], str(model), *argv[1:], *flags]) == 0, argv
 
 
 def test_simulate_hamilton_keeps_casimir(tmp_path):
@@ -386,3 +424,64 @@ def test_console_script_is_installed(tmp_path):
     assert proc.stdout == ""
     assert any(line.startswith("error:")
                for line in proc.stderr.splitlines()), proc.stderr
+
+
+def _bad_manifest(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    return ["simulate", "--from-manifest", str(path)]
+
+
+@pytest.mark.parametrize("argv, env, code", [
+    (["validate", "--preset", "no_such_preset"], {}, 2),
+    (["export-preset", "no_such_preset"], {}, 2),
+    ("malformed", {}, 1),
+    ("missing", {}, 2),
+    ("not an object", {}, 2),
+    (["constrain", "--preset", "tq_pendulum"], {"AMECH_TOL": "abc"}, 1),
+    (["constrain", "--preset", "tq_pendulum"], {"AMECH_TOL": "-1"}, 1),
+    (["constrain", "--preset", "tq_pendulum", "--probes", "0"], {}, 1),
+    (["validate", "--preset", "tq_pendulum", "--seed", "-1"], {}, 1),
+    (["simulate", "--preset", "tq_pendulum", "--init", "q=nan"], {}, 2),
+    (["bracket", "--preset", "so3_rigid_body", "--F", "p1", "--G", "p2",
+      "--at", "p3=inf"], {}, 2),
+])
+def test_bad_user_input_keeps_its_exit_code(tmp_path, monkeypatch, capsys,
+                                            argv, env, code):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if argv == "malformed":
+        argv = _bad_manifest(tmp_path, "{not json")
+    elif argv == "missing":
+        argv = _bad_manifest(tmp_path, json.dumps({"command": "simulate"}))
+    elif argv == "not an object":
+        argv = _bad_manifest(tmp_path, "[1, 2]")
+    if argv[0] != "export-preset":
+        argv = [*argv, "--manifest", str(tmp_path / "m.json")]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [ValueError("internal"), KeyError("internal")])
+def test_library_value_and_key_errors_are_not_exit_codes(tmp_path, monkeypatch, exc):
+    # only AmechError subclasses and usage errors map to exit codes; a
+    # ValueError or KeyError from inside the library is a bug and surfaces
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("amech.cli.run_constraint_algorithm", broken)
+    with pytest.raises(type(exc), match="internal"):
+        main(["constrain", "--preset", "tq_pendulum",
+              "--out", str(tmp_path / "r.json"), "--manifest", str(tmp_path / "m.json")])
+
+
+def test_replay_checks_the_mode_against_the_table(tmp_path, capsys):
+    manifest = tmp_path / "man.json"
+    assert main(["simulate", "--preset", "tq_pendulum", "--t1", "0.01",
+                 "--out", str(tmp_path / "a.csv"), "--manifest", str(manifest)]) == 0
+    doc = json.loads(manifest.read_text())
+    doc["config"]["mode"] = "bogus"
+    manifest.write_text(json.dumps(doc))
+    assert main(["simulate", "--from-manifest", str(manifest),
+                 "--manifest", str(tmp_path / "m2.json")]) == 2
+    assert "unknown mode 'bogus'" in capsys.readouterr().err

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amech.dsl import (
+    MAX_DEPTH,
     MAX_NESTING,
     SystemSpec,
     _tokenize,
@@ -268,6 +269,20 @@ def test_nesting_is_bounded_at_the_opening_token(opener, closer):
     # far past the bound, where an unbounded parser runs out of stack
     with pytest.raises(DslSyntaxError, match="nested deeper than"):
         parse_expression(nested(2000))
+
+
+def test_tree_depth_is_bounded_at_the_chain_link():
+    # v^2 is two levels deep and each '+' adds one
+    links = MAX_DEPTH - 2
+    parse_expression("v^2" + " + q" * links)
+    text = "v^2" + " + q" * (links + 1)
+    with pytest.raises(DslSyntaxError, match=f"tree deeper than {MAX_DEPTH} levels") as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.column) == (1, text.rindex("+") + 1)
+    # a product chain inside a call counts its links and the call's level
+    parse_expression("sin(" + "q*" * (MAX_DEPTH - 2) + "q)")
+    with pytest.raises(DslSyntaxError, match="tree deeper than"):
+        parse_expression("sin(" + "q*" * (MAX_DEPTH - 1) + "q)")
 
 
 # -- the tokenizer against a reference lexer ---------------------------------

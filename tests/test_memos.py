@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from amech import expr
-from amech.cli import build_parser, main
+from amech.cli import MODES, build_parser, main
 from amech.dsl import format_system, parse_system, with_params
 from amech.dynamics import EPoint, system_from_spec
 from amech.errors import DslError
@@ -160,7 +160,7 @@ def test_energy_tree_is_kept_on_the_lagrangian(monkeypatch):
 
 
 def _commands(facts, out):
-    modes = [m for m in ("el", "hamilton", "vakonomic", "sode") if m in facts["modes"]]
+    modes = [m for m in MODES if m in facts["modes"]]
     yield ["validate", "--points", "3", "--out", out]
     for side in ("lagrangian", "hamiltonian"):
         yield ["constrain", "--side", side, "--out", out]

@@ -10,6 +10,7 @@ from amech.algebroid import (
     lie_poisson_bracket,
     momentum_names,
 )
+from amech.cli import MODES, build_parser
 from amech.dsl import parse_expression
 from amech.expr import evaluate, variables_of
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
@@ -26,12 +27,7 @@ ALL_IDS = ("capri_kobayashi", "lie_algebra_affine", "martinet", "plate_ball",
 
 
 def _mode_labels(preset, mode):
-    spec = preset.spec
-    if mode in ("el", "sode"):
-        return spec.base + spec.fiber
-    if mode == "hamilton":
-        return spec.base + momentum_names(len(spec.fiber))
-    return vakonomic_from_spec(spec).state_labels
+    return MODES[mode](preset.spec).labels
 
 
 def test_catalogue_ids_are_sorted_and_complete():
@@ -70,6 +66,21 @@ def test_default_init_keys_are_state_labels(preset_id):
         for key in init:
             assert key in labels, (preset_id, mode, key)
             assert np.isfinite(float(init[key]))
+
+
+def test_mode_table_keys_are_the_simulate_choices():
+    commands = next(a for a in build_parser()._actions if a.dest == "cmd")
+    mode = next(a for a in commands.choices["simulate"]._actions if a.dest == "mode")
+    assert list(mode.choices) == list(MODES) == ["el", "hamilton", "vakonomic", "sode"]
+
+
+@pytest.mark.parametrize("preset_id", ALL_IDS)
+def test_preset_modes_are_rows_of_the_table(preset_id):
+    # _resolve_init drops a default_init name that is not a label of its row,
+    # so test_default_init_keys_are_state_labels is what catches a typo there
+    facts = load(preset_id).facts
+    assert set(facts["modes"]) <= set(MODES)
+    assert set(facts["default_init"]) <= set(MODES)
 
 
 @pytest.mark.parametrize("preset_id", ALL_IDS)
