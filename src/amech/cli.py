@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import time
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -125,6 +126,8 @@ def cmd_validate(args) -> int:
     started = time.monotonic()
     model = _load_model(args)
     spec = model["spec"]
+    if args.points < 1:
+        raise AmechError(f"--points must be at least 1, got {args.points}")
     chart = chart_from_spec(spec)
     rng = _rng(args.seed)
     points = []
@@ -222,20 +225,25 @@ class Mode(NamedTuple):
 
 # The rows call the library by its module-level names at call time, so a
 # name rebound after import (a tracer's wrapper, say) is the one they reach.
+# They pass plain, unchecked points: integrate rejects a non-finite state, and
+# start() sees a resolved initial state whose values were checked on input.
 def _el_mode(spec, sode: bool = False) -> Mode:
     """Euler-Lagrange on E; with sode, the second-order field on the final
     constraint set of a singular L, from a start projected onto it."""
     sys_ = system_from_spec(spec)
     m = sys_.chart.m
 
+    def point(state):
+        return SimpleNamespace(x=state[:m], y=state[m:])
+
     def el_rhs(t, state):
         del t
-        xdot, ydot = euler_lagrange_rhs(sys_, EPoint(state[:m], state[m:]))
+        xdot, ydot = euler_lagrange_rhs(sys_, point(state))
         return np.concatenate([xdot, ydot])
 
     def sode_rhs(t, state):
         del t
-        w, b, rho = _el_force(sys_, EPoint(state[:m], state[m:]))
+        w, b, rho = _el_force(sys_, point(state))
         xi_v, _ = min_norm_lstsq(w, b)
         return np.concatenate([rho @ state[m:] if m else np.zeros(0), xi_v])
 
@@ -252,7 +260,7 @@ def _el_mode(spec, sode: bool = False) -> Mode:
 
     return Mode(sys_.chart.base_names + sys_.chart.fiber_names,
                 sode_rhs if sode else el_rhs,
-                lambda t, state: sys_.energy(EPoint(state[:m], state[m:])),
+                lambda t, state: sys_.energy(point(state)),
                 project if sode else probe)
 
 
@@ -261,9 +269,12 @@ def _hamilton_mode(spec) -> Mode:
     chart, m = sys_.chart, sys_.chart.m
     H = hamiltonian_from_lagrangian(sys_)
 
+    def point(state):
+        return SimpleNamespace(x=state[:m], p=state[m:])
+
     def rhs(t, state):
         del t
-        xdot, pdot = hamilton_rhs(chart, H, DualPoint(state[:m], state[m:]))
+        xdot, pdot = hamilton_rhs(chart, H, point(state))
         return np.concatenate([xdot, pdot])
 
     def start(y0, seed):
@@ -273,13 +284,13 @@ def _hamilton_mode(spec) -> Mode:
         return y0
 
     return Mode(chart.base_names + chart.momentum_names, rhs,
-                lambda t, state: H(state[:m], state[m:]), start)
+                lambda t, state: H.value(point(state)), start)
 
 
 def _vakonomic_mode(spec) -> Mode:
     vsys = vakonomic_from_spec(spec)
     return Mode(vsys.state_labels, vsys.ode_rhs,
-                lambda t, state: h_w1(vsys, vsys.unpack(state)),
+                lambda t, state: h_w1(vsys, vsys.slices(state)),
                 lambda y0, seed: y0)
 
 

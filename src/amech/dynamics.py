@@ -13,6 +13,7 @@ primary constraints' included; nothing in this module is differenced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .algebroid import AlgebroidChart, DualPoint, as_dual_observable
 from .errors import SingularHessian
 from .expr import Const, Expr, ScalarFunction, Var, _fold, partials
-from .linalg import damped_newton, memo_last, regularity
+from .linalg import damped_newton, memo_last, regular_solve, regularity
 
 __all__ = [
     "EPoint",
@@ -207,7 +208,8 @@ class RegularityReport:
 
 
 def is_regular(sys: LagrangianSystem, at: EPoint) -> RegularityReport:
-    """Regularity of the velocity Hessian by relative SVD threshold."""
+    """Regularity of the velocity Hessian by the relative singular-value
+    threshold, its singular values being its |eigenvalues|."""
     _, w = sys.second_derivatives(at)
     return RegularityReport(*regularity(w))
 
@@ -234,16 +236,16 @@ def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, n
     """Euler-Lagrange vector field at a point of a regular Lagrangian.
 
     Returns (xdot, ydot) with xdot = rho y and ydot from the force system,
-    solved by LU with partial pivoting on the raw Hessian after the
-    regularity test on that same Hessian.
+    solved from the one eigendecomposition of the symmetric Hessian that
+    also gives its regularity verdict. at is an EPoint, or any (x, y) of
+    float arrays.
     """
     w, b, rho = _el_force(sys, at)
-    regular, smin, _ = regularity(w)
+    regular, smin, _, f = regular_solve(w, b)
     if not regular:
         raise SingularHessian(
             f"velocity Hessian singular (sigma_min={smin:.3e}); "
             "use the constraint algorithm")
-    f = np.linalg.solve(w, b)
     xdot = rho @ at.y if sys.chart.m else np.zeros(0)
     return xdot, f
 
@@ -252,6 +254,7 @@ def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, n
     """Hamilton equations on the dual bundle.
 
     xdot_i = rho[i,A] dH/dp_A; pdot_A = -(rho[i,A] dH/dx_i + C[c,A,B] p_c dH/dp_B).
+    at is a DualPoint, or any (x, p) of float arrays.
     """
     Ho = as_dual_observable(chart, H)
     hx, hp = Ho.gradients(at)
@@ -333,8 +336,9 @@ class LegendreEnergy:
             y[tr] = yt
             return y
 
-        # residual and step read one evaluation per Newton point
-        point = memo_last(lambda yt: sys.derivatives(EPoint(x, full(yt))))
+        # residual and step read one evaluation per Newton point; the
+        # caller's (x, p) was checked where it entered
+        point = memo_last(lambda yt: sys.derivatives(SimpleNamespace(x=x, y=full(yt))))
 
         def step(yt: np.ndarray, r: np.ndarray) -> np.ndarray:
             return np.linalg.solve(point(yt).w[tt], r)

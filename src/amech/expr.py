@@ -15,10 +15,11 @@ the vakonomic point) run generated code instead: `generate` emits one
 straight-line Python function per layout of trees and variable order, one
 operation per line in the tree's own order, with repeated subexpressions
 computed once, so every number is bit-identical to the walk. `lazy_generated`
-builds that code at the first call and reuses compiled code with the same
-source text. Where it raises ArithmeticError or ValueError, or the trees name
-a variable outside the names and params, `_walk` walks the same layout, so
-the caller sees the walk's own error or the unbound name.
+builds that code at the first call, reuses compiled code with the same
+source text and keeps its last result, read-only, for a repeated point.
+Where the code raises ArithmeticError or ValueError, or the trees name a
+variable outside the names and params, `_walk` walks the same layout, so the
+caller sees the walk's own error or the unbound name.
 """
 
 from __future__ import annotations
@@ -528,22 +529,35 @@ def lazy_generated(names: Sequence[str], params: Mapping[str, float],
     """f(x): the code `generate` makes of layout() run at x.
 
     layout() returns (groups, checks); it runs, with the code generation, at
-    the first call, never before. Where the trees cannot be compiled, or the
-    generated code raises ArithmeticError or ValueError, layout() runs again
-    and `_walk` evaluates it, so the caller sees the walk's own error,
-    message and path; nothing is kept for that.
+    the first call, never before. The last result is kept, keyed by the bytes
+    of x, with its arrays made read-only, so consecutive calls at one point
+    (a right-hand side's first stage at the row its monitors just read, a
+    base-free chart's rho and C) run the code once. Where the trees cannot be
+    compiled, or the generated code raises ArithmeticError or ValueError,
+    layout() runs again and `_walk` evaluates it, so the caller sees the
+    walk's own error, message and path; nothing is kept for that.
     """
     compiled: list = []
+    last: list = [None, None]
 
     def f(x: np.ndarray) -> object:
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if last[0] == key:
+            return last[1]
         if not compiled:
             compiled.append(generate(names, params, *layout()))
         if compiled[0] is not None:
             try:
-                return compiled[0](np.asarray(x, dtype=float).tolist())
+                out = compiled[0](x.tolist())
             except (ArithmeticError, ValueError):
                 _walk(names, params, layout(), x)
                 raise  # the walk found no error: the code's own stands
+            for part in out if type(out) is tuple else (out,):
+                if type(part) is np.ndarray:
+                    part.setflags(write=False)
+            last[:] = key, out
+            return out
         # a tree names a variable outside names and params: the walk reports it
         _walk(names, params, layout(), x)
 

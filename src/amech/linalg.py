@@ -9,6 +9,7 @@ Newton loop that every nonlinear root-find of the package runs on.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, TypeVar
 
@@ -23,6 +24,7 @@ __all__ = [
     "decide_rank",
     "min_norm_lstsq",
     "regularity",
+    "regular_solve",
     "damped_newton",
     "memo_last",
     "AMBIGUITY_BAND",
@@ -93,16 +95,33 @@ def decide_rank(a: np.ndarray) -> int:
 
 
 def regularity(a: np.ndarray) -> tuple[bool, float, float]:
-    """(regular, smallest, largest singular value) of a square matrix.
+    """(regular, smallest, largest singular value) of a symmetric matrix:
+    regular_solve's verdict without a right-hand side."""
+    return regular_solve(a)[:3]
 
-    Regular means the smallest singular value exceeds the shared relative
-    threshold times a positive largest one; an empty matrix is not regular
-    here, and callers that accept it say so themselves.
+
+def regular_solve(a: np.ndarray, b: np.ndarray | None = None
+                  ) -> tuple[bool, float, float, np.ndarray | None]:
+    """(regular, smallest, largest singular value, solution of a x = b) of a
+    symmetric matrix, from one eigendecomposition.
+
+    The singular values of a symmetric matrix are its |eigenvalues|. Regular
+    means the smallest exceeds the shared relative threshold times a positive
+    largest one; an empty matrix is not regular here, and callers that accept
+    it say so themselves. The solution is None unless a is regular and b is
+    given. eigh reads the lower triangle only. A NaN eigenvalue raises
+    LinAlgError, as the SVD of such a matrix does.
     """
-    svals = np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    return smax > 0.0 and smin > rank_rtol() * smax, smin, smax
+    if not a.size:
+        return False, 0.0, 0.0, None
+    lam, q = np.linalg.eigh(a)
+    sizes = [abs(v) for v in lam.tolist()]
+    if any(s != s for s in sizes):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    smin, smax = min(sizes), max(sizes)
+    regular = smax > 0.0 and smin > rank_rtol() * smax
+    x = q @ ((b @ q) / lam) if regular and b is not None else None
+    return regular, smin, smax, x
 
 
 def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -132,13 +151,14 @@ def damped_newton(residual: Callable[[np.ndarray], np.ndarray],
     step(x, r) returns the Newton correction, subtracted as x - t * step for
     the first t in 1, 1/2, 1/4, ... that lowers the max-abs residual. The
     point is returned once that residual is below tol; an empty residual
-    returns x0 at once. A stalled line search, an exhausted budget and a
-    singular matrix inside step raise error, described by what.
+    returns x0 at once, and one with a NaN entry is never below it. A
+    stalled line search, an exhausted budget and a singular matrix inside
+    step raise error, described by what.
     """
     x = np.array(x0, dtype=float)
     r = residual(x)
     for _ in range(max_iter):
-        size = np.max(np.abs(r), initial=0.0)
+        size = _max_abs(r)
         if size < tol:
             return x
         try:
@@ -149,17 +169,25 @@ def damped_newton(residual: Callable[[np.ndarray], np.ndarray],
         while t > 1e-4:
             cand = x - t * dx
             rc = residual(cand)
-            cand_size = np.max(np.abs(rc))
+            cand_size = _max_abs(rc)
             if cand_size < size or cand_size < tol:
                 x, r = cand, rc
                 break
             t *= 0.5
         else:
             raise error(f"{what} stalled")
-    size = np.max(np.abs(r), initial=0.0)
+    size = _max_abs(r)
     if size < tol:
         return x
     raise error(f"{what} did not converge, residual {size:.3e}")
+
+
+def _max_abs(r: np.ndarray) -> float:
+    """Largest |entry| of a short vector as a float, 0.0 when it is empty and
+    NaN when an entry is NaN (Python's max would pass over it), so that a NaN
+    residual is never below a tolerance."""
+    sizes = [abs(v) for v in r.tolist()]
+    return math.nan if any(s != s for s in sizes) else max(sizes, default=0.0)
 
 
 T = TypeVar("T")

@@ -28,6 +28,7 @@ __all__ = [
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 Monitor = Callable[[float, np.ndarray], float]
+Row = Callable[[float, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,8 @@ def _checked_rhs(problem: OdeProblem, t: float, y: np.ndarray) -> np.ndarray:
         raise StepFailure(f"rhs raised at t={t!r}: {exc}") from exc
     if dy.shape != (problem.dim,):
         raise StepFailure(f"rhs returned shape {dy.shape}, expected ({problem.dim},)")
-    bad = np.flatnonzero(~np.isfinite(dy))
-    if bad.size:
-        i = int(bad[0])
+    if not np.isfinite(dy).all():
+        i = int(np.flatnonzero(~np.isfinite(dy))[0])
         raise StepFailure(
             f"rhs component {i} ({problem.labels[i]}) is not finite at t={t!r}")
     return dy
@@ -173,15 +173,15 @@ def _dp45_step(problem: OdeProblem, t: float, y: np.ndarray, h: float,
     return yi, err, ks[6]
 
 
-def _eval_monitors(monitors: Mapping[str, Monitor], t: float,
-                   y: np.ndarray) -> dict[str, float]:
-    return {name: float(fn(t, y)) for name, fn in monitors.items()}
-
-
 def integrate(problem: OdeProblem, config: IntegratorConfig,
               y0: Sequence[float],
               monitors: Mapping[str, Monitor] | None = None) -> Trajectory:
-    """Integrate from t0 to t1, recording every output row and its monitors."""
+    """Integrate from t0 to t1, recording every output row and its monitors.
+
+    The monitors read each accepted row as it is accepted, once and in row
+    order, before the next step starts from it; a monitor error at a row is
+    raised before any later step is attempted.
+    """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (problem.dim,):
         raise StepFailure(f"initial state shape {y0.shape}, expected ({problem.dim},)")
@@ -190,54 +190,51 @@ def integrate(problem: OdeProblem, config: IntegratorConfig,
         i = int(bad[0])
         raise StepFailure(f"initial state component {i} ({problem.labels[i]}) is not finite")
     monitors = dict(monitors or {})
-
-    if config.method == "rk4":
-        times, states = _run_rk4(problem, config, y0)
-    else:
-        times, states = _run_dp45(problem, config, y0)
-
+    times: list[float] = []
+    states: list[np.ndarray] = []
     channels: dict[str, list[float]] = {name: [] for name in monitors}
-    for t, y in zip(times, states):
-        row = _eval_monitors(monitors, t, y)
-        for name, v in row.items():
-            channels[name].append(v)
+
+    def row(t: float, y: np.ndarray) -> None:
+        # the next step's first stage at y finds what these evaluations kept
+        times.append(t)
+        states.append(y)
+        for name, fn in monitors.items():
+            channels[name].append(float(fn(t, y)))
+
+    run = _run_rk4 if config.method == "rk4" else _run_dp45
+    run(problem, config, y0, row)
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       labels=problem.labels,
                       monitors={k: np.asarray(v) for k, v in channels.items()})
 
 
-def _run_rk4(problem: OdeProblem, config: IntegratorConfig,
-             y0: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
+def _run_rk4(problem: OdeProblem, config: IntegratorConfig, y0: np.ndarray,
+             row: Row) -> None:
     t0, t1, h = config.t0, config.t1, float(config.h)
     # Grid times are computed as t0 + k*h, not accumulated, so the node set
     # is independent of intermediate rounding.
     n_full = int(np.floor((t1 - t0) / h + 1e-12))
     if n_full > config.max_steps:
         raise MaxStepsExceeded(f"{n_full} steps exceed max_steps={config.max_steps}")
-    times = [t0]
-    states = [y0]
+    row(t0, y0)
     y = y0
     t = t0
     for k in range(1, n_full + 1):
         t_next = t0 + k * h
         y = _rk4_step(problem, t, y, t_next - t)
         t = t_next
-        times.append(t)
-        states.append(y)
+        row(t, y)
     if t < t1 and (t1 - t) > 1e-12 * max(1.0, abs(t1)):
         y = _rk4_step(problem, t, y, t1 - t)
-        times.append(t1)
-        states.append(y)
-    return times, states
+        row(t1, y)
 
 
-def _run_dp45(problem: OdeProblem, config: IntegratorConfig,
-              y0: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
+def _run_dp45(problem: OdeProblem, config: IntegratorConfig, y0: np.ndarray,
+              row: Row) -> None:
     t0, t1 = config.t0, config.t1
     h = float(config.h) if config.h is not None else (t1 - t0) / 100.0
     rtol, atol = config.rtol, config.atol
-    times = [t0]
-    states = [y0]
+    row(t0, y0)
     t = t0
     y = y0
     attempts = 0
@@ -257,13 +254,11 @@ def _run_dp45(problem: OdeProblem, config: IntegratorConfig,
         if err_norm <= 1.0:
             t = t + h
             y, k1 = y_new, k_new
-            times.append(t)
-            states.append(y)
+            row(t, y)
             factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2
         else:
             factor = 0.9 * err_norm ** -0.2
         h = h * min(5.0, max(0.2, factor))
-    return times, states
 
 
 def monitor_drift(trajectory: Trajectory, channel: str) -> DriftReport:

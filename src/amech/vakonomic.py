@@ -20,7 +20,7 @@ from .algebroid import AlgebroidChart, DualPoint, chart_from_spec, lie_poisson_b
 from .dsl import SystemSpec
 from .errors import MuSolveFailed, SingularR
 from .expr import Expr, ScalarFunction, _jet_layout, lazy_generated, substitute, variables_of
-from .linalg import damped_newton, memo_last, regularity
+from .linalg import damped_newton, memo_last, regular_solve, regularity
 
 __all__ = [
     "VakState",
@@ -107,12 +107,15 @@ class VakonomicSystem:
         m, nf = self.chart.m, self.n_free
         return VakState(x=vec[:m], ya=vec[m:m + nf], palpha=vec[m + nf:])
 
+    def slices(self, vec: np.ndarray) -> SimpleNamespace:
+        """unpack's (x, ya, palpha) as plain slices, unchecked: for states
+        that integrate has already rejected when non-finite."""
+        m, nf = self.chart.m, self.n_free
+        return SimpleNamespace(x=vec[:m], ya=vec[m:m + nf], palpha=vec[m + nf:])
+
     def ode_rhs(self, t: float, vec: np.ndarray) -> np.ndarray:
         del t
-        m, nf = self.chart.m, self.n_free
-        # integrate rejects a non-finite state, so the slices go unchecked
-        xdot, yadot, pdot = vakonomic_rhs(
-            self, SimpleNamespace(x=vec[:m], ya=vec[m:m + nf], palpha=vec[m + nf:]))
+        xdot, yadot, pdot = vakonomic_rhs(self, self.slices(vec))
         return np.concatenate([xdot, yadot, pdot])
 
 
@@ -256,8 +259,9 @@ def vakonomic_rhs(sys: VakonomicSystem,
 
     Returns (xdot, yadot, palphadot). The free-velocity equation comes from
     expanding the momentum equation for p_a by the chain rule and solving
-    against the regularity matrix. s is a VakState, or any (x, ya, palpha)
-    of float arrays.
+    against the symmetric regularity matrix, from the one eigendecomposition
+    that also gives its verdict. s is a VakState, or any (x, ya, palpha) of
+    float arrays.
     """
     chart = sys.chart
     d = _PointData(sys, s.x, s.ya, s.palpha)
@@ -270,11 +274,8 @@ def vakonomic_rhs(sys: VakonomicSystem,
     con, free = sys._con_idx, sys._free_idx
     pdot = (d.lam @ rho[:, con] if chart.m else 0.0) - cterm[con]
 
-    regular, smin, _ = regularity(d.R)
-    if d.R.size and not regular:
-        raise SingularR(f"regularity matrix singular (sigma_min={smin:.3e}); "
-                        "use the constraint algorithm")
-
+    if not free.size:
+        return xdot, np.zeros(0), pdot
     rhs = -cterm[free]
     if chart.m:
         rhs = rhs + d.lam @ rho[:, free]
@@ -283,7 +284,10 @@ def vakonomic_rhs(sys: VakonomicSystem,
         rhs = rhs - xdot @ mixed
     if con.size:
         rhs = rhs + pdot @ d.psiy
-    yadot = np.linalg.solve(d.R, rhs) if free.size else np.zeros(0)
+    regular, smin, _, yadot = regular_solve(d.R, rhs)
+    if not regular:
+        raise SingularR(f"regularity matrix singular (sigma_min={smin:.3e}); "
+                        "use the constraint algorithm")
     return xdot, yadot, pdot
 
 

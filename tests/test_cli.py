@@ -485,3 +485,13 @@ def test_replay_checks_the_mode_against_the_table(tmp_path, capsys):
     assert main(["simulate", "--from-manifest", str(manifest),
                  "--manifest", str(tmp_path / "m2.json")]) == 2
     assert "unknown mode 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_validate_needs_at_least_one_point(tmp_path, capsys, points):
+    out = tmp_path / "v.json"
+    assert main(["validate", "--preset", "tq_pendulum", "--points", points,
+                 "--out", str(out), "--manifest", str(tmp_path / "m.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --points must be at least 1, got {points}\n"
+    assert captured.out == "" and not out.exists()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from amech import expr as expr_module
 from amech.algebroid import AlgebroidChart, chart_from_spec, check_structure
 from amech.algebroid import _fd_tensor_jacobian
 from amech.dsl import parse_system
@@ -491,3 +492,56 @@ def test_an_evaluated_expression_still_pickles():
     assert g == f
     again = ScalarFunction(("x", "y"), expr=g).derivatives([0.3, 0.7])
     assert [_bits(a) for a in again] == [_bits(a) for a in before]
+
+
+def _counted_jet(monkeypatch):
+    """A fresh value-gradient-Hessian function of 1/x + x*y, and the list of
+    points its generated code ran at."""
+    runs = []
+    make = expr_module.generate
+
+    def counting(*args, **kwargs):
+        code = make(*args, **kwargs)
+
+        def run(v):
+            runs.append(list(v))
+            return code(v)
+        return run
+
+    monkeypatch.setattr(expr_module, "generate", counting)
+    f = 1.0 / X + X * Y
+    return lazy_generated(("x", "y"), {}, lambda: _jet_layout(f, ("x", "y"), 2)), runs
+
+
+def test_an_equal_point_returns_the_kept_outputs_without_running_the_code(monkeypatch):
+    jet, runs = _counted_jet(monkeypatch)
+    first = jet(np.array([2.0, 3.0]))
+    again = jet([2.0, 3.0])  # a new object with the same bytes
+    assert runs == [[2.0, 3.0]]
+    assert again is first
+    value, g, h = again
+    assert value == 6.5
+    assert not g.flags.writeable and not h.flags.writeable
+    jet(np.array([2.5, 3.0]))
+    assert len(runs) == 2
+
+
+def test_negative_zero_is_another_point(monkeypatch):
+    # -0.0 == 0.0, but 1/x tells them apart, so the memo keys on the bytes
+    jet, runs = _counted_jet(monkeypatch)
+    with pytest.raises(EvalDomainError):
+        jet(np.array([0.0, 1.0]))
+    jet(np.array([1.0, 0.0]))
+    jet(np.array([1.0, -0.0]))
+    assert runs == [[0.0, 1.0], [1.0, 0.0], [1.0, -0.0]]
+    assert math.copysign(1.0, runs[2][1]) == -1.0
+
+
+def test_writing_into_a_returned_array_raises(monkeypatch):
+    jet, _ = _counted_jet(monkeypatch)
+    _, g, h = jet(np.array([2.0, 3.0]))
+    with pytest.raises(ValueError, match="read-only"):
+        g[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        h[1, 1] += 1.0
+    assert g.tolist() == [-0.25 + 3.0, 2.0]

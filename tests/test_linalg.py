@@ -1,11 +1,12 @@
-"""The shared damped Newton loop."""
+"""The shared damped Newton loop and the one-eigendecomposition solve."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from amech.errors import MuSolveFailed, NewtonFailed
-from amech.linalg import damped_newton
+from amech.linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 
 def _circle_and_diagonal(x):
@@ -64,3 +65,90 @@ def test_exhausted_budget_raises():
     with pytest.raises(NewtonFailed, match="did not converge"):
         damped_newton(lambda x: x ** 3, step, np.array([1.0]), "cube", max_iter=1)
     assert abs(damped_newton(lambda x: x ** 3, step, np.array([1.0]), "cube")[0]) < 1e-4
+
+
+def test_a_nan_residual_next_to_a_converged_entry_raises():
+    # Python's max([1e-15, nan]) is 1e-15; the loop must not read it so
+    def step(x, r):
+        return np.zeros_like(x)
+
+    with pytest.raises(NewtonFailed):
+        damped_newton(lambda x: np.array([1e-15, np.nan]), step, np.zeros(2), "nan")
+
+
+_tiny = st.floats(min_value=-1e-13, max_value=1e-13)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(entries=st.lists(_tiny, max_size=4), at=st.integers(min_value=0, max_value=4))
+def test_a_nan_residual_entry_is_never_converged(entries, at):
+    r = np.array(entries[:at] + [np.nan] + entries[at:])
+    returned = []
+
+    def step(x, r):
+        return np.zeros_like(x)
+
+    with pytest.raises(NewtonFailed):
+        returned.append(damped_newton(lambda x: r, step, np.zeros(1), "nan"))
+    assert returned == []
+
+
+_entries = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@st.composite
+def _symmetric(draw):
+    """n x n symmetric m diag(signs) m^T of rank at most k: singular for
+    k < n (the zero matrix for k = 0), usually regular otherwise."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=n + 1))
+    m = np.array(draw(st.lists(_entries, min_size=n * k, max_size=n * k))).reshape(n, k)
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k)))
+    return (m * signs) @ m.T
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(a=_symmetric())
+def test_one_eigh_gives_the_svd_verdict_outside_the_threshold_band(a):
+    s = np.linalg.svd(a, compute_uv=False)
+    ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
+    assume(not 1e-3 * rank_rtol() < ratio < 1e3 * rank_rtol())
+    regular, smin, smax, x = regular_solve(a)
+    assert regular == bool(s[0] > 0.0 and s[-1] > rank_rtol() * s[0])
+    assert abs(smax - s[0]) <= 1e-12 * s[0] and abs(smin - s[-1]) <= 1e-12 * s[0]
+    assert regularity(a) == (regular, smin, smax) and x is None
+
+
+@st.composite
+def _conditioned(draw):
+    """A symmetric matrix with off-diagonal entries and |eigenvalues| in
+    [1, 100], and a right-hand side."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    g = np.array(draw(st.lists(_entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    q, _ = np.linalg.qr(g)
+    lam = np.array(draw(st.lists(st.floats(min_value=1.0, max_value=100.0),
+                                 min_size=n, max_size=n)))
+    lam *= np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    w = (q * lam) @ q.T
+    w = 0.5 * (w + w.T)
+    b = np.array(draw(st.lists(_entries, min_size=n, max_size=n)))
+    return w, b
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=_conditioned())
+def test_the_eigh_solve_agrees_with_lu(data):
+    w, b = data
+    assume(np.max(np.abs(w - np.diag(np.diag(w)))) > 1e-3)
+    regular, _, _, x = regular_solve(w, b)
+    expected = np.linalg.solve(w, b)
+    assert regular
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_a_nan_eigenvalue_raises_as_the_svd_does():
+    for a in (np.array([[np.nan]]), np.array([[1.0, np.nan], [np.nan, 2.0]])):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            regular_solve(a, np.ones(a.shape[0]))

@@ -15,8 +15,9 @@ import pytest
 from amech import expr
 from amech.cli import MODES, build_parser, main
 from amech.dsl import format_system, parse_system, with_params
-from amech.dynamics import EPoint, system_from_spec
+from amech.dynamics import EPoint, LegendreEnergy, system_from_spec
 from amech.errors import DslError
+from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import ids as preset_ids, load as load_preset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -198,3 +199,63 @@ def test_a_repeated_simulate_on_a_preset_generates_nothing(tmp_path, monkeypatch
     assert generated == []
     assert "closed_form_energy" in first.read_text().split("\n")[0]
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_hamilton_mode_solves_the_legendre_inverse_once_per_point(tmp_path, monkeypatch):
+    # the energy monitor reads each row before the next step starts from it,
+    # and that step's first stage finds the row's solve in LegendreEnergy's
+    # last-point memo: 4N + 1 Newton solves for N RK4 steps, not 5N + 1
+    solves = []
+    real_solve = LegendreEnergy._solve_velocity
+    monkeypatch.setattr(LegendreEnergy, "_solve_velocity",
+                        lambda self, x, p: solves.append(1) or real_solve(self, x, p))
+    out = tmp_path / "h.csv"
+    assert main(["simulate", "--preset", "so3_rigid_body", "--mode", "hamilton",
+                 "--t1", "0.2", "--dt", "0.01", "--out", str(out),
+                 "--manifest", str(tmp_path / "m.json")]) == 0
+    steps = len(out.read_text().splitlines()) - 2  # the header and row 0
+    assert steps == 20
+    assert len(solves) == 4 * steps + 1
+
+
+# used by no other test, renamed per case, so its code is compiled under the
+# counting generate
+MONITORED = """\
+system monitored
+base [q]
+fiber [v]
+anchor { v -> (1) }
+params { g = 9.5 }
+lagrangian = 0.5*v^2*(1.25 + 0.25*cos(q)) + g*cos(q)
+"""
+
+
+@pytest.mark.parametrize("config, extra", [
+    (IntegratorConfig(t0=0.0, t1=0.1, h=0.01), 1),
+    (IntegratorConfig(t0=0.0, t1=0.5, method="dp45", rtol=1e-9), 0),
+])
+def test_the_energy_monitor_reads_the_rows_the_stages_evaluate(monkeypatch, config, extra):
+    # with the energy monitor, L's generated jet runs once more than without
+    # it under RK4 (at the last row, where no stage evaluates) and not at all
+    # more under DP45, whose last stage of an accepted step is at the row
+    runs = []
+    real_generate = expr.generate
+
+    def counting(names, *args):
+        code = real_generate(names, *args)
+        return lambda v: runs.append(names) or code(v)
+
+    monkeypatch.setattr(expr, "generate", counting)
+    mode = MODES["el"](parse_system(MONITORED.replace("monitored", config.method)))
+    problem = OdeProblem(dim=2, rhs=mode.rhs, labels=mode.labels)
+    y0 = np.array([0.4, -0.3])
+
+    def jet_runs(monitors):
+        del runs[:]
+        traj = integrate(problem, config, y0, monitors)
+        return runs.count(mode.labels), traj
+
+    bare, plain = jet_runs({})
+    monitored, traj = jet_runs({"energy": mode.energy})
+    assert bare > 0 and monitored == bare + extra
+    assert traj.states.tobytes() == plain.states.tobytes()

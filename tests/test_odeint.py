@@ -255,3 +255,61 @@ def test_dp45_reuses_the_last_stage_as_the_next_first(monkeypatch):
     seen = {(t, y.tobytes()) for t, y in calls}
     for t, y in zip(traj.times, traj.states):
         assert (t, y.tobytes()) in seen
+
+
+def _stiff(t, y):
+    return np.array([-50.0 * y[0] + math.sin(t), y[0]])
+
+
+@pytest.mark.parametrize("method, problem, config", [
+    ("rk4", HARMONIC, IntegratorConfig(t0=0.0, t1=1.05, h=0.1)),
+    ("dp45", OdeProblem(dim=2, rhs=_stiff),
+     IntegratorConfig(t0=0.0, t1=1.0, method="dp45", h=0.5, rtol=1e-6)),
+])
+def test_inline_monitors_equal_monitors_of_the_returned_rows(method, problem, config,
+                                                             monkeypatch):
+    # each accepted row is monitored once, in row order, as it is accepted;
+    # the channels equal the monitors evaluated afterwards, bit for bit
+    seen = []
+
+    def monitor(t, y):
+        seen.append((t, y.tobytes()))
+        return math.exp(math.sin(3.0 * y[0])) / (1.5 + math.cos(t * y[1]))
+
+    attempts = []
+    step = odeint._dp45_step
+
+    def counted(*args):
+        attempts.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(odeint, "_dp45_step", counted)
+    traj = integrate(problem, config, np.array([1.0, 0.0]), {"m": monitor, "E": _energy})
+    if method == "dp45":
+        assert len(attempts) > len(traj.times) - 1  # some steps were rejected
+    assert seen == [(t, y.tobytes()) for t, y in zip(traj.times, traj.states)]
+    after = np.array([monitor(t, y) for t, y in zip(traj.times, traj.states)])
+    assert traj.monitors["m"].tobytes() == after.tobytes()
+    assert traj.monitors["E"].tobytes() == np.array(
+        [_energy(t, y) for t, y in zip(traj.times, traj.states)]).tobytes()
+
+
+def test_a_monitor_error_at_a_row_comes_before_a_later_step_failure():
+    # the monitors read a row before the next step is attempted, so a monitor
+    # that fails at row 2 wins over a right-hand side that fails after it
+    def rhs(t, y):
+        if t > 0.25:
+            raise RuntimeError("late rhs failure")
+        return -y
+
+    def monitor(t, y):
+        if t > 0.15:
+            raise ZeroDivisionError("monitor failure at row 2")
+        return float(y[0])
+
+    with pytest.raises(ZeroDivisionError, match="row 2"):
+        integrate(OdeProblem(dim=1, rhs=rhs), IntegratorConfig(t0=0.0, t1=1.0, h=0.1),
+                  np.array([1.0]), {"m": monitor})
+    with pytest.raises(StepFailure, match="late rhs failure"):
+        integrate(OdeProblem(dim=1, rhs=rhs), IntegratorConfig(t0=0.0, t1=1.0, h=0.1),
+                  np.array([1.0]))
