@@ -5,7 +5,8 @@ together with their exact Jacobians, generated from the expression trees of
 a parsed spec. On top of it this module evaluates the structure-equation
 residuals (central differences of the chart only as the "fd" cross-check),
 the differential of base functions, the linear Poisson bracket on the dual
-bundle and the canonical symplectic matrix.
+bundle with its exact Jacobi residual, and the canonical symplectic matrix.
+Observables on the dual bundle are expression trees, differentiated exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dsl import SystemSpec
+from .dsl import SystemSpec, momentum_names
 from .expr import Const, Expr, ScalarFunction, Unary, lazy_generated, partials
 # Bound under algebroid's own name: the traced benchmark run
 # (perfbench/spans.py) wraps `algebroid._fd_tensor_jacobian`.
@@ -31,16 +32,12 @@ __all__ = [
     "check_structure",
     "d_E_function",
     "lie_poisson_bracket",
+    "jacobi_residual",
     "omega_E_matrix",
     "DualObservable",
 ]
 
 _ZERO = Const(0.0)
-
-
-def momentum_names(n: int) -> tuple[str, ...]:
-    """Names of the dual-bundle fiber coordinates, by basis position."""
-    return tuple(f"p{A + 1}" for A in range(n))
 
 
 @dataclass(frozen=True)
@@ -235,26 +232,15 @@ def d_E_function(chart: AlgebroidChart, f: Expr, x: np.ndarray) -> np.ndarray:
 class DualObservable:
     """Scalar function on the dual-bundle chart (x, p) with gradient access.
 
-    Accepts an expression in the base and momentum coordinate names, which
-    differentiates exactly, or a callable of (x, p) with no tree (a nested
-    bracket), which is differenced centrally.
+    Takes an expression tree in the base and momentum coordinate names and
+    differentiates it exactly; anything else raises TypeError.
     """
 
-    def __init__(self, chart: AlgebroidChart,
-                 f: "Expr | Callable[[np.ndarray, np.ndarray], float]"):
+    def __init__(self, chart: AlgebroidChart, f: Expr):
         self.chart = chart
-        if isinstance(f, Expr):
-            sf = ScalarFunction(chart.base_names + chart.momentum_names, expr=f,
-                                params=chart.params)
-            self._value, self._gradient = sf.value, sf.gradient
-        else:
-            m = chart.m
-
-            def packed(v: np.ndarray) -> float:
-                return float(f(v[:m], v[m:]))
-
-            self._value = packed
-            self._gradient = lambda v: _fd_tensor_jacobian(packed, v)
+        sf = ScalarFunction(chart.base_names + chart.momentum_names, expr=f,
+                            params=chart.params)
+        self._value, self._gradient = sf.value, sf.gradient
 
     def value(self, at: DualPoint) -> float:
         return self._value(np.concatenate([at.x, at.p]))
@@ -266,10 +252,16 @@ class DualObservable:
 
 def as_dual_observable(chart: AlgebroidChart, f):
     """f itself when it has gradients(at) (a DualObservable, or a Hamiltonian
-    with exact gradients), else a DualObservable of the expression or callable."""
+    with exact gradients), else a DualObservable of the expression tree."""
     if hasattr(f, "gradients"):
         return f
     return DualObservable(chart, f)
+
+
+def _bracket(rho: np.ndarray, cp: np.ndarray, fx, fp, gx, gp) -> float:
+    """{F, G} from the gradients (fx, fp) of F and (gx, gp) of G, cp being C.p."""
+    anchor_part = float(fx @ rho @ gp - fp @ rho.T @ gx) if rho.size else 0.0
+    return anchor_part - float(fp @ cp @ gp)
 
 
 def lie_poisson_bracket(chart: AlgebroidChart, F, G, at: DualPoint) -> float:
@@ -278,15 +270,30 @@ def lie_poisson_bracket(chart: AlgebroidChart, F, G, at: DualPoint) -> float:
     {F, G} = rho[i,A] (dF/dx_i dG/dp_A - dF/dp_A dG/dx_i)
              - C[c,A,B] p_c dF/dp_A dG/dp_B
     """
-    Fo = as_dual_observable(chart, F)
-    Go = as_dual_observable(chart, G)
-    fx, fp = Fo.gradients(at)
-    gx, gp = Go.gradients(at)
-    rho = chart.rho(at.x)
-    cs = chart.structure(at.x)
-    anchor_part = float(fx @ rho @ gp - fp @ rho.T @ gx) if chart.m else 0.0
+    (fx, fp), (gx, gp) = (as_dual_observable(chart, f).gradients(at) for f in (F, G))
+    rho, cs = chart.rho(at.x), chart.structure(at.x)
+    return _bracket(rho, np.einsum("cab,c->ab", cs, at.p), fx, fp, gx, gp)
+
+
+def jacobi_residual(chart: AlgebroidChart, F, G, H, at: DualPoint) -> float:
+    """{F, {G, H}} + {G, {H, F}} + {H, {F, G}} from the chart's exact Jacobians.
+
+    The Hessians of F, G and H cancel from the cyclic sum (they are symmetric,
+    the bracket is skew), so each term is {F, .} on the derivative of {G, H}
+    with the gradients of G and H held fixed: its x_l part is
+    gx.drho_l.hp - gp.drho_l^T.hx - gp.(dC_l.p).hp, its p_c part -gp.C[c].hp.
+    """
+    f, g, h = (as_dual_observable(chart, o).gradients(at) for o in (F, G, H))
+    rho, cs = chart.rho(at.x), chart.structure(at.x)
     cp = np.einsum("cab,c->ab", cs, at.p)
-    return anchor_part - float(fp @ cp @ gp)
+    drho = chart.rho_jacobian(at.x)
+    dcp = np.einsum("cabl,c->abl", chart.structure_jacobian(at.x), at.p)
+    total = 0.0
+    for (fx, fp), (gx, gp), (hx, hp) in ((f, g, h), (g, h, f), (h, f, g)):
+        vx = (np.einsum("i,ial,a->l", gx, drho, hp) - np.einsum("a,ial,i->l", gp, drho, hx)
+              - np.einsum("a,abl,b->l", gp, dcp, hp))
+        total += _bracket(rho, cp, fx, fp, vx, -np.einsum("a,cab,b->c", gp, cs, hp))
+    return total
 
 
 def omega_E_matrix(chart: AlgebroidChart, at: DualPoint) -> np.ndarray:

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import presets
-from .algebroid import DualPoint, DualObservable, chart_from_spec, check_structure
+from .algebroid import (DualPoint, DualObservable, chart_from_spec, check_structure,
+                        jacobi_residual)
 from .dsl import parse_expression, parse_system
 from .dynamics import (EPoint, _el_force, euler_lagrange_rhs,
                        hamiltonian_from_lagrangian, hamilton_rhs, is_regular,
@@ -182,11 +183,11 @@ def _monitor(labels, params, tree) -> Callable:
     return fn
 
 
-def _resolve_init(labels, facts_init: dict, overrides: dict) -> np.ndarray:
+def _resolve_init(labels, facts_init: dict, overrides: dict) -> tuple[np.ndarray, dict]:
+    """The point in label order and by name: overrides, else facts_init, else 0."""
     unknown = set(overrides) - set(labels)
     if unknown:
-        raise UsageError(f"unknown state components {sorted(unknown)}; "
-                         f"this mode has {list(labels)}")
+        raise UsageError(f"unknown names {sorted(unknown)}; expected {list(labels)}")
     values = {name: 0.0 for name in labels}
     values.update({k: float(v) for k, v in facts_init.items() if k in values})
     values.update(overrides)
@@ -431,40 +432,22 @@ def cmd_bracket(args) -> int:
     spec = model["spec"]
     chart = chart_from_spec(spec)
     names = chart.base_names + chart.momentum_names
-    bindings = _parse_bindings(args.at, "--at")
-    unknown = set(bindings) - set(names)
-    if unknown:
-        raise UsageError(f"unknown coordinates {sorted(unknown)}; "
-                         f"chart has {list(names)}")
-    full = {name: bindings.get(name, 0.0) for name in names}
-    at = DualPoint(x=np.array([full[n] for n in chart.base_names]),
-                   p=np.array([full[n] for n in chart.momentum_names]))
+    z, full = _resolve_init(names, {}, _parse_bindings(args.at, "--at"))
+    at = DualPoint(z[:chart.m], z[chart.m:])
 
-    F = DualObservable(chart, parse_expression(args.F))
-    G = DualObservable(chart, parse_expression(args.G))
+    F, G = (DualObservable(chart, parse_expression(text)) for text in (args.F, args.G))
     value = vakonomic_bracket(chart, F, G, at)
     anti = value + vakonomic_bracket(chart, G, F, at)
 
-    # Jacobi spot-check against the sum of all coordinates as the third leg;
-    # inner brackets are callable observables, so this is FD-limited.
-    h_expr = parse_expression(" + ".join(names))
-    Hobs = DualObservable(chart, h_expr)
-
-    def nested(a, b):
-        def fn(x, p):
-            return vakonomic_bracket(chart, a, b, DualPoint(x, p))
-
-        return fn
-
-    jac = (vakonomic_bracket(chart, F, nested(G, Hobs), at)
-           + vakonomic_bracket(chart, G, nested(Hobs, F), at)
-           + vakonomic_bracket(chart, Hobs, nested(F, G), at))
+    # Jacobi check with the sum of all coordinates as the third observable
+    H = DualObservable(chart, parse_expression(" + ".join(names)))
+    jac = jacobi_residual(chart, F, G, H, at)
     report = {
         "F": args.F, "G": args.G,
         "at": full,
         "value": float(value),
         "antisymmetry_defect": float(anti),
-        "jacobi_residual_fd": float(jac),
+        "jacobi_residual": float(jac),
     }
     _emit(report, args.out)
     _write_manifest(args, "bracket", model,

@@ -328,6 +328,11 @@ def parse_expression(text: str) -> Expr:
     return node
 
 
+def momentum_names(n: int) -> tuple[str, ...]:
+    """Names of the dual-bundle fiber coordinates, by basis position."""
+    return tuple(f"p{A + 1}" for A in range(n))
+
+
 @functools.lru_cache(maxsize=1)
 def parse_system(text: str) -> SystemSpec:
     """Parse and name-check a full system document.
@@ -356,9 +361,13 @@ def parse_system(text: str) -> SystemSpec:
         raise DimensionMismatchError("fiber basis must not be empty", tok.line, tok.column)
     _check_distinct(fiber_tokens, "fiber element")
     fiber = tuple(t.text for t in fiber_tokens)
+    momenta = set(momentum_names(len(fiber)))
     for tok in base_tokens + fiber_tokens:
         if tok.text in FUNCTION_NAMES or tok.text in KEYWORDS:
             raise DslSyntaxError(f"{tok.text!r} is a reserved word", tok.line, tok.column)
+        if tok.text in momenta:
+            raise DuplicateIndexError(f"{tok.text!r} is a momentum coordinate name",
+                                      tok.line, tok.column)
     overlap = set(base) & set(fiber)
     if overlap:
         tok = fiber_tokens[0]
@@ -374,7 +383,7 @@ def parse_system(text: str) -> SystemSpec:
 
     params: dict[str, float] = {}
     if parser.at_keyword("params"):
-        params = _parse_params(parser, set(base) | set(fiber))
+        params = _parse_params(parser, set(base) | set(fiber) | momenta)
 
     parser.expect_keyword("lagrangian")
     parser.expect("=")

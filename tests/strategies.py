@@ -1,4 +1,9 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Test inputs shared by the test modules: hypothesis strategies and the
+benchmark's generated models."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -25,3 +30,18 @@ def exprs():
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py as a module, loaded read-only (its
+    `generate_model` makes the model_sweep charts)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look the module up by name while they are built
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads

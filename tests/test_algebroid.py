@@ -13,14 +13,16 @@ from amech.algebroid import (
     chart_from_spec,
     check_structure,
     d_E_function,
+    jacobi_residual,
     lie_poisson_bracket,
     momentum_names,
     omega_E_matrix,
 )
 from amech.dsl import parse_expression, parse_system
 from amech.errors import EvalDomainError
-from amech.expr import evaluate, grad
+from amech.expr import _fd_gradient, evaluate, grad
 from amech.presets import ids as preset_ids, load as load_preset
+from strategies import perfbench_workloads
 
 SO3 = """\
 system so3
@@ -144,16 +146,17 @@ def test_d_E_function_zero_for_base_free_chart():
 def test_dual_observable_expr_vs_callable():
     chart = chart_from_spec(parse_system(CURVED))
     expr_obs = DualObservable(chart, parse_expression("q * p1 + p2^2"))
-    fn_obs = DualObservable(chart, lambda x, p: x[0] * p[0] + p[1] ** 2)
     at = DualPoint(np.array([0.9]), np.array([0.3, -1.2]))
-    assert expr_obs.value(at) == pytest.approx(fn_obs.value(at), rel=1e-15)
+    assert expr_obs.value(at) == pytest.approx(0.9 * 0.3 + 1.44, rel=1e-15)
     gx_e, gp_e = expr_obs.gradients(at)
-    gx_f, gp_f = fn_obs.gradients(at)
     assert_allclose(gx_e, [0.3], atol=0)
     assert_allclose(gp_e, [0.9, -2.4], atol=1e-14)
-    assert_allclose(gx_f, gx_e, atol=1e-8)
-    assert_allclose(gp_f, gp_e, atol=1e-8)
     assert as_dual_observable(chart, expr_obs) is expr_obs
+    # a callable of (x, p) has no tree: it is refused, not differenced
+    with pytest.raises(TypeError, match="expression tree"):
+        DualObservable(chart, lambda x, p: x[0] * p[0] + p[1] ** 2)
+    with pytest.raises(TypeError, match="expression tree"):
+        lie_poisson_bracket(chart, lambda x, p: p[0], expr_obs, at)
 
 
 def test_lie_poisson_momenta_close_on_structure():
@@ -197,6 +200,89 @@ def test_lie_poisson_antisymmetry_and_jacobi():
                + lie_poisson_bracket(chart, inner[("p2", "p3")], obs["p1"], at)
                - lie_poisson_bracket(chart, inner[("p1", "p3")], obs["p2"], at))
         assert abs(cyc) < 1e-14
+
+
+# anchor and bracket that are not a Lie algebroid: the Jacobiator of the
+# linear bracket is of order one
+NON_JACOBI = """\
+system non_jacobi
+base [q]
+fiber [a, b, c]
+anchor { a -> (1); b -> (q); c -> (0) }
+bracket { [a, b] = c; [b, c] = q * a; [a, c] = 2 * b }
+lagrangian = 0.5 * (a^2 + b^2 + c^2)
+"""
+
+
+def _observables(names, rng):
+    """Three nonlinear observables in random coordinates, so that the
+    Hessian terms of the nested brackets are present."""
+    a, b, c, d = rng.choice(names, 4, replace=len(names) < 4)
+    return [parse_expression(text) for text in
+            (f"{a} * {b}^2 + sin({c})", f"{c} * {d} - 0.5 * {a}^3",
+             f"exp(0.3 * {d}) * {b} + {a}")]
+
+
+class _Nested:
+    """{G, H} as an observable whose gradients are central differences."""
+
+    def __init__(self, chart, G, H):
+        self.chart, self.G, self.H = chart, G, H
+
+    def gradients(self, at):
+        m = self.chart.m
+
+        def packed(v):
+            return lie_poisson_bracket(self.chart, self.G, self.H, DualPoint(v[:m], v[m:]))
+
+        g = _fd_gradient(packed, np.concatenate([at.x, at.p]))
+        return g[:m], g[m:]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jacobi_residual_vanishes_on_sweep_charts(seed):
+    workloads = perfbench_workloads()
+    rng = np.random.default_rng(seed)
+    for k in range(5):
+        chart = chart_from_spec(parse_system(
+            workloads.generate_model(rng, k, f"sweep_k{k}").text))
+        names = chart.base_names + chart.momentum_names
+        for _ in range(5):
+            at = DualPoint(rng.uniform(-1.0, 1.0, chart.m), rng.uniform(-1.0, 1.0, chart.n))
+            F, G, H = _observables(names, rng)
+            assert abs(jacobi_residual(chart, F, G, H, at)) <= 1e-12
+
+
+@pytest.mark.parametrize("pid", preset_ids())
+def test_jacobi_residual_vanishes_on_presets(pid):
+    chart = chart_from_spec(load_preset(pid).spec)
+    names = chart.base_names + chart.momentum_names
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        at = DualPoint(rng.uniform(0.5, 1.0, chart.m), rng.uniform(-1.0, 1.0, chart.n))
+        F, G, H = _observables(names, rng)
+        assert abs(jacobi_residual(chart, F, G, H, at)) <= 1e-12
+
+
+def test_jacobi_residual_matches_nested_differences_off_a_lie_algebroid():
+    chart = chart_from_spec(parse_system(NON_JACOBI))
+    names = chart.base_names + chart.momentum_names
+    rng = np.random.default_rng(4)
+    sizes = []
+    for _ in range(5):
+        at = DualPoint(rng.uniform(-1.0, 1.0, 1), rng.uniform(-1.0, 1.0, 3))
+        F, G, H = _observables(names, rng)
+        exact = jacobi_residual(chart, F, G, H, at)
+        reference = (lie_poisson_bracket(chart, F, _Nested(chart, G, H), at)
+                     + lie_poisson_bracket(chart, G, _Nested(chart, H, F), at)
+                     + lie_poisson_bracket(chart, H, _Nested(chart, F, G), at))
+        assert exact == pytest.approx(reference, abs=1e-6)
+        sizes.append(abs(exact))
+    assert max(sizes) > 0.1
+    # on the coordinates alone: {q, {p1, p2}} + {p1, {p2, q}} + {p2, {q, p1}} = 1
+    q, p1, p2 = (parse_expression(nm) for nm in ("q", "p1", "p2"))
+    at = DualPoint(np.array([0.4]), np.array([0.2, -0.7, 0.5]))
+    assert jacobi_residual(chart, q, p1, p2, at) == 1.0
 
 
 def test_omega_E_blocks():

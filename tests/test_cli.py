@@ -307,7 +307,40 @@ def test_bracket_command_reports_value_and_checks(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["value"] == pytest.approx(-2.0, abs=1e-12)
     assert doc["antisymmetry_defect"] == 0.0
-    assert abs(doc["jacobi_residual_fd"]) < 1e-5
+    assert abs(doc["jacobi_residual"]) <= 1e-14
+
+
+def _bracket_probe(pid):
+    """Fixed --F, --G and --at for a preset: nonlinear in every coordinate."""
+    chart = chart_from_spec(load_preset(pid).spec)
+    names = chart.base_names + chart.momentum_names
+    F = f"{names[0]} * {names[-1]}^2 + sin({names[-1]})"
+    G = " + ".join(f"{0.5 + i}*{nm}^2" for i, nm in enumerate(names)) + f" * {names[0]}"
+    at = [f"{nm}={0.3 + 0.1 * i!r}" for i, nm in enumerate(names)]
+    return ["--F", F, "--G", G, *(a for b in at for a in ("--at", b))]
+
+
+@pytest.mark.parametrize("pid", preset_ids())
+def test_bracket_jacobi_residual_is_exact_on_presets(tmp_path, pid):
+    report = tmp_path / "report.json"
+    assert main(["bracket", "--preset", pid, *_bracket_probe(pid), "--out", str(report),
+                 "--manifest", str(tmp_path / "m.json")]) == 0
+    doc = json.loads(report.read_text())
+    assert list(doc) == ["F", "G", "at", "value", "antisymmetry_defect", "jacobi_residual"]
+    assert abs(doc["antisymmetry_defect"]) <= 1e-13
+    assert abs(doc["jacobi_residual"]) <= 1e-13
+
+
+def test_a_name_of_a_momentum_coordinate_is_a_usage_error(tmp_path, capsys):
+    model = tmp_path / "clash.amech"
+    model.write_text("system clash\nbase [p1]\nfiber [v]\nanchor { v -> (1) }\n"
+                     "lagrangian = 0.5 * v^2 - p1^2\n")
+    common = ["--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]
+    assert main(["bracket", str(model), "--F", "p1", "--G", "p1^2", "--at", "p1=0.5",
+                 *common]) == 2
+    assert "'p1' is a momentum coordinate name" in capsys.readouterr().err
+    assert main(["simulate", str(model), "--mode", "hamilton", *common]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_bracket_rejects_unknown_coordinates(tmp_path, capsys):
@@ -340,12 +373,13 @@ def _preset_commands(pid):
         yield ["simulate", "--mode", mode, "--t1", "0.05", "--dt", "0.01"]
     for side in ("lagrangian", "hamiltonian"):
         yield ["constrain", "--side", side]
+    yield ["bracket", "--F", "p1", "--G", "p1^2"]
 
 
 @pytest.mark.parametrize("pid", preset_ids())
 def test_preset_commands_difference_nothing(tmp_path, pid, monkeypatch):
-    # every derivative of a model comes from its trees; of the commands only
-    # bracket's Jacobi spot check, on nested brackets, may difference
+    # every derivative of a model comes from its trees, bracket's Jacobi
+    # check included
     calls = []
     for module, name in ((expr, "_fd_gradient"), (expr, "_fd_hessian"),
                          (algebroid, "_fd_tensor_jacobian"), (presym, "_fd_gradient")):
@@ -357,8 +391,6 @@ def test_preset_commands_difference_nothing(tmp_path, pid, monkeypatch):
     for argv in _preset_commands(pid):
         assert main([*argv, *common]) == 0, argv
         assert calls == [], argv
-    assert main(["bracket", "--F", "p1", "--G", "p1^2", *common]) == 0
-    assert calls
 
 
 def test_export_preset_round_trip(tmp_path):

@@ -1,10 +1,7 @@
 """System-document parsing, name checking, printing, and the round trip."""
 
-import importlib.util
 import math
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +27,7 @@ from amech.errors import (
 )
 from amech.expr import evaluate, format_expr, variables_of
 from amech.presets import ids as preset_ids, load as load_preset
-from strategies import NAMES as _NAMES, exprs as _exprs
+from strategies import NAMES as _NAMES, exprs as _exprs, perfbench_workloads
 
 WELL_FORMED = """\
 # planar system with one base coordinate
@@ -140,6 +137,24 @@ def test_base_fiber_overlap_rejected():
     bad = WELL_FORMED.replace("fiber [v, w]", "fiber [q, w]")
     with pytest.raises(DuplicateIndexError):
         parse_system(bad)
+
+
+@pytest.mark.parametrize("doc,message", [
+    (WELL_FORMED.replace("q", "p1"), "'p1' is a momentum coordinate name"),
+    (WELL_FORMED.replace("fiber [v, w]", "fiber [v, p2]"), "'p2' is a momentum coordinate name"),
+    (WELL_FORMED.replace("params { k = 2.0", "params { p1 = 0.5, k = 2.0"),
+     "parameter 'p1' collides with a coordinate name"),
+], ids=["base", "fiber", "param"])
+def test_names_of_the_momentum_coordinates_rejected(doc, message):
+    # the dual chart names its momenta p1..pn; a base, fiber or parameter of
+    # the same name would make --at bindings and CSV labels ambiguous
+    with pytest.raises(DuplicateIndexError, match=message):
+        parse_system(doc)
+
+
+def test_momentum_names_beyond_the_fiber_width_are_free():
+    spec = parse_system(WELL_FORMED.replace("base [q]", "base [p3]").replace("q", "p3"))
+    assert spec.base == ("p3",)
 
 
 def test_reserved_words_rejected_as_coordinates():
@@ -332,15 +347,7 @@ def _tokens_or_error(tokenize, text):
 
 def _sweep_models():
     """Documents of the benchmark's model_sweep workload, widths 3 to 11."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look the module up by name while they are built
-    sys.modules[spec.name] = workloads
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
+    workloads = perfbench_workloads()
     rng = np.random.default_rng(7)
     return [workloads.generate_model(rng, k, f"sweep_k{k}").text
             for _ in range(4) for k in range(5)]

@@ -211,17 +211,20 @@ def test_legendre_energy_values_and_gradients():
     assert gx[0] == pytest.approx(fd_x, abs=1e-7)
 
 
-def test_hamilton_accepts_plain_callables():
+def test_hamilton_takes_trees_and_refuses_plain_callables():
     sys = _so3()
     chart = sys.chart
+    H = parse_expression("0.5 * (p1^2 / 1.0 + p2^2 / 2.0 + p3^2 / 3.0)")
+    at = DualPoint(np.zeros(0), np.array([0.3, 0.8, 1.5]))
+    _, pdot_tree = hamilton_rhs(chart, H, at)
+    _, pdot_legendre = hamilton_rhs(chart, hamiltonian_from_lagrangian(sys), at)
+    assert_allclose(pdot_tree, pdot_legendre, atol=1e-14)
 
-    def H(x, p):
+    def H_fn(x, p):
         return 0.5 * (p[0] ** 2 / 1.0 + p[1] ** 2 / 2.0 + p[2] ** 2 / 3.0)
 
-    at = DualPoint(np.zeros(0), np.array([0.3, 0.8, 1.5]))
-    _, pdot_fd = hamilton_rhs(chart, H, at)
-    _, pdot_ad = hamilton_rhs(chart, hamiltonian_from_lagrangian(sys), at)
-    assert_allclose(pdot_fd, pdot_ad, atol=1e-7)
+    with pytest.raises(TypeError, match="expression tree"):
+        hamilton_rhs(chart, H_fn, at)
 
 
 def test_sode_defect():
@@ -296,9 +299,8 @@ def test_legendre_energy_value_reads_the_newton_point(monkeypatch):
 
 @pytest.mark.parametrize("pid", ["so3_rigid_body", "tq_pendulum"])
 def test_hamilton_and_bracket_take_the_exact_gradients(pid, monkeypatch):
-    # the Hamiltonian passes through as_dual_observable as it is; wrapped as
-    # a plain callable of (x, p), its gradients would difference the Newton
-    # inverse
+    # the Hamiltonian passes through as_dual_observable as it is, so its
+    # gradients come from the Legendre inverse, not from differences
     sys = system_from_spec(load_preset(pid).spec)
     chart = sys.chart
     H = hamiltonian_from_lagrangian(sys)
