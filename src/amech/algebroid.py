@@ -113,13 +113,9 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
                           fiber_names=spec.fiber, params=spec.params, spec=spec)
 
 
-def _chart_code(spec: SystemSpec) -> tuple:
-    """rho, C, d rho and dC as lazily generated code."""
+def _tensor_slots(spec: SystemSpec) -> tuple[list, list]:
+    """(tree, negated) in each row-major slot of rho and of C, None for a zero."""
     m, n = spec.m, spec.n
-    base = spec.base
-    params = dict(spec.params)
-
-    # (tree, negated) in each row-major slot of rho and C, None for a zero
     rho_slots: list = [None] * (m * n)
     for a, row in enumerate(spec.anchor):
         for i, entry in enumerate(row):
@@ -129,19 +125,34 @@ def _chart_code(spec: SystemSpec) -> tuple:
         for c, coef in enumerate(coeffs):
             c_slots[(c * n + a) * n + b] = (coef, False)
             c_slots[(c * n + b) * n + a] = (coef, True)
+    return rho_slots, c_slots
+
+
+def _signed(tree: Expr, negated: bool) -> Expr:
+    return Unary("neg", tree) if negated else tree
+
+
+def _tensor_trees(slots: list) -> list[Expr]:
+    """The tree of each slot, zero where it is None."""
+    return [_ZERO if s is None else _signed(*s) for s in slots]
+
+
+def _chart_code(spec: SystemSpec) -> tuple:
+    """rho, C, d rho and dC as lazily generated code."""
+    m, n = spec.m, spec.n
+    base = spec.base
+    params = dict(spec.params)
+    rho_slots, c_slots = _tensor_slots(spec)
 
     def generated(slots: list, shape: tuple, jacobian: bool):
-        def signed(tree: Expr, negated: bool) -> Expr:
-            return Unary("neg", tree) if negated else tree
-
         def layout() -> tuple:
             if not jacobian:
-                return [([_ZERO if s is None else signed(*s) for s in slots], shape, 0)], ()
+                return [(_tensor_trees(slots), shape, 0)], ()
             trees = [tree for s in slots
                      for tree in ([_ZERO] * m if s is None
-                                  else [signed(d, s[1]) for d in partials(s[0], base)])]
+                                  else [_signed(d, s[1]) for d in partials(s[0], base)])]
             # every entry is checked before any partial, as grad checks its root
-            checks = [s[0] for s in slots if s is not None] if m else []
+            checks = [([s[0] for s in slots if s is not None], None, 0)] if m else []
             return [(trees, shape + (m,), 1)], checks
 
         return lazy_generated(base, params, layout)

@@ -22,7 +22,7 @@ import numpy as np
 from . import presets
 from .algebroid import (DualPoint, DualObservable, chart_from_spec, check_structure,
                         jacobi_residual)
-from .dsl import parse_expression, parse_system
+from .dsl import COLUMN_NAMES, parse_expression, parse_system
 from .dynamics import (EPoint, _el_force, euler_lagrange_rhs,
                        hamiltonian_from_lagrangian, hamilton_rhs, is_regular,
                        system_from_spec)
@@ -245,7 +245,7 @@ def _el_mode(spec, sode: bool = False) -> Mode:
     def sode_rhs(t, state):
         del t
         w, b, rho = _el_force(sys_, point(state))
-        xi_v, _ = min_norm_lstsq(w, b)
+        xi_v, _ = min_norm_lstsq(w, b, sys_.rank_rtol)
         return np.concatenate([rho @ state[m:] if m else np.zeros(0), xi_v])
 
     def probe(y0, seed):
@@ -291,7 +291,7 @@ def _hamilton_mode(spec) -> Mode:
 def _vakonomic_mode(spec) -> Mode:
     vsys = vakonomic_from_spec(spec)
     return Mode(vsys.state_labels, vsys.ode_rhs,
-                lambda t, state: h_w1(vsys, vsys.slices(state)),
+                lambda t, state: h_w1(vsys, state),
                 lambda y0, seed: y0)
 
 
@@ -325,8 +325,11 @@ def cmd_simulate(args) -> int:
         if "=" not in item:
             raise UsageError("--monitor entries must look like name=expression")
         name, _, text = item.partition("=")
-        monitors[name.strip()] = _monitor(labels, params, parse_expression(text))
-        extra.append([name.strip(), text])
+        name = name.strip()
+        if name in COLUMN_NAMES or name in labels or name in monitors:
+            raise UsageError(f"--monitor name {name!r} is already a CSV column")
+        monitors[name] = _monitor(labels, params, parse_expression(text))
+        extra.append([name, text])
 
     method = "dp45" if args.rtol is not None else "rk4"
     try:

@@ -45,6 +45,9 @@ __all__ = [
 FUNCTION_NAMES = ("sin", "cos", "exp", "ln", "sqrt")
 KEYWORDS = ("system", "base", "fiber", "anchor", "bracket", "params",
             "lagrangian", "vakonomic", "zero")
+# the CSV columns every `simulate` run writes besides the state: the time
+# and the energy monitor
+COLUMN_NAMES = ("t", "energy")
 # parentheses, function calls and unary minuses one expression may nest:
 # the parser and every tree walk recurse once per level, so a bound keeps
 # them inside Python's recursion limit
@@ -367,6 +370,9 @@ def parse_system(text: str) -> SystemSpec:
             raise DslSyntaxError(f"{tok.text!r} is a reserved word", tok.line, tok.column)
         if tok.text in momenta:
             raise DuplicateIndexError(f"{tok.text!r} is a momentum coordinate name",
+                                      tok.line, tok.column)
+        if tok.text in COLUMN_NAMES:
+            raise DuplicateIndexError(f"{tok.text!r} is the name of a simulate column",
                                       tok.line, tok.column)
     overlap = set(base) & set(fiber)
     if overlap:

@@ -21,7 +21,7 @@ import numpy as np
 from .algebroid import AlgebroidChart, DualPoint, as_dual_observable
 from .errors import SingularHessian
 from .expr import Const, Expr, ScalarFunction, Var, _fold, partials
-from .linalg import damped_newton, memo_last, regular_solve, regularity
+from .linalg import damped_newton, memo_last, rank_rtol, regular_solve, regularity
 
 __all__ = [
     "EPoint",
@@ -77,11 +77,13 @@ class LagrangianSystem:
     """A chart together with a Lagrangian on its (x, y) coordinates.
 
     The Lagrangian is an expression in the base and fiber coordinate names,
-    differentiated exactly.
+    differentiated exactly. The rank tolerance is resolved from AMECH_TOL
+    once, here.
     """
 
     def __init__(self, chart: AlgebroidChart, lagrangian: Expr):
         self.chart = chart
+        self.rank_rtol = rank_rtol()
         self._sf = ScalarFunction(chart.base_names + chart.fiber_names,
                                   expr=lagrangian, params=chart.params)
         self._energy: ScalarFunction | None = None
@@ -211,7 +213,7 @@ def is_regular(sys: LagrangianSystem, at: EPoint) -> RegularityReport:
     """Regularity of the velocity Hessian by the relative singular-value
     threshold, its singular values being its |eigenvalues|."""
     _, w = sys.second_derivatives(at)
-    return RegularityReport(*regularity(w))
+    return RegularityReport(*regularity(w, sys.rank_rtol))
 
 
 def _el_force_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +243,7 @@ def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, n
     float arrays.
     """
     w, b, rho = _el_force(sys, at)
-    regular, smin, _, f = regular_solve(w, b)
+    regular, smin, _, f = regular_solve(w, b, sys.rank_rtol)
     if not regular:
         raise SingularHessian(
             f"velocity Hessian singular (sigma_min={smin:.3e}); "

@@ -389,6 +389,7 @@ GENERATED_CACHE_SIZE = 64
 
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
               "sqrt": math.sqrt, "_zeros": np.zeros,
+              "_array": functools.partial(np.array, dtype=float),
               "_index": functools.partial(np.array, dtype=np.intp),
               "_inf": math.inf, "_nan": math.nan}
 
@@ -462,44 +463,56 @@ def _compile(source: str) -> Callable:
 
 def generate(names: Sequence[str], params: Mapping[str, float],
              groups: Sequence[tuple],
-             checks: Sequence[Expr] = ()) -> Callable[[list[float]], object] | None:
+             checks: Sequence[tuple] = ()) -> Callable[[list[float]], object] | None:
     """One function of a list of floats, bound to names in order, that
     evaluates every tree of groups and of checks.
 
     A group is (trees, shape, order); the order is for `_walk` only and may
     be left out. The function returns one value per group, or a tuple of
     them: the group's single float for shape None, else an array of that
-    shape (a tuple) filled in row-major order. Trees in checks are evaluated
-    for their domain errors only. Variables take the names first, then
-    params, as in the walk. The function checks nothing: a domain failure
-    surfaces as ArithmeticError or ValueError. None when a tree names
-    anything else.
+    shape (a tuple) filled in row-major order, read-only. checks are groups
+    too, whose trees are evaluated for their domain errors only. Variables
+    take the names first, then params, as in the walk. The function checks
+    nothing: a domain failure surfaces as ArithmeticError or ValueError.
+    None when a tree names anything else.
     """
     slots = {name: _literal(float(value)) for name, value in params.items()}
     slots.update((name, f"v{i}") for i, name in enumerate(names))
-    trees = list(checks) + [tree for group, *_ in groups for tree in group]
+    trees = [tree for group, *_ in [*checks, *groups] for tree in group]
     try:
         lines, operands = _straight_line(trees, slots)
     except KeyError:
         return None
-    # an array starts as zeros and gets every slot that is not a literal +0.0
-    # in one scatter, through indices built once when the code is compiled
-    indices, parts, zero = [], [], _literal(0.0)
-    k = len(checks)
-    for g, (group, shape, *_) in enumerate(groups):
+    # the arrays are views of one buffer, built from its values when none is
+    # a literal +0.0, else started as zeros and given every other slot in
+    # one scatter, through indices built once when the code is compiled
+    k = sum(len(group) for group, *_ in checks)
+    arrays = [len(group) for group, shape, *_ in groups if shape is not None]
+    size = sum(arrays)
+    parts, kept, start, zero = [], [], 0, _literal(0.0)
+    for group, shape, *_ in groups:
         ops = operands[k:k + len(group)]
         k += len(group)
         if shape is None:
             parts.append(ops[0])
             continue
-        kept = [i for i, op in enumerate(ops) if op != zero]
-        indices.append(f"_idx{g} = _index({kept!r})\n")
-        lines.append(f"_out{g} = _zeros({len(ops)})")
+        kept += [(start + i, op) for i, op in enumerate(ops) if op != zero]
+        view = "_buf" if len(ops) == size else f"_buf[{start}:{start + len(ops)}]"
+        parts.append(view if len(shape) == 1 else f"{view}.reshape({shape})")
+        start += len(ops)
+    values, indices = "".join(f"{op}, " for _, op in kept), ""
+    if kept and len(kept) == size:
+        lines.append(f"_buf = _array(({values}))")
+    elif arrays:
+        lines.append(f"_buf = _zeros({size})")
         if kept:
-            lines.append(f"_out{g}[_idx{g}] = ({''.join(f'{ops[i]}, ' for i in kept)})")
-        parts.append(f"_out{g}" if len(shape) == 1 else f"_out{g}.reshape({shape})")
+            indices = f"_idx = _index({[i for i, _ in kept]!r})\n"
+            lines.append(f"_buf[_idx] = ({values})")
+    if arrays:
+        # views taken after this are read-only too
+        lines.append("_buf.flags.writeable = False")
     unpack = "".join(f"v{i}, " for i in range(len(names)))
-    source = ("".join(indices) + "def _generated(v):\n"
+    source = (indices + "def _generated(v):\n"
               + (f"    {unpack}= v\n" if names else "")
               + "".join(f"    {line}\n" for line in lines)
               + f"    return {', '.join(parts)}\n")
@@ -509,18 +522,16 @@ def generate(names: Sequence[str], params: Mapping[str, float],
 def _walk(names: Sequence[str], params: Mapping[str, float], layout: tuple,
           x: Sequence[float]) -> None:
     """The tree walk of a (groups, checks) layout at x, run for its first
-    error: the checks, then each group's trees in order. A tree of an order-k
-    group is the partial with respect to the names indexing the group's last
-    k axes, and a domain error in it says so, as in grad and hessian."""
+    error: each check group's trees, then each group's, in order. A tree of
+    an order-k group is the partial with respect to the names indexed by its
+    position on the group's last k axes, and a domain error in it says so,
+    as in grad and hessian."""
     env = _bindings(names, params, x)
     groups, checks = layout
-    for tree in checks:
-        evaluate(tree, env)
-    n = len(names)
-    for trees, _, order in groups:
+    for trees, shape, order in [*checks, *groups]:
         for k, tree in enumerate(trees):
-            label = [names[k // n ** i % n] for i in reversed(range(order))]
-            _eval_labelled(tree, env, label)
+            index = np.unravel_index(k, shape)[len(shape) - order:] if order else ()
+            _eval_labelled(tree, env, [names[i] for i in index])
 
 
 def lazy_generated(names: Sequence[str], params: Mapping[str, float],
@@ -528,10 +539,10 @@ def lazy_generated(names: Sequence[str], params: Mapping[str, float],
     """f(x): the code `generate` makes of layout() run at x.
 
     layout() returns (groups, checks); it runs, with the code generation, at
-    the first call, never before. The last result is kept, keyed by the bytes
-    of x, with its arrays made read-only, so consecutive calls at one point
-    (a right-hand side's first stage at the row its monitors just read, a
-    base-free chart's rho and C) run the code once. Where the trees cannot be
+    the first call, never before. The last result, whose arrays are
+    read-only, is kept, keyed by the bytes of x, so consecutive calls at one
+    point (a right-hand side's first stage at the row its monitors just
+    read, a base-free chart's rho and C) run the code once. Where the trees cannot be
     compiled, or the generated code raises ArithmeticError or ValueError,
     layout() runs again and `_walk` evaluates it, so the caller sees the
     walk's own error, message and path; nothing is kept for that.
@@ -552,9 +563,6 @@ def lazy_generated(names: Sequence[str], params: Mapping[str, float],
             except (ArithmeticError, ValueError):
                 _walk(names, params, layout(), x)
                 raise  # the walk found no error: the code's own stands
-            for part in out if type(out) is tuple else (out,):
-                if type(part) is np.ndarray:
-                    part.setflags(write=False)
             last[:] = key, out
             return out
         # a tree names a variable outside names and params: the walk reports it

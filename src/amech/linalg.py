@@ -94,13 +94,13 @@ def decide_rank(a: np.ndarray) -> int:
     return int(np.sum(normalized >= high))
 
 
-def regularity(a: np.ndarray) -> tuple[bool, float, float]:
+def regularity(a: np.ndarray, rtol: float | None = None) -> tuple[bool, float, float]:
     """(regular, smallest, largest singular value) of a symmetric matrix:
     regular_solve's verdict without a right-hand side."""
-    return regular_solve(a)[:3]
+    return regular_solve(a, None, rtol)[:3]
 
 
-def regular_solve(a: np.ndarray, b: np.ndarray | None = None
+def regular_solve(a: np.ndarray, b: np.ndarray | None = None, rtol: float | None = None
                   ) -> tuple[bool, float, float, np.ndarray | None]:
     """(regular, smallest, largest singular value, solution of a x = b) of a
     symmetric matrix, from one eigendecomposition.
@@ -109,8 +109,9 @@ def regular_solve(a: np.ndarray, b: np.ndarray | None = None
     means the smallest exceeds the shared relative threshold times a positive
     largest one; an empty matrix is not regular here, and callers that accept
     it say so themselves. The solution is None unless a is regular and b is
-    given. eigh reads the lower triangle only. A NaN eigenvalue raises
-    LinAlgError, as the SVD of such a matrix does.
+    given. rtol is the threshold, which a system resolves once and passes;
+    rank_rtol() when None. eigh reads the lower triangle only. A NaN
+    eigenvalue raises LinAlgError, as the SVD of such a matrix does.
     """
     if not a.size:
         return False, 0.0, 0.0, None
@@ -119,16 +120,18 @@ def regular_solve(a: np.ndarray, b: np.ndarray | None = None
     if any(s != s for s in sizes):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
     smin, smax = min(sizes), max(sizes)
-    regular = smax > 0.0 and smin > rank_rtol() * smax
+    regular = smax > 0.0 and smin > (rank_rtol() if rtol is None else rtol) * smax
     x = q @ ((b @ q) / lam) if regular and b is not None else None
     return regular, smin, smax, x
 
 
-def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+def min_norm_lstsq(a: np.ndarray, b: np.ndarray,
+                   rtol: float | None = None) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solution of a x = b and its residual.
 
     The residual is the infinity norm of a x - b, reported so callers can
     distinguish an exactly-solvable system from a genuine least-squares fit.
+    rtol is the rank threshold, rank_rtol() when None.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -136,7 +139,7 @@ def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         x = np.zeros(0)
         residual = float(np.max(np.abs(b))) if b.size else 0.0
         return x, residual
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=rank_rtol())
+    x, _, _, _ = np.linalg.lstsq(a, b, rcond=rank_rtol() if rtol is None else rtol)
     residual = float(np.max(np.abs(a @ x - b))) if b.size else 0.0
     return x, residual
 

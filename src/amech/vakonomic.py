@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebroid import AlgebroidChart, DualPoint, chart_from_spec, lie_poisson_bracket
+from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
+                        chart_from_spec, lie_poisson_bracket)
 from .dsl import SystemSpec
 from .errors import MuSolveFailed, SingularR
-from .expr import Expr, ScalarFunction, _jet_layout, lazy_generated, substitute, variables_of
-from .linalg import damped_newton, memo_last, regular_solve, regularity
+from .expr import (Expr, ScalarFunction, Var, _ZERO, _fold, _jet_layout, lazy_generated,
+                   substitute, variables_of)
+from .linalg import damped_newton, memo_last, rank_rtol, regular_solve, regularity
 
 __all__ = [
     "VakState",
@@ -62,7 +63,9 @@ class VakonomicSystem:
 
     constrained lists the fiber indices alpha whose velocities are determined
     by Psi; the rest are free. The restricted Lagrangian is a function of the
-    base coordinates and the free velocities only.
+    base coordinates and the free velocities only. The chart must come from
+    a parsed spec: the point code is assembled from its anchor and bracket
+    trees. The rank tolerance is resolved from AMECH_TOL once, here.
     """
 
     def __init__(self, chart: AlgebroidChart, constrained: Sequence[int],
@@ -76,16 +79,17 @@ class VakonomicSystem:
                 raise ValueError(f"constrained index {a} out of range")
         if len(psi) != len(self.constrained):
             raise ValueError("one constraint expression per constrained index")
+        if chart.spec is None:
+            raise ValueError("a vakonomic system needs a chart built from a spec")
         self.free = tuple(a for a in range(chart.n) if a not in self.constrained)
         self.free_names = tuple(chart.fiber_names[a] for a in self.free)
         names = chart.base_names + self.free_names
         self._lt = ScalarFunction(names, expr=restricted_lagrangian, params=chart.params)
         self._psi = tuple(ScalarFunction(names, expr=f, params=chart.params) for f in psi)
-        self._point = _point_function(self._lt, self._psi)
+        self._point = _point_function(self)
         self._free_idx = np.array(self.free, dtype=np.intp)
         self._con_idx = np.array(self.constrained, dtype=np.intp)
-        # fiber order of the free entries followed by the constrained ones
-        self._order = np.argsort(self.free + self.constrained)
+        self.rank_rtol = rank_rtol()
 
     @property
     def n_free(self) -> int:
@@ -97,8 +101,7 @@ class VakonomicSystem:
 
     @property
     def state_labels(self) -> tuple[str, ...]:
-        p_labels = tuple(f"p{a + 1}" for a in self.constrained)
-        return self.chart.base_names + self.free_names + p_labels
+        return self.chart.base_names + self.free_names + _multiplier_names(self.constrained)
 
     def pack(self, s: VakState) -> np.ndarray:
         return np.concatenate([s.x, s.ya, s.palpha])
@@ -107,42 +110,108 @@ class VakonomicSystem:
         m, nf = self.chart.m, self.n_free
         return VakState(x=vec[:m], ya=vec[m:m + nf], palpha=vec[m + nf:])
 
-    def slices(self, vec: np.ndarray) -> SimpleNamespace:
-        """unpack's (x, ya, palpha) as plain slices, unchecked: for states
-        that integrate has already rejected when non-finite."""
-        m, nf = self.chart.m, self.n_free
-        return SimpleNamespace(x=vec[:m], ya=vec[m:m + nf], palpha=vec[m + nf:])
-
     def ode_rhs(self, t: float, vec: np.ndarray) -> np.ndarray:
         del t
-        xdot, yadot, pdot = vakonomic_rhs(self, self.slices(vec))
-        return np.concatenate([xdot, yadot, pdot])
+        return np.concatenate(vakonomic_rhs(self, vec))
 
 
-def _point_function(lt: ScalarFunction,
-                    psi: tuple[ScalarFunction, ...]) -> Callable[[np.ndarray], tuple]:
-    """v -> Ltilde's value, gradient and Hessian, then every Psi's stacked.
+def _multiplier_names(constrained: tuple[int, ...]) -> tuple[str, ...]:
+    """The momentum names of the constrained directions, which the
+    multipliers take; the DSL keeps them free of every other name."""
+    return tuple(f"p{a + 1}" for a in constrained)
 
-    One generated call, kept on Ltilde's root node for these names, params
-    and Psi trees.
+
+def _point_function(sys: VakonomicSystem) -> Callable[[np.ndarray], tuple]:
+    """The generated function of a packed state (x, ya, palpha) that returns
+    every field of `_PointData`, in its order.
+
+    Made once per spec, constrained split, Ltilde and Psi trees, and kept on
+    the spec like the chart code; the code is generated at the first point.
     """
-    trees = tuple(f.expr for f in psi)
-    memo = vars(lt.expr).setdefault("_point", {})
-    # the entry's layout holds the Psi trees, so their ids stay theirs
-    key = (lt.names, tuple(sorted(lt.params.items())), tuple(map(id, trees)))
+    trees = (sys._lt.expr,) + tuple(f.expr for f in sys._psi)
+    memo = vars(sys.chart.spec).setdefault("_vakonomic_point", {})
+    # the entry's layout holds the trees, so their ids stay theirs
+    key = (sys.constrained, tuple(map(id, trees)))
     if key not in memo:
-        memo[key] = lazy_generated(lt.names, lt.params,
-                                   functools.partial(_point_layout, lt.expr, trees, lt.names))
+        memo[key] = lazy_generated(
+            sys.state_labels, sys.chart.params,
+            functools.partial(_point_layout, sys.chart.spec, sys.constrained, trees))
     return memo[key]
 
 
-def _point_layout(lt: Expr, psi: tuple[Expr, ...], names: tuple) -> tuple:
-    """Ltilde's jet groups, then the Psi values, gradients and Hessians."""
-    nc, nv = len(psi), len(names)
-    jets = [_jet_layout(f, names, 2)[0] for f in psi]
-    return _jet_layout(lt, names, 2)[0] + [
-        ([tree for jet in jets for tree in jet[k][0]], shape, k)
-        for k, shape in enumerate([(nc,), (nc, nv), (nc, nv, nv)])], ()
+def _dot(pairs) -> Expr:
+    """sum of a*b over the pairs, left to right, zeros and ones folded."""
+    total = _ZERO
+    for a, b in pairs:
+        total = _fold("+", total, _fold("*", a, b))
+    return total
+
+
+def _point_layout(spec: SystemSpec, constrained: tuple[int, ...],
+                  trees: tuple[Expr, ...]) -> tuple:
+    """The `_PointData` fields as trees over (x, ya, palpha).
+
+    The checks walk Ltilde's jet, then the stacked Psi values, gradients and
+    Hessians, then rho's and C's entries, so an error is the one the
+    separate evaluations reported, in their order. The fields are sums of
+    products of those trees with the multipliers and velocities.
+    """
+    m, n = spec.m, spec.n
+    free = tuple(a for a in range(n) if a not in constrained)
+    nf, nc = len(free), len(constrained)
+    names = spec.base + tuple(spec.fiber[a] for a in free)
+    nv = len(names)
+    lt_jet = _jet_layout(trees[0], names, 2)[0]
+    psi_jets = [_jet_layout(f, names, 2)[0] for f in trees[1:]]
+    psi_groups = [([tree for jet in psi_jets for tree in jet[k][0]], shape, k)
+                  for k, shape in enumerate([(nc,), (nc, nv), (nc, nv, nv)])]
+    rho_slots, c_slots = _tensor_slots(spec)
+    rho_flat, c_flat = _tensor_trees(rho_slots), _tensor_trees(c_slots)
+    checks = lt_jet + psi_groups + [(rho_flat, None, 0), (c_flat, None, 0)]
+
+    lt, psi = trees[0], trees[1:]
+    g, h = lt_jet[1][0], lt_jet[2][0]
+    psi_g = [jet[1][0] for jet in psi_jets]
+    psi_h = [jet[2][0] for jet in psi_jets]
+    ya = [Var(name) for name in names[m:]]
+    p = [Var(name) for name in _multiplier_names(constrained)]
+
+    def minus_p(tree: Expr, column) -> Expr:
+        # tree - p_beta column[beta]: a partial of Ltilde less the multipliers'
+        return _fold("-", tree, _dot(zip(p, column)))
+
+    y_full, p_full = [_ZERO] * n, [_ZERO] * n
+    for k, a in enumerate(free):
+        y_full[a] = ya[k]
+        p_full[a] = minus_p(g[m + k], [gb[m + k] for gb in psi_g])
+    for j, a in enumerate(constrained):
+        y_full[a], p_full[a] = psi[j], p[j]
+    # lam_i = d(Ltilde)/dx_i - p_beta dPsi^beta/dx_i drives every momentum
+    # equation through the anchor
+    lam = [minus_p(g[i], [gb[i] for gb in psi_g]) for i in range(m)]
+    R = [minus_p(h[(m + a) * nv + m + b], [hb[(m + a) * nv + m + b] for hb in psi_h])
+         for a in range(nf) for b in range(nf)]
+    xdot = [_dot(zip(rho_flat[i * n:(i + 1) * n], y_full)) for i in range(m)]
+    # lam . rho[:, a] and cterm_a = C[b, a, d] y_full[d] p_full[b]
+    lam_rho = [_dot(zip(lam, rho_flat[a::n])) for a in range(n)]
+    cterm = [_dot((_fold("*", c_flat[(b * n + a) * n + d], y_full[d]), p_full[b])
+                  for b in range(n) for d in range(n)) for a in range(n)]
+    pdot = [_fold("-", lam_rho[a], cterm[a]) for a in constrained]
+    # the p_a equation, expanded by the chain rule and solved against R
+    rhs = []
+    for k, a in enumerate(free):
+        r = _fold("+", _fold("-", _ZERO, cterm[a]), lam_rho[a])
+        mixed = [minus_p(h[i * nv + m + k], [hb[i * nv + m + k] for hb in psi_h])
+                 for i in range(m)]
+        r = _fold("-", r, _dot(zip(xdot, mixed)))
+        rhs.append(_fold("+", r, _dot(zip(pdot, (gb[m + k] for gb in psi_g)))))
+    # the free part, then the constrained part, then Ltilde, as pontryagin_H
+    h_w1 = _fold("-", _fold("+", _dot(zip([p_full[a] for a in free], ya)),
+                            _dot(zip(p, psi))), lt)
+    groups = [([lt], None, 0), (y_full, (n,), 0), (p_full, (n,), 0), (lam, (m,), 0),
+              (R, (nf, nf), 0), (rhs, (nf,), 0), (xdot, (m,), 0), (pdot, (nc,), 0),
+              ([h_w1], None, 0)]
+    return groups, checks
 
 
 def vakonomic_from_spec(spec: SystemSpec) -> VakonomicSystem:
@@ -167,26 +236,26 @@ def vakonomic_from_spec(spec: SystemSpec) -> VakonomicSystem:
 
 
 class _PointData:
-    """All derivatives of the system at one (x, ya, palpha) point."""
+    """Every field of the system at one point, from one generated call.
 
-    def __init__(self, sys: VakonomicSystem, x: np.ndarray, ya: np.ndarray,
-                 palpha: np.ndarray):
-        m = sys.chart.m
-        (self.lt_value, g, h, self.psi_value, psi_g,
-         psi_h) = sys._point(np.concatenate([x, ya]))
-        self.ltx, self.lty = g[:m], g[m:]
-        self.ltxy, self.ltyy = h[:m, m:], h[m:, m:]
-        self.psix, self.psiy = psi_g[:, :m], psi_g[:, m:]
-        self.psixy, self.psiyy = psi_h[:, :m, m:], psi_h[:, m:, m:]
+    parts is the packed state (x, ya, palpha), or those three pieces. The
+    arrays are the call's own, read-only: the full velocity y_full and
+    momentum p_full, lam = dLtilde/dx - p.dPsi/dx, the regularity matrix R
+    and right-hand side rhs of the free-velocity equation R yadot = rhs,
+    xdot, the multiplier drive pdot, and the floats lt_value and h_w1.
+    """
 
-        self.y_full = np.concatenate([ya, self.psi_value])[sys._order]
-        self.p_full = np.concatenate([self.lty - palpha @ self.psiy, palpha])[sys._order]
+    def __init__(self, sys: VakonomicSystem, *parts: np.ndarray):
+        (self.lt_value, self.y_full, self.p_full, self.lam, self.R, self.rhs,
+         self.xdot, self.pdot, self.h_w1) = sys._point(
+            parts[0] if len(parts) == 1 else np.concatenate(parts))
 
-        # lam_i = d(Ltilde)/dx_i - p_beta dPsi^beta/dx_i drives every momentum
-        # equation through the anchor.
-        self.lam = self.ltx - palpha @ self.psix if m else np.zeros(0)
-        self.R = self.ltyy - np.einsum("b,bij->ij", palpha, self.psiyy) \
-            if sys.n_constrained else self.ltyy
+
+def _point_data(sys: VakonomicSystem, s) -> _PointData:
+    """_PointData at s, a VakState or the packed state vector."""
+    if isinstance(s, np.ndarray):
+        return _PointData(sys, s)
+    return _PointData(sys, s.x, s.ya, s.palpha)
 
 
 def pontryagin_H(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
@@ -195,13 +264,10 @@ def pontryagin_H(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     ya = np.asarray(ya, dtype=float)
-    return _pontryagin(sys, _PointData(sys, x, ya, p[sys._con_idx]), p, ya)
-
-
-def _pontryagin(sys: VakonomicSystem, d: _PointData, p: np.ndarray,
-                ya: np.ndarray) -> float:
+    con = sys._con_idx
+    d = _PointData(sys, x, ya, p[con])
     free_part = float(p[sys._free_idx] @ ya) if sys.n_free else 0.0
-    con_part = float(p[sys._con_idx] @ d.psi_value) if sys.n_constrained else 0.0
+    con_part = float(p[con] @ d.y_full[con]) if sys.n_constrained else 0.0
     return free_part + con_part - d.lt_value
 
 
@@ -211,13 +277,11 @@ def w1_constraints(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     ya = np.asarray(ya, dtype=float)
-    palpha = p[sys._con_idx]
-    return _w1_residual(sys, _PointData(sys, x, ya, palpha), p, palpha)
+    return _w1_residual(sys, _PointData(sys, x, ya, p[sys._con_idx]), p)
 
 
-def _w1_residual(sys: VakonomicSystem, d: _PointData, p: np.ndarray,
-                 palpha: np.ndarray) -> np.ndarray:
-    return p[sys._free_idx] + palpha @ d.psiy - d.lty
+def _w1_residual(sys: VakonomicSystem, d: _PointData, p: np.ndarray) -> np.ndarray:
+    return p[sys._free_idx] - d.p_full[sys._free_idx]
 
 
 @dataclass(frozen=True)
@@ -235,8 +299,8 @@ def regularity_matrix(sys: VakonomicSystem, x: np.ndarray, ya: np.ndarray,
     An empty R (no free velocities) leaves nothing to solve, so it is regular.
     """
     r = _PointData(sys, np.asarray(x, dtype=float), np.asarray(ya, dtype=float),
-                   np.asarray(palpha, dtype=float)).R
-    regular, smin, _ = regularity(r)
+                   np.asarray(palpha, dtype=float)).R.copy()
+    regular, smin, _ = regularity(r, sys.rank_rtol)
     return RegularityMatrixReport(R=r, det=float(np.linalg.det(r)) if r.size else 1.0,
                                   min_singular_value=smin,
                                   regular=bool(r.size == 0 or regular))
@@ -244,51 +308,33 @@ def regularity_matrix(sys: VakonomicSystem, x: np.ndarray, ya: np.ndarray,
 
 def momenta(sys: VakonomicSystem, s: VakState) -> np.ndarray:
     """Full momentum covector, dependent components from the constraint."""
-    return _PointData(sys, s.x, s.ya, s.palpha).p_full
+    return _point_data(sys, s).p_full.copy()
 
 
 def h_w1(sys: VakonomicSystem, s: VakState) -> float:
-    """Hamiltonian on the primary constraint set, evaluated at a state."""
-    d = _PointData(sys, s.x, s.ya, s.palpha)
-    return _pontryagin(sys, d, d.p_full, s.ya)
+    """Hamiltonian on the primary constraint set, evaluated at a state: a
+    VakState or the packed state vector."""
+    return _point_data(sys, s).h_w1
 
 
 def vakonomic_rhs(sys: VakonomicSystem,
                   s: VakState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit constrained-variational equations at one state.
 
-    Returns (xdot, yadot, palphadot). The free-velocity equation comes from
-    expanding the momentum equation for p_a by the chain rule and solving
-    against the symmetric regularity matrix, from the one eigendecomposition
-    that also gives its verdict. s is a VakState, or any (x, ya, palpha) of
-    float arrays.
+    Returns (xdot, yadot, palphadot), the first and last read-only. The
+    free-velocity equation comes from expanding the momentum equation for
+    p_a by the chain rule and solving against the symmetric regularity
+    matrix, from the one eigendecomposition that also gives its verdict. s
+    is a VakState, or the packed state vector.
     """
-    chart = sys.chart
-    d = _PointData(sys, s.x, s.ya, s.palpha)
-    rho = chart.rho(s.x)
-    cs = chart.structure(s.x)
-
-    xdot = rho @ d.y_full if chart.m else np.zeros(0)
-    cterm = np.einsum("bad,d,b->a", cs, d.y_full, d.p_full)
-
-    con, free = sys._con_idx, sys._free_idx
-    pdot = (d.lam @ rho[:, con] if chart.m else 0.0) - cterm[con]
-
-    if not free.size:
-        return xdot, np.zeros(0), pdot
-    rhs = -cterm[free]
-    if chart.m:
-        rhs = rhs + d.lam @ rho[:, free]
-        mixed = d.ltxy - np.einsum("b,bia->ia", s.palpha, d.psixy) \
-            if con.size else d.ltxy
-        rhs = rhs - xdot @ mixed
-    if con.size:
-        rhs = rhs + pdot @ d.psiy
-    regular, smin, _, yadot = regular_solve(d.R, rhs)
+    d = _point_data(sys, s)
+    if not sys.n_free:
+        return d.xdot, np.zeros(0), d.pdot
+    regular, smin, _, yadot = regular_solve(d.R, d.rhs, sys.rank_rtol)
     if not regular:
         raise SingularR(f"regularity matrix singular (sigma_min={smin:.3e}); "
                         "use the constraint algorithm")
-    return xdot, yadot, pdot
+    return d.xdot, yadot, d.pdot
 
 
 vakonomic_bracket = lie_poisson_bracket
@@ -306,11 +352,11 @@ def _mu_solve_point(sys: VakonomicSystem, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     palpha = p[sys._con_idx]
-    # the step, and the caller, reuse the derivatives the residual built
+    # the step, and the caller, reuse the point data the residual built
     point = memo_last(lambda y: _PointData(sys, x, y, palpha))
 
     def phi(y: np.ndarray) -> np.ndarray:
-        return _w1_residual(sys, point(y), p, palpha)
+        return _w1_residual(sys, point(y), p)
 
     def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.linalg.solve(-point(y).R, r)
@@ -365,8 +411,9 @@ def euler_poincare_residual(sys: VakonomicSystem, times: np.ndarray,
     gammas = np.zeros((k, n))
     sigmas = np.zeros((k, n))
     for i in range(k):
+        # with a constant Psi, dLtilde/dy^a is p_a itself
         d = _PointData(sys, np.zeros(0), ya_series[i], palpha_series[i])
-        gammas[i] = np.concatenate([d.lty, palpha_series[i]])[sys._order]
+        gammas[i] = d.p_full
         sigmas[i] = d.y_full
 
     worst = 0.0

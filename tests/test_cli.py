@@ -6,11 +6,12 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from amech import algebroid, expr, presym
+from amech import algebroid, expr, linalg, presym
 from amech.algebroid import chart_from_spec, check_structure
 from amech.cli import main
 from amech.dsl import MAX_DEPTH, MAX_NESTING, format_system, parse_system
@@ -343,6 +344,32 @@ def test_a_name_of_a_momentum_coordinate_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_model_named_like_the_simulate_columns_is_a_parse_error(tmp_path, capsys):
+    # before, this ran and wrote the header t,t,energy,energy
+    model = tmp_path / "columns.amech"
+    model.write_text("system columns\nbase [t]\nfiber [energy]\nanchor { energy -> (1) }\n"
+                     "lagrangian = 0.5 * energy^2 - t^2\n")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(model), "--mode", "el", "--out", str(out),
+                 "--manifest", str(tmp_path / "m.json")]) == 2
+    assert "'t' is the name of a simulate column" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("monitors", [["energy=q"], ["q=v"], ["t=2*q"],
+                                      ["closed_form_energy=v"], ["a=q", "a=v"]],
+                         ids=["energy", "state", "time", "channel", "repeated"])
+def test_a_monitor_named_like_another_column_is_a_usage_error(tmp_path, capsys, monitors):
+    # before, energy=q replaced the energy column and q=v wrote a second q
+    out = tmp_path / "out.csv"
+    flags = [arg for monitor in monitors for arg in ("--monitor", monitor)]
+    assert main(["simulate", "--preset", "tq_pendulum", "--mode", "el", "--t1", "0.1",
+                 *flags, "--out", str(out), "--manifest", str(tmp_path / "m.json")]) == 2
+    name = monitors[-1].partition("=")[0]
+    assert f"--monitor name '{name}' is already a CSV column" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bracket_rejects_unknown_coordinates(tmp_path, capsys):
     code = main(["bracket", "--preset", "so3_rigid_body",
                  "--F", "p1", "--G", "p2", "--at", "bogus=1.0",
@@ -408,6 +435,38 @@ def test_rank_tolerance_env_lands_in_manifest(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "r.json"),
                  "--manifest", str(manifest)]) == 0
     assert json.loads(manifest.read_text())["rank_tolerance"] == 1e-7
+
+
+class _CountingEnviron(dict):
+    """os.environ as linalg sees it, counting the reads of AMECH_TOL."""
+
+    def __init__(self, reads):
+        super().__init__(os.environ)
+        self.reads = reads
+
+    def get(self, key, default=None):
+        if key == "AMECH_TOL":
+            self.reads.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("pid, mode", [("tq_pendulum", "el"), ("tq_pendulum", "hamilton"),
+                                       ("so3_rigid_body", "vakonomic"),
+                                       ("capri_kobayashi", "sode")])
+def test_a_simulate_reads_the_rank_tolerance_independently_of_its_steps(tmp_path, monkeypatch,
+                                                                     pid, mode):
+    # each system resolves AMECH_TOL once, when it is built, so no right-hand
+    # side reads the environment
+    reads = []
+    monkeypatch.setattr(linalg, "os", SimpleNamespace(environ=_CountingEnviron(reads)))
+    counts = []
+    for t1 in ("0.05", "0.2"):
+        del reads[:]
+        assert main(["simulate", "--preset", pid, "--mode", mode, "--t1", t1, "--dt", "0.01",
+                     "--out", str(tmp_path / "o.csv"),
+                     "--manifest", str(tmp_path / "m.json")]) == 0
+        counts.append(len(reads))
+    assert counts[0] == counts[1] > 0
 
 
 def test_default_manifest_path(tmp_path, monkeypatch):

@@ -152,6 +152,17 @@ def test_names_of_the_momentum_coordinates_rejected(doc, message):
         parse_system(doc)
 
 
+@pytest.mark.parametrize("doc,name", [
+    (WELL_FORMED.replace("q", "t"), "t"),
+    (WELL_FORMED.replace("w", "energy"), "energy"),
+], ids=["base", "fiber"])
+def test_names_of_the_simulate_columns_rejected(doc, name):
+    # simulate writes the columns t and energy beside the state, so a base or
+    # fiber name equal to either would give the CSV two columns of that name
+    with pytest.raises(DuplicateIndexError, match=f"'{name}' is the name of a simulate column"):
+        parse_system(doc)
+
+
 def test_momentum_names_beyond_the_fiber_width_are_free():
     spec = parse_system(WELL_FORMED.replace("base [q]", "base [p3]").replace("q", "p3"))
     assert spec.base == ("p3",)

@@ -19,6 +19,7 @@ from amech.dynamics import EPoint, LegendreEnergy, system_from_spec
 from amech.errors import DslError
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import ids as preset_ids, load as load_preset
+from amech.vakonomic import h_w1, vakonomic_from_spec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -216,6 +217,37 @@ def test_hamilton_mode_solves_the_legendre_inverse_once_per_point(tmp_path, monk
     steps = len(out.read_text().splitlines()) - 2  # the header and row 0
     assert steps == 20
     assert len(solves) == 4 * steps + 1
+
+
+def test_vakonomic_mode_runs_the_point_code_once_per_stage(monkeypatch):
+    # each right-hand side is one call of the generated point code; the h_w1
+    # monitor reads each row before the next step's first stage finds it in
+    # the last-point memo, so it adds one call, at the last row: 4N + 1 calls
+    # for N RK4 steps with the monitor, 4N without
+    runs = []
+    real_generate = expr.generate
+
+    def counting(names, *args):
+        code = real_generate(names, *args)
+        return lambda v: runs.append(names) or code(v)
+
+    monkeypatch.setattr(expr, "generate", counting)
+    spec = copy.deepcopy(load_preset("so3_rigid_body").spec)
+    mode = MODES["vakonomic"](spec)
+    problem = OdeProblem(dim=3, rhs=mode.rhs, labels=mode.labels)
+    config = IntegratorConfig(t0=0.0, t1=0.2, h=0.01)
+    y0 = np.array([0.3, 0.4, 0.5])
+    del runs[:]
+    plain = integrate(problem, config, y0, {})
+    steps = len(plain.times) - 1
+    assert steps == 20 and runs == [mode.labels] * (4 * steps)
+    del runs[:]
+    traj = integrate(problem, config, y0, {"energy": mode.energy})
+    assert runs == [mode.labels] * (4 * steps + 1)
+    assert traj.states.tobytes() == plain.states.tobytes()
+    vsys = vakonomic_from_spec(spec)
+    after = [h_w1(vsys, vsys.unpack(state)) for state in traj.states]
+    assert traj.monitors["energy"].tobytes() == np.array(after).tobytes()
 
 
 # used by no other test, renamed per case, so its code is compiled under the

@@ -1,6 +1,7 @@
 """The vakonomic point data comes from one generated call per point, built
-once per spec: bit-equal to the per-function derivatives, and derived and
-generated only on the first use of a spec."""
+once per spec: bit-equal to the same fields assembled in numpy from the
+per-function derivatives, and derived and generated only on the first use of
+a spec."""
 
 import copy
 
@@ -10,9 +11,10 @@ import pytest
 from amech import expr, vakonomic
 from amech.algebroid import chart_from_spec
 from amech.cli import main
-from amech.dsl import with_params
+from amech.dsl import parse_system, with_params
 from amech.presets import ids as preset_ids, load as load_preset
 from amech.vakonomic import vakonomic_from_spec
+from strategies import perfbench_workloads
 
 VAK_PRESETS = [pid for pid in preset_ids() if "vakonomic" in load_preset(pid).facts["modes"]]
 
@@ -44,26 +46,84 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-def _assert_matches_per_function(sys, d, x, ya):
-    m = sys.chart.m
-    v = np.concatenate([x, ya])
-    value, g, h = sys._lt.derivatives(v)
-    assert _bits(d.lt_value) == _bits(value)
-    assert _bits(d.ltx) == _bits(g[:m]) and _bits(d.lty) == _bits(g[m:])
-    assert _bits(d.ltxy) == _bits(h[:m, m:]) and _bits(d.ltyy) == _bits(h[m:, m:])
+FIELDS = ("lt_value", "y_full", "p_full", "lam", "R", "rhs", "xdot", "pdot", "h_w1")
+
+
+def _reference(sys, x, ya, palpha):
+    """Every _PointData field assembled in numpy from the per-function
+    derivatives of Ltilde and Psi and the chart's rho and C: the formulas the
+    point data and the right-hand side were built from before they became
+    one generated call."""
+    m, v = sys.chart.m, np.concatenate([x, ya])
+    lt_value, g, h = sys._lt.derivatives(v)
     jets = [f.derivatives(v) for f in sys._psi]
-    assert _bits(d.psi_value) == _bits([jet[0] for jet in jets])
-    for j, (_, gj, hj) in enumerate(jets):
-        assert _bits(d.psix[j]) == _bits(gj[:m]) and _bits(d.psiy[j]) == _bits(gj[m:])
-        assert _bits(d.psixy[j]) == _bits(hj[:m, m:])
-        assert _bits(d.psiyy[j]) == _bits(hj[m:, m:])
+    psi_value = np.array([jet[0] for jet in jets])
+    psi_g = np.array([jet[1] for jet in jets]).reshape(len(jets), v.size)
+    psi_h = np.array([jet[2] for jet in jets]).reshape(len(jets), v.size, v.size)
+    order = np.argsort(sys.free + sys.constrained)
+    con, free = sys._con_idx, sys._free_idx
+
+    y_full = np.concatenate([ya, psi_value])[order]
+    p_full = np.concatenate([g[m:] - palpha @ psi_g[:, m:], palpha])[order]
+    lam = g[:m] - palpha @ psi_g[:, :m] if m else np.zeros(0)
+    R = h[m:, m:] - np.einsum("b,bij->ij", palpha, psi_h[:, m:, m:]) if con.size \
+        else h[m:, m:]
+
+    rho, cs = sys.chart.rho(x), sys.chart.structure(x)
+    xdot = rho @ y_full if m else np.zeros(0)
+    cterm = np.einsum("bad,d,b->a", cs, y_full, p_full)
+    pdot = (lam @ rho[:, con] if m else 0.0) - cterm[con]
+    rhs = -cterm[free]
+    if m:
+        rhs = rhs + lam @ rho[:, free]
+        mixed = h[:m, m:] - np.einsum("b,bia->ia", palpha, psi_h[:, :m, m:]) \
+            if con.size else h[:m, m:]
+        rhs = rhs - xdot @ mixed
+    if con.size:
+        rhs = rhs + pdot @ psi_g[:, m:]
+
+    # H_W1 as the Pontryagin Hamiltonian summed it: the free part, then the
+    # constrained part, then Ltilde. Its two dot products are spelled out
+    # left to right: numpy's vector dot may fuse multiply-adds, depending on
+    # the BLAS kernel the machine selects, so its last bit is not a reference
+    free_part = con_part = 0.0
+    for pa, y in zip(p_full[free].tolist(), ya.tolist()):
+        free_part = free_part + pa * y
+    for pb, psi in zip(palpha.tolist(), psi_value.tolist()):
+        con_part = con_part + pb * psi
+    h_w1 = free_part + con_part - lt_value
+    return dict(lt_value=lt_value, y_full=y_full, p_full=p_full, lam=lam, R=R, rhs=rhs,
+                xdot=xdot, pdot=pdot, h_w1=h_w1)
 
 
 @pytest.mark.parametrize("pid", VAK_PRESETS)
 def test_fused_point_data_is_bit_equal_to_the_per_function_derivatives(pid):
     sys = vakonomic_from_spec(load_preset(pid).spec)
-    for x, ya, palpha in _points(sys, 12, seed=21):
-        _assert_matches_per_function(sys, vakonomic._PointData(sys, x, ya, palpha), x, ya)
+    for x, ya, palpha in _points(sys, 40, seed=21):
+        d, ref = vakonomic._PointData(sys, x, ya, palpha), _reference(sys, x, ya, palpha)
+        for field in FIELDS:
+            assert _bits(getattr(d, field)) == _bits(ref[field]), field
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_point_data_agrees_with_the_reference_on_sweep_charts(seed):
+    # so(3) in a random unimodular basis times T R^k, with one constrained
+    # velocity depending on the base and the other velocities; its sums have
+    # several terms, which numpy may add in another order
+    workloads = perfbench_workloads()
+    rng = np.random.default_rng(seed)
+    for k in range(3):
+        model = workloads.generate_model(rng, k, f"sweep_vak_k{k}")
+        c1, c2, c3 = rng.uniform(-1.0, 1.0, 3)
+        psi = f"{c1:.4f}*f1*f2 + {c2:.4f}*f1^2 + {c3:.4f}*f2" + \
+            "".join(f" + 0.3*sin(q{i + 1})*v{i + 1}" for i in range(k))
+        sys = vakonomic_from_spec(parse_system(model.text + f"vakonomic {{ f3 = {psi} }}\n"))
+        for x, ya, palpha in _points(sys, 20, seed=seed):
+            d, ref = vakonomic._PointData(sys, x, ya, palpha), _reference(sys, x, ya, palpha)
+            for field in FIELDS:
+                got, want = np.asarray(getattr(d, field)), np.asarray(ref[field])
+                scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, field
 
 
 def _counting_generate(monkeypatch):
