@@ -129,7 +129,14 @@ def _tensor_slots(spec: SystemSpec) -> tuple[list, list]:
 
 
 def _signed(tree: Expr, negated: bool) -> Expr:
-    return Unary("neg", tree) if negated else tree
+    """tree, or its negation; a constant under negations, as the parser
+    writes a swapped bracket's, folds to the constant of the same bits."""
+    if negated:
+        tree = Unary("neg", tree)
+    sign, core = 1.0, tree
+    while isinstance(core, Unary) and core.op == "neg":
+        sign, core = -sign, core.arg
+    return Const(sign * core.value) if isinstance(core, Const) else tree
 
 
 def _tensor_trees(slots: list) -> list[Expr]:

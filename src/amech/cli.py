@@ -232,21 +232,15 @@ def _el_mode(spec, sode: bool = False) -> Mode:
     """Euler-Lagrange on E; with sode, the second-order field on the final
     constraint set of a singular L, from a start projected onto it."""
     sys_ = system_from_spec(spec)
-    m = sys_.chart.m
-
-    def point(state):
-        return SimpleNamespace(x=state[:m], y=state[m:])
 
     def el_rhs(t, state):
         del t
-        xdot, ydot = euler_lagrange_rhs(sys_, point(state))
-        return np.concatenate([xdot, ydot])
+        return np.concatenate(euler_lagrange_rhs(sys_, state))
 
     def sode_rhs(t, state):
         del t
-        w, b, rho = _el_force(sys_, point(state))
-        xi_v, _ = min_norm_lstsq(w, b, sys_.rank_rtol)
-        return np.concatenate([rho @ state[m:] if m else np.zeros(0), xi_v])
+        w, b, xdot = _el_force(sys_, state)
+        return np.concatenate([xdot, min_norm_lstsq(w, b, sys_.rank_rtol)[0]])
 
     def probe(y0, seed):
         el_rhs(0.0, y0)  # so a singular model fails before integration starts
@@ -261,7 +255,7 @@ def _el_mode(spec, sode: bool = False) -> Mode:
 
     return Mode(sys_.chart.base_names + sys_.chart.fiber_names,
                 sode_rhs if sode else el_rhs,
-                lambda t, state: sys_.energy(point(state)),
+                lambda t, state: sys_.energy(state),
                 project if sode else probe)
 
 
@@ -314,6 +308,9 @@ def cmd_simulate(args) -> int:
     y0, resolved = _resolve_init(labels, facts_init, overrides)
     y0 = mode.start(y0, args.seed)
 
+    # a preset's derived channels are added to a vakonomic run's columns
+    derived = model["facts"].get("derived") if args.mode == "vakonomic" else None
+    derived_names = model["facts"]["derived_names"] if derived else ()
     monitors: dict[str, Callable] = {"energy": mode.energy}
     params = dict(spec.params)
     for name, tree in model["channels"].items():
@@ -326,7 +323,7 @@ def cmd_simulate(args) -> int:
             raise UsageError("--monitor entries must look like name=expression")
         name, _, text = item.partition("=")
         name = name.strip()
-        if name in COLUMN_NAMES or name in labels or name in monitors:
+        if name in COLUMN_NAMES or name in labels or name in monitors or name in derived_names:
             raise UsageError(f"--monitor name {name!r} is already a CSV column")
         monitors[name] = _monitor(labels, params, parse_expression(text))
         extra.append([name, text])
@@ -340,9 +337,13 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
     problem_ode = OdeProblem(dim=len(labels), rhs=mode.rhs, labels=tuple(labels))
     traj = integrate(problem_ode, config, y0, monitors)
-    derived = model["facts"].get("derived")
-    if derived and args.mode == "vakonomic":
-        traj.monitors.update(derived(traj, spec.params))
+    if derived:
+        channels = derived(traj, spec.params)
+        # a run too short to difference has none
+        if channels and tuple(channels) != derived_names:
+            raise AmechError(f"derived channels {list(channels)} are not the "
+                             f"declared {list(derived_names)}")
+        traj.monitors.update(channels)
 
     _write(traj.to_csv(), args.out)
 

@@ -12,15 +12,17 @@ primary constraints' included; nothing in this module is differenced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebroid import AlgebroidChart, DualPoint, as_dual_observable
+from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
+                        as_dual_observable)
 from .errors import SingularHessian
-from .expr import Const, Expr, ScalarFunction, Var, _fold, partials
+from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
+                   lazy_generated, partials)
 from .linalg import damped_newton, memo_last, rank_rtol, regular_solve, regularity
 
 __all__ = [
@@ -59,7 +61,9 @@ class EPoint:
 
 
 class LagrangianDerivatives(NamedTuple):
-    """L at one bundle point with its first and second derivative blocks."""
+    """L at one bundle point with its derivative blocks, its energy
+    E_L = y dL/dy - L and the Euler-Lagrange force system W f = b, W being
+    the velocity Hessian w; rho_y is rho(x) y, the base velocity."""
 
     value: float
     lx: np.ndarray
@@ -67,18 +71,20 @@ class LagrangianDerivatives(NamedTuple):
     hxy: np.ndarray
     w: np.ndarray
     hxx: np.ndarray
-
-    def energy(self, y: np.ndarray) -> float:
-        """E_L = y dL/dy - L at the velocity y these derivatives were taken at."""
-        return float(self.ly @ y) - self.value
+    energy: float
+    b: np.ndarray
+    rho_y: np.ndarray
 
 
 class LagrangianSystem:
     """A chart together with a Lagrangian on its (x, y) coordinates.
 
     The Lagrangian is an expression in the base and fiber coordinate names,
-    differentiated exactly. The rank tolerance is resolved from AMECH_TOL
-    once, here.
+    differentiated exactly. The chart must come from a parsed spec: every
+    field at a point is one generated call, assembled from L's partial trees
+    and the spec's anchor and bracket trees. The rank tolerance is resolved
+    from AMECH_TOL once, here. A point is an EPoint, any (x, y) of float
+    arrays, or the packed vector (x, y).
     """
 
     def __init__(self, chart: AlgebroidChart, lagrangian: Expr):
@@ -86,32 +92,33 @@ class LagrangianSystem:
         self.rank_rtol = rank_rtol()
         self._sf = ScalarFunction(chart.base_names + chart.fiber_names,
                                   expr=lagrangian, params=chart.params)
+        if chart.spec is None:
+            raise ValueError("a Lagrangian system needs a chart built from a spec")
+        self._point = _point_function(chart.spec, lagrangian)
         self._energy: ScalarFunction | None = None
 
     def value(self, at: EPoint) -> float:
-        return self._sf.value(np.concatenate([at.x, at.y]))
+        return self.derivatives(at).value
 
     def gradients(self, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
         """(dL/dx, dL/dy) at the point."""
-        g = self._sf.gradient(np.concatenate([at.x, at.y]))
-        return g[:self.chart.m], g[self.chart.m:]
+        d = self.derivatives(at)
+        return d.lx, d.ly
 
     def second_derivatives(self, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
         """(d2L/dx dy with shape (m, n), d2L/dy dy with shape (n, n))."""
-        m = self.chart.m
-        h = self._sf.hessian(np.concatenate([at.x, at.y]))
-        return h[:m, m:], h[m:, m:]
+        d = self.derivatives(at)
+        return d.hxy, d.w
 
     def derivatives(self, at: EPoint) -> LagrangianDerivatives:
-        """L, dL/dx, dL/dy, d2L/dx dy, d2L/dy dy and d2L/dx dx from one
-        evaluation."""
-        m = self.chart.m
-        value, g, h = self._sf.derivatives(np.concatenate([at.x, at.y]))
-        return LagrangianDerivatives(value, g[:m], g[m:], h[:m, m:], h[m:, m:], h[:m, :m])
+        """Every field at the point, from one call of the generated code; the
+        arrays are the call's own, read-only."""
+        return LagrangianDerivatives._make(self._point(
+            at if isinstance(at, np.ndarray) else np.concatenate([at.x, at.y])))
 
     def energy(self, at: EPoint) -> float:
-        """E_L = y dL/dy - L, from the same generated call as `derivatives`."""
-        return self.derivatives(at).energy(at.y)
+        """E_L = y dL/dy - L, its sum taken left to right."""
+        return self.derivatives(at).energy
 
     def energy_derivatives(self, at: EPoint) -> tuple[float, np.ndarray, np.ndarray]:
         """E_L = y dL/dy - L with its gradient and Hessian in (x, y), exact.
@@ -122,18 +129,76 @@ class LagrangianSystem:
         reuses them.
         """
         if self._energy is None:
-            lagrangian = self._sf.expr
+            lagrangian, names = self._sf.expr, self._sf.names
             memo = vars(lagrangian).setdefault("_energy", {})
-            key = (self._sf.names, self.chart.m, tuple(sorted(self._sf.params.items())))
+            key = (names, self.chart.m, tuple(sorted(self._sf.params.items())))
             if key not in memo:
-                el = Const(0.0)
-                for name, partial in zip(self.chart.fiber_names,
-                                         partials(lagrangian, self.chart.fiber_names)):
-                    el = _fold("+", el, _fold("*", Var(name), partial))
-                memo[key] = ScalarFunction(self._sf.names, expr=_fold("-", el, lagrangian),
-                                           params=self.chart.params)
+                memo[key] = ScalarFunction(names, params=self.chart.params,
+                                           expr=_energy_tree(lagrangian, names, self.chart.m))
             self._energy = memo[key]
         return self._energy.derivatives(np.concatenate([at.x, at.y]))
+
+
+def _energy_tree(lagrangian: Expr, names: tuple[str, ...], m: int) -> Expr:
+    """E_L = y dL/dy - L over names, the velocities after the first m, its
+    sum taken left to right."""
+    return _fold("-", _dot(zip(map(Var, names[m:]), partials(lagrangian, names)[m:])),
+                 lagrangian)
+
+
+def _point_function(spec, lagrangian: Expr) -> Callable[[np.ndarray], tuple]:
+    """The generated function of (x, y) that returns every field of
+    `LagrangianDerivatives`, in its order.
+
+    Made once per spec and Lagrangian tree and kept on the spec like the
+    chart code; the code is generated at the first point.
+    """
+    memo = vars(spec).setdefault("_lagrangian_point", {})
+    # the entry's layout holds the tree, so its id stays its own
+    if id(lagrangian) not in memo:
+        memo[id(lagrangian)] = lazy_generated(
+            spec.base + spec.fiber, spec.params,
+            functools.partial(_point_layout, spec, lagrangian))
+    return memo[id(lagrangian)]
+
+
+def _point_layout(spec, lagrangian: Expr) -> tuple:
+    """The `LagrangianDerivatives` fields as trees over (x, y).
+
+    The checks walk L's jet, then C's entries, then rho's, the order in
+    which the force system evaluated them, so an error is the one it
+    reported. b is built from the nonzero slots of C only.
+    """
+    m, n = spec.m, spec.n
+    names = spec.base + spec.fiber
+    nv = m + n
+    jet = _jet_layout(lagrangian, names, 2)[0]
+    rho_slots, c_slots = _tensor_slots(spec)
+    rho_flat, c_flat = _tensor_trees(rho_slots), _tensor_trees(c_slots)
+    checks = jet + [(c_flat, None, 0), (rho_flat, None, 0)]
+
+    g, h = jet[1][0], jet[2][0]
+    lx, ly = g[:m], g[m:]
+    y = [Var(name) for name in spec.fiber]
+    hxy = [h[i * nv + m + a] for i in range(m) for a in range(n)]
+    w = [h[(m + a) * nv + m + b] for a in range(n) for b in range(n)]
+    hxx = [h[i * nv + j] for i in range(m) for j in range(m)]
+    rho_y = [_dot(zip(rho_flat[i * n:(i + 1) * n], y)) for i in range(m)]
+    # ly_c C[c, a, b] y_b, over c then b
+    cterm = [_ZERO] * n
+    for k, slot in enumerate(c_slots):
+        if slot is not None:
+            c, a, b = k // (n * n), k // n % n, k % n
+            cterm[a] = _fold("+", cterm[a], _fold("*", _fold("*", ly[c], c_flat[k]), y[b]))
+    # b = -(ly.C.y + L_xy^T rho y - rho^T L_x), grouped as its numpy formula
+    force = []
+    for a in range(n):
+        drive = _fold("+", cterm[a], _dot(zip(hxy[a::n], rho_y)))
+        force.append(_fold("-", _ZERO, _fold("-", drive, _dot(zip(rho_flat[a::n], lx)))))
+    groups = [([lagrangian], None, 0), (lx, (m,), 0), (ly, (n,), 0), (hxy, (m, n), 0),
+              (w, (n, n), 0), (hxx, (m, m), 0), ([_energy_tree(lagrangian, names, m)], None, 0),
+              (force, (n,), 0), (rho_y, (m,), 0)]
+    return groups, checks
 
 
 def system_from_spec(spec) -> LagrangianSystem:
@@ -172,7 +237,7 @@ def cartan(sys: LagrangianSystem, at: EPoint) -> CartanData:
     omega[:n, n:] = d.w
     omega[n:, :n] = -d.w.T
 
-    return CartanData(at=at, omegaL=omega, W=d.w, EL=d.energy(at.y),
+    return CartanData(at=at, omegaL=omega, W=d.w, EL=d.energy,
                       dEL=_energy_differential(chart, d, rho, at.y))
 
 
@@ -223,32 +288,25 @@ def _el_force_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.nda
 
 def _el_force(sys: LagrangianSystem,
               at: EPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_el_force_rhs's W and b, and the anchor rho(x) it used."""
-    chart = sys.chart
+    """_el_force_rhs's W and b, and rho(x) y, from the one generated call."""
     d = sys.derivatives(at)
-    cs = chart.structure(at.x)
-    rho = chart.rho(at.x)
-    drive = np.einsum("c,cab,b->a", d.ly, cs, at.y)
-    if chart.m:
-        drive = drive + d.hxy.T @ (rho @ at.y) - rho.T @ d.lx
-    return d.w, -drive, rho
+    return d.w, d.b, d.rho_y
 
 
 def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Lagrange vector field at a point of a regular Lagrangian.
 
-    Returns (xdot, ydot) with xdot = rho y and ydot from the force system,
-    solved from the one eigendecomposition of the symmetric Hessian that
-    also gives its regularity verdict. at is an EPoint, or any (x, y) of
-    float arrays.
+    Returns (xdot, ydot), xdot = rho y read-only, and ydot from the force
+    system, solved by the same `regular_solve` that gives the Hessian's
+    regularity verdict. at is an EPoint, any (x, y) of float arrays, or
+    the packed vector (x, y).
     """
-    w, b, rho = _el_force(sys, at)
+    w, b, xdot = _el_force(sys, at)
     regular, smin, _, f = regular_solve(w, b, sys.rank_rtol)
     if not regular:
         raise SingularHessian(
             f"velocity Hessian singular (sigma_min={smin:.3e}); "
             "use the constraint algorithm")
-    xdot = rho @ at.y if sys.chart.m else np.zeros(0)
     return xdot, f
 
 
@@ -334,13 +392,15 @@ class LegendreEnergy:
         n = sys.chart.n
 
         def full(yt: np.ndarray) -> np.ndarray:
+            if tr.size == n:  # no kernel: yt is the whole velocity
+                return yt
             y = np.zeros(n)
             y[tr] = yt
             return y
 
         # residual and step read one evaluation per Newton point; the
         # caller's (x, p) was checked where it entered
-        point = memo_last(lambda yt: sys.derivatives(SimpleNamespace(x=x, y=full(yt))))
+        point = memo_last(lambda yt: sys.derivatives(np.concatenate([x, full(yt)])))
 
         def step(yt: np.ndarray, r: np.ndarray) -> np.ndarray:
             return np.linalg.solve(point(yt).w[tt], r)
@@ -360,8 +420,7 @@ class LegendreEnergy:
 
     def value(self, at: DualPoint) -> float:
         # E_L from the derivatives the Newton solve ends on
-        y, d = self._solved(at.x, at.p)
-        return d.energy(y)
+        return self._solved(at.x, at.p)[1].energy
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
         # the kernel components of the solved velocity are zero

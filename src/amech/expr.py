@@ -231,6 +231,14 @@ def _fold(op: str, a: Expr, b: Expr) -> Expr:
     return Binary(op, a, b)
 
 
+def _dot(pairs) -> Expr:
+    """sum of a*b over the pairs, left to right, zeros and ones folded."""
+    total = _ZERO
+    for a, b in pairs:
+        total = _fold("+", total, _fold("*", a, b))
+    return total
+
+
 def derivative(node: Expr, var: str, memo: dict | None = None) -> Expr:
     """Partial derivative of the tree with respect to one variable, as a tree.
 

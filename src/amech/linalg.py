@@ -103,26 +103,58 @@ def regularity(a: np.ndarray, rtol: float | None = None) -> tuple[bool, float, f
 def regular_solve(a: np.ndarray, b: np.ndarray | None = None, rtol: float | None = None
                   ) -> tuple[bool, float, float, np.ndarray | None]:
     """(regular, smallest, largest singular value, solution of a x = b) of a
-    symmetric matrix, from one eigendecomposition.
+    symmetric matrix, from its eigenvalues.
 
     The singular values of a symmetric matrix are its |eigenvalues|. Regular
     means the smallest exceeds the shared relative threshold times a positive
     largest one; an empty matrix is not regular here, and callers that accept
     it say so themselves. The solution is None unless a is regular and b is
     given. rtol is the threshold, which a system resolves once and passes;
-    rank_rtol() when None. eigh reads the lower triangle only. A NaN
+    rank_rtol() when None. Only the lower triangle is read, and a NaN
     eigenvalue raises LinAlgError, as the SVD of such a matrix does.
+
+    By size: a 1x1 matrix is its own eigenvalue and x = b / a, the bits
+    eigh gives. A 2x2 matrix is scaled by its largest |entry|; the larger
+    eigenvalue in magnitude is mean +- hypot, the other det / that, and x
+    comes from the adjugate. Larger ones take one eigh: a closed form there
+    loses about sqrt(eps) on a repeated eigenvalue.
     """
     if not a.size:
         return False, 0.0, 0.0, None
-    lam, q = np.linalg.eigh(a)
-    sizes = [abs(v) for v in lam.tolist()]
-    if any(s != s for s in sizes):
+    n = len(a)
+    if n == 1:
+        lam = a.item()
+        sizes = [abs(lam)]
+    elif n == 2:
+        (p, _), (r, q) = a.tolist()
+        # scaled, the determinant neither underflows nor overflows
+        scale = max(abs(p), abs(r), abs(q))
+        if scale:
+            p, r, q = p / scale, r / scale, q / scale
+            mean = 0.5 * (p + q)
+            big = mean + math.copysign(math.hypot(0.5 * (p - q), r), mean)
+            det = p * q - r * r
+            sizes = [abs(big) * scale, abs(det / big) * scale]
+        else:
+            # zeros, or zeros and a NaN, which max passes over
+            sizes = [abs(p + r + q)] * 2
+    else:
+        lam, vectors = np.linalg.eigh(a)
+        sizes = [abs(v) for v in lam.tolist()]
+    if math.isnan(sum(sizes)):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
     smin, smax = min(sizes), max(sizes)
     regular = smax > 0.0 and smin > (rank_rtol() if rtol is None else rtol) * smax
-    x = q @ ((b @ q) / lam) if regular and b is not None else None
-    return regular, smin, smax, x
+    if not regular or b is None:
+        return regular, smin, smax, None
+    # + 0.0 turns a -0.0 into the +0.0 that eigh's sums of products give
+    if n == 1:
+        return regular, smin, smax, np.array([b.item() / lam + 0.0])
+    if n == 2:
+        b0, b1 = b.tolist()
+        return regular, smin, smax, np.array([(q * b0 - r * b1) / det / scale + 0.0,
+                                              (p * b1 - r * b0) / det / scale + 0.0])
+    return regular, smin, smax, vectors @ ((b @ vectors) / lam)
 
 
 def min_norm_lstsq(a: np.ndarray, b: np.ndarray,

@@ -2,8 +2,9 @@
 
 Each preset carries its model document plus a facts block: default initial
 conditions per simulation mode, named conserved channels, the function of
-any derived channels, constraint-algorithm outcomes and bracket tables. The
-suite reads all expectations from here so they live in one place.
+any derived channels with the names it returns, constraint-algorithm
+outcomes and bracket tables. The suite reads all expectations from here so
+they live in one place.
 """
 
 from __future__ import annotations
@@ -190,6 +191,7 @@ _CATALOGUE: dict[str, tuple[str, dict]] = {
         },
         "channels": {"cost_energy": "0.5*(e1^2 + e2^2)"},
         "derived": martinet_pendulum_channels,
+        "derived_names": ("theta", "pendulum_residual"),
     }),
     "plate_ball": (_PLATE_BALL, {
         "modes": ["vakonomic"],
@@ -198,6 +200,7 @@ _CATALOGUE: dict[str, tuple[str, dict]] = {
         },
         "channels": {"speed_sq": "e1^2 + e2^2"},
         "derived": plate_ball_pendulum_channels,
+        "derived_names": ("theta", "pendulum_residual"),
         "bracket_table": [
             {"F": "x1", "G": "p1", "value": "1"},
             {"F": "x2", "G": "p2", "value": "1"},

@@ -19,8 +19,8 @@ from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
                         chart_from_spec, lie_poisson_bracket)
 from .dsl import SystemSpec
 from .errors import MuSolveFailed, SingularR
-from .expr import (Expr, ScalarFunction, Var, _ZERO, _fold, _jet_layout, lazy_generated,
-                   substitute, variables_of)
+from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
+                   lazy_generated, substitute, variables_of)
 from .linalg import damped_newton, memo_last, rank_rtol, regular_solve, regularity
 
 __all__ = [
@@ -137,14 +137,6 @@ def _point_function(sys: VakonomicSystem) -> Callable[[np.ndarray], tuple]:
             sys.state_labels, sys.chart.params,
             functools.partial(_point_layout, sys.chart.spec, sys.constrained, trees))
     return memo[key]
-
-
-def _dot(pairs) -> Expr:
-    """sum of a*b over the pairs, left to right, zeros and ones folded."""
-    total = _ZERO
-    for a, b in pairs:
-        total = _fold("+", total, _fold("*", a, b))
-    return total
 
 
 def _point_layout(spec: SystemSpec, constrained: tuple[int, ...],
@@ -324,8 +316,8 @@ def vakonomic_rhs(sys: VakonomicSystem,
     Returns (xdot, yadot, palphadot), the first and last read-only. The
     free-velocity equation comes from expanding the momentum equation for
     p_a by the chain rule and solving against the symmetric regularity
-    matrix, from the one eigendecomposition that also gives its verdict. s
-    is a VakState, or the packed state vector.
+    matrix, by the same `regular_solve` that gives its verdict. s is a
+    VakState, or the packed state vector.
     """
     d = _point_data(sys, s)
     if not sys.n_free:

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from amech import algebroid, expr, linalg, presym
-from amech.algebroid import chart_from_spec, check_structure
+from amech.algebroid import DualPoint, chart_from_spec, check_structure
 from amech.cli import main
 from amech.dsl import MAX_DEPTH, MAX_NESTING, format_system, parse_system
 from amech.errors import DslSyntaxError
+from amech.dynamics import EPoint, legendre_inverse, system_from_spec
 from amech.presets import ids as preset_ids, load as load_preset
+from strategies import perfbench_workloads
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -207,6 +209,34 @@ def test_simulate_hamilton_keeps_casimir(tmp_path):
     assert np.max(np.abs(cas - cas[0])) < 1e-10
 
 
+@pytest.mark.parametrize("mode", ["el", "hamilton"])
+def test_the_energy_column_is_the_left_to_right_sum(tmp_path, mode):
+    # E_L = y dL/dy - L with a non-diagonal mass: every row holds the sum
+    # taken left to right in Python, bit for bit, where numpy's dot may
+    # fuse multiply-adds depending on the machine's BLAS kernel
+    model = perfbench_workloads().generate_model(np.random.default_rng(1804), 1, "summed")
+    path, out = tmp_path / "summed.amech", tmp_path / "run.csv"
+    path.write_text(model.text)
+    names = ("p2", "p3", "p4") if mode == "hamilton" else ("f1", "f2", "f3")
+    init = [arg for name, value in zip(names, (0.3, -0.7, 0.5))
+            for arg in ("--init", f"{name}={value}")]
+    assert main(["simulate", str(path), "--mode", mode, "--t1", "0.5", "--dt", "1e-2", *init,
+                 "--out", str(out), "--manifest", str(tmp_path / "m.json")]) == 0
+    header, data = _read_csv(out)
+    sys_ = system_from_spec(parse_system(model.text))
+    m = sys_.chart.m
+    for row in data:
+        state = row[1:1 + m + sys_.chart.n]
+        at = EPoint(state[:m], state[m:])
+        if mode == "hamilton":
+            at = legendre_inverse(sys_, DualPoint(at.x, at.y))
+        d = sys_.derivatives(at)
+        total = 0.0
+        for y, ly in zip(at.y.tolist(), d.ly.tolist()):
+            total = total + y * ly
+        assert row[header.index("energy")] == total - d.value
+
+
 def test_simulate_vakonomic_adds_derived_channels(tmp_path):
     out = tmp_path / "run.csv"
     code = main(["simulate", "--preset", "martinet", "--mode", "vakonomic",
@@ -366,6 +396,18 @@ def test_a_monitor_named_like_another_column_is_a_usage_error(tmp_path, capsys, 
     assert main(["simulate", "--preset", "tq_pendulum", "--mode", "el", "--t1", "0.1",
                  *flags, "--out", str(out), "--manifest", str(tmp_path / "m.json")]) == 2
     name = monitors[-1].partition("=")[0]
+    assert f"--monitor name '{name}' is already a CSV column" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pid", ["martinet", "plate_ball"])
+@pytest.mark.parametrize("name", ["theta", "pendulum_residual"])
+def test_a_monitor_named_like_a_derived_channel_is_a_usage_error(tmp_path, capsys, pid, name):
+    # before, the derived channel replaced the monitor's column silently
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--preset", pid, "--mode", "vakonomic", "--t1", "0.05",
+                 "--monitor", f"{name}=e1", "--out", str(out),
+                 "--manifest", str(tmp_path / "m.json")]) == 2
     assert f"--monitor name '{name}' is already a CSV column" in capsys.readouterr().err
     assert not out.exists()
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from amech.algebroid import DualObservable, DualPoint, chart_from_spec, lie_poisson_bracket
+from amech.algebroid import (AlgebroidChart, DualObservable, DualPoint, chart_from_spec,
+                             lie_poisson_bracket)
 from amech.dynamics import (
     EPoint,
+    LagrangianSystem,
     LegendreEnergy,
     cartan,
     euler_lagrange_rhs,
@@ -22,9 +24,9 @@ from amech.dynamics import (
 )
 from amech import dynamics, expr
 from amech.errors import NewtonFailed, SingularHessian
-from amech.expr import ScalarFunction
 from amech.presets import load as load_preset
 from amech.dsl import parse_expression, parse_system
+from strategies import perfbench_workloads
 
 # affine algebra on the line with a velocity cross term; all Cartan pieces
 # (anchor transpose, mixed Hessian, structure term) are nonzero
@@ -234,16 +236,18 @@ def test_sode_defect():
     assert sode_defect(at, (np.array([0.8]), v))[0] == pytest.approx(0.3)
 
 
-def test_legendre_inverse_makes_one_derivative_evaluation_per_newton_point(monkeypatch):
-    # the quartic velocity term needs several Newton points; residual and
-    # step at one point share a single evaluation of L's derivatives
-    sys = system_from_spec(parse_system(QUARTIC))
-    evaluations, points = [], []
-    for name in ("value", "gradient", "hessian", "derivatives"):
-        def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
-            evaluations.append(_name)
-            return _f(self, v)
-        monkeypatch.setattr(ScalarFunction, name, counting)
+def _counting_point(sys):
+    """Count the calls of the system's generated point function."""
+    calls = []
+    point = sys._point
+    sys._point = lambda v: calls.append(v) or point(v)
+    return calls
+
+
+def _counting_newton(monkeypatch):
+    """Record every point at which the Legendre Newton loop takes a residual."""
+    points = []
+    damped_newton = dynamics.damped_newton
 
     def newton(residual, step, x0, what, **kwargs):
         def counted(y):
@@ -251,49 +255,46 @@ def test_legendre_inverse_makes_one_derivative_evaluation_per_newton_point(monke
             return residual(y)
         return damped_newton(counted, step, x0, what, **kwargs)
 
-    damped_newton = dynamics.damped_newton
     monkeypatch.setattr(dynamics, "damped_newton", newton)
+    return points
+
+
+def test_legendre_inverse_makes_one_derivative_evaluation_per_newton_point(monkeypatch):
+    # the quartic velocity term needs several Newton points; residual and
+    # step at one point share a single call of L's point code
+    sys = system_from_spec(parse_system(QUARTIC))
+    evaluations = _counting_point(sys)
+    points = _counting_newton(monkeypatch)
     at = legendre_inverse(sys, DualPoint(np.array([0.4]), np.array([2.5])))
     assert len(points) >= 3
-    assert evaluations == ["derivatives"] * len(points)
+    assert len(evaluations) == len(points)
     assert sys.gradients(at)[1][0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_euler_lagrange_rhs_evaluates_the_anchor_once():
+    # the anchor is evaluated inside the one point call, not by the chart
     sys = _tq()
+    evaluations = _counting_point(sys)
     calls = []
     rho = sys.chart.rho
     sys.chart.rho = lambda x: calls.append(x) or rho(x)
     xdot, _ = euler_lagrange_rhs(sys, EPoint(np.array([0.7]), np.array([0.3])))
-    assert len(calls) == 1
+    assert len(evaluations) == 1 and calls == []
     assert xdot[0] == 0.3
 
 
 def test_legendre_energy_value_reads_the_newton_point(monkeypatch):
-    # E_L = y dL/dy - L comes from the derivatives the Newton solve ends on:
-    # one evaluation of L per Newton point and none after it, and the value
-    # is the energy at the solved velocity bit for bit
+    # E_L = y dL/dy - L comes from the point the Newton solve ends on: one
+    # call of L's point code per Newton point and none after it, and the
+    # value is the energy at the solved velocity bit for bit
     sys = system_from_spec(parse_system(QUARTIC))
     at = DualPoint(np.array([0.4]), np.array([2.5]))
     expected = sys.energy(legendre_inverse(sys, at))
-    evaluations, points = [], []
-    for name in ("value", "gradient", "hessian", "derivatives"):
-        def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
-            evaluations.append(_name)
-            return _f(self, v)
-        monkeypatch.setattr(ScalarFunction, name, counting)
-
-    def newton(residual, step, x0, what, **kwargs):
-        def counted(y):
-            points.append(y)
-            return residual(y)
-        return damped_newton(counted, step, x0, what, **kwargs)
-
-    damped_newton = dynamics.damped_newton
-    monkeypatch.setattr(dynamics, "damped_newton", newton)
+    evaluations = _counting_point(sys)
+    points = _counting_newton(monkeypatch)
     value = hamiltonian_from_lagrangian(sys).value(at)
     assert len(points) >= 3
-    assert evaluations == ["derivatives"] * len(points)
+    assert len(evaluations) == len(points)
     assert value == expected
 
 
@@ -317,3 +318,62 @@ def test_hamilton_and_bracket_take_the_exact_gradients(pid, monkeypatch):
         lie_poisson_bracket(chart, H, G, at)
         lie_poisson_bracket(chart, G, H, at)
     assert calls == []
+
+
+def _el_reference(sys, x, y):
+    """The point's fields in numpy from L's separate Hessian jet and the
+    chart's rho and C: the formulas of the force system before it became one
+    generated call. E_L is summed left to right in Python."""
+    m = sys.chart.m
+    value, g, h = sys._sf.derivatives(np.concatenate([x, y]))
+    lx, ly, hxy = g[:m], g[m:], h[:m, m:]
+    rho, cs = sys.chart.rho(x), sys.chart.structure(x)
+    drive = np.einsum("c,cab,b->a", ly, cs, y)
+    if m:
+        drive = drive + hxy.T @ (rho @ y) - rho.T @ lx
+    energy = 0.0
+    for yb, lb in zip(y.tolist(), ly.tolist()):
+        energy = energy + yb * lb
+    return dict(value=value, lx=lx, ly=ly, hxy=hxy, w=h[m:, m:], hxx=h[:m, :m],
+                energy=energy - value, b=-drive, rho_y=rho @ y if m else np.zeros(0))
+
+
+def _el_points(sys, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng.uniform(0.5, 1.5, sys.chart.m), rng.uniform(-1.0, 1.0, sys.chart.n)
+
+
+@pytest.mark.parametrize("pid", ["tq_pendulum", "so3_rigid_body", "skinner_rusk_demo",
+                                 "capri_kobayashi"])
+def test_the_point_is_bit_equal_to_the_numpy_force_system(pid):
+    sys = system_from_spec(load_preset(pid).spec)
+    for x, y in _el_points(sys, 40, seed=31):
+        d, ref = sys.derivatives(EPoint(x, y)), _el_reference(sys, x, y)
+        for field, want in ref.items():
+            assert np.asarray(getattr(d, field)).tobytes() == np.asarray(want).tobytes(), field
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_point_agrees_with_the_numpy_force_system_on_sweep_charts(seed):
+    # sums of several products, which numpy may add in another order
+    rng = np.random.default_rng(seed)
+    for k in range(4):
+        model = perfbench_workloads().generate_model(rng, k, f"sweep_el_k{k}")
+        sys = system_from_spec(parse_system(model.text))
+        for x, y in _el_points(sys, 20, seed=seed):
+            d, ref = sys.derivatives(EPoint(x, y)), _el_reference(sys, x, y)
+            for field, want in ref.items():
+                got, want = np.asarray(getattr(d, field)), np.asarray(want)
+                scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, field
+
+
+def test_a_lagrangian_system_needs_a_spec_chart():
+    chart = chart_from_spec(load_preset("tq_pendulum").spec)
+    bare = AlgebroidChart(chart.m, chart.n, chart.rho, chart.structure,
+                          rho_jacobian=chart.rho_jacobian,
+                          structure_jacobian=chart.structure_jacobian,
+                          base_names=chart.base_names, fiber_names=chart.fiber_names)
+    with pytest.raises(ValueError, match="chart built from a spec"):
+        LagrangianSystem(bare, load_preset("tq_pendulum").spec.lagrangian)

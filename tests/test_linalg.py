@@ -1,4 +1,4 @@
-"""The shared damped Newton loop and the one-eigendecomposition solve."""
+"""The shared damped Newton loop and the symmetric solve by size."""
 
 import numpy as np
 import pytest
@@ -97,10 +97,10 @@ _entries = st.floats(min_value=-10.0, max_value=10.0)
 
 
 @st.composite
-def _symmetric(draw):
+def _symmetric(draw, sizes=st.integers(min_value=1, max_value=4)):
     """n x n symmetric m diag(signs) m^T of rank at most k: singular for
     k < n (the zero matrix for k = 0), usually regular otherwise."""
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(sizes)
     k = draw(st.integers(min_value=0, max_value=n + 1))
     m = np.array(draw(st.lists(_entries, min_size=n * k, max_size=n * k))).reshape(n, k)
     signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k)))
@@ -147,8 +147,65 @@ def test_the_eigh_solve_agrees_with_lu(data):
 
 
 def test_a_nan_eigenvalue_raises_as_the_svd_does():
-    for a in (np.array([[np.nan]]), np.array([[1.0, np.nan], [np.nan, 2.0]])):
+    # max passes over a NaN beside zeros; the sized solve still sees it
+    for a in (np.array([[np.nan]]), np.array([[1.0, np.nan], [np.nan, 2.0]]),
+              np.array([[0.0, np.nan], [np.nan, 0.0]]), np.array([[np.nan, 0.0], [0.0, 0.0]])):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.svd(a)
         with pytest.raises(np.linalg.LinAlgError):
             regular_solve(a, np.ones(a.shape[0]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(a=st.floats(allow_nan=False, allow_infinity=False), b=_entries)
+def test_a_1x1_solve_is_the_eigh_formula_bit_for_bit(a, b):
+    lam, q = np.linalg.eigh(np.array([[a]]))
+    regular, smin, smax, x = regular_solve(np.array([[a]]), np.array([b]))
+    assert (regular, smin, smax) == (a != 0.0, abs(a), abs(a))
+    if regular:
+        with np.errstate(over="ignore"):  # b / a may overflow to inf, as in both
+            assert x.tobytes() == (q @ ((np.array([b]) @ q) / lam)).tobytes()
+
+
+_scales = st.sampled_from([1e-160, 1e-80, 1.0, 1e80, 1e160])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(a=_symmetric(st.just(2)), scale=_scales)
+def test_a_2x2_verdict_and_singular_values_are_the_svds_at_any_scale(a, scale):
+    a = a * scale
+    s = np.linalg.svd(a, compute_uv=False)
+    ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
+    assume(not 1e-3 * rank_rtol() < ratio < 1e3 * rank_rtol())
+    regular, smin, smax, _ = regular_solve(a)
+    assert regular == bool(s[0] > 0.0 and s[-1] > rank_rtol() * s[0])
+    assert abs(smax - s[0]) <= 1e-12 * s[0] and abs(smin - s[-1]) <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("a", [np.diag([-1.9e-162, -1.9e-162]), np.diag([1e160, -3e160]),
+                               np.array([[2e-160, 1e-160], [1e-160, 2e-160]])],
+                         ids=["det-underflows", "det-overflows", "tiny-coupled"])
+def test_a_2x2_beyond_the_range_of_its_determinant(a):
+    # unscaled, a determinant of 3.6e-324 or 3e320 would not be a float
+    s = np.linalg.svd(a, compute_uv=False)
+    b = np.array([1.0, -2.0]) * s[0]
+    regular, smin, smax, x = regular_solve(a, b)
+    assert regular
+    assert abs(smax - s[0]) <= 1e-14 * s[0] and abs(smin - s[-1]) <= 1e-14 * s[0]
+    assert_allclose(a @ x, b, rtol=1e-14)
+
+
+def test_a_rank_one_3x3_stays_singular():
+    v = np.array([1.0, 2.0, -0.5])
+    regular, smin, smax, x = regular_solve(np.outer(v, v), np.ones(3))
+    assert not regular and x is None
+    assert smin <= 1e-15 * smax
+
+
+def test_eigh_runs_only_from_3x3(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    for n in (1, 2, 3, 4):
+        regular_solve(np.eye(n) + 0.1, np.ones(n))
+    assert calls == [(3, 3), (4, 4)]

@@ -135,7 +135,8 @@ def test_a_second_command_on_a_model_derives_nothing(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "v.json"), *common]) == 0
     assert derived and missed
     del derived[:], missed[:]
-    # the energy monitor reads L's Hessian jet, which validate already built
+    # the right-hand side and the energy monitor read L's point code, which
+    # validate already built
     for out in ("t.csv", "t2.csv"):
         assert main(["simulate", str(model), "--mode", "el", "--t1", "0.01",
                      "--out", str(tmp_path / out), *common]) == 0

@@ -171,6 +171,13 @@ def test_plate_ball_pendulum_channels_on_trajectory():
     assert np.max(np.abs(out["pendulum_residual"][2:-2])) < 1e-3
 
 
+@pytest.mark.parametrize("pid", ["martinet", "plate_ball"])
+def test_derived_channels_are_the_declared_names(pid):
+    facts = load(pid).facts
+    out = facts["derived"](_vak_trajectory(pid, t1=0.05, h=1e-2), load(pid).spec.params)
+    assert tuple(out) == facts["derived_names"]
+
+
 def test_pendulum_channels_need_enough_samples():
     traj = _vak_trajectory("martinet", t1=3e-3, h=1e-3)
     assert traj.times.size < 5

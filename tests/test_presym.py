@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from amech import presym
+from amech import dynamics, presym
 from amech.dsl import parse_system
 from amech.dynamics import (EPoint, LegendreEnergy, cartan,
                             energy_differential, euler_lagrange_rhs,
@@ -18,7 +18,7 @@ from amech.errors import (
     NewtonFailed,
     NotOnFinalManifold,
 )
-from amech.expr import ScalarFunction, _fd_gradient
+from amech.expr import _fd_gradient
 from amech.linalg import rank_rtol
 from amech.presets import ids as preset_ids, load as load_preset
 from amech.presym import (
@@ -412,22 +412,28 @@ def test_alpha_is_the_energy_differential_without_the_cartan_matrix(pid):
 
 
 def test_hamiltonian_value_reads_the_newton_point(monkeypatch):
-    # E_L comes from the derivatives of the partial Legendre solve: no
-    # value-and-gradient evaluation after it, and the same bits as the
-    # energy at the solved velocity
+    # E_L comes from the point of the partial Legendre solve: one call of
+    # L's point code per Newton point and none after it, and the same bits
+    # as the energy at the solved velocity
     sys = _ck()
     _, data = hamiltonian_problem_from_lagrangian(sys)
     x, p = np.array([0.3, -0.2, 1.1]), np.array([0.0, 0.0, 0.4, -0.2])
     y, _ = data._solve_velocity(x, p)
     expected = sys.energy(EPoint(x, y))
-    evaluations = []
-    for name in ("value", "gradient", "hessian", "derivatives"):
-        def counting(self, v, _name=name, _f=getattr(ScalarFunction, name)):
-            evaluations.append(_name)
-            return _f(self, v)
-        monkeypatch.setattr(ScalarFunction, name, counting)
+    evaluations, points = [], []
+    point = sys._point
+    monkeypatch.setattr(sys, "_point", lambda v: evaluations.append(v) or point(v))
+    damped_newton = dynamics.damped_newton
+
+    def newton(residual, step, x0, what, **kwargs):
+        def counted(y):
+            points.append(y)
+            return residual(y)
+        return damped_newton(counted, step, x0, what, **kwargs)
+
+    monkeypatch.setattr(dynamics, "damped_newton", newton)
     value = data(x, p)
-    assert evaluations and set(evaluations) == {"derivatives"}
+    assert points and len(evaluations) == len(points)
     assert value == expected
 
 

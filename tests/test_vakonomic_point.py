@@ -18,18 +18,6 @@ from strategies import perfbench_workloads
 
 VAK_PRESETS = [pid for pid in preset_ids() if "vakonomic" in load_preset(pid).facts["modes"]]
 
-# used by no other test, so its chart code is generated here first
-MODEL = """\
-system point_chart
-base [s, r]
-fiber [u, w]
-anchor { u -> (1, 0); w -> (0, r) }
-bracket { [u, w] = s*u }
-params { k = 0.75 }
-lagrangian = 0.5*(u^2 + w^2) - k*cos(s)*r^2
-"""
-
-
 def _fresh(pid):
     # a deep copy keeps no code or partial trees, so the first use builds them
     return copy.deepcopy(load_preset(pid).spec)
@@ -193,17 +181,26 @@ def test_with_params_builds_its_own_code():
 
 
 def test_a_repeated_simulate_generates_no_chart_code(tmp_path, monkeypatch):
-    model = tmp_path / "point_chart.amech"
-    model.write_text(MODEL)
+    # a fresh generated model: validate and simulate --mode el generate L's
+    # point code once between them, and a second identical simulate
+    # generates no code at all
+    model = perfbench_workloads().generate_model(np.random.default_rng(1803), 2,
+                                                 "compiled_once")
+    path = tmp_path / "compiled_once.amech"
+    path.write_text(model.text)
+    spec = parse_system(model.text)
+    names = spec.base + spec.fiber
     generated, _ = _counting_generate(monkeypatch)
-    argv = ["simulate", str(model), "--mode", "el", "--t1", "0.01",
-            "--out", str(tmp_path / "t.csv"), "--manifest", str(tmp_path / "m.json")]
-    assert main(argv) == 0
-    base = ("s", "r")
-    assert base in generated
+    common = ["--manifest", str(tmp_path / "m.json")]
+    simulate = ["simulate", str(path), "--mode", "el", "--t1", "0.01",
+                "--out", str(tmp_path / "t.csv"), *common]
+    assert main(["validate", str(path), "--points", "3",
+                 "--out", str(tmp_path / "v.json"), *common]) == 0
+    assert main(simulate) == 0
+    assert generated.count(names) == 1
     del generated[:]
-    assert main(argv) == 0
-    assert base not in generated
+    assert main(simulate) == 0
+    assert generated == []
 
 
 def test_charts_of_one_spec_share_their_code():
