@@ -23,7 +23,7 @@ from . import presets
 from .algebroid import (DualPoint, DualObservable, chart_from_spec, check_structure,
                         jacobi_residual)
 from .dsl import COLUMN_NAMES, parse_expression, parse_system
-from .dynamics import (EPoint, _el_force, euler_lagrange_rhs,
+from .dynamics import (EPoint, euler_lagrange_rhs,
                        hamiltonian_from_lagrangian, hamilton_rhs, is_regular,
                        system_from_spec)
 from .errors import (AmechError, DslError, OdeError, SingularHessian, SingularR,
@@ -239,8 +239,8 @@ def _el_mode(spec, sode: bool = False) -> Mode:
 
     def sode_rhs(t, state):
         del t
-        w, b, xdot = _el_force(sys_, state)
-        return np.concatenate([xdot, min_norm_lstsq(w, b, sys_.rank_rtol)[0]])
+        d = sys_.derivatives(state)
+        return np.concatenate([d.rho_y, min_norm_lstsq(d.w, d.b, sys_.rank_rtol)[0]])
 
     def probe(y0, seed):
         el_rhs(0.0, y0)  # so a singular model fails before integration starts

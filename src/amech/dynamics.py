@@ -22,8 +22,8 @@ from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
                         as_dual_observable)
 from .errors import SingularHessian
 from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
-                   lazy_generated, partials)
-from .linalg import damped_newton, memo_last, rank_rtol, regular_solve, regularity
+                   keep_last, lazy_generated, partials)
+from .linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 __all__ = [
     "EPoint",
@@ -283,14 +283,8 @@ def is_regular(sys: LagrangianSystem, at: EPoint) -> RegularityReport:
 
 def _el_force_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
     """(W, right-hand side b) of the Euler-Lagrange force system W f = b."""
-    return _el_force(sys, at)[:2]
-
-
-def _el_force(sys: LagrangianSystem,
-              at: EPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_el_force_rhs's W and b, and rho(x) y, from the one generated call."""
     d = sys.derivatives(at)
-    return d.w, d.b, d.rho_y
+    return d.w, d.b
 
 
 def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -301,13 +295,13 @@ def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, n
     regularity verdict. at is an EPoint, any (x, y) of float arrays, or
     the packed vector (x, y).
     """
-    w, b, xdot = _el_force(sys, at)
-    regular, smin, _, f = regular_solve(w, b, sys.rank_rtol)
+    d = sys.derivatives(at)
+    regular, smin, _, f = regular_solve(d.w, d.b, sys.rank_rtol)
     if not regular:
         raise SingularHessian(
             f"velocity Hessian singular (sigma_min={smin:.3e}); "
             "use the constraint algorithm")
-    return xdot, f
+    return d.rho_y, f
 
 
 def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +369,11 @@ class LegendreEnergy:
                                     if a not in self.kernel_idx)
         self._tr = np.array(self.transverse_idx, dtype=np.intp)
         self._tt = np.ix_(self._tr, self._tr)
-        self._last: tuple = (None, None)
+        m = sys.chart.m
+        # the value, gradients and Hessian at one packed (x, p) share one
+        # solve; _solve_velocity is looked up at each call, so a wrap of it
+        # sees every solve
+        self._solved = keep_last(lambda z: self._solve_velocity(z[:m], z[m:]))
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> float:
         return self.value(DualPoint(x, p))
@@ -398,33 +396,22 @@ class LegendreEnergy:
             y[tr] = yt
             return y
 
-        # residual and step read one evaluation per Newton point; the
-        # caller's (x, p) was checked where it entered
-        point = memo_last(lambda yt: sys.derivatives(np.concatenate([x, full(yt)])))
+        def residual(yt: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
+            # the caller's (x, p) was checked where it entered
+            d = sys.derivatives(np.concatenate([x, full(yt)]))
+            return d.ly[tr] - p[tr], d
 
-        def step(yt: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return np.linalg.solve(point(yt).w[tt], r)
-
-        yt = damped_newton(lambda yt: point(yt).ly[tr] - p[tr], step, p[tr],
-                           "Legendre inverse")
-        return full(yt), point(yt)
-
-    def _solved(self, x: np.ndarray,
-                p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
-        """_solve_velocity(x, p), kept for the last (x, p) by value, so that
-        a value, gradients and Hessian at one point share one Newton solve."""
-        key = (x.tobytes(), p.tobytes())
-        if self._last[0] != key:
-            self._last = (key, self._solve_velocity(x, p))
-        return self._last[1]
+        yt, d = damped_newton(residual, lambda d, r: np.linalg.solve(d.w[tt], r),
+                              p[tr], "Legendre inverse")
+        return full(yt), d
 
     def value(self, at: DualPoint) -> float:
         # E_L from the derivatives the Newton solve ends on
-        return self._solved(at.x, at.p)[1].energy
+        return self._solved(np.concatenate([at.x, at.p]))[1].energy
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
         # the kernel components of the solved velocity are zero
-        y, d = self._solved(at.x, at.p)
+        y, d = self._solved(np.concatenate([at.x, at.p]))
         return -d.lx, y.copy()
 
     def hessian(self, at: DualPoint) -> np.ndarray:
@@ -433,7 +420,7 @@ class LegendreEnergy:
         At the solved velocity dy_T = W_TT^-1 (dp_T - L_{y_T x} dx) and
         d(dH/dx) = -L_xx dx - L_{x y_T} dy_T; kernel rows vanish.
         """
-        _, d = self._solved(at.x, at.p)
+        _, d = self._solved(np.concatenate([at.x, at.p]))
         m, tr = self.chart.m, self._tr
         lxt = d.hxy[:, tr]
         # rows of dy_T / d(x, p_T)

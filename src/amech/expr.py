@@ -15,7 +15,8 @@ straight-line Python function per layout of trees and variable order, one
 operation per line in the tree's own order, with repeated subexpressions
 computed once, so every number is bit-identical to the walk. `lazy_generated`
 builds that code at the first call, reuses compiled code with the same
-source text and keeps its last result, read-only, for a repeated point.
+source text and keeps its last result, read-only, for a repeated point,
+through `keep_last`, the package's one last-point memo.
 Where the code raises ArithmeticError or ValueError, or the trees name a
 variable outside the names and params, `_walk` walks the same layout, so the
 caller sees the walk's own error or the unbound name.
@@ -27,7 +28,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "format_expr",
     "generate",
     "lazy_generated",
+    "keep_last",
     "ScalarFunction",
 ]
 
@@ -542,41 +544,56 @@ def _walk(names: Sequence[str], params: Mapping[str, float], layout: tuple,
             _eval_labelled(tree, env, [names[i] for i in index])
 
 
-def lazy_generated(names: Sequence[str], params: Mapping[str, float],
-                   layout: Callable[[], tuple]) -> Callable[[np.ndarray], object]:
-    """f(x): the code `generate` makes of layout() run at x.
+T = TypeVar("T")
 
-    layout() returns (groups, checks); it runs, with the code generation, at
-    the first call, never before. The last result, whose arrays are
-    read-only, is kept, keyed by the bytes of x, so consecutive calls at one
-    point (a right-hand side's first stage at the row its monitors just
-    read, a base-free chart's rho and C) run the code once. Where the trees cannot be
-    compiled, or the generated code raises ArithmeticError or ValueError,
-    layout() runs again and `_walk` evaluates it, so the caller sees the
-    walk's own error, message and path; nothing is kept for that.
+
+def keep_last(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
+    """g(x) = fn(x) for x as a float array, kept for the last x by its bytes.
+
+    The package's one last-point memo: consecutive calls at one point (a
+    right-hand side's first stage at the row its monitors just read, the
+    value, gradients and Hessian of H at one point) run fn once. The bytes
+    tell -0.0 from +0.0. A call that raises keeps nothing.
     """
-    compiled: list = []
     last: list = [None, None]
 
-    def f(x: np.ndarray) -> object:
+    def g(x: np.ndarray) -> T:
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
-        if last[0] == key:
-            return last[1]
+        if last[0] != key:
+            last[:] = key, fn(x)
+        return last[1]
+
+    return g
+
+
+def lazy_generated(names: Sequence[str], params: Mapping[str, float],
+                   layout: Callable[[], tuple]) -> Callable[[np.ndarray], object]:
+    """f(x): the code `generate` makes of layout() run at x, through
+    `keep_last`, so a repeated point runs it once and its read-only result is
+    shared.
+
+    layout() returns (groups, checks); it runs, with the code generation, at
+    the first call, never before. Where the trees cannot be compiled, or the
+    generated code raises ArithmeticError or ValueError, layout() runs again
+    and `_walk` evaluates it, so the caller sees the walk's own error,
+    message and path.
+    """
+    compiled: list = []
+
+    def f(x: np.ndarray) -> object:
         if not compiled:
             compiled.append(generate(names, params, *layout()))
         if compiled[0] is not None:
             try:
-                out = compiled[0](x.tolist())
+                return compiled[0](x.tolist())
             except (ArithmeticError, ValueError):
                 _walk(names, params, layout(), x)
                 raise  # the walk found no error: the code's own stands
-            last[:] = key, out
-            return out
         # a tree names a variable outside names and params: the walk reports it
         _walk(names, params, layout(), x)
 
-    return f
+    return keep_last(f)
 
 
 # ---------------------------------------------------------------------------

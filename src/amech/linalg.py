@@ -26,7 +26,6 @@ __all__ = [
     "regularity",
     "regular_solve",
     "damped_newton",
-    "memo_last",
     "AMBIGUITY_BAND",
 ]
 
@@ -176,44 +175,50 @@ def min_norm_lstsq(a: np.ndarray, b: np.ndarray,
     return x, residual
 
 
-def damped_newton(residual: Callable[[np.ndarray], np.ndarray],
-                  step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+# what a residual hands its step
+D = TypeVar("D")
+
+
+def damped_newton(residual: Callable[[np.ndarray], tuple[np.ndarray, D]],
+                  step: Callable[[D, np.ndarray], np.ndarray],
                   x0: np.ndarray, what: str,
                   error: type[NewtonFailed] = NewtonFailed,
-                  tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
-    """Root of residual by Newton steps with a halving line search.
+                  tol: float = 1e-12, max_iter: int = 50) -> tuple[np.ndarray, D]:
+    """Root of a residual by Newton steps with a halving line search.
 
-    step(x, r) returns the Newton correction, subtracted as x - t * step for
-    the first t in 1, 1/2, 1/4, ... that lowers the max-abs residual. The
-    point is returned once that residual is below tol; an empty residual
-    returns x0 at once, and one with a NaN entry is never below it. A
-    stalled line search, an exhausted budget and a singular matrix inside
-    step raise error, described by what.
+    residual(x) returns (r, data): the residual and whatever the step needs
+    at x. step(data, r) receives the pair of the accepted point and returns
+    the Newton correction, subtracted as x - t * step for the first t in 1,
+    1/2, 1/4, ... that lowers the max-abs residual, so each point is
+    evaluated once. Once that residual is below tol, (x, data) is returned;
+    an empty residual returns x0 and its data at once, and one with a NaN
+    entry is never below it. A stalled line search, an exhausted budget and
+    a singular matrix inside step raise error, described by what.
     """
     x = np.array(x0, dtype=float)
-    r = residual(x)
+    r, data = residual(x)
     for _ in range(max_iter):
         size = _max_abs(r)
         if size < tol:
-            return x
+            return x, data
         try:
-            dx = step(x, r)
+            dx = step(data, r)
         except np.linalg.LinAlgError as exc:
             raise error(f"{what}: singular Jacobian at {x!r}") from exc
         t = 1.0
         while t > 1e-4:
             cand = x - t * dx
-            rc = residual(cand)
+            rc, dc = residual(cand)
             cand_size = _max_abs(rc)
             if cand_size < size or cand_size < tol:
-                x, r = cand, rc
+                x, r, data = cand, rc, dc
                 break
             t *= 0.5
         else:
             raise error(f"{what} stalled")
     size = _max_abs(r)
     if size < tol:
-        return x
+        return x, data
     raise error(f"{what} did not converge, residual {size:.3e}")
 
 
@@ -224,22 +229,3 @@ def _max_abs(r: np.ndarray) -> float:
     sizes = [abs(v) for v in r.tolist()]
     return math.nan if any(s != s for s in sizes) else max(sizes, default=0.0)
 
-
-T = TypeVar("T")
-
-
-def memo_last(build: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
-    """build(x), computed once while x is the same object as at the last call.
-
-    damped_newton steps from the very point whose residual it accepted last,
-    so a residual and a step that read their data through one memo_last
-    share one evaluation per Newton point.
-    """
-    last: list = [None, None]
-
-    def at(x: np.ndarray) -> T:
-        if last[0] is not x:
-            last[:] = [x, build(x)]
-        return last[1]
-
-    return at

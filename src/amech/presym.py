@@ -208,8 +208,8 @@ def _project_onto(constraints: Sequence[ConstraintField], z0: np.ndarray,
     def step(zz: np.ndarray, r: np.ndarray) -> np.ndarray:
         return min_norm_lstsq(_constraint_jacobian(constraints, zz), r)[0]
 
-    return damped_newton(lambda zz: _values(constraints, zz), step, z0,
-                         "constraint projection", tol=tol)
+    return damped_newton(lambda zz: (_values(constraints, zz), zz), step, z0,
+                         "constraint projection", tol=tol)[0]
 
 
 def _kept_columns(candidates: ConstraintField, probes: Sequence[np.ndarray],

@@ -21,7 +21,7 @@ from .dsl import SystemSpec
 from .errors import MuSolveFailed, SingularR
 from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
                    lazy_generated, substitute, variables_of)
-from .linalg import damped_newton, memo_last, rank_rtol, regular_solve, regularity
+from .linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 __all__ = [
     "VakState",
@@ -269,11 +269,8 @@ def w1_constraints(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     ya = np.asarray(ya, dtype=float)
-    return _w1_residual(sys, _PointData(sys, x, ya, p[sys._con_idx]), p)
-
-
-def _w1_residual(sys: VakonomicSystem, d: _PointData, p: np.ndarray) -> np.ndarray:
-    return p[sys._free_idx] - d.p_full[sys._free_idx]
+    free = sys._free_idx
+    return p[free] - _PointData(sys, x, ya, p[sys._con_idx]).p_full[free]
 
 
 @dataclass(frozen=True)
@@ -334,28 +331,21 @@ vakonomic_bracket = lie_poisson_bracket
 
 def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Free velocities solving the primary constraint at fixed (x, p), by
-    damped Newton seeded at zero."""
-    return _mu_solve_point(sys, x, p)[0]
+    damped Newton seeded at zero.
 
-
-def _mu_solve_point(sys: VakonomicSystem, x: np.ndarray,
-                    p: np.ndarray) -> tuple[np.ndarray, _PointData]:
-    """mu_solve's velocities and the point data built at them."""
+    The residual p_full - p over the free directions has the Jacobian R, so
+    each step solves against the R its point data holds.
+    """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    palpha = p[sys._con_idx]
-    # the step, and the caller, reuse the point data the residual built
-    point = memo_last(lambda y: _PointData(sys, x, y, palpha))
+    palpha, free = p[sys._con_idx], sys._free_idx
 
-    def phi(y: np.ndarray) -> np.ndarray:
-        return _w1_residual(sys, point(y), p)
+    def residual(ya: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = _PointData(sys, x, ya, palpha)
+        return d.p_full[free] - p[free], d.R
 
-    def step(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(-point(y).R, r)
-
-    ya = damped_newton(phi, step, np.zeros(sys.n_free), "velocity solve",
-                       error=MuSolveFailed)
-    return ya, point(ya)
+    return damped_newton(residual, np.linalg.solve, np.zeros(sys.n_free),
+                         "velocity solve", error=MuSolveFailed)[0]
 
 
 def hamiltonian_section(sys: VakonomicSystem,
@@ -367,7 +357,8 @@ def hamiltonian_section(sys: VakonomicSystem,
     velocity, so no implicit differentiation is needed.
     """
     chart = sys.chart
-    _, d = _mu_solve_point(sys, at.x, at.p)
+    # the generated point code keeps its result at the solved velocity
+    d = _PointData(sys, at.x, mu_solve(sys, at.x, at.p), at.p[sys._con_idx])
     u = d.y_full.copy()
     cs = chart.structure(at.x)
     cp = np.einsum("cab,c->ab", cs, at.p)

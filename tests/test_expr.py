@@ -28,6 +28,7 @@ from amech.expr import (
     generate,
     grad,
     hessian,
+    keep_last,
     lazy_generated,
     substitute,
     variables_of,
@@ -545,3 +546,43 @@ def test_writing_into_a_returned_array_raises(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         h[1, 1] += 1.0
     assert g.tolist() == [-0.25 + 3.0, 2.0]
+
+
+def _counted_keep_last():
+    """keep_last of a function that records its points and raises at
+    x[0] < 0, and the list of those points."""
+    runs = []
+
+    def fn(x):
+        runs.append(x.tolist())
+        if x[0] < 0.0:
+            raise ValueError("negative")
+        return x.sum()
+
+    return keep_last(fn), runs
+
+
+def test_keep_last_runs_once_per_point_by_value():
+    f, runs = _counted_keep_last()
+    assert f([1.0, 2.0]) == 3.0
+    assert f(np.array([1.0, 2.0])) == 3.0  # another object, the same bytes
+    assert f(np.array([1.0, 2.5])) == 3.5
+    assert runs == [[1.0, 2.0], [1.0, 2.5]]
+
+
+def test_keep_last_keeps_nothing_from_a_call_that_raises():
+    f, runs = _counted_keep_last()
+    f([1.0, 2.0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative"):
+            f([-1.0, 2.0])
+    assert runs == [[1.0, 2.0], [-1.0, 2.0], [-1.0, 2.0]]
+
+
+def test_keep_last_tells_negative_zero_from_zero():
+    f, runs = _counted_keep_last()
+    f([1.0, 0.0])
+    f([1.0, -0.0])
+    f([1.0, -0.0])
+    assert runs == [[1.0, 0.0], [1.0, -0.0]]
+    assert math.copysign(1.0, runs[1][1]) == -1.0

@@ -10,27 +10,55 @@ from amech.linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 
 def _circle_and_diagonal(x):
-    return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
-
-
-def _circle_and_diagonal_step(x, r):
-    jac = np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
-    return np.linalg.solve(jac, r)
+    # the residual hands its step the Jacobian at x
+    r = np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
+    return r, np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
 
 
 def test_converges_on_a_nonlinear_system():
-    x = damped_newton(_circle_and_diagonal, _circle_and_diagonal_step,
-                      np.array([1.0, 0.5]), "circle")
+    x, jac = damped_newton(_circle_and_diagonal, np.linalg.solve,
+                           np.array([1.0, 0.5]), "circle")
     assert_allclose(x, [np.sqrt(2.0), np.sqrt(2.0)], rtol=1e-12)
-    assert np.max(np.abs(_circle_and_diagonal(x))) < 1e-12
+    assert np.max(np.abs(_circle_and_diagonal(x)[0])) < 1e-12
+    assert np.array_equal(jac, _circle_and_diagonal(x)[1])
 
 
 def test_empty_residual_returns_the_start_without_a_step():
-    def step(x, r):
+    def step(data, r):
         raise AssertionError("step must not be called")
 
-    x = damped_newton(lambda x: np.zeros(0), step, np.array([3.0, -1.0]), "empty")
+    x, data = damped_newton(lambda x: (np.zeros(0), "start"), step,
+                            np.array([3.0, -1.0]), "empty")
     assert np.array_equal(x, [3.0, -1.0])
+    assert data == "start"
+
+
+def test_each_point_is_evaluated_once_and_its_data_reaches_the_step():
+    # Newton on arctan from x = 2 overshoots, so the line search rejects
+    # candidates; a log of residual and step calls shows the step, and the
+    # return, receiving the very object the residual made at the accepted
+    # point, which is the last one it evaluated
+    log = []
+
+    def residual(x):
+        data = (x.copy(), 1.0 + x ** 2)
+        log.append(("residual", data))
+        return np.arctan(x), data
+
+    def step(data, r):
+        log.append(("step", data))
+        return r * data[1]
+
+    x, data = damped_newton(residual, step, np.array([2.0]), "arctan")
+    assert abs(x[0]) < 1e-12
+    kinds = [kind for kind, _ in log]
+    assert ("residual", "residual") in zip(kinds, kinds[1:])  # a rejection
+    evaluated = [d for kind, d in log if kind == "residual"]
+    assert len({d[0].tobytes() for d in evaluated}) == len(evaluated)
+    for (before, made), (kind, d) in zip(log, log[1:]):
+        if kind == "step":
+            assert before == "residual" and made is d
+    assert kinds[-1] == "residual" and data is evaluated[-1]
 
 
 class _Custom(NewtonFailed):
@@ -43,16 +71,16 @@ def test_stalled_line_search_raises_the_given_error():
         return -r / (2.0 * x)
 
     with pytest.raises(_Custom, match="no root stalled"):
-        damped_newton(lambda x: x ** 2 + 1.0, step, np.array([1.0]), "no root",
+        damped_newton(lambda x: (x ** 2 + 1.0, x), step, np.array([1.0]), "no root",
                       error=_Custom)
 
 
 def test_singular_solve_in_step_raises_the_given_error():
-    def step(x, r):
+    def step(data, r):
         return np.linalg.solve(np.zeros((2, 2)), r)
 
     with pytest.raises(MuSolveFailed, match="singular") as err:
-        damped_newton(lambda x: x - 1.0, step, np.zeros(2), "singular test",
+        damped_newton(lambda x: (x - 1.0, None), step, np.zeros(2), "singular test",
                       error=MuSolveFailed)
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
@@ -63,8 +91,9 @@ def test_exhausted_budget_raises():
         return r / (3.0 * x ** 2)
 
     with pytest.raises(NewtonFailed, match="did not converge"):
-        damped_newton(lambda x: x ** 3, step, np.array([1.0]), "cube", max_iter=1)
-    assert abs(damped_newton(lambda x: x ** 3, step, np.array([1.0]), "cube")[0]) < 1e-4
+        damped_newton(lambda x: (x ** 3, x), step, np.array([1.0]), "cube", max_iter=1)
+    assert abs(damped_newton(lambda x: (x ** 3, x), step, np.array([1.0]),
+                             "cube")[0][0]) < 1e-4
 
 
 def test_a_nan_residual_next_to_a_converged_entry_raises():
@@ -73,7 +102,7 @@ def test_a_nan_residual_next_to_a_converged_entry_raises():
         return np.zeros_like(x)
 
     with pytest.raises(NewtonFailed):
-        damped_newton(lambda x: np.array([1e-15, np.nan]), step, np.zeros(2), "nan")
+        damped_newton(lambda x: (np.array([1e-15, np.nan]), x), step, np.zeros(2), "nan")
 
 
 _tiny = st.floats(min_value=-1e-13, max_value=1e-13)
@@ -89,7 +118,7 @@ def test_a_nan_residual_entry_is_never_converged(entries, at):
         return np.zeros_like(x)
 
     with pytest.raises(NewtonFailed):
-        returned.append(damped_newton(lambda x: r, step, np.zeros(1), "nan"))
+        returned.append(damped_newton(lambda x: (r, x), step, np.zeros(1), "nan"))
     assert returned == []
 
 

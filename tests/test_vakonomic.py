@@ -1,16 +1,19 @@
 """Constrained-variational dynamics: states, momenta, sections, brackets."""
 
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from amech import vakonomic
+from amech import expr, vakonomic
 from amech.algebroid import DualPoint, chart_from_spec
 from amech.dsl import parse_expression, parse_system
 from amech.dynamics import EPoint, euler_lagrange_rhs, system_from_spec
-from amech.errors import EvalDomainError, MuSolveFailed, SingularR
+from amech.errors import AmechError, EvalDomainError, MuSolveFailed, SingularR
+from amech.linalg import damped_newton
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
-from amech.presets import load as load_preset
+from amech.presets import ids as preset_ids, load as load_preset
 from amech.vakonomic import (
     VakState,
     VakonomicSystem,
@@ -210,9 +213,18 @@ def test_mu_solve_builds_the_point_data_once_per_newton_point(monkeypatch):
 
 
 def test_hamiltonian_section_reuses_the_solved_point_data(monkeypatch):
-    # the one-step velocity solve builds the data at the start point and at
-    # the solved velocity; the section reads the latter instead of rebuilding
-    sys = _sys("plate_ball")
+    # the one-step velocity solve runs the point code at the start point and
+    # at the solved velocity; the section's own point data at the latter is
+    # the code's kept result, not a third run
+    runs = []
+    real_generate = expr.generate
+
+    def counting(names, *args):
+        code = real_generate(names, *args)
+        return lambda v: runs.append(names) or code(v)
+
+    monkeypatch.setattr(expr, "generate", counting)
+    sys = vakonomic_from_spec(copy.deepcopy(load_preset("plate_ball").spec))
     s = VakState(x=np.array([0.2, -0.6]), ya=np.array([0.8, 0.1]),
                  palpha=np.array([0.5, -0.2, 0.3]))
     at = DualPoint(s.x, momenta(sys, s))
@@ -224,9 +236,56 @@ def test_hamiltonian_section_reuses_the_solved_point_data(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(vakonomic, "_PointData", Counting)
+    runs.clear()
     u, _ = hamiltonian_section(sys, at)
     assert_allclose(u[list(sys.free)], s.ya, atol=1e-11)
-    assert len(built) == 2
+    assert runs.count(sys.state_labels) == 2
+    assert len(built) == 3
+
+
+def _mu_solve_in_the_old_form(sys, x, p):
+    """mu_solve as a damped Newton on p - p_full stepped by solve(-R, r)."""
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    palpha, free = p[sys._con_idx], sys._free_idx
+
+    def residual(ya):
+        d = vakonomic._PointData(sys, x, ya, palpha)
+        return p[free] - d.p_full[free], d.R
+
+    return damped_newton(residual, lambda r_matrix, r: np.linalg.solve(-r_matrix, r),
+                         np.zeros(sys.n_free), "velocity solve", error=MuSolveFailed)[0]
+
+
+def _outcome(solve, sys, x, p):
+    try:
+        return solve(sys, x, p).tobytes()
+    except AmechError as exc:  # the error's type and message are the outcome
+        return type(exc), str(exc)
+
+
+EXP_COST = ("system expcost\nbase []\nfiber [e1]\nanchor zero\n"
+            "lagrangian = exp(e1)\nvakonomic { }\n")
+
+
+def test_mu_solve_keeps_every_bit_of_the_old_sign_convention():
+    # the residual p_full - p stepped against R takes the same steps as
+    # p - p_full against -R: on every preset and a cost whose Newton takes
+    # several steps or fails (exp(e1) = p has no root for p <= 0), failures
+    # included
+    systems = [_sys(pid) for pid in preset_ids()]
+    systems.append(vakonomic_from_spec(parse_system(EXP_COST)))
+    rng = np.random.default_rng(20)
+    failures = []
+    for sys in systems:
+        for k in range(20):
+            x = rng.normal(0.0, 1.0, sys.chart.m)
+            p = rng.normal(0.0, 10.0 ** rng.uniform(-1.0, 2.0), sys.chart.n)
+            new = _outcome(mu_solve, sys, x, p)
+            assert new == _outcome(_mu_solve_in_the_old_form, sys, x, p)
+            if isinstance(new, tuple):
+                failures.append(new[1])
+    assert any("singular Jacobian" in f for f in failures)
+    assert any(f == "velocity solve stalled" for f in failures)
 
 
 def test_mu_solve_failure_for_degenerate_cost():
