@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dsl import SystemSpec, momentum_names
-from .expr import Const, Expr, ScalarFunction, Unary, lazy_generated, partials
+from .expr import (Const, Expr, ScalarFunction, Unary, Var, _dot, _fold, lazy_generated,
+                   partials)
 # Bound under algebroid's own name: the traced benchmark run
 # (perfbench/spans.py) wraps `algebroid._fd_tensor_jacobian`.
 from .expr import _fd_gradient as _fd_tensor_jacobian
@@ -104,13 +105,24 @@ def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
     rho, C and their Jacobians are each one generated call, made once per
     spec and kept on it, so every later chart of the spec reuses the code.
     """
-    code = vars(spec).get("_chart_code")
-    if code is None:
-        code = vars(spec)["_chart_code"] = _chart_code(spec)
-    rho, structure, rho_jacobian, structure_jacobian = code
+    rho, structure, rho_jacobian, structure_jacobian, _ = _spec_code(spec)
     return AlgebroidChart(spec.m, spec.n, rho, structure, rho_jacobian=rho_jacobian,
                           structure_jacobian=structure_jacobian, base_names=spec.base,
                           fiber_names=spec.fiber, params=spec.params, spec=spec)
+
+
+def _spec_code(spec: SystemSpec) -> tuple:
+    """The spec's `_chart_code`, made at the first request and kept on it."""
+    code = vars(spec).get("_chart_code")
+    if code is None:
+        code = vars(spec)["_chart_code"] = _chart_code(spec)
+    return code
+
+
+def hamilton_field(spec: SystemSpec) -> Callable[[np.ndarray], tuple]:
+    """The spec's generated function of the packed (x, p, dH/dx, dH/dp) that
+    returns (xdot, pdot) of the Hamilton equations, read-only."""
+    return _spec_code(spec)[4]
 
 
 def _tensor_slots(spec: SystemSpec) -> tuple[list, list]:
@@ -145,7 +157,7 @@ def _tensor_trees(slots: list) -> list[Expr]:
 
 
 def _chart_code(spec: SystemSpec) -> tuple:
-    """rho, C, d rho and dC as lazily generated code."""
+    """rho, C, d rho, dC and the Hamilton field as lazily generated code."""
     m, n = spec.m, spec.n
     base = spec.base
     params = dict(spec.params)
@@ -164,10 +176,34 @@ def _chart_code(spec: SystemSpec) -> tuple:
 
         return lazy_generated(base, params, layout)
 
+    momenta = momentum_names(n)
+    # no spec name holds a "/", so the gradient slots are never shadowed
+    gradient_names = tuple(f"dH/d{name}" for name in base + momenta)
+
+    def hamilton_layout() -> tuple:
+        # xdot = rho H_p and pdot = -(C.p H_p) - rho^T H_x, grouped as their
+        # numpy formulas; the checks walk rho's entries, then C's, the order
+        # in which the chart evaluated them
+        rho_flat, c_flat = _tensor_trees(rho_slots), _tensor_trees(c_slots)
+        p = [Var(name) for name in momenta]
+        hx = [Var(name) for name in gradient_names[:m]]
+        hp = [Var(name) for name in gradient_names[m:]]
+        xdot = [_dot(zip(rho_flat[i * n:(i + 1) * n], hp)) for i in range(m)]
+        # (C.p)[a, b] = C[c, a, b] p_c over the nonzero slots, c ascending
+        cp = [_ZERO] * (n * n)
+        for k, slot in enumerate(c_slots):
+            if slot is not None:
+                c, ab = divmod(k, n * n)
+                cp[ab] = _fold("+", cp[ab], _fold("*", c_flat[k], p[c]))
+        pdot = [_fold("-", _fold("-", _ZERO, _dot(zip(cp[a * n:(a + 1) * n], hp))),
+                      _dot(zip(rho_flat[a::n], hx))) for a in range(n)]
+        return [(xdot, (m,), 0), (pdot, (n,), 0)], [(rho_flat, None, 0), (c_flat, None, 0)]
+
     return (generated(rho_slots, (m, n), False),
             generated(c_slots, (n, n, n), False),
             generated(rho_slots, (m, n), True),
-            generated(c_slots, (n, n, n), True))
+            generated(c_slots, (n, n, n), True),
+            lazy_generated(base + momenta + gradient_names, params, hamilton_layout))
 
 
 # ---------------------------------------------------------------------------

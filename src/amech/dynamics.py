@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
-                        as_dual_observable)
+                        as_dual_observable, hamilton_field)
 from .errors import SingularHessian
 from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
                    keep_last, lazy_generated, partials)
@@ -307,19 +307,15 @@ def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, n
 def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
     """Hamilton equations on the dual bundle.
 
-    xdot_i = rho[i,A] dH/dp_A; pdot_A = -(rho[i,A] dH/dx_i + C[c,A,B] p_c dH/dp_B).
-    at is a DualPoint, or any (x, p) of float arrays.
+    xdot_i = rho[i,A] dH/dp_A; pdot_A = -(rho[i,A] dH/dx_i + C[c,A,B] p_c dH/dp_B),
+    from H's gradients and one call of the spec's generated Hamilton field,
+    so the chart must come from a parsed spec. at is a DualPoint, or any
+    (x, p) of float arrays. The arrays are the call's own, read-only.
     """
-    Ho = as_dual_observable(chart, H)
-    hx, hp = Ho.gradients(at)
-    rho = chart.rho(at.x)
-    cs = chart.structure(at.x)
-    cp = np.einsum("cab,c->ab", cs, at.p)
-    xdot = rho @ hp if chart.m else np.zeros(0)
-    pdot = -(cp @ hp)
-    if chart.m:
-        pdot = pdot - rho.T @ hx
-    return xdot, pdot
+    if chart.spec is None:
+        raise ValueError("Hamilton equations need a chart built from a spec")
+    hx, hp = as_dual_observable(chart, H).gradients(at)
+    return hamilton_field(chart.spec)(np.concatenate([at.x, at.p, hx, hp]))
 
 
 class PrimaryConstraint:
@@ -368,7 +364,9 @@ class LegendreEnergy:
         self.transverse_idx = tuple(a for a in range(sys.chart.n)
                                     if a not in self.kernel_idx)
         self._tr = np.array(self.transverse_idx, dtype=np.intp)
-        self._tt = np.ix_(self._tr, self._tr)
+        # without a kernel the solve indexes by slices, which take views
+        self._solve_tr, self._solve_tt = ((self._tr, np.ix_(self._tr, self._tr))
+                                          if self.kernel_idx else (slice(None),) * 2)
         m = sys.chart.m
         # the value, gradients and Hessian at one packed (x, p) share one
         # solve; _solve_velocity is looked up at each call, so a wrap of it
@@ -384,13 +382,13 @@ class LegendreEnergy:
 
     def _solve_velocity(self, x: np.ndarray,
                         p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
-        """Full velocity with kernel components zero and dL/dy_T = p_T, and
-        the derivatives of L there."""
-        sys, tr, tt = self.sys, self._tr, self._tt
+        """Full velocity, read-only, with kernel components zero and
+        dL/dy_T = p_T, and the derivatives of L there."""
+        sys, tr, tt = self.sys, self._solve_tr, self._solve_tt
         n = sys.chart.n
 
         def full(yt: np.ndarray) -> np.ndarray:
-            if tr.size == n:  # no kernel: yt is the whole velocity
+            if not self.kernel_idx:  # yt is the whole velocity
                 return yt
             y = np.zeros(n)
             y[tr] = yt
@@ -403,16 +401,21 @@ class LegendreEnergy:
 
         yt, d = damped_newton(residual, lambda d, r: np.linalg.solve(d.w[tt], r),
                               p[tr], "Legendre inverse")
-        return full(yt), d
+        y = full(yt)
+        y.flags.writeable = False
+        return y, d
 
     def value(self, at: DualPoint) -> float:
         # E_L from the derivatives the Newton solve ends on
         return self._solved(np.concatenate([at.x, at.p]))[1].energy
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
-        # the kernel components of the solved velocity are zero
+        """(dH/dx, dH/dp) = (-dL/dx, the kept solve's velocity), read-only;
+        the kernel components of the solved velocity are zero."""
         y, d = self._solved(np.concatenate([at.x, at.p]))
-        return -d.lx, y.copy()
+        hx = -d.lx
+        hx.flags.writeable = False
+        return hx, y
 
     def hessian(self, at: DualPoint) -> np.ndarray:
         """Second derivatives of H in (x, p).
@@ -424,7 +427,7 @@ class LegendreEnergy:
         m, tr = self.chart.m, self._tr
         lxt = d.hxy[:, tr]
         # rows of dy_T / d(x, p_T)
-        dyt = np.linalg.solve(d.w[self._tt], np.hstack([-lxt.T, np.eye(tr.size)]))
+        dyt = np.linalg.solve(d.w[np.ix_(tr, tr)], np.hstack([-lxt.T, np.eye(tr.size)]))
         h = np.zeros((m + self.chart.n,) * 2)
         h[:m, :m] = -d.hxx - lxt @ dyt[:, :m]
         h[:m, m + tr] = -lxt @ dyt[:, m:]

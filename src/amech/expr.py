@@ -423,15 +423,29 @@ def _statement(key: tuple) -> str:
     return f"{args[0]} {op} {args[1]}"
 
 
+def _folded(key: tuple) -> str | None:
+    """The literal of a statement whose operands are all literals: the
+    statement's own text run once here, so the value has the same bits.
+    None when an operand is a variable or a temporary, or the statement
+    raises: it then stays, and raises where the walk reports its error."""
+    if any(str(arg)[0] in "tv" for arg in key[1:]):
+        return None
+    try:
+        return _literal(eval(_statement(key), dict(_NAMESPACE)))
+    except (ArithmeticError, ValueError):
+        return None
+
+
 def _straight_line(trees: Sequence[Expr],
                    slots: Mapping[str, str]) -> tuple[list[str], list[str]]:
     """Statements that compute every tree, and the operand holding each value.
 
     One operation per statement, applied to the same operands as in the tree,
-    so each value is rounded exactly as the walk rounds it. A node met before,
-    by identity or as the same operation on the same operands, reuses its
-    temporary: linear in the number of distinct nodes. A Var outside slots
-    raises KeyError.
+    so each value is rounded exactly as the walk rounds it; one whose
+    operands are all literals (constants and params) is computed here and
+    becomes a literal itself. A node met before, by identity or as the same
+    operation on the same operands, reuses its temporary: linear in the
+    number of distinct nodes. A Var outside slots raises KeyError.
     """
     lines: list[str] = []
     seen: dict[int, str] = {}
@@ -454,7 +468,7 @@ def _straight_line(trees: Sequence[Expr],
                 key = ("^", visit(node.base), node.exponent)
             else:
                 raise TypeError(f"not an expression node: {node!r}")
-            operand = temps.get(key)
+            operand = temps.get(key) or _folded(key)
             if operand is None:
                 operand = temps[key] = f"t{len(temps)}"
                 lines.append(f"{operand} = {_statement(key)}")

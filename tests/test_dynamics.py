@@ -1,6 +1,10 @@
 """Cartan objects, Legendre transform, Euler-Lagrange and Hamilton fields."""
 
+import copy
+import functools
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -377,3 +381,105 @@ def test_a_lagrangian_system_needs_a_spec_chart():
                           base_names=chart.base_names, fiber_names=chart.fiber_names)
     with pytest.raises(ValueError, match="chart built from a spec"):
         LagrangianSystem(bare, load_preset("tq_pendulum").spec.lagrangian)
+
+
+def _hamilton_reference(chart, H, at):
+    """(xdot, pdot) in numpy from the chart's rho and C: the formula of the
+    Hamilton field before it became one generated call."""
+    hx, hp = H.gradients(at)
+    rho, cs = chart.rho(at.x), chart.structure(at.x)
+    cp = np.einsum("cab,c->ab", cs, at.p)
+    xdot = rho @ hp if chart.m else np.zeros(0)
+    pdot = -(cp @ hp)
+    if chart.m:
+        pdot = pdot - rho.T @ hx
+    return xdot, pdot
+
+
+def _tree_hamiltonian(chart):
+    """A Hamiltonian tree in every base and momentum name with a cross term,
+    so each gradient entry is nonzero."""
+    p = [expr.Var(name) for name in chart.momentum_names]
+    tree = 0.5 * functools.reduce(operator.add, [pa * pa for pa in p])
+    for k, name in enumerate(chart.base_names):
+        tree = tree + expr.Unary("cos", expr.Var(name)) * p[k % chart.n]
+    return DualObservable(chart, tree)
+
+
+def _hamilton_cases():
+    for pid in ("tq_pendulum", "so3_rigid_body", "skinner_rusk_demo"):
+        assert "hamilton" in load_preset(pid).facts["modes"]
+        yield pid, load_preset(pid).spec
+    rng = np.random.default_rng(2011)
+    for k in range(4):
+        model = perfbench_workloads().generate_model(rng, k, f"sweep_hamilton_k{k}")
+        yield f"sweep k={k}", parse_system(model.text)
+
+
+@pytest.mark.parametrize("case, spec", list(_hamilton_cases()))
+def test_the_hamilton_field_agrees_with_the_numpy_formula(case, spec):
+    sys = system_from_spec(spec)
+    chart = sys.chart
+    rng = np.random.default_rng(7)
+    for H in (hamiltonian_from_lagrangian(sys), _tree_hamiltonian(chart)):
+        for _ in range(10):
+            at = legendre(sys, EPoint(rng.uniform(0.5, 1.5, chart.m),
+                                      rng.uniform(-1.0, 1.0, chart.n)))
+            got, want = hamilton_rhs(chart, H, at), _hamilton_reference(chart, H, at)
+            for g, w in zip(got, want):
+                scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
+                assert np.max(np.abs(g - w), initial=0.0) <= 1e-15 * scale, case
+
+
+def test_a_hamilton_rhs_reads_neither_chart_tensor():
+    # rho and C enter inside the generated Hamilton field, not through the chart
+    sys = _tq()
+    chart = sys.chart
+    calls = []
+    rho, structure = chart.rho, chart.structure
+    chart.rho = lambda x: calls.append("rho") or rho(x)
+    chart.structure = lambda x: calls.append("structure") or structure(x)
+    for H in (hamiltonian_from_lagrangian(sys), parse_expression("0.5*p1^2 - cos(q)")):
+        xdot, pdot = hamilton_rhs(chart, H, DualPoint(np.array([0.8]), np.array([-0.6])))
+        assert xdot[0] == pytest.approx(-0.6, abs=1e-12)
+        assert pdot[0] == pytest.approx(-math.sin(0.8), abs=1e-12)
+    assert calls == []
+
+
+def test_the_hamilton_field_needs_a_spec_chart():
+    chart = chart_from_spec(load_preset("tq_pendulum").spec)
+    bare = AlgebroidChart(chart.m, chart.n, chart.rho, chart.structure,
+                          rho_jacobian=chart.rho_jacobian,
+                          structure_jacobian=chart.structure_jacobian,
+                          base_names=chart.base_names, fiber_names=chart.fiber_names)
+    with pytest.raises(ValueError, match="chart built from a spec"):
+        hamilton_rhs(bare, parse_expression("0.5*p1^2"),
+                     DualPoint(np.array([0.8]), np.array([-0.6])))
+
+
+@pytest.mark.parametrize("source", [QUARTIC, CROSS], ids=["quartic", "cross"])
+def test_legendre_energy_gradients_are_read_only(source):
+    H = hamiltonian_from_lagrangian(system_from_spec(parse_system(source)))
+    at = DualPoint(np.array([0.4]), np.array([0.7] * H.chart.n))
+    for array in H.gradients(at):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # a second call at the point hands out the kept velocity itself
+    assert H.gradients(at)[1] is H.gradients(at)[1]
+
+
+def test_the_so3_point_code_computes_no_literal_statement(monkeypatch):
+    # params are literals, so the constant Hessian of so3's L is folded when
+    # its code is generated instead of recomputed at each call
+    sources = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
+                        or compile_(source))
+    sys = system_from_spec(copy.deepcopy(load_preset("so3_rigid_body").spec))
+    sys.derivatives(EPoint(np.zeros(0), np.array([0.3, 0.8, 1.5])))
+    assert len(sources) == 1
+    statements = re.findall(r"^    t\d+ = (.*)$", sources[0], re.MULTILINE)
+    assert statements
+    for rhs in statements:
+        assert re.search(r"\b[tv]\d+\b", rhs), rhs

@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -493,6 +494,43 @@ def test_an_evaluated_expression_still_pickles():
     assert g == f
     again = ScalarFunction(("x", "y"), expr=g).derivatives([0.3, 0.7])
     assert [_bits(a) for a in again] == [_bits(a) for a in before]
+
+
+def _sources(monkeypatch):
+    """The source text of every function generated from here on."""
+    sources = []
+    compile_ = expr_module._compile
+    monkeypatch.setattr(expr_module, "_compile",
+                        lambda source: sources.append(source) or compile_(source))
+    return sources
+
+
+def test_literal_statements_are_folded_where_the_code_is_generated(monkeypatch):
+    # k * 3 and sin(k / 4)^2 have literal operands once the param k is
+    # bound; they become literals of the same bits, and only the two
+    # statements on x stay
+    sources = _sources(monkeypatch)
+    k = Var("k")
+    f = X * (k * Const(3.0)) + Unary("sin", k / Const(4.0)) ** 2
+    fn = generate(("x",), {"k": 0.7}, [([f], None, 0)])
+    statements = re.findall(r"^    t\d+ = (.*)$", sources[-1], re.MULTILINE)
+    assert statements == [f"v0 * ({0.7 * 3.0!r})", f"t0 + ({math.sin(0.7 / 4.0) ** 2!r})"]
+    for x in (0.3, -1.9, 0.0):
+        assert _bits(fn([x])) == _bits(evaluate(f, {"x": x, "k": 0.7}))
+
+
+@pytest.mark.parametrize("tree, statement, message", [
+    (X + Const(1.0) / Const(0.0), "(1.0) / (0.0)", "division by zero"),
+    (X * Unary("ln", Const(-2.0)), "ln((-2.0))", "ln of non-positive value -2.0"),
+    (X - Pow(Const(0.0), -1), "(0.0) ** (-1)", "zero base with negative exponent"),
+])
+def test_a_literal_statement_that_raises_is_kept_for_the_walk(monkeypatch, tree, statement,
+                                                              message):
+    sources = _sources(monkeypatch)
+    sf = ScalarFunction(("x",), expr=tree)
+    with pytest.raises(EvalDomainError, match=message):
+        sf.value([0.5])
+    assert f"t0 = {statement}\n" in sources[0]
 
 
 def _counted_jet(monkeypatch):

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amech import expr
-from amech.cli import MODES, build_parser, main
+from amech import dynamics, expr
+from amech.cli import MODES, _resolve_init, build_parser, main
 from amech.dsl import format_system, parse_system, with_params
 from amech.dynamics import EPoint, LegendreEnergy, system_from_spec
 from amech.errors import DslError
@@ -292,3 +292,60 @@ def test_the_energy_monitor_reads_the_rows_the_stages_evaluate(monkeypatch, conf
     monitored, traj = jet_runs({"energy": mode.energy})
     assert bare > 0 and monitored == bare + extra
     assert traj.states.tobytes() == plain.states.tobytes()
+
+
+def test_a_repeated_hamilton_simulate_generates_nothing(tmp_path, monkeypatch):
+    # L's point code and the spec's Hamilton field are kept on the preset's
+    # spec, so a second run finds both
+    argv = ["simulate", "--preset", "skinner_rusk_demo", "--mode", "hamilton",
+            "--t1", "0.02", "--manifest", str(tmp_path / "m.json")]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main([*argv, "--out", str(first)]) == 0
+    generated = []
+    real_generate = expr.generate
+    monkeypatch.setattr(expr, "generate",
+                        lambda names, *args: generated.append(names)
+                        or real_generate(names, *args))
+    assert main([*argv, "--out", str(second)]) == 0
+    assert generated == []
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("pid", preset_ids())
+def test_each_right_hand_side_runs_the_generated_code_once_per_point(pid, monkeypatch):
+    # el, sode and vakonomic are one generated call at a fresh point, and
+    # hamilton is one call of L's point code per Legendre Newton point plus
+    # one of the Hamilton field: no numpy assembly reads the chart tensors
+    runs = []
+    real_generate = expr.generate
+
+    def counting(names, *args):
+        code = real_generate(names, *args)
+        return None if code is None else lambda v: runs.append(names) or code(v)
+
+    newton_points = []
+    real_newton = dynamics.damped_newton
+
+    def counting_newton(residual, step, x0, what, **kwargs):
+        def counted(y):
+            newton_points.append(y)
+            return residual(y)
+        return real_newton(counted, step, x0, what, **kwargs)
+
+    monkeypatch.setattr(expr, "generate", counting)
+    monkeypatch.setattr(dynamics, "damped_newton", counting_newton)
+    preset = load_preset(pid)
+    spec = copy.deepcopy(preset.spec)
+    seen = set()
+    for name in (m for m in MODES if m in preset.facts["modes"]):
+        seen.add(name)
+        mode = MODES[name](spec)
+        y0, _ = _resolve_init(mode.labels, preset.facts["default_init"].get(name, {}), {})
+        for k in range(1, 4):
+            del runs[:], newton_points[:]
+            mode.rhs(0.0, y0 + 0.01 * k)
+            if name == "hamilton":
+                assert newton_points and len(runs) == len(newton_points) + 1, name
+            else:
+                assert len(runs) == 1 and newton_points == [], name
+    assert seen

@@ -110,6 +110,17 @@ def test_step_failure_names_the_bad_component():
     assert "b" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_step_failure_message_names_the_first_non_finite_component(bad):
+    def rhs(t, y):
+        return np.array([1.0, bad, np.nan])
+
+    with pytest.raises(StepFailure) as err:
+        integrate(OdeProblem(dim=3, rhs=rhs, labels=("a", "b", "c")),
+                  IntegratorConfig(t0=0.0, t1=1.0, h=0.1), np.zeros(3))
+    assert str(err.value) == "rhs component 1 (b) is not finite at t=0.0"
+
+
 def test_step_failure_on_nonfinite_initial_state():
     with pytest.raises(StepFailure):
         integrate(OdeProblem(dim=1, rhs=lambda t, y: y),
