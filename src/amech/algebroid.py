@@ -2,10 +2,12 @@
 
 A chart is the local data (anchor matrix field, structure-function field)
 together with their exact Jacobians, generated from the expression trees of
-a parsed spec. On top of it this module evaluates the structure-equation
-residuals (central differences of the chart only as the "fd" cross-check),
-the differential of base functions, the linear Poisson bracket on the dual
-bundle with its exact Jacobi residual, and the canonical symplectic matrix.
+a parsed spec, its only source; that code and the generated Hamilton field
+are `expr.kept` entries of the spec. On top of it this module evaluates the
+structure-equation residuals (central differences of the chart only as the
+"fd" cross-check), the differential of base functions, the linear Poisson
+bracket on the dual bundle with its exact Jacobi residual, and the
+canonical symplectic matrix.
 Observables on the dual bundle are expression trees, differentiated exactly.
 """
 
@@ -13,13 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .dsl import SystemSpec, momentum_names
-from .expr import (Const, Expr, ScalarFunction, Unary, Var, _dot, _fold, lazy_generated,
-                   partials)
+from .expr import (Const, Expr, ScalarFunction, Unary, Var, _ZERO, _dot, _fold, kept,
+                   lazy_generated, partials)
 # Bound under algebroid's own name: the traced benchmark run
 # (perfbench/spans.py) wraps `algebroid._fd_tensor_jacobian`.
 from .expr import _fd_gradient as _fd_tensor_jacobian
@@ -38,9 +40,6 @@ __all__ = [
     "DualObservable",
 ]
 
-_ZERO = Const(0.0)
-
-
 @dataclass(frozen=True)
 class DualPoint:
     """Point of the dual bundle: base coordinates and momenta."""
@@ -56,38 +55,22 @@ class DualPoint:
 
 
 class AlgebroidChart:
-    """Local Lie algebroid data with derivative access.
+    """The local Lie algebroid data of a parsed spec, with derivative access.
 
     rho(x) is the m x n anchor matrix (columns are the anchor images of the
     basis sections), structure(x) the n x n x n tensor C[c, a, b], exactly
-    antisymmetric in its last two slots. Their Jacobians are required: a
-    chart built from a parsed spec differentiates its expression trees.
+    antisymmetric in its last two slots. Both, and their exact Jacobians,
+    are generated calls of the spec's expression trees, made once per spec
+    and kept on it, so every later chart of the spec reuses the code.
     """
 
-    def __init__(self, m: int, n: int,
-                 rho: Callable[[np.ndarray], np.ndarray],
-                 structure: Callable[[np.ndarray], np.ndarray],
-                 *,
-                 rho_jacobian: Callable[[np.ndarray], np.ndarray],
-                 structure_jacobian: Callable[[np.ndarray], np.ndarray],
-                 base_names: Sequence[str] | None = None,
-                 fiber_names: Sequence[str] | None = None,
-                 params: dict[str, float] | None = None,
-                 spec: SystemSpec | None = None):
-        self.m = int(m)
-        self.n = int(n)
-        self.rho = rho
-        self.structure = structure
-        self._rho_jacobian = rho_jacobian
-        self._structure_jacobian = structure_jacobian
+    def __init__(self, spec: SystemSpec):
         self.spec = spec
-        self.params = dict(params) if params else {}
-        if base_names is None:
-            base_names = tuple(f"x{i + 1}" for i in range(self.m))
-        if fiber_names is None:
-            fiber_names = tuple(f"y{A + 1}" for A in range(self.n))
-        self.base_names = tuple(base_names)
-        self.fiber_names = tuple(fiber_names)
+        self.m, self.n = spec.m, spec.n
+        (self.rho, self.structure, self._rho_jacobian,
+         self._structure_jacobian) = kept(spec, "chart_code", lambda: _chart_code(spec))
+        self.params = dict(spec.params)
+        self.base_names, self.fiber_names = spec.base, spec.fiber
         self.momentum_names = momentum_names(self.n)
 
     def rho_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -100,29 +83,8 @@ class AlgebroidChart:
 
 
 def chart_from_spec(spec: SystemSpec) -> AlgebroidChart:
-    """Build an evaluating chart from a parsed system document.
-
-    rho, C and their Jacobians are each one generated call, made once per
-    spec and kept on it, so every later chart of the spec reuses the code.
-    """
-    rho, structure, rho_jacobian, structure_jacobian, _ = _spec_code(spec)
-    return AlgebroidChart(spec.m, spec.n, rho, structure, rho_jacobian=rho_jacobian,
-                          structure_jacobian=structure_jacobian, base_names=spec.base,
-                          fiber_names=spec.fiber, params=spec.params, spec=spec)
-
-
-def _spec_code(spec: SystemSpec) -> tuple:
-    """The spec's `_chart_code`, made at the first request and kept on it."""
-    code = vars(spec).get("_chart_code")
-    if code is None:
-        code = vars(spec)["_chart_code"] = _chart_code(spec)
-    return code
-
-
-def hamilton_field(spec: SystemSpec) -> Callable[[np.ndarray], tuple]:
-    """The spec's generated function of the packed (x, p, dH/dx, dH/dp) that
-    returns (xdot, pdot) of the Hamilton equations, read-only."""
-    return _spec_code(spec)[4]
+    """The evaluating chart of a parsed system document."""
+    return AlgebroidChart(spec)
 
 
 def _tensor_slots(spec: SystemSpec) -> tuple[list, list]:
@@ -157,10 +119,9 @@ def _tensor_trees(slots: list) -> list[Expr]:
 
 
 def _chart_code(spec: SystemSpec) -> tuple:
-    """rho, C, d rho, dC and the Hamilton field as lazily generated code."""
+    """rho, C, d rho and dC as lazily generated code."""
     m, n = spec.m, spec.n
     base = spec.base
-    params = dict(spec.params)
     rho_slots, c_slots = _tensor_slots(spec)
 
     def generated(slots: list, shape: tuple, jacobian: bool):
@@ -174,16 +135,32 @@ def _chart_code(spec: SystemSpec) -> tuple:
             checks = [([s[0] for s in slots if s is not None], None, 0)] if m else []
             return [(trees, shape + (m,), 1)], checks
 
-        return lazy_generated(base, params, layout)
+        return lazy_generated(base, spec.params, layout)
 
+    return (generated(rho_slots, (m, n), False),
+            generated(c_slots, (n, n, n), False),
+            generated(rho_slots, (m, n), True),
+            generated(c_slots, (n, n, n), True))
+
+
+def hamilton_field(spec: SystemSpec) -> Callable[[np.ndarray], tuple]:
+    """The spec's generated function of the packed (x, p, dH/dx, dH/dp) that
+    returns (xdot, pdot) of the Hamilton equations, read-only; made once per
+    spec and kept on it."""
+    return kept(spec, "hamilton_field", lambda: _hamilton_field(spec))
+
+
+def _hamilton_field(spec: SystemSpec) -> Callable[[np.ndarray], tuple]:
+    m, n = spec.m, spec.n
     momenta = momentum_names(n)
     # no spec name holds a "/", so the gradient slots are never shadowed
-    gradient_names = tuple(f"dH/d{name}" for name in base + momenta)
+    gradient_names = tuple(f"dH/d{name}" for name in spec.base + momenta)
 
-    def hamilton_layout() -> tuple:
+    def layout() -> tuple:
         # xdot = rho H_p and pdot = -(C.p H_p) - rho^T H_x, grouped as their
         # numpy formulas; the checks walk rho's entries, then C's, the order
         # in which the chart evaluated them
+        rho_slots, c_slots = _tensor_slots(spec)
         rho_flat, c_flat = _tensor_trees(rho_slots), _tensor_trees(c_slots)
         p = [Var(name) for name in momenta]
         hx = [Var(name) for name in gradient_names[:m]]
@@ -199,11 +176,7 @@ def _chart_code(spec: SystemSpec) -> tuple:
                       _dot(zip(rho_flat[a::n], hx))) for a in range(n)]
         return [(xdot, (m,), 0), (pdot, (n,), 0)], [(rho_flat, None, 0), (c_flat, None, 0)]
 
-    return (generated(rho_slots, (m, n), False),
-            generated(c_slots, (n, n, n), False),
-            generated(rho_slots, (m, n), True),
-            generated(c_slots, (n, n, n), True),
-            lazy_generated(base + momenta + gradient_names, params, hamilton_layout))
+    return lazy_generated(spec.base + momenta + gradient_names, spec.params, layout)
 
 
 # ---------------------------------------------------------------------------

@@ -47,24 +47,28 @@ class UsageError(Exception):
 
 def _load_model(args) -> dict:
     """Resolve --preset/file into spec + provenance + facts, with the facts'
-    channels as trees (a preset's parsed once per process)."""
+    channels as trees (a preset's parsed once per process), and the rank
+    tolerance the manifest records, resolved from AMECH_TOL before any output."""
     if getattr(args, "preset", None):
         preset = presets.load(args.preset)
-        return {"spec": preset.spec, "dsl": preset.dsl, "facts": preset.facts,
-                "channels": preset.channels, "origin": {"preset": preset.id}}
-    if getattr(args, "file", None):
+        model = {"spec": preset.spec, "dsl": preset.dsl, "facts": preset.facts,
+                 "channels": preset.channels, "origin": {"preset": preset.id}}
+    elif getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise AmechError(f"{args.file}: {exc}") from None
-        return {"spec": parse_system(text), "dsl": text, "facts": {}, "channels": {},
-                "origin": {"file": args.file}}
-    if getattr(args, "dsl_text", None):
-        return {"spec": parse_system(args.dsl_text), "dsl": args.dsl_text,
-                "facts": {}, "channels": {},
-                "origin": dict(getattr(args, "origin", {}) or {"inline": True})}
-    raise UsageError("need a model: --preset ID or a file path")
+        model = {"spec": parse_system(text), "dsl": text, "facts": {}, "channels": {},
+                 "origin": {"file": args.file}}
+    elif getattr(args, "dsl_text", None):
+        model = {"spec": parse_system(args.dsl_text), "dsl": args.dsl_text,
+                 "facts": {}, "channels": {},
+                 "origin": dict(getattr(args, "origin", {}) or {"inline": True})}
+    else:
+        raise UsageError("need a model: --preset ID or a file path")
+    model["rank_tolerance"] = rank_rtol()
+    return model
 
 
 def _parse_bindings(pairs, what: str) -> dict[str, float]:
@@ -112,7 +116,7 @@ def _write_manifest(args, command: str, model: dict, config: dict,
         "config": config,
         "outputs": outputs,
         "exit_status": exit_status,
-        "rank_tolerance": rank_rtol(),
+        "rank_tolerance": model["rank_tolerance"],
         "timing_seconds": time.monotonic() - started,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -8,6 +8,9 @@ regular L on all of E*, for a singular L on its momentum image, cut out by
 the `PrimaryConstraint` fields of the kernel directions. The Lagrangian is
 an expression tree, so every derivative here is exact, the energy's and the
 primary constraints' included; nothing in this module is differenced.
+The generated point function of a spec and Lagrangian, and the E_L
+function of a Lagrangian, are `expr.kept` entries of the spec and of L's
+root node, so every later system of the same trees reuses them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
                         as_dual_observable, hamilton_field)
 from .errors import SingularHessian
 from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
-                   keep_last, lazy_generated, partials)
+                   keep_last, kept, lazy_generated, partials)
 from .linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 __all__ = [
@@ -80,9 +83,9 @@ class LagrangianSystem:
     """A chart together with a Lagrangian on its (x, y) coordinates.
 
     The Lagrangian is an expression in the base and fiber coordinate names,
-    differentiated exactly. The chart must come from a parsed spec: every
-    field at a point is one generated call, assembled from L's partial trees
-    and the spec's anchor and bracket trees. The rank tolerance is resolved
+    differentiated exactly. Every field at a point is one generated call,
+    assembled from L's partial trees and the anchor and bracket trees of the
+    chart's spec. The rank tolerance is resolved
     from AMECH_TOL once, here. A point is an EPoint, any (x, y) of float
     arrays, or the packed vector (x, y).
     """
@@ -92,8 +95,6 @@ class LagrangianSystem:
         self.rank_rtol = rank_rtol()
         self._sf = ScalarFunction(chart.base_names + chart.fiber_names,
                                   expr=lagrangian, params=chart.params)
-        if chart.spec is None:
-            raise ValueError("a Lagrangian system needs a chart built from a spec")
         self._point = _point_function(chart.spec, lagrangian)
         self._energy: ScalarFunction | None = None
 
@@ -129,13 +130,11 @@ class LagrangianSystem:
         reuses them.
         """
         if self._energy is None:
-            lagrangian, names = self._sf.expr, self._sf.names
-            memo = vars(lagrangian).setdefault("_energy", {})
-            key = (names, self.chart.m, tuple(sorted(self._sf.params.items())))
-            if key not in memo:
-                memo[key] = ScalarFunction(names, params=self.chart.params,
-                                           expr=_energy_tree(lagrangian, names, self.chart.m))
-            self._energy = memo[key]
+            lagrangian, names, m = self._sf.expr, self._sf.names, self.chart.m
+            self._energy = kept(
+                lagrangian, ("energy", names, m, tuple(sorted(self._sf.params.items()))),
+                lambda: ScalarFunction(names, params=self.chart.params,
+                                       expr=_energy_tree(lagrangian, names, m)))
         return self._energy.derivatives(np.concatenate([at.x, at.y]))
 
 
@@ -153,13 +152,10 @@ def _point_function(spec, lagrangian: Expr) -> Callable[[np.ndarray], tuple]:
     Made once per spec and Lagrangian tree and kept on the spec like the
     chart code; the code is generated at the first point.
     """
-    memo = vars(spec).setdefault("_lagrangian_point", {})
     # the entry's layout holds the tree, so its id stays its own
-    if id(lagrangian) not in memo:
-        memo[id(lagrangian)] = lazy_generated(
-            spec.base + spec.fiber, spec.params,
-            functools.partial(_point_layout, spec, lagrangian))
-    return memo[id(lagrangian)]
+    return kept(spec, ("lagrangian_point", id(lagrangian)),
+                lambda: lazy_generated(spec.base + spec.fiber, spec.params,
+                                       functools.partial(_point_layout, spec, lagrangian)))
 
 
 def _point_layout(spec, lagrangian: Expr) -> tuple:
@@ -308,12 +304,10 @@ def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, n
     """Hamilton equations on the dual bundle.
 
     xdot_i = rho[i,A] dH/dp_A; pdot_A = -(rho[i,A] dH/dx_i + C[c,A,B] p_c dH/dp_B),
-    from H's gradients and one call of the spec's generated Hamilton field,
-    so the chart must come from a parsed spec. at is a DualPoint, or any
-    (x, p) of float arrays. The arrays are the call's own, read-only.
+    from H's gradients and one call of the generated Hamilton field of the
+    chart's spec. at is a DualPoint, or any (x, p) of float arrays. The
+    arrays are the call's own, read-only.
     """
-    if chart.spec is None:
-        raise ValueError("Hamilton equations need a chart built from a spec")
     hx, hp = as_dual_observable(chart, H).gradients(at)
     return hamilton_field(chart.spec)(np.concatenate([at.x, at.p, hx, hp]))
 

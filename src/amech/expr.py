@@ -16,7 +16,9 @@ operation per line in the tree's own order, with repeated subexpressions
 computed once, so every number is bit-identical to the walk. `lazy_generated`
 builds that code at the first call, reuses compiled code with the same
 source text and keeps its last result, read-only, for a repeated point,
-through `keep_last`, the package's one last-point memo.
+through `keep_last`, the package's one last-point memo. Generated code and
+derived trees are kept on the spec or expression node they come from, by
+`kept`, the package's one place for them.
 Where the code raises ArithmeticError or ValueError, or the trees name a
 variable outside the names and params, `_walk` walks the same layout, so the
 caller sees the walk's own error or the unbound name.
@@ -28,7 +30,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -52,6 +54,7 @@ __all__ = [
     "generate",
     "lazy_generated",
     "keep_last",
+    "kept",
     "ScalarFunction",
 ]
 
@@ -63,8 +66,8 @@ class Expr:
     """Immutable expression node; subclasses carry the actual payload."""
 
     def __getstate__(self) -> dict:
-        # the payload only: memos kept on a node (partial trees, generated
-        # code) are rebuilt on demand
+        # the payload only: what `kept` holds on a node (partial trees,
+        # generated code) is rebuilt on demand
         return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     def __add__(self, other: "Expr | float") -> "Expr":
@@ -321,22 +324,20 @@ def _partials(expr: Expr, wrt: tuple, order: int) -> list:
     partial row by row.
 
     Built on the first request and kept on the root node, so the trees go
-    when the expression goes. The memo is not a dataclass field, so equality
-    and hashing of the node are unchanged. The partials of one order share
-    one `derivative` memo, so each node's variables are found once and a
-    subtree met in several partials is derived once per variable; the memo
-    goes when they are built.
+    when the expression goes. The partials of one order share one
+    `derivative` memo, so each node's variables are found once and a subtree
+    met in several partials is derived once per variable; the memo goes
+    when they are built.
     """
-    kept = vars(expr).setdefault("_partials", {})
-    if (order, wrt) not in kept:
+    def build() -> list:
         memo: dict = {}
         if order == 1:
-            kept[1, wrt] = [((name,), derivative(expr, name, memo)) for name in wrt]
-        else:
-            kept[2, wrt] = [((a, b), derivative(tree, b, memo))
-                            for k, ((a,), tree) in enumerate(_partials(expr, wrt, 1))
-                            for b in wrt[k:]]
-    return kept[order, wrt]
+            return [((name,), derivative(expr, name, memo)) for name in wrt]
+        return [((a, b), derivative(tree, b, memo))
+                for k, ((a,), tree) in enumerate(_partials(expr, wrt, 1))
+                for b in wrt[k:]]
+
+    return kept(expr, ("partials", order, wrt), build)
 
 
 def partials(expr: Expr, wrt: Sequence[str]) -> list[Expr]:
@@ -561,6 +562,22 @@ def _walk(names: Sequence[str], params: Mapping[str, float], layout: tuple,
 T = TypeVar("T")
 
 
+def kept(owner: object, key: Hashable, build: Callable[[], T]) -> T:
+    """build(), made at the first request for key and kept on owner.
+
+    The package's one place for generated code and derived trees: owner is
+    a spec or an expression node, which never changes, and its values live
+    in one `_kept` dict on it, so they go when the owner goes. The dict is
+    not a dataclass field, so equality and hashing of the owner are
+    unchanged, and its `__getstate__` leaves it out of a copy. A key that
+    holds an id() is the id of a tree the value itself holds.
+    """
+    store = vars(owner).setdefault("_kept", {})
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
 def keep_last(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
     """g(x) = fn(x) for x as a float array, kept for the last x by its bytes.
 
@@ -718,14 +735,11 @@ class ScalarFunction:
         self.params = dict(params) if params else {}
         # value; value and gradient; value, gradient and Hessian, kept on the
         # root node for every function of the same names and params
-        memo = vars(expr).setdefault("_jets", {})
-        key = (self.names, tuple(sorted(self.params.items())))
-        if key not in memo:
-            memo[key] = [lazy_generated(
-                self.names, self.params,
-                functools.partial(_jet_layout, expr, self.names, order))
-                for order in range(3)]
-        self._jets = memo[key]
+        self._jets = kept(expr, ("jets", self.names, tuple(sorted(self.params.items()))),
+                          lambda: [lazy_generated(
+                              self.names, self.params,
+                              functools.partial(_jet_layout, expr, self.names, order))
+                              for order in range(3)])
 
     def _env(self, v: Sequence[float]) -> dict[str, float]:
         return _bindings(self.names, self.params, v)

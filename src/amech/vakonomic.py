@@ -4,7 +4,10 @@ The constraint submanifold is given as a graph over the free velocities,
 y^alpha = Psi^alpha(x, y^a). State is (x, y^a, p_alpha); dependent momenta
 are recomputed from the primary constraint at every evaluation, never
 integrated. The bracket on the constrained phase space coincides with the
-linear Poisson bracket of the dual bundle and is exported as an alias of it.
+linear Poisson bracket of the dual bundle and is exported as an alias of it,
+and the dynamics section reads the spec's generated Hamilton field. The
+restricted Lagrangian and the generated point function are `expr.kept`
+entries of the spec, built once for every system of its trees.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
-                        chart_from_spec, lie_poisson_bracket)
+                        chart_from_spec, hamilton_field, lie_poisson_bracket)
 from .dsl import SystemSpec
 from .errors import MuSolveFailed, SingularR
-from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
+from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout, kept,
                    lazy_generated, substitute, variables_of)
 from .linalg import damped_newton, rank_rtol, regular_solve, regularity
 
@@ -63,9 +66,9 @@ class VakonomicSystem:
 
     constrained lists the fiber indices alpha whose velocities are determined
     by Psi; the rest are free. The restricted Lagrangian is a function of the
-    base coordinates and the free velocities only. The chart must come from
-    a parsed spec: the point code is assembled from its anchor and bracket
-    trees. The rank tolerance is resolved from AMECH_TOL once, here.
+    base coordinates and the free velocities only. The point code is
+    assembled from the anchor and bracket trees of the chart's spec. The
+    rank tolerance is resolved from AMECH_TOL once, here.
     """
 
     def __init__(self, chart: AlgebroidChart, constrained: Sequence[int],
@@ -79,8 +82,6 @@ class VakonomicSystem:
                 raise ValueError(f"constrained index {a} out of range")
         if len(psi) != len(self.constrained):
             raise ValueError("one constraint expression per constrained index")
-        if chart.spec is None:
-            raise ValueError("a vakonomic system needs a chart built from a spec")
         self.free = tuple(a for a in range(chart.n) if a not in self.constrained)
         self.free_names = tuple(chart.fiber_names[a] for a in self.free)
         names = chart.base_names + self.free_names
@@ -129,14 +130,12 @@ def _point_function(sys: VakonomicSystem) -> Callable[[np.ndarray], tuple]:
     the spec like the chart code; the code is generated at the first point.
     """
     trees = (sys._lt.expr,) + tuple(f.expr for f in sys._psi)
-    memo = vars(sys.chart.spec).setdefault("_vakonomic_point", {})
+    spec, constrained = sys.chart.spec, sys.constrained
     # the entry's layout holds the trees, so their ids stay theirs
-    key = (sys.constrained, tuple(map(id, trees)))
-    if key not in memo:
-        memo[key] = lazy_generated(
-            sys.state_labels, sys.chart.params,
-            functools.partial(_point_layout, sys.chart.spec, sys.constrained, trees))
-    return memo[key]
+    return kept(spec, ("vakonomic_point", constrained, tuple(map(id, trees))),
+                lambda: lazy_generated(
+                    sys.state_labels, sys.chart.params,
+                    functools.partial(_point_layout, spec, constrained, trees)))
 
 
 def _point_layout(spec: SystemSpec, constrained: tuple[int, ...],
@@ -219,11 +218,9 @@ def vakonomic_from_spec(spec: SystemSpec) -> VakonomicSystem:
     else:
         constrained = spec.vakonomic.constrained
         psi_exprs = spec.vakonomic.psi
-    lt = vars(spec).get("_restricted_lagrangian")
-    if lt is None:
-        mapping = {spec.fiber[a]: e for a, e in zip(constrained, psi_exprs)}
-        lt = vars(spec)["_restricted_lagrangian"] = \
-            substitute(spec.lagrangian, mapping) if mapping else spec.lagrangian
+    mapping = {spec.fiber[a]: e for a, e in zip(constrained, psi_exprs)}
+    lt = kept(spec, "restricted_lagrangian",
+              lambda: substitute(spec.lagrangian, mapping) if mapping else spec.lagrangian)
     return VakonomicSystem(chart, constrained, psi_exprs, lt)
 
 
@@ -356,16 +353,11 @@ def hamiltonian_section(sys: VakonomicSystem,
     Hamiltonian gradients reduce to partial derivatives at the solved free
     velocity, so no implicit differentiation is needed.
     """
-    chart = sys.chart
     # the generated point code keeps its result at the solved velocity
     d = _PointData(sys, at.x, mu_solve(sys, at.x, at.p), at.p[sys._con_idx])
-    u = d.y_full.copy()
-    cs = chart.structure(at.x)
-    cp = np.einsum("cab,c->ab", cs, at.p)
-    w = -(cp @ u)
-    if chart.m:
-        w = w + chart.rho(at.x).T @ d.lam
-    return u, w
+    # w is the Hamilton field's pdot with dH/dx = -lam and dH/dp = u
+    _, w = hamilton_field(sys.chart.spec)(np.concatenate([at.x, at.p, -d.lam, d.y_full]))
+    return d.y_full.copy(), w.copy()
 
 
 def euler_poincare_residual(sys: VakonomicSystem, times: np.ndarray,

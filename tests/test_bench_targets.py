@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from amech import presets, vakonomic
-from amech.dynamics import system_from_spec
+from amech.algebroid import chart_from_spec, check_structure
+from amech.dynamics import EPoint, LagrangianSystem, cartan, system_from_spec
 from amech.presym import (hamiltonian_problem_from_lagrangian, lagrangian_problem,
                           run_constraint_algorithm)
 
@@ -55,6 +56,20 @@ def test_nested_pairs_name_wrapped_targets():
     keys = {f"{layer}.{attr}" for layer, _, attr in spans.TARGETS}
     for child, parent in spans.NESTED:
         assert child in keys and parent in keys
+
+
+def test_a_wrapped_spec_chart_counts_every_tensor_call():
+    # the traced run wraps each chart chart_from_spec builds by rebinding its
+    # rho, structure and Jacobian attributes; every library call must reach them
+    spec = presets.load("capri_kobayashi").spec
+    tracer = spans.Tracer()
+    chart = spans._wrap_chart(tracer, chart_from_spec(spec))
+    x = np.full(spec.m, 0.3)
+    check_structure(chart, x)
+    cartan(LagrangianSystem(chart, spec.lagrangian), EPoint(x, np.full(spec.n, 0.2)))
+    calls = {name: tracer.stats(f"algebroid.{name}")[0]
+             for name in ("rho", "structure", "rho_jacobian", "structure_jacobian")}
+    assert calls == {"rho": 2, "structure": 2, "rho_jacobian": 1, "structure_jacobian": 1}
 
 
 @pytest.fixture

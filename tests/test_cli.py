@@ -479,6 +479,21 @@ def test_rank_tolerance_env_lands_in_manifest(tmp_path, monkeypatch):
     assert json.loads(manifest.read_text())["rank_tolerance"] == 1e-7
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--preset", "tq_pendulum"],
+    ["simulate", "--preset", "tq_pendulum", "--t1", "0.05"],
+    ["constrain", "--preset", "tq_pendulum"],
+    ["bracket", "--preset", "so3_rigid_body", "--F", "p1", "--G", "p2", "--at", "p3=2"],
+], ids=lambda argv: argv[0])
+def test_an_invalid_rank_tolerance_stops_a_command_before_its_output(tmp_path, monkeypatch,
+                                                                    argv):
+    # bracket builds no system: the tolerance is resolved when the model loads
+    monkeypatch.setenv("AMECH_TOL", "abc")
+    out, manifest = tmp_path / "out", tmp_path / "m.json"
+    assert main(argv + ["--out", str(out), "--manifest", str(manifest)]) == 1
+    assert not out.exists() and not manifest.exists()
+
+
 class _CountingEnviron(dict):
     """os.environ as linalg sees it, counting the reads of AMECH_TOL."""
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from amech.algebroid import (AlgebroidChart, DualObservable, DualPoint, chart_from_spec,
+from amech.algebroid import (DualObservable, DualPoint, chart_from_spec,
                              lie_poisson_bracket)
 from amech.dynamics import (
     EPoint,
@@ -373,16 +373,6 @@ def test_the_point_agrees_with_the_numpy_force_system_on_sweep_charts(seed):
                 assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, field
 
 
-def test_a_lagrangian_system_needs_a_spec_chart():
-    chart = chart_from_spec(load_preset("tq_pendulum").spec)
-    bare = AlgebroidChart(chart.m, chart.n, chart.rho, chart.structure,
-                          rho_jacobian=chart.rho_jacobian,
-                          structure_jacobian=chart.structure_jacobian,
-                          base_names=chart.base_names, fiber_names=chart.fiber_names)
-    with pytest.raises(ValueError, match="chart built from a spec"):
-        LagrangianSystem(bare, load_preset("tq_pendulum").spec.lagrangian)
-
-
 def _hamilton_reference(chart, H, at):
     """(xdot, pdot) in numpy from the chart's rho and C: the formula of the
     Hamilton field before it became one generated call."""
@@ -444,17 +434,6 @@ def test_a_hamilton_rhs_reads_neither_chart_tensor():
         assert xdot[0] == pytest.approx(-0.6, abs=1e-12)
         assert pdot[0] == pytest.approx(-math.sin(0.8), abs=1e-12)
     assert calls == []
-
-
-def test_the_hamilton_field_needs_a_spec_chart():
-    chart = chart_from_spec(load_preset("tq_pendulum").spec)
-    bare = AlgebroidChart(chart.m, chart.n, chart.rho, chart.structure,
-                          rho_jacobian=chart.rho_jacobian,
-                          structure_jacobian=chart.structure_jacobian,
-                          base_names=chart.base_names, fiber_names=chart.fiber_names)
-    with pytest.raises(ValueError, match="chart built from a spec"):
-        hamilton_rhs(bare, parse_expression("0.5*p1^2"),
-                     DualPoint(np.array([0.8]), np.array([-0.6])))
 
 
 @pytest.mark.parametrize("source", [QUARTIC, CROSS], ids=["quartic", "cross"])

@@ -251,22 +251,14 @@ def test_fd_gradient_of_a_tensor_valued_function():
 
 def test_fd_jacobians_of_a_base_free_closure_chart():
     n = 3
-    cs = np.zeros((n, n, n))
-    cs[2, 0, 1], cs[2, 1, 0] = 1.0, -1.0
-
-    def rho(x):
-        return np.zeros((0, n))
-
-    def structure(x):
-        return cs
-
+    chart = chart_from_spec(parse_system(
+        "system closure\nbase []\nfiber [y1, y2, y3]\nanchor zero\n"
+        "bracket { [y1, y2] = y3 }\nlagrangian = 0.5*y1^2\n"))
+    # a chart is built from a spec only
     with pytest.raises(TypeError):
-        AlgebroidChart(0, n, rho, structure)
-    assert _fd_tensor_jacobian(rho, np.zeros(0)).shape == (0, n, 0)
-    assert _fd_tensor_jacobian(structure, np.zeros(0)).shape == (n, n, n, 0)
-    chart = AlgebroidChart(0, n, rho, structure,
-                           rho_jacobian=lambda x: np.zeros((0, n, 0)),
-                           structure_jacobian=lambda x: np.zeros((n, n, n, 0)))
+        AlgebroidChart(0, n, chart.rho, chart.structure)
+    assert _fd_tensor_jacobian(chart.rho, np.zeros(0)).shape == (0, n, 0)
+    assert _fd_tensor_jacobian(chart.structure, np.zeros(0)).shape == (n, n, n, 0)
     fd = check_structure(chart, np.zeros(0), "fd")
     ad = check_structure(chart, np.zeros(0), "ad")
     assert (fd.r1, fd.r2) == (ad.r1, ad.r2) == (0.0, 0.0)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amech import dynamics, expr
+from amech import cli, dynamics, expr
 from amech.cli import MODES, _resolve_init, build_parser, main
 from amech.dsl import format_system, parse_system, with_params
 from amech.dynamics import EPoint, LegendreEnergy, system_from_spec
@@ -160,6 +160,26 @@ def test_energy_tree_is_kept_on_the_lagrangian(monkeypatch):
     heavier = system_from_spec(with_params(spec, m2=2.0))
     assert heavier.energy_derivatives(at)[0] != value
     assert heavier._energy is not first._energy
+
+
+def test_every_command_keeps_its_code_in_one_dict_a_copy_drops(tmp_path, monkeypatch):
+    # what the commands build from a spec (chart code, Hamilton field, points,
+    # restricted Lagrangian) and from L (partials, jets, E_L) is kept by
+    # expr.kept in one `_kept` dict on its owner, and nowhere else on it
+    spec = copy.deepcopy(load_preset("tq_pendulum").spec)
+    real_load = cli._load_model
+    monkeypatch.setattr(cli, "_load_model", lambda args: {**real_load(args), "spec": spec})
+    common = ["--preset", "tq_pendulum", "--out", str(tmp_path / "out"),
+              "--manifest", str(tmp_path / "m.json")]
+    for argv in (["validate", "--points", "3"],
+                 *(["simulate", "--mode", mode, "--t1", "0.05"]
+                   for mode in ("el", "hamilton", "vakonomic")),
+                 ["constrain"], ["bracket", "--F", "p1", "--G", "q", "--at", "q=0.3"]):
+        assert main(argv + common) == 0
+    for owner in (spec, spec.lagrangian):
+        assert [k for k in vars(owner) if k.startswith("_")] == ["_kept"]
+        assert vars(owner)["_kept"]
+        assert not any(k.startswith("_") for k in vars(copy.deepcopy(owner)))
 
 
 def _commands(facts, out):
