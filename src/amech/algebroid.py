@@ -220,18 +220,11 @@ def check_structure(chart: AlgebroidChart, x: np.ndarray,
         drho = _fd_tensor_jacobian(chart.rho, x)
         dcs = _fd_tensor_jacobian(chart.structure, x)
 
-    if chart.m == 0:
-        r1 = 0.0
-    else:
-        lhs = np.einsum("ja,ibj->iab", rho, drho) - np.einsum("jb,iaj->iab", rho, drho)
-        rhs = np.einsum("ic,cab->iab", rho, cs)
-        r1 = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+    lhs = np.einsum("ja,ibj->iab", rho, drho) - np.einsum("jb,iaj->iab", rho, drho)
+    rhs = np.einsum("ic,cab->iab", rho, cs)
+    r1 = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 
-    if chart.m:
-        term = np.einsum("ia,dbci->dabc", rho, dcs)
-    else:
-        term = np.zeros((chart.n,) * 4)
-    term = term + np.einsum("daf,fbc->dabc", cs, cs)
+    term = np.einsum("ia,dbci->dabc", rho, dcs) + np.einsum("daf,fbc->dabc", cs, cs)
     cyc = term + np.einsum("dbca->dabc", term) + np.einsum("dcab->dabc", term)
     r2 = float(np.max(np.abs(cyc))) if cyc.size else 0.0
 
@@ -287,8 +280,7 @@ def as_dual_observable(chart: AlgebroidChart, f):
 
 def _bracket(rho: np.ndarray, cp: np.ndarray, fx, fp, gx, gp) -> float:
     """{F, G} from the gradients (fx, fp) of F and (gx, gp) of G, cp being C.p."""
-    anchor_part = float(fx @ rho @ gp - fp @ rho.T @ gx) if rho.size else 0.0
-    return anchor_part - float(fp @ cp @ gp)
+    return float(fx @ rho @ gp - fp @ rho.T @ gx) - float(fp @ cp @ gp)
 
 
 def lie_poisson_bracket(chart: AlgebroidChart, F, G, at: DualPoint) -> float:

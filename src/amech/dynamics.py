@@ -226,7 +226,7 @@ def cartan(sys: LagrangianSystem, at: EPoint) -> CartanData:
     rho = chart.rho(at.x)
     cs = chart.structure(at.x)
 
-    mx = d.hxy.T @ rho if chart.m else np.zeros((n, n))
+    mx = d.hxy.T @ rho
     ul = mx - mx.T + np.einsum("c,cab->ab", d.ly, cs)
     omega = np.zeros((2 * n, 2 * n))
     omega[:n, :n] = ul
@@ -245,8 +245,7 @@ def energy_differential(sys: LagrangianSystem, at: EPoint) -> np.ndarray:
 
 def _energy_differential(chart: AlgebroidChart, d: LagrangianDerivatives,
                          rho: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dx_part = rho.T @ (d.hxy @ y - d.lx) if chart.m else np.zeros(chart.n)
-    return np.concatenate([dx_part, d.w @ y])
+    return np.concatenate([rho.T @ (d.hxy @ y - d.lx), d.w @ y])
 
 
 def legendre(sys: LagrangianSystem, at: EPoint) -> DualPoint:

@@ -1,8 +1,9 @@
 """Linear algebra shared by the dynamics and constraint code.
 
 All rank and kernel decisions in the package go through these helpers so that
-a single tolerance knob controls them. The knob is relative to the largest
-singular value and can be overridden with the AMECH_TOL environment variable.
+a single tolerance knob controls them: one rule counts the singular values
+above rank_rtol() relative to the largest, and the AMECH_TOL environment
+variable overrides it. decide_rank also refuses one inside AMBIGUITY_BAND.
 The module also holds the minimum-norm least-squares solve and the one damped
 Newton loop that every nonlinear root-find of the package runs on.
 """
@@ -54,43 +55,52 @@ def null_space(a: np.ndarray) -> np.ndarray:
 
     A matrix with no rows constrains nothing, so the basis is the identity.
     """
+    return _null_space(a, guarded=False)
+
+
+def _null_space(a: np.ndarray, guarded: bool) -> np.ndarray:
+    """null_space from one SVD, with decide_rank's guard when guarded."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros((0, 0))
-    if rows == 0 or not np.any(a):
-        return np.eye(cols)
+    if a.size == 0 or not np.any(a):
+        return np.eye(a.shape[1])
     _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > rank_rtol() * s[0]))
-    return vt[rank:].T
+    return vt[_count(s, guarded):].T
 
 
 def row_space_rank(a: np.ndarray) -> int:
     """Numerical rank with the shared relative threshold."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0 or not np.any(a):
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > rank_rtol() * s[0]))
+    return _rank(a, guarded=False)
 
 
 def decide_rank(a: np.ndarray) -> int:
     """Rank with an ambiguity guard for constraint-algorithm decisions.
 
-    Normalized singular values that fall strictly inside AMBIGUITY_BAND are
-    neither counted nor dropped; they raise RankAmbiguous so the caller can
-    surface the problem instead of silently picking a manifold dimension.
+    The rank is row_space_rank's. Normalized singular values strictly inside
+    AMBIGUITY_BAND, whatever the tolerance, are neither counted nor dropped;
+    they raise RankAmbiguous so the caller can surface the problem instead of
+    silently picking a manifold dimension.
     """
+    return _rank(a, guarded=True)
+
+
+def _rank(a: np.ndarray, guarded: bool) -> int:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not np.any(a):
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    return _count(np.linalg.svd(a, compute_uv=False), guarded)
+
+
+def _count(s: np.ndarray, guarded: bool) -> int:
+    """The one rank rule: how many singular values s (largest first, s[0] > 0)
+    exceed rank_rtol() relative to the largest. guarded first refuses any
+    ratio strictly inside AMBIGUITY_BAND."""
     normalized = s / s[0]
-    low, high = AMBIGUITY_BAND
-    inside = normalized[(normalized > low) & (normalized < high)]
-    if inside.size:
-        raise RankAmbiguous(inside, AMBIGUITY_BAND)
-    return int(np.sum(normalized >= high))
+    if guarded:
+        low, high = AMBIGUITY_BAND
+        inside = normalized[(normalized > low) & (normalized < high)]
+        if inside.size:
+            raise RankAmbiguous(inside, AMBIGUITY_BAND)
+    return int(np.sum(normalized > rank_rtol()))
 
 
 def regularity(a: np.ndarray, rtol: float | None = None) -> tuple[bool, float, float]:

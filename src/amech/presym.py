@@ -34,7 +34,8 @@ from .errors import (AmechError, InconsistentDynamics,
 # Bound under presym's own name: the traced benchmark run (perfbench/spans.py)
 # wraps `presym._fd_gradient`.
 from .expr import _fd_gradient
-from .linalg import damped_newton, decide_rank, min_norm_lstsq, null_space, rank_rtol
+from .linalg import (_null_space, damped_newton, decide_rank, min_norm_lstsq, null_space,
+                     regularity, row_space_rank)
 
 __all__ = [
     "PresymplecticProblem",
@@ -133,19 +134,15 @@ def perp(omega_matrix: np.ndarray, f_basis: np.ndarray) -> np.ndarray:
     f_basis = np.asarray(f_basis, dtype=float)
     if f_basis.ndim != 2 or f_basis.shape[0] != omega_matrix.shape[0]:
         raise ValueError("f_basis must be r x k")
-    if f_basis.shape[1]:
-        svals = np.linalg.svd(f_basis, compute_uv=False)
-        if svals[-1] <= rank_rtol() * svals[0]:
-            raise ValueError("f_basis is rank-deficient")
+    if row_space_rank(f_basis) < f_basis.shape[1]:
+        raise ValueError("f_basis is rank-deficient")
     return null_space(f_basis.T @ omega_matrix.T)
 
 
 def _fiber_basis(problem: PresymplecticProblem, j: np.ndarray,
                  z: np.ndarray) -> np.ndarray:
-    """Basis of the admissible fiber directions cut out by constraint rows j."""
-    a = j @ problem.anchor(z)
-    decide_rank(a)
-    return null_space(a)
+    """Rank-guarded basis of the admissible fiber directions cut out by rows j."""
+    return _null_space(j @ problem.anchor(z), guarded=True)
 
 
 @dataclass(frozen=True)
@@ -348,8 +345,7 @@ def sode_extract(sys: LagrangianSystem, run: ConstraintRun, at: EPoint) -> SodeR
 def _prolongation_anchor(chart, x: np.ndarray) -> np.ndarray:
     m, n = chart.m, chart.n
     out = np.zeros((m + n, 2 * n))
-    if m:
-        out[:m, :n] = chart.rho(x)
+    out[:m, :n] = chart.rho(x)
     out[m:, n:] = np.eye(n)
     return out
 
@@ -360,9 +356,8 @@ def _forcing_jacobian(chart, x: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.
     m, n = chart.m, chart.n
     out = np.zeros((2 * n, m + n))
     out[n:] = -h[m:]
-    if m:
-        out[:n] = -(chart.rho(x).T @ h[:m])
-        out[:n, :m] -= np.einsum("iaj,i->aj", chart.rho_jacobian(x), g[:m])
+    out[:n] = -(chart.rho(x).T @ h[:m])
+    out[:n, :m] -= np.einsum("iaj,i->aj", chart.rho_jacobian(x), g[:m])
     return out
 
 
@@ -395,35 +390,31 @@ def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
 
 
 def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
-    """Indices of a constant, coordinate-aligned kernel of the y-Hessian.
+    """Indices of a constant, coordinate-aligned kernel of the y-Hessian W.
 
     Sampled at fixed points away from the coordinate origin (degeneracy loci
-    of the presets sit at zero). A kernel that moves or tilts across samples
-    is out of scope for the Hamiltonian-side builder.
+    of the presets sit at zero). At each, the kernel is the rows of W within
+    sys.rank_rtol of zero relative to its largest entry, and the rest of W
+    must pass regularity. A kernel that moves or tilts across samples is out
+    of scope for the Hamiltonian-side builder.
     """
     chart = sys.chart
     rng = np.random.default_rng(12345)
-    projector = None
+    idx = None
     for _ in range(5):
         x = rng.uniform(0.5, 1.5, size=chart.m)
         y = rng.uniform(-0.5, 0.5, size=chart.n)
         _, w = sys.second_derivatives(EPoint(x, y))
-        basis = null_space(w)
-        proj = basis @ basis.T
-        if projector is None:
-            projector = proj
-        elif np.max(np.abs(proj - projector)) > 1e-8:
+        rows = np.max(np.abs(w), axis=1)
+        in_kernel = rows <= sys.rank_rtol * np.max(rows)
+        here = tuple(np.flatnonzero(in_kernel).tolist())
+        tr = np.flatnonzero(~in_kernel)
+        if idx not in (None, here) or (
+                tr.size and not regularity(w[np.ix_(tr, tr)], sys.rank_rtol)[0]):
             raise AmechError("kernel of the velocity Hessian varies across sample "
-                             "points; Hamiltonian-side construction unavailable")
-        projector = proj
-    diag = np.diag(projector)
-    idx = tuple(int(a) for a in np.flatnonzero(diag > 0.5))
-    aligned = np.zeros_like(projector)
-    for a in idx:
-        aligned[a, a] = 1.0
-    if np.max(np.abs(projector - aligned), initial=0.0) > 1e-8:
-        raise AmechError("kernel of the velocity Hessian is not coordinate-"
-                         "aligned; Hamiltonian-side construction unavailable")
+                             "points or is not coordinate-aligned; "
+                             "Hamiltonian-side construction unavailable")
+        idx = here
     return idx
 
 
@@ -452,8 +443,7 @@ def hamiltonian_problem_from_lagrangian(
 
     def alpha(z: np.ndarray) -> np.ndarray:
         hx, hp = data.gradients(DualPoint(z[:m], z[m:]))
-        dx_part = chart.rho(z[:m]).T @ hx if m else np.zeros(n)
-        return -np.concatenate([dx_part, hp])
+        return -np.concatenate([chart.rho(z[:m]).T @ hx, hp])
 
     def alpha_jacobian(z: np.ndarray) -> np.ndarray:
         at = DualPoint(z[:m], z[m:])

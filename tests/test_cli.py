@@ -113,6 +113,32 @@ def test_a_package_error_outside_the_exit_code_table_is_exit_1(tmp_path, capsys)
         "error: kernel of the velocity Hessian varies across sample points")
 
 
+_ONE_BASE_TWO_FIBERS = "base [q]\nfiber [v1, v2]\nanchor { v1 -> (1); v2 -> (0) }\n"
+
+
+def test_a_kernel_row_zero_only_in_floating_point_gives_a_hamiltonian_side(tmp_path):
+    model, out = tmp_path / "fp.amech", tmp_path / "r.json"
+    model.write_text("system fp\n" + _ONE_BASE_TWO_FIBERS + "lagrangian = 0.5*v1^2 + "
+                     "0.5*(sin(q)^2 + cos(q)^2 - 1)*v2^2 + q*v2 - 0.5*q^2\n")
+    assert main(["constrain", str(model), "--side", "hamiltonian",
+                 "--out", str(out), "--manifest", str(tmp_path / "m.json")]) == 0
+    report = json.loads(out.read_text())
+    assert [(lvl["new_constraint_rank"], lvl["fiber_constraint_rank"])
+            for lvl in report["levels"]] == [(1, 1), (1, 2), (1, 3)]
+    assert report["stabilization_level"] == 2 and report["final_fiber_dimension"] == 1
+    assert max(r for lvl in report["levels"] for r in lvl["probe_residuals"]) < 1e-14
+    assert report["final_solve_residual"] < 1e-14
+
+
+def test_a_constant_tilted_kernel_is_refused(tmp_path, capsys):
+    model = tmp_path / "tilt.amech"
+    model.write_text("system tilt\n" + _ONE_BASE_TWO_FIBERS
+                     + "lagrangian = 0.5*(v1 + v2)^2 - 0.5*q^2\n")
+    assert main(["constrain", str(model), "--side", "hamiltonian",
+                 "--out", str(tmp_path / "r.json"), "--manifest", str(tmp_path / "m.json")]) == 1
+    assert "not coordinate-aligned" in capsys.readouterr().err
+
+
 def test_unknown_mode_is_a_usage_error(capsys):
     assert main(["simulate", "--preset", "tq_pendulum", "--mode", "bogus"]) == 2
     capsys.readouterr()

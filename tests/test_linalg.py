@@ -1,12 +1,13 @@
-"""The shared damped Newton loop and the symmetric solve by size."""
+"""The shared rank rule, the damped Newton loop and the symmetric solve by size."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from amech.errors import MuSolveFailed, NewtonFailed
-from amech.linalg import damped_newton, rank_rtol, regular_solve, regularity
+from amech.errors import MuSolveFailed, NewtonFailed, RankAmbiguous
+from amech.linalg import (AMBIGUITY_BAND, damped_newton, decide_rank, null_space, rank_rtol,
+                          regular_solve, regularity, row_space_rank)
 
 
 def _circle_and_diagonal(x):
@@ -238,3 +239,29 @@ def test_eigh_runs_only_from_3x3(monkeypatch):
     for n in (1, 2, 3, 4):
         regular_solve(np.eye(n) + 0.1, np.ones(n))
     assert calls == [(3, 3), (4, 4)]
+
+
+def _ranks(a):
+    """The rank of a by null_space, row_space_rank and decide_rank."""
+    return a.shape[1] - null_space(a).shape[1], row_space_rank(a), decide_rank(a)
+
+
+def test_only_decide_rank_refuses_a_value_inside_the_band():
+    a = np.diag([1.0, 1e-8])
+    with pytest.raises(RankAmbiguous) as info:
+        decide_rank(a)
+    assert info.value.values == (1e-8,)
+    assert info.value.band == AMBIGUITY_BAND
+    assert a.shape[1] - null_space(a).shape[1] == row_space_rank(a) == 2
+
+
+@pytest.mark.parametrize("small, rank", [(1e-6, 2), (1e-12, 1)])
+def test_the_three_ranks_agree_at_the_default_tolerance(small, rank):
+    assert _ranks(np.diag([1.0, small])) == (rank,) * 3
+
+
+def test_the_three_ranks_follow_the_tolerance_outside_the_band(monkeypatch):
+    # 1e-6 lies above the band, so no rank is refused: each counts it
+    # against AMECH_TOL, which here drops it
+    monkeypatch.setenv("AMECH_TOL", "1e-5")
+    assert _ranks(np.diag([1.0, 1e-6])) == (1, 1, 1)

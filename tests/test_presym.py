@@ -17,6 +17,7 @@ from amech.errors import (
     InconsistentDynamics,
     NewtonFailed,
     NotOnFinalManifold,
+    RankAmbiguous,
 )
 from amech.expr import _fd_gradient
 from amech.linalg import rank_rtol
@@ -27,6 +28,8 @@ from amech.presym import (
     Pairing,
     PresymplecticProblem,
     _constraint_jacobian,
+    _fiber_basis,
+    _kernel_indices,
     _project_onto,
     consistency_residual,
     hamiltonian_problem_from_lagrangian,
@@ -124,6 +127,28 @@ def test_perp_dimension_and_kernel_inclusion(data):
     if k.shape[1] and v.shape[1]:
         proj = v @ (v.T @ k)
         assert np.max(np.abs(proj - k)) < 1e-9
+
+
+def test_the_fiber_basis_takes_its_guarded_rank_and_basis_from_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(kw) or svd(a, **kw))
+    sys = _ck()
+    problem = lagrangian_problem(sys)
+    z = _seeds(sys.chart.m, sys.chart.n, 1, seed=0)[0]
+    j = np.eye(problem.d)[:2]
+    basis = _fiber_basis(problem, j, z)
+    assert len(calls) == 1
+    a = j @ problem.anchor(z)
+    assert basis.shape == (problem.r, problem.r - 2)
+    assert np.max(np.abs(a @ basis)) < 1e-12
+
+
+def test_the_fiber_basis_refuses_a_rank_inside_the_band():
+    problem = PresymplecticProblem(d=2, r=2, omega=None, alpha=None, alpha_jacobian=None,
+                                   anchor=lambda z: np.diag([1.0, 1e-8]))
+    with pytest.raises(RankAmbiguous):
+        _fiber_basis(problem, np.eye(2), np.zeros(2))
 
 
 # -- projection helper --------------------------------------------------------
@@ -388,6 +413,14 @@ def test_moving_kernel_is_rejected():
             "lagrangian = 0.5*(v1 + x*v2)^2\n")
     with pytest.raises(AmechError, match="varies"):
         hamiltonian_problem_from_lagrangian(system_from_spec(parse_system(text)))
+
+
+def test_a_kernel_row_that_vanishes_only_in_floating_point_is_kernel():
+    # the coefficient of v2^2 is sin^2 + cos^2 - 1: zero, or a rounding
+    # residue far below the rank tolerance relative to W's largest entry
+    text = ("system fp\nbase [q]\nfiber [v1, v2]\nanchor { v1 -> (1); v2 -> (0) }\n"
+            "lagrangian = 0.5*v1^2 + 0.5*(sin(q)^2 + cos(q)^2 - 1)*v2^2 + q*v2 - 0.5*q^2\n")
+    assert _kernel_indices(system_from_spec(parse_system(text))) == (1,)
 
 
 def test_run_requires_seeds():
