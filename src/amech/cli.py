@@ -200,17 +200,21 @@ def _resolve_init(labels, facts_init: dict, overrides: dict) -> tuple[np.ndarray
 
 def _sode_locus_project(problem, run, sys_, z0: np.ndarray) -> np.ndarray:
     """Project onto the final set and the second-order locus inside it."""
-    from .presym import _project_onto
+    from .presym import _fd_gradient, _project_onto
 
     m, n = sys_.chart.m, sys_.chart.n
+    final = run.final_constraints
 
     def defect(z: np.ndarray) -> np.ndarray:
         # tol=inf: during projection the point is off the final set, so the
         # restricted solve may be inconsistent; only the defect value matters.
         return solve_on_final(problem, z, run=run, tol=np.inf).X[:n] - z[m:]
 
-    z = _project_onto(run.final_constraints, z0)
-    z = _project_onto(run.final_constraints + (defect,), z, tol=1e-10)
+    z = _project_onto(final.values, final.jacobian, z0)
+    # the defect has no tree, so its rows are differenced
+    z = _project_onto(lambda zz: np.concatenate([final.values(zz), defect(zz)]),
+                      lambda zz: np.vstack([final.jacobian(zz), _fd_gradient(defect, zz)]),
+                      z, tol=1e-10)
     solve_on_final(problem, z, run=run)
     return z
 

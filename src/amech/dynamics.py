@@ -4,10 +4,10 @@ Builds the Cartan objects (presymplectic matrix, energy, its differential),
 the Legendre transform, the regular Euler-Lagrange vector field and the
 Hamilton equations on the dual bundle. The induced Hamiltonian
 `LegendreEnergy` holds the one Newton inverse of the Legendre map: for a
-regular L on all of E*, for a singular L on its momentum image, cut out by
-the `PrimaryConstraint` fields of the kernel directions. The Lagrangian is
-an expression tree, so every derivative here is exact, the energy's and the
-primary constraints' included; nothing in this module is differenced.
+regular L on all of E*, for a singular L on its momentum image, where the
+velocities along the kernel directions are pinned to zero. The Lagrangian
+is an expression tree, so every derivative here is exact, the energy's
+included; nothing in this module is differenced.
 The generated point function of a spec and Lagrangian, and the E_L
 function of a Lagrangian, are `expr.kept` entries of the spec and of L's
 root node, so every later system of the same trees reuses them.
@@ -44,7 +44,6 @@ __all__ = [
     "hamilton_rhs",
     "hamiltonian_from_lagrangian",
     "LegendreEnergy",
-    "PrimaryConstraint",
     "sode_defect",
 ]
 
@@ -311,32 +310,6 @@ def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, n
     return hamilton_field(chart.spec)(np.concatenate([at.x, at.p, hx, hp]))
 
 
-class PrimaryConstraint:
-    """phi_A(x, p) = p_A - dL/dy_A(x, 0) for one kernel direction A.
-
-    dL/dy along a kernel direction is velocity-independent, so its gradient
-    row is (-d2L/dy_A dx at (x, 0), e_A), read from one Hessian of L.
-    """
-
-    def __init__(self, sys: LagrangianSystem, a: int):
-        self.sys = sys
-        self.a = a
-
-    def __call__(self, z: np.ndarray) -> float:
-        m, n = self.sys.chart.m, self.sys.chart.n
-        _, ly = self.sys.gradients(EPoint(z[:m], np.zeros(n)))
-        return float(z[m + self.a] - ly[self.a])
-
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Gradient row at z."""
-        m, n = self.sys.chart.m, self.sys.chart.n
-        hxy, _ = self.sys.second_derivatives(EPoint(z[:m], np.zeros(n)))
-        row = np.zeros(m + n)
-        row[:m] = -hxy[:, self.a]
-        row[m + self.a] = 1.0
-        return row
-
-
 class LegendreEnergy:
     """The induced Hamiltonian H = E_L o FL^-1, regular or on the momentum
     image of a singular L.
@@ -368,10 +341,6 @@ class LegendreEnergy:
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> float:
         return self.value(DualPoint(x, p))
-
-    def primary_constraints(self) -> tuple[PrimaryConstraint, ...]:
-        """phi_A = p_A - dL/dy_A for kernel directions, as fields on (x, p)."""
-        return tuple(PrimaryConstraint(self.sys, a) for a in self.kernel_idx)
 
     def _solve_velocity(self, x: np.ndarray,
                         p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:

@@ -4,8 +4,8 @@ Every derivative in the package flows through this module. A model is
 given only as expression trees, and its gradients and Hessians come from
 the partial-derivative trees that `derivative` builds. The central
 difference rules `_fd_gradient` and `_fd_hessian` are cross-checks of that
-route; `_fd_gradient` also differentiates the one field that has no tree,
-a constraint field without a Jacobian of its own (the SODE defect).
+route; `_fd_gradient` also differentiates the one function that has no
+tree, the SODE defect that `cli` projects an off-locus start onto.
 
 Two routes evaluate the trees. The tree walk (`evaluate`, `grad`,
 `hessian`) is the reference: it checks every primitive's domain and reports

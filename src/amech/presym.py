@@ -4,43 +4,44 @@ A problem bundles the presymplectic matrix field, the forcing covector and
 the anchor that maps fiber directions to coordinate tangents. The engine
 grows a sequence of constraint levels until the forcing is compatible with
 the admissible fiber directions, then solves the restricted dynamical
-equation. Each level adds one constraint field, the pairing z -> alpha(z) @ E
-of the forcing with the directions E it keeps, one component per column.
+equation. A level's constraints are one `Constraints` value: the problem's
+primary constraints, then the pairing z -> alpha(z) @ E of the forcing with
+the directions E that every level so far kept, one component per column.
 The Lagrangian and Hamiltonian sides of a concrete system are wired up by the
 two problem builders at the bottom.
 
-The Hamiltonian side takes its Hamiltonian, Hessian and primary constraints
-from `dynamics.LegendreEnergy` with the kernel of the velocity Hessian.
-Every problem carries the exact Jacobian of its forcing, so constraint
-gradients are exact: a level field's Jacobian is E^T d(alpha), and the
-primary constraints of the Hamiltonian side read theirs from one Hessian of
-L. Only a plain closure field, such as the SODE defect that `cli` projects
-onto, is differenced.
+The Hamiltonian side takes its Hamiltonian and Hessian from
+`dynamics.LegendreEnergy` with the kernel of the velocity Hessian, and its
+primary constraints from one call of L's derivatives. Every problem carries
+the exact Jacobian of its forcing, so constraint gradients are exact: the
+pairing's Jacobian is E^T d(alpha). Nothing here is differenced; only the
+SODE defect that `cli` projects onto has differenced rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebroid import DualPoint
-from .dynamics import (EPoint, LagrangianSystem, LegendreEnergy, PrimaryConstraint,
-                       _el_force_rhs, cartan, energy_differential)
+from .dynamics import (EPoint, LagrangianSystem, LegendreEnergy, _el_force_rhs, cartan,
+                       energy_differential)
 from .errors import (AmechError, InconsistentDynamics,
                      LinearSolveResidualTooLarge, MaxLevelsExceeded,
                      NotOnFinalManifold)
-# Bound under presym's own name: the traced benchmark run (perfbench/spans.py)
-# wraps `presym._fd_gradient`.
+# Bound under presym's own name, where cli's SODE projection imports it at
+# call time: the traced benchmark run (perfbench/spans.py) wraps
+# `presym._fd_gradient`.
 from .expr import _fd_gradient
 from .linalg import (_null_space, damped_newton, decide_rank, min_norm_lstsq, null_space,
                      regularity, row_space_rank)
 
 __all__ = [
     "PresymplecticProblem",
-    "Pairing",
-    "PrimaryConstraint",
+    "Constraints",
     "ConstraintLevel",
     "ConstraintRun",
     "SodeResult",
@@ -59,10 +60,6 @@ ZERO_VALUE_TOL = 1e-9
 ZERO_GRAD_TOL = 1e-7
 MAX_LEVELS = 10  # levels grown before giving up on stabilization
 
-# A constraint field returns one value (float) or several (1-D array). A field
-# with a `jacobian(z)` method is differentiated by it, any other by differences.
-ConstraintField = Callable[[np.ndarray], "float | np.ndarray"]
-
 
 @dataclass(frozen=True)
 class PresymplecticProblem:
@@ -70,9 +67,9 @@ class PresymplecticProblem:
 
     omega(z) is r x r skew, alpha(z) an r-covector, anchor(z) the d x r map
     from fiber vectors to coordinate tangents, alpha_jacobian(z) the r x d
-    matrix d alpha / dz. constraints are fields whose joint zero
-    set is the level-0 set (empty for a problem posed on the whole space);
-    each may return one value or an array of them.
+    matrix d alpha / dz. primary(z) returns the values of the primary
+    constraints, whose joint zero set is the level-0 set, and their exact
+    Jacobian rows; it is None for a problem posed on the whole space.
     """
 
     d: int
@@ -81,42 +78,45 @@ class PresymplecticProblem:
     alpha: Callable[[np.ndarray], np.ndarray]
     anchor: Callable[[np.ndarray], np.ndarray]
     alpha_jacobian: Callable[[np.ndarray], np.ndarray]
-    constraints: tuple[ConstraintField, ...] = ()
+    primary: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
-class Pairing:
-    """Level field z -> alpha(z) @ e: the forcing paired with the columns of e."""
+@dataclass(frozen=True, eq=False)
+class Constraints:
+    """A level's constraints: the problem's primaries, then z -> alpha(z) @ e.
 
-    def __init__(self, problem: PresymplecticProblem, e: np.ndarray):
-        self.problem = problem
-        self.e = e
+    The columns of e are the directions every level so far kept, side by
+    side, so alpha and alpha_jacobian are each called once per point
+    whatever the number of levels, and not at all when e has no columns.
+    """
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.problem.alpha(z) @ self.e
+    problem: PresymplecticProblem
+    e: np.ndarray
+
+    def values(self, z: np.ndarray) -> np.ndarray:
+        """Primary values, then the pairings, as one vector."""
+        parts = [np.zeros(0)]
+        if self.problem.primary is not None:
+            parts.append(self.problem.primary(z)[0])
+        if self.e.shape[1]:
+            parts.append(self.problem.alpha(z) @ self.e)
+        return np.concatenate(parts)
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """e^T d(alpha) at z."""
-        return self.e.T @ self.problem.alpha_jacobian(z)
+        """Rows of the values' Jacobian at z: the primary rows, then
+        e^T d(alpha)."""
+        rows = [np.zeros((0, self.problem.d))]
+        if self.problem.primary is not None:
+            rows.append(self.problem.primary(z)[1])
+        if self.e.shape[1]:
+            rows.append(self.e.T @ self.problem.alpha_jacobian(z))
+        return np.vstack(rows)
 
 
-def _values(constraints: Sequence[ConstraintField], z: np.ndarray) -> np.ndarray:
-    """Values of every constraint field at z, stacked into one vector."""
-    return np.concatenate([np.zeros(0)] + [np.ravel(g(z)) for g in constraints])
-
-
-def _field_jacobian(g: ConstraintField, z: np.ndarray) -> np.ndarray:
-    """Jacobian of one field at z, one row per value."""
-    jacobian = getattr(g, "jacobian", None)
-    rows = jacobian(z) if jacobian is not None else _fd_gradient(g, z)
-    return np.reshape(rows, (-1, z.size))
-
-
-def _constraint_jacobian(constraints: Sequence[ConstraintField],
-                         z: np.ndarray) -> np.ndarray:
-    """Rows of the stacked constraint values' Jacobian at z."""
-    z = np.asarray(z, dtype=float)
-    return np.vstack([np.zeros((0, z.size))]
-                     + [_field_jacobian(g, z) for g in constraints])
+def _constraint_jacobian(constraints: Constraints, z: np.ndarray) -> np.ndarray:
+    """Rows of the constraint values' Jacobian at z; a module-level name that
+    the traced benchmark run (perfbench/spans.py) wraps."""
+    return constraints.jacobian(z)
 
 
 def kernel(omega_matrix: np.ndarray) -> np.ndarray:
@@ -147,10 +147,10 @@ def _fiber_basis(problem: PresymplecticProblem, j: np.ndarray,
 
 @dataclass(frozen=True)
 class ConstraintLevel:
-    """Level k: the level-0 constraint fields plus one pairing field per level."""
+    """Level k: the primaries plus the pairing with every direction kept so far."""
 
     k: int
-    constraints: tuple[ConstraintField, ...]
+    constraints: Constraints
     new_rank: int
     fiber_constraint_rank: int
     probe_residuals: tuple[float, ...]
@@ -171,11 +171,11 @@ class ConstraintRun:
     probes: tuple[np.ndarray, ...]
 
     @property
-    def final_constraints(self) -> tuple[ConstraintField, ...]:
+    def final_constraints(self) -> Constraints:
         return self.levels[-1].constraints
 
     def membership_residual(self, z: np.ndarray) -> float:
-        return float(np.max(np.abs(_values(self.final_constraints, z)), initial=0.0))
+        return float(np.max(np.abs(self.final_constraints.values(z)), initial=0.0))
 
     def report(self) -> dict:
         return {"levels": [lvl.report() for lvl in self.levels],
@@ -198,28 +198,31 @@ def consistency_residual(problem: PresymplecticProblem, z: np.ndarray,
     return float(np.max(np.abs(pair)))
 
 
-def _project_onto(constraints: Sequence[ConstraintField], z0: np.ndarray,
+def _project_onto(values: Callable[[np.ndarray], np.ndarray],
+                  jacobian: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
                   tol: float = 1e-12) -> np.ndarray:
-    """Move a point onto the joint zero set by damped Gauss-Newton."""
+    """Move a point onto the zero set of values, whose Jacobian rows are
+    jacobian, by damped Gauss-Newton."""
 
     def step(zz: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return min_norm_lstsq(_constraint_jacobian(constraints, zz), r)[0]
+        return min_norm_lstsq(jacobian(zz), r)[0]
 
-    return damped_newton(lambda zz: (_values(constraints, zz), zz), step, z0,
+    return damped_newton(lambda zz: (values(zz), zz), step, z0,
                          "constraint projection", tol=tol)[0]
 
 
-def _kept_columns(candidates: ConstraintField, probes: Sequence[np.ndarray],
-                  jacs: Sequence[np.ndarray]) -> list[int]:
-    """Components of a candidate field that cut the probe set further.
+def _kept_columns(problem: PresymplecticProblem, e: np.ndarray,
+                  probes: Sequence[np.ndarray], jacs: Sequence[np.ndarray]) -> list[int]:
+    """Columns of e whose pairing z -> alpha(z) @ e[:, c] cuts the probe set further.
 
-    A component nonzero at some probe is kept; one that vanishes at every
-    probe is kept when its gradient is not noise and adds rank, at some probe,
-    to the accumulated rows jacs[p] plus the rows kept before it.
+    A column whose pairing is nonzero at some probe is kept; one that
+    vanishes at every probe is kept when its gradient is not noise and adds
+    rank, at some probe, to the accumulated rows jacs[p] plus the rows kept
+    before it.
     """
-    values = np.vstack([candidates(z) for z in probes])
+    values = np.vstack([problem.alpha(z) @ e for z in probes])
     vanishes = ~np.any(np.abs(values) > ZERO_VALUE_TOL, axis=0)
-    grads = [_field_jacobian(candidates, z) for z in probes] if vanishes.any() else []
+    grads = [e.T @ problem.alpha_jacobian(z) for z in probes] if vanishes.any() else []
     kept: list[int] = []
     for c in range(vanishes.size):
         if not vanishes[c]:
@@ -238,13 +241,15 @@ def run_constraint_algorithm(problem: PresymplecticProblem,
 
     Probe points are projected onto each new zero set. The candidate
     directions are the omega-orthogonal complements of the admissible ones at
-    every probe; those kept become the columns of E in the next level's field
-    z -> alpha(z) @ E. A level is final when none is kept.
+    every probe; those kept join the columns of E in the next level's
+    constraints, the primaries and z -> alpha(z) @ E. A level is final when
+    none is kept.
     """
     if not seeds:
         raise ValueError("need at least one seed point")
-    accumulated = list(problem.constraints)
-    probes = [_project_onto(accumulated, np.asarray(s, dtype=float)) for s in seeds]
+    accumulated = Constraints(problem, np.zeros((problem.r, 0)))
+    probes = [_project_onto(accumulated.values, accumulated.jacobian,
+                            np.asarray(s, dtype=float)) for s in seeds]
 
     levels: list[ConstraintLevel] = []
     old_rank = 0
@@ -253,19 +258,20 @@ def run_constraint_algorithm(problem: PresymplecticProblem,
         rank = max(decide_rank(j) for j in jacs)
         bases = [_fiber_basis(problem, j, z) for j, z in zip(jacs, probes)]
         levels.append(ConstraintLevel(
-            k=k, constraints=tuple(accumulated), new_rank=rank - old_rank,
+            k=k, constraints=accumulated, new_rank=rank - old_rank,
             fiber_constraint_rank=problem.r - bases[0].shape[1],
-            probe_residuals=tuple(float(np.max(np.abs(_values(accumulated, z)),
+            probe_residuals=tuple(float(np.max(np.abs(accumulated.values(z)),
                                                initial=0.0)) for z in probes)))
         old_rank = rank
 
         e = np.hstack([perp(problem.omega(z), b) for z, b in zip(probes, bases)])
-        kept = _kept_columns(Pairing(problem, e), probes, jacs) if e.shape[1] else []
+        kept = _kept_columns(problem, e, probes, jacs) if e.shape[1] else []
         if not kept:
             return ConstraintRun(problem=problem, levels=tuple(levels),
                                  stabilization_level=k, probes=tuple(probes))
-        accumulated.append(Pairing(problem, e[:, kept]))
-        probes = [_project_onto(accumulated, z) for z in probes]
+        accumulated = Constraints(problem, np.hstack([accumulated.e, e[:, kept]]))
+        probes = [_project_onto(accumulated.values, accumulated.jacobian, z)
+                  for z in probes]
 
     raise MaxLevelsExceeded(f"no stabilization within {MAX_LEVELS} levels")
 
@@ -288,7 +294,8 @@ def solve_on_final(problem: PresymplecticProblem, z: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     if basis is None:
-        constraints = run.final_constraints if run is not None else problem.constraints
+        constraints = (run.final_constraints if run is not None
+                       else Constraints(problem, np.zeros((problem.r, 0))))
         basis = _fiber_basis(problem, _constraint_jacobian(constraints, z), z)
     alpha = problem.alpha(z)
     if not basis.shape[1]:
@@ -418,6 +425,20 @@ def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
     return idx
 
 
+def _primary_constraints(sys: LagrangianSystem, kernel_idx: np.ndarray,
+                         z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi_K(x, p) = p_K - dL/dy_K(x, 0) over the kernel directions K, and
+    their rows (-d2L/dy_K dx at (x, 0), e_K), from one call of L's
+    derivatives: dL/dy along a kernel direction is velocity-independent.
+    """
+    m, n = sys.chart.m, sys.chart.n
+    d = sys.derivatives(EPoint(z[:m], np.zeros(n)))
+    rows = np.zeros((kernel_idx.size, m + n))
+    rows[:, :m] = -d.hxy[:, kernel_idx].T
+    rows[np.arange(kernel_idx.size), m + kernel_idx] = 1.0
+    return z[m + kernel_idx] - d.ly[kernel_idx], rows
+
+
 # Bound under presym's own name: the traced benchmark run (perfbench/spans.py)
 # wraps `presym.HamiltonianSideData._solve_velocity`.
 HamiltonianSideData = LegendreEnergy
@@ -437,6 +458,9 @@ def hamiltonian_problem_from_lagrangian(
     chart = sys.chart
     m, n = chart.m, chart.n
     data = LegendreEnergy(sys, _kernel_indices(sys))
+    primary = (functools.partial(_primary_constraints, sys,
+                                 np.array(data.kernel_idx, dtype=np.intp))
+               if data.kernel_idx else None)
 
     def omega(z: np.ndarray) -> np.ndarray:
         return omega_E_matrix(chart, DualPoint(z[:m], z[m:]))
@@ -455,5 +479,5 @@ def hamiltonian_problem_from_lagrangian(
 
     problem = PresymplecticProblem(
         d=m + n, r=2 * n, omega=omega, alpha=alpha, anchor=anchor,
-        alpha_jacobian=alpha_jacobian, constraints=data.primary_constraints())
+        alpha_jacobian=alpha_jacobian, primary=primary)
     return problem, data

@@ -158,13 +158,14 @@ def test_c04_constraint_algorithm_stabilizes_both_sides():
                 and hrun.stabilization_level == 1
                 and hrun.levels[0].new_rank == 2
                 and hrun.levels[1].new_rank == 2)
+    lfinal, hfinal = lrun.final_constraints, hrun.final_constraints
     rng = np.random.default_rng(4)
     worst_l = worst_h = worst_zero = 0.0
     for _ in range(50):
-        zl = _project_onto(lrun.final_constraints, rng.uniform(-1.0, 1.0, size=7))
+        zl = _project_onto(lfinal.values, lfinal.jacobian, rng.uniform(-1.0, 1.0, size=7))
         worst_l = max(worst_l, lrun.membership_residual(zl))
         worst_zero = max(worst_zero, abs(zl[0]), abs(zl[1]))
-        zh = _project_onto(hrun.final_constraints, rng.uniform(-1.0, 1.0, size=7))
+        zh = _project_onto(hfinal.values, hfinal.jacobian, rng.uniform(-1.0, 1.0, size=7))
         worst_h = max(worst_h, hrun.membership_residual(zh))
         worst_zero = max(worst_zero, abs(zh[0]), abs(zh[1]),
                          abs(zh[3]), abs(zh[4]))
@@ -217,10 +218,11 @@ def test_c05_sode_section_and_radial_equation():
 def test_c06_legendre_maps_final_set_into_final_set():
     runs = _ck_runs()
     sys_, lrun, hrun = runs["sys"], runs["lrun"], runs["hrun"]
+    lfinal = lrun.final_constraints
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(50):
-        zl = _project_onto(lrun.final_constraints, rng.uniform(-1.0, 1.0, size=7))
+        zl = _project_onto(lfinal.values, lfinal.jacobian, rng.uniform(-1.0, 1.0, size=7))
         dp = legendre(sys_, EPoint(zl[:3], zl[3:]))
         worst = max(worst, hrun.membership_residual(np.concatenate([dp.x, dp.p])))
     _verdict(6, worst < 1e-8, f"image membership residual {worst:.2e} (< 1e-08)")

@@ -488,6 +488,26 @@ def test_preset_commands_difference_nothing(tmp_path, pid, monkeypatch):
         assert calls == [], argv
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_an_off_locus_sode_start_is_projected_with_differenced_defect_rows(
+        tmp_path, seed, monkeypatch):
+    # the SODE defect has no tree: projecting a start off the final set and
+    # off the second-order locus differences its rows, and nothing else does
+    calls = []
+    real = presym._fd_gradient
+    monkeypatch.setattr(presym, "_fd_gradient",
+                        lambda *args: calls.append(1) or real(*args))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--preset", "capri_kobayashi", "--mode", "sode",
+                 "--init", "x1=0.3", "--init", "e1=0.2", "--init", "e2=-0.1",
+                 "--t1", "0.1", "--dt", "1e-2", "--seed", str(seed), "--out", str(out),
+                 "--manifest", str(tmp_path / "m.json")]) == 0
+    header, data = _read_csv(out)
+    first = dict(zip(header, data[0]))
+    assert abs(first["x1"]) < 1e-9 and abs(first["y1"]) < 1e-9
+    assert calls
+
+
 def test_export_preset_round_trip(tmp_path):
     out = tmp_path / "model.amech"
     assert main(["export-preset", "martinet", "--out", str(out)]) == 0

@@ -25,9 +25,8 @@ from amech.presets import ids as preset_ids, load as load_preset
 from amech.presym import (
     ConstraintLevel,
     ConstraintRun,
-    Pairing,
+    Constraints,
     PresymplecticProblem,
-    _constraint_jacobian,
     _fiber_basis,
     _kernel_indices,
     _project_onto,
@@ -154,57 +153,20 @@ def test_the_fiber_basis_refuses_a_rank_inside_the_band():
 # -- projection helper --------------------------------------------------------
 
 
+def _circle(z):
+    return np.array([z[0] ** 2 + z[1] ** 2 - 1.0])
+
+
 def test_project_onto_circle():
-    g = lambda z: float(z[0] ** 2 + z[1] ** 2 - 1.0)
-    z = _project_onto([g], np.array([2.0, 1.0]))
+    z = _project_onto(_circle, lambda z: _fd_gradient(_circle, z), np.array([2.0, 1.0]))
     assert abs(np.hypot(z[0], z[1]) - 1.0) < 1e-10
 
 
 def test_project_onto_reports_failure():
     # g has no zeros, so the projection cannot converge
-    g = lambda z: float(z[0] ** 2 + 1.0)
+    g = lambda z: np.array([z[0] ** 2 + 1.0])
     with pytest.raises(NewtonFailed):
-        _project_onto([g], np.array([0.5]))
-
-
-def _circle(z):
-    return float(z[0] ** 2 + z[1] ** 2 - 1.0)
-
-
-def _line(z):
-    return float(z[0] - 2.0 * z[1])
-
-
-def _circle_and_line(z):
-    return np.array([_circle(z), _line(z)])
-
-
-def test_vector_field_projects_like_its_scalar_components():
-    z0 = np.array([2.0, 1.5])
-    z = _project_onto([_circle_and_line], z0)
-    assert np.array_equal(z, _project_onto([_circle, _line], z0))
-    assert abs(_circle(z)) < 1e-12 and abs(_line(z)) < 1e-12
-
-
-def test_vector_field_membership_matches_scalar_components():
-    def run_of(constraints):
-        level = ConstraintLevel(k=0, constraints=tuple(constraints), new_rank=2,
-                                fiber_constraint_rank=0, probe_residuals=())
-        return ConstraintRun(problem=None, levels=(level,), stabilization_level=0,
-                             probes=())
-
-    z = np.array([0.3, -1.2])
-    vector = run_of([_circle_and_line]).membership_residual(z)
-    assert vector == run_of([_circle, _line]).membership_residual(z)
-    assert vector == max(abs(_circle(z)), abs(_line(z)))
-
-
-def test_constraint_jacobian_stacks_scalar_and_vector_rows():
-    z = np.array([0.3, -1.2])
-    mixed = _constraint_jacobian([_line, _circle_and_line], z)
-    assert mixed.shape == (3, 2)
-    assert np.array_equal(mixed, _constraint_jacobian([_line, _circle, _line], z))
-    assert_allclose(mixed, [[1.0, -2.0], [0.6, -2.4], [1.0, -2.0]], atol=1e-8)
+        _project_onto(g, lambda z: _fd_gradient(g, z), np.array([0.5]))
 
 
 # -- regular Lagrangian: level zero, solve equals the direct field ------------
@@ -215,7 +177,7 @@ def test_regular_system_stabilizes_immediately():
     problem = lagrangian_problem(sys)
     run = run_constraint_algorithm(problem, _seeds(1, 1, 3, seed=0))
     assert run.stabilization_level == 0
-    assert run.final_constraints == ()
+    assert run.final_constraints.values(np.array([0.3, 0.4])).size == 0
     assert run.membership_residual(np.array([0.3, 0.4])) == 0.0
     rep = run.report()
     assert rep["stabilization_level"] == 0
@@ -257,7 +219,7 @@ def test_lagrangian_side_constraint_sequence():
     rng = np.random.default_rng(3)
     for _ in range(10):
         z0 = np.concatenate([rng.uniform(0.6, 1.4, 3), rng.uniform(-0.5, 0.5, 4)])
-        z = _project_onto(run.final_constraints, z0)
+        z = _project_onto(run.final_constraints.values, run.final_constraints.jacobian, z0)
         assert abs(z[0]) < 1e-9 and abs(z[1]) < 1e-9
         assert run.membership_residual(z) < 1e-9
         assert solve_on_final(problem, z, run=run).residual < 1e-9
@@ -285,7 +247,7 @@ def test_hamiltonian_side_constraint_sequence():
     rng = np.random.default_rng(6)
     for _ in range(10):
         z0 = np.concatenate([rng.uniform(0.6, 1.4, 3), rng.uniform(-0.5, 0.5, 4)])
-        z = _project_onto(run.final_constraints, z0)
+        z = _project_onto(run.final_constraints.values, run.final_constraints.jacobian, z0)
         # primaries pin p1 and p2, the secondary level pins x1 and y1
         assert abs(z[3]) < 1e-9 and abs(z[4]) < 1e-9
         assert abs(z[0]) < 1e-9 and abs(z[1]) < 1e-9
@@ -294,33 +256,75 @@ def test_hamiltonian_side_constraint_sequence():
 
 @pytest.mark.parametrize("side", ["lagrangian", "hamiltonian"])
 def test_each_level_adds_one_field_within_an_alpha_budget(side):
-    # one pairing field per level, differenced once per probe and level: a
-    # capri analysis stays far below the thousands of alpha calls that one
-    # scalar field per candidate direction made
+    # a level's kept directions join one pairing, read with one alpha (or
+    # alpha_jacobian) call per point: a capri analysis makes 15 alpha calls,
+    # and 12 (Lagrangian side) or 9 (Hamiltonian side) alpha_jacobian calls
     sys = _ck()
     if side == "lagrangian":
-        problem, fields = lagrangian_problem(sys), [0, 1]
+        problem, jacobians = lagrangian_problem(sys), 12
     else:
-        problem, fields = hamiltonian_problem_from_lagrangian(sys)[0], [2, 3]
+        problem, jacobians = hamiltonian_problem_from_lagrangian(sys)[0], 9
+    calls = {"alpha": 0, "alpha_jacobian": 0}
+
+    def counted(name):
+        real = getattr(problem, name)
+
+        def call(z):
+            calls[name] += 1
+            return real(z)
+        return call
+
+    run = run_constraint_algorithm(
+        dataclasses.replace(problem, alpha=counted("alpha"),
+                            alpha_jacobian=counted("alpha_jacobian")),
+        _seeds(3, 4, 3, seed=2))
+    assert [level.constraints.e.shape[1] for level in run.levels] == [0, 6]
+    assert calls["alpha"] <= 15
+    assert calls["alpha_jacobian"] <= jacobians
+
+
+def test_constraints_call_alpha_once_per_point_for_any_number_of_levels():
+    # primaries first, then the pairing with every kept column, one alpha or
+    # alpha_jacobian call per point however many levels the columns came from
+    problem = hamiltonian_problem_from_lagrangian(_ck())[0]
     calls = []
-
-    def alpha(z, _alpha=problem.alpha):
-        calls.append(1)
-        return _alpha(z)
-
-    run = run_constraint_algorithm(dataclasses.replace(problem, alpha=alpha),
-                                   _seeds(3, 4, 3, seed=2))
-    assert [len(level.constraints) for level in run.levels] == fields
-    assert len(calls) <= 500
+    counted = dataclasses.replace(
+        problem, alpha=lambda z: calls.append("alpha") or problem.alpha(z),
+        alpha_jacobian=lambda z: calls.append("jacobian") or problem.alpha_jacobian(z))
+    rng = np.random.default_rng(7)
+    z = np.array([0.2, -0.3, 1.2, 0.7, -0.4, 0.9, 0.1])
+    one = rng.normal(size=(problem.r, 1))
+    for e in (one, np.hstack([one, rng.normal(size=(problem.r, 2))])):
+        constraints = Constraints(counted, e)
+        calls.clear()
+        values = constraints.values(z)
+        assert calls == ["alpha"]
+        assert np.array_equal(values, np.concatenate([problem.primary(z)[0],
+                                                      problem.alpha(z) @ e]))
+        calls.clear()
+        assert constraints.jacobian(z).shape == (2 + e.shape[1], problem.d)
+        assert calls == ["jacobian"]
+        level = ConstraintLevel(k=0, constraints=constraints, new_rank=0,
+                                fiber_constraint_rank=0, probe_residuals=())
+        run = ConstraintRun(problem=counted, levels=(level,), stabilization_level=0,
+                            probes=())
+        assert run.membership_residual(z) == np.max(np.abs(values))
+    none = Constraints(counted, np.zeros((problem.r, 0)))
+    calls.clear()
+    assert np.array_equal(none.values(z), problem.primary(z)[0])
+    assert none.jacobian(z).shape == (2, problem.d)
+    assert calls == []
 
 
 def test_primary_constraints_are_momentum_zeroes():
-    _, data = hamiltonian_problem_from_lagrangian(_ck())
-    primaries = data.primary_constraints()
-    assert len(primaries) == 2
+    sys = _ck()
+    problem, _ = hamiltonian_problem_from_lagrangian(sys)
     z = np.array([0.2, -0.3, 1.2, 0.7, -0.4, 0.9, 0.1])
-    assert primaries[0](z) == pytest.approx(0.7, abs=1e-12)
-    assert primaries[1](z) == pytest.approx(-0.4, abs=1e-12)
+    values, rows = problem.primary(z)
+    assert_allclose(values, [0.7, -0.4], atol=1e-12)
+    hxy, _ = sys.second_derivatives(EPoint(z[:3], np.zeros(4)))
+    for a in range(2):
+        assert np.array_equal(rows[a], np.concatenate([-hxy[:, a], np.eye(4)[a]]))
 
 
 def test_hamiltonian_value_matches_energy_through_legendre():
@@ -507,12 +511,12 @@ def test_exact_jacobians_match_finite_differences(pid, side):
     rng = np.random.default_rng(11)
     seeds = [rng.uniform(0.6, 1.4, problem.d) for _ in range(3)]
     run = run_constraint_algorithm(problem, seeds)
-    e = rng.normal(size=(problem.r, 2))
+    constraints = Constraints(problem, rng.normal(size=(problem.r, 2)))
+    final = run.final_constraints
     for z in seeds + list(run.probes):
         _assert_matches_fd(problem.alpha_jacobian(z), problem.alpha, z)
-        _assert_matches_fd(Pairing(problem, e).jacobian(z), Pairing(problem, e), z)
-        for g in run.final_constraints:
-            _assert_matches_fd(g.jacobian(z), g, z)
+        _assert_matches_fd(constraints.jacobian(z), constraints.values, z)
+        _assert_matches_fd(final.jacobian(z), final.values, z)
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -531,23 +535,3 @@ def test_energy_tree_is_built_at_the_first_jacobian_request():
     assert sys._energy is None
     problem.alpha_jacobian(np.array([0.3, 0.4]))
     assert sys._energy is not None
-
-
-def _level_ranks(run):
-    return run.stabilization_level, [(lvl.new_rank, lvl.fiber_constraint_rank)
-                                     for lvl in run.levels]
-
-
-# only the Hamiltonian side has level-0 constraints to wrap
-@pytest.mark.parametrize("side", ["hamiltonian"])
-def test_difference_path_reaches_the_same_levels(side, monkeypatch):
-    # the primary constraints wrapped as plain closures, which have no
-    # Jacobian: their gradients are differenced, as the SODE defect's are
-    problem = _problem(_ck(), side)
-    plain = dataclasses.replace(
-        problem, constraints=tuple((lambda z, _g=g: _g(z)) for g in problem.constraints))
-    seeds = _seeds(3, 4, 3, seed=5)
-    tree = run_constraint_algorithm(problem, seeds)
-    calls = _counting_fd(monkeypatch)
-    assert _level_ranks(run_constraint_algorithm(plain, seeds)) == _level_ranks(tree)
-    assert calls
