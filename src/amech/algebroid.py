@@ -3,11 +3,13 @@
 A chart is the local data (anchor matrix field, structure-function field)
 together with their exact Jacobians, generated from the expression trees of
 a parsed spec, its only source; that code and the generated Hamilton field
-are `expr.kept` entries of the spec. On top of it this module evaluates the
-structure-equation residuals (central differences of the chart only as the
-"fd" cross-check), the differential of base functions, the linear Poisson
-bracket on the dual bundle with its exact Jacobi residual, and the
-canonical symplectic matrix.
+are `expr.kept` entries of the spec. The trees of xdot = rho v and of the
+momentum drive rho^T lam - C(v, p) are built in one place, shared by the
+Hamilton field and the mechanics point of `dynamics`. On top of it this
+module evaluates the structure-equation residuals (central differences of
+the chart only as the "fd" cross-check), the differential of base
+functions, the linear Poisson bracket on the dual bundle with its exact
+Jacobi residual, and the canonical symplectic matrix.
 Observables on the dual bundle are expression trees, differentiated exactly.
 """
 
@@ -102,6 +104,26 @@ def _tensor_slots(spec: SystemSpec) -> tuple[list, list]:
     return rho_slots, c_slots
 
 
+def _anchor_drive(spec: SystemSpec, lam: list[Expr], v: list[Expr],
+                  p: list[Expr]) -> tuple[list[Expr], list[Expr], list]:
+    """(xdot, drive, checks) as trees: xdot_i = rho[i, :].v and
+    drive_a = rho[:, a].lam - C[b, a, d] v_d p_b, the momentum equation both
+    the mechanics point (lam = dL/dx) and the Hamilton field (lam = -H_x,
+    v = H_p) share. The bracket sum runs over C's nonzero slots only, in
+    (b, d) order; checks walk rho's entries, then C's."""
+    m, n = spec.m, spec.n
+    rho_slots, c_slots = _tensor_slots(spec)
+    rho_flat, c_flat = _tensor_trees(rho_slots), _tensor_trees(c_slots)
+    xdot = [_dot(zip(rho_flat[i * n:(i + 1) * n], v)) for i in range(m)]
+    cterm = [_ZERO] * n
+    for k, slot in enumerate(c_slots):
+        if slot is not None:
+            b, a, d = k // (n * n), k // n % n, k % n
+            cterm[a] = _fold("+", cterm[a], _fold("*", _fold("*", c_flat[k], v[d]), p[b]))
+    drive = [_fold("-", _dot(zip(lam, rho_flat[a::n])), cterm[a]) for a in range(n)]
+    return xdot, drive, [(rho_flat, None, 0), (c_flat, None, 0)]
+
+
 def _signed(tree: Expr, negated: bool) -> Expr:
     """tree, or its negation; a constant under negations, as the parser
     writes a swapped bracket's, folds to the constant of the same bits."""
@@ -143,38 +165,24 @@ def _chart_code(spec: SystemSpec) -> tuple:
             generated(c_slots, (n, n, n), True))
 
 
-def hamilton_field(spec: SystemSpec) -> Callable[[np.ndarray], tuple]:
+def hamilton_field(spec: SystemSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The spec's generated function of the packed (x, p, dH/dx, dH/dp) that
-    returns (xdot, pdot) of the Hamilton equations, read-only; made once per
-    spec and kept on it."""
+    returns the Hamilton field (xdot, pdot) as one read-only array; made
+    once per spec and kept on it."""
     return kept(spec, "hamilton_field", lambda: _hamilton_field(spec))
 
 
-def _hamilton_field(spec: SystemSpec) -> Callable[[np.ndarray], tuple]:
-    m, n = spec.m, spec.n
-    momenta = momentum_names(n)
+def _hamilton_field(spec: SystemSpec) -> Callable[[np.ndarray], np.ndarray]:
+    momenta = momentum_names(spec.n)
     # no spec name holds a "/", so the gradient slots are never shadowed
     gradient_names = tuple(f"dH/d{name}" for name in spec.base + momenta)
 
     def layout() -> tuple:
-        # xdot = rho H_p and pdot = -(C.p H_p) - rho^T H_x, grouped as their
-        # numpy formulas; the checks walk rho's entries, then C's, the order
-        # in which the chart evaluated them
-        rho_slots, c_slots = _tensor_slots(spec)
-        rho_flat, c_flat = _tensor_trees(rho_slots), _tensor_trees(c_slots)
-        p = [Var(name) for name in momenta]
-        hx = [Var(name) for name in gradient_names[:m]]
-        hp = [Var(name) for name in gradient_names[m:]]
-        xdot = [_dot(zip(rho_flat[i * n:(i + 1) * n], hp)) for i in range(m)]
-        # (C.p)[a, b] = C[c, a, b] p_c over the nonzero slots, c ascending
-        cp = [_ZERO] * (n * n)
-        for k, slot in enumerate(c_slots):
-            if slot is not None:
-                c, ab = divmod(k, n * n)
-                cp[ab] = _fold("+", cp[ab], _fold("*", c_flat[k], p[c]))
-        pdot = [_fold("-", _fold("-", _ZERO, _dot(zip(cp[a * n:(a + 1) * n], hp))),
-                      _dot(zip(rho_flat[a::n], hx))) for a in range(n)]
-        return [(xdot, (m,), 0), (pdot, (n,), 0)], [(rho_flat, None, 0), (c_flat, None, 0)]
+        # xdot = rho H_p and pdot = -rho^T H_x - C(H_p, p)
+        lam = [_fold("-", _ZERO, Var(name)) for name in gradient_names[:spec.m]]
+        hp = [Var(name) for name in gradient_names[spec.m:]]
+        xdot, pdot, checks = _anchor_drive(spec, lam, hp, [Var(name) for name in momenta])
+        return [(xdot + pdot, (spec.m + spec.n,), 0)], checks
 
     return lazy_generated(spec.base + momenta + gradient_names, spec.params, layout)
 

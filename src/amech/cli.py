@@ -277,8 +277,8 @@ def _hamilton_mode(spec) -> Mode:
 
     def rhs(t, state):
         del t
-        xdot, pdot = hamilton_rhs(chart, H, point(state))
-        return np.concatenate([xdot, pdot])
+        # xdot and pdot are views of the field's one array, returned as it is
+        return hamilton_rhs(chart, H, point(state))[0].base
 
     def start(y0, seed):
         if not is_regular(sys_, EPoint(y0[:m], y0[m:])).regular:

@@ -8,9 +8,14 @@ regular L on all of E*, for a singular L on its momentum image, where the
 velocities along the kernel directions are pinned to zero. The Lagrangian
 is an expression tree, so every derivative here is exact, the energy's
 included; nothing in this module is differenced.
-The generated point function of a spec and Lagrangian, and the E_L
-function of a Lagrangian, are `expr.kept` entries of the spec and of L's
-root node, so every later system of the same trees reuses them.
+One generated mechanics point serves both this module and `vakonomic`: a
+function of (x, y^a, p_alpha) built from the restricted Lagrangian, the
+constraint graph Psi and the spec's anchor and bracket trees. The
+Euler-Lagrange point is that point with no constrained index, so an EL and
+a vakonomic system of one L share its code. The point of a spec and its
+trees, and the E_L function of a Lagrangian, are `expr.kept` entries of the
+spec and of L's root node, so every later system of the same trees reuses
+them.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
-                        as_dual_observable, hamilton_field)
+from .algebroid import (AlgebroidChart, DualPoint, _anchor_drive, as_dual_observable,
+                        hamilton_field)
 from .errors import SingularHessian
 from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
                    keep_last, kept, lazy_generated, partials)
@@ -82,11 +87,11 @@ class LagrangianSystem:
     """A chart together with a Lagrangian on its (x, y) coordinates.
 
     The Lagrangian is an expression in the base and fiber coordinate names,
-    differentiated exactly. Every field at a point is one generated call,
-    assembled from L's partial trees and the anchor and bracket trees of the
-    chart's spec. The rank tolerance is resolved
-    from AMECH_TOL once, here. A point is an EPoint, any (x, y) of float
-    arrays, or the packed vector (x, y).
+    differentiated exactly. Every field at a point is one call of the
+    mechanics point with nothing constrained, assembled from L's partial
+    trees and the anchor and bracket trees of the chart's spec. The rank
+    tolerance is resolved from AMECH_TOL once, here. A point is an EPoint,
+    any (x, y) of float arrays, or the packed vector (x, y).
     """
 
     def __init__(self, chart: AlgebroidChart, lagrangian: Expr):
@@ -94,7 +99,7 @@ class LagrangianSystem:
         self.rank_rtol = rank_rtol()
         self._sf = ScalarFunction(chart.base_names + chart.fiber_names,
                                   expr=lagrangian, params=chart.params)
-        self._point = _point_function(chart.spec, lagrangian)
+        self._point = _mechanics_point(chart.spec, (), (lagrangian,))
         self._energy: ScalarFunction | None = None
 
     def value(self, at: EPoint) -> float:
@@ -111,10 +116,10 @@ class LagrangianSystem:
         return d.hxy, d.w
 
     def derivatives(self, at: EPoint) -> LagrangianDerivatives:
-        """Every field at the point, from one call of the generated code; the
-        arrays are the call's own, read-only."""
-        return LagrangianDerivatives._make(self._point(
-            at if isinstance(at, np.ndarray) else np.concatenate([at.x, at.y])))
+        """Every field at the point, from one call of the mechanics point with
+        nothing constrained; the arrays are the call's own, read-only."""
+        lt, _, ly, lx, w, b, rho_y, _, energy, hxy, hxx = self._point(_packed(at))
+        return LagrangianDerivatives(lt, lx, ly, hxy, w, hxx, energy, b, rho_y)
 
     def energy(self, at: EPoint) -> float:
         """E_L = y dL/dy - L, its sum taken left to right."""
@@ -134,7 +139,13 @@ class LagrangianSystem:
                 lagrangian, ("energy", names, m, tuple(sorted(self._sf.params.items()))),
                 lambda: ScalarFunction(names, params=self.chart.params,
                                        expr=_energy_tree(lagrangian, names, m)))
-        return self._energy.derivatives(np.concatenate([at.x, at.y]))
+        return self._energy.derivatives(_packed(at))
+
+
+def _packed(at) -> np.ndarray:
+    """The packed vector (x, y) of a point of E, or the point itself when it
+    is one."""
+    return at if isinstance(at, np.ndarray) else np.concatenate([at.x, at.y])
 
 
 def _energy_tree(lagrangian: Expr, names: tuple[str, ...], m: int) -> Expr:
@@ -144,56 +155,90 @@ def _energy_tree(lagrangian: Expr, names: tuple[str, ...], m: int) -> Expr:
                  lagrangian)
 
 
-def _point_function(spec, lagrangian: Expr) -> Callable[[np.ndarray], tuple]:
-    """The generated function of (x, y) that returns every field of
-    `LagrangianDerivatives`, in its order.
+def _multiplier_names(constrained: tuple[int, ...]) -> tuple[str, ...]:
+    """The momentum names of the constrained directions, which the
+    multipliers take; the DSL keeps them free of every other name."""
+    return tuple(f"p{a + 1}" for a in constrained)
 
-    Made once per spec and Lagrangian tree and kept on the spec like the
-    chart code; the code is generated at the first point.
+
+def _mechanics_point(spec, constrained: tuple[int, ...],
+                     trees: tuple[Expr, ...]) -> Callable[[np.ndarray], tuple]:
+    """The generated function of a packed state (x, ya, palpha) that returns
+    every field of `_point_layout`, in its order.
+
+    trees are Ltilde, then Psi per constrained index; with none constrained
+    it is L's Euler-Lagrange point of (x, y). Made once per spec, constrained
+    split and trees, and kept on the spec like the chart code, so an EL and
+    a vakonomic system of one L share it; the code is generated at the first
+    point.
     """
-    # the entry's layout holds the tree, so its id stays its own
-    return kept(spec, ("lagrangian_point", id(lagrangian)),
-                lambda: lazy_generated(spec.base + spec.fiber, spec.params,
-                                       functools.partial(_point_layout, spec, lagrangian)))
+    free_names = tuple(name for a, name in enumerate(spec.fiber) if a not in constrained)
+    # the entry's layout holds the trees, so their ids stay theirs
+    return kept(spec, ("mechanics_point", constrained, tuple(map(id, trees))),
+                lambda: lazy_generated(
+                    spec.base + free_names + _multiplier_names(constrained), spec.params,
+                    functools.partial(_point_layout, spec, constrained, trees)))
 
 
-def _point_layout(spec, lagrangian: Expr) -> tuple:
-    """The `LagrangianDerivatives` fields as trees over (x, y).
+def _point_layout(spec, constrained: tuple[int, ...], trees: tuple[Expr, ...]) -> tuple:
+    """The mechanics point's fields as trees over (x, ya, palpha): Ltilde,
+    y_full, p_full, lam = dLtilde/dx - p.dPsi/dx, the regularity matrix R
+    and right-hand side rhs of the free-velocity equation R yadot = rhs,
+    xdot, the multiplier drive pdot, H_W1, d p_free/dx (m x n_free) and
+    d lam/dx (m x m).
 
-    The checks walk L's jet, then C's entries, then rho's, the order in
-    which the force system evaluated them, so an error is the one it
-    reported. b is built from the nonzero slots of C only.
+    The checks walk Ltilde's jet, then the stacked Psi values, gradients and
+    Hessians, then rho's and C's entries, so an error is the one the
+    separate evaluations reported, in their order. The fields are sums of
+    products of those trees with the multipliers and velocities.
     """
     m, n = spec.m, spec.n
-    names = spec.base + spec.fiber
-    nv = m + n
-    jet = _jet_layout(lagrangian, names, 2)[0]
-    rho_slots, c_slots = _tensor_slots(spec)
-    rho_flat, c_flat = _tensor_trees(rho_slots), _tensor_trees(c_slots)
-    checks = jet + [(c_flat, None, 0), (rho_flat, None, 0)]
+    free = tuple(a for a in range(n) if a not in constrained)
+    nf, nc = len(free), len(constrained)
+    names = spec.base + tuple(spec.fiber[a] for a in free)
+    nv = len(names)
+    lt_jet = _jet_layout(trees[0], names, 2)[0]
+    psi_jets = [_jet_layout(f, names, 2)[0] for f in trees[1:]]
+    psi_groups = [([tree for jet in psi_jets for tree in jet[k][0]], shape, k)
+                  for k, shape in enumerate([(nc,), (nc, nv), (nc, nv, nv)])]
 
-    g, h = jet[1][0], jet[2][0]
-    lx, ly = g[:m], g[m:]
-    y = [Var(name) for name in spec.fiber]
-    hxy = [h[i * nv + m + a] for i in range(m) for a in range(n)]
-    w = [h[(m + a) * nv + m + b] for a in range(n) for b in range(n)]
-    hxx = [h[i * nv + j] for i in range(m) for j in range(m)]
-    rho_y = [_dot(zip(rho_flat[i * n:(i + 1) * n], y)) for i in range(m)]
-    # ly_c C[c, a, b] y_b, over c then b
-    cterm = [_ZERO] * n
-    for k, slot in enumerate(c_slots):
-        if slot is not None:
-            c, a, b = k // (n * n), k // n % n, k % n
-            cterm[a] = _fold("+", cterm[a], _fold("*", _fold("*", ly[c], c_flat[k]), y[b]))
-    # b = -(ly.C.y + L_xy^T rho y - rho^T L_x), grouped as its numpy formula
-    force = []
-    for a in range(n):
-        drive = _fold("+", cterm[a], _dot(zip(hxy[a::n], rho_y)))
-        force.append(_fold("-", _ZERO, _fold("-", drive, _dot(zip(rho_flat[a::n], lx)))))
-    groups = [([lagrangian], None, 0), (lx, (m,), 0), (ly, (n,), 0), (hxy, (m, n), 0),
-              (w, (n, n), 0), (hxx, (m, m), 0), ([_energy_tree(lagrangian, names, m)], None, 0),
-              (force, (n,), 0), (rho_y, (m,), 0)]
-    return groups, checks
+    lt, psi = trees[0], trees[1:]
+    g, h = lt_jet[1][0], lt_jet[2][0]
+    psi_g = [jet[1][0] for jet in psi_jets]
+    psi_h = [jet[2][0] for jet in psi_jets]
+    ya = [Var(name) for name in names[m:]]
+    p = [Var(name) for name in _multiplier_names(constrained)]
+
+    def first(k: int) -> Expr:
+        # gradient entry k of Ltilde less the multipliers' of Psi
+        return _fold("-", g[k], _dot(zip(p, (gb[k] for gb in psi_g))))
+
+    def second(k: int) -> Expr:
+        # Hessian entry k of Ltilde less the multipliers' of Psi
+        return _fold("-", h[k], _dot(zip(p, (hb[k] for hb in psi_h))))
+
+    y_full, p_full = [_ZERO] * n, [_ZERO] * n
+    for k, a in enumerate(free):
+        y_full[a], p_full[a] = ya[k], first(m + k)
+    for j, a in enumerate(constrained):
+        y_full[a], p_full[a] = psi[j], p[j]
+    lam = [first(i) for i in range(m)]
+    R = [second((m + a) * nv + m + b) for a in range(nf) for b in range(nf)]
+    pfx = [second(i * nv + m + k) for i in range(m) for k in range(nf)]
+    lamx = [second(i * nv + j) for i in range(m) for j in range(m)]
+    xdot, drive, tensor_checks = _anchor_drive(spec, lam, y_full, p_full)
+    pdot = [drive[a] for a in constrained]
+    # the p_a equation, expanded by the chain rule and solved against R
+    rhs = [_fold("+", _fold("-", drive[a], _dot(zip(xdot, pfx[k::nf]))),
+                 _dot(zip(pdot, (gb[m + k] for gb in psi_g))))
+           for k, a in enumerate(free)]
+    # the free part, then the constrained part, then Ltilde, as pontryagin_H
+    h_w1 = _fold("-", _fold("+", _dot(zip([p_full[a] for a in free], ya)),
+                            _dot(zip(p, psi))), lt)
+    groups = [([lt], None, 0), (y_full, (n,), 0), (p_full, (n,), 0), (lam, (m,), 0),
+              (R, (nf, nf), 0), (rhs, (nf,), 0), (xdot, (m,), 0), (pdot, (nc,), 0),
+              ([h_w1], None, 0), (pfx, (m, nf), 0), (lamx, (m, m), 0)]
+    return groups, lt_jet + psi_groups + tensor_checks
 
 
 def system_from_spec(spec) -> LagrangianSystem:
@@ -304,10 +349,11 @@ def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, n
     xdot_i = rho[i,A] dH/dp_A; pdot_A = -(rho[i,A] dH/dx_i + C[c,A,B] p_c dH/dp_B),
     from H's gradients and one call of the generated Hamilton field of the
     chart's spec. at is a DualPoint, or any (x, p) of float arrays. The
-    arrays are the call's own, read-only.
+    arrays are two read-only views of the call's one array.
     """
     hx, hp = as_dual_observable(chart, H).gradients(at)
-    return hamilton_field(chart.spec)(np.concatenate([at.x, at.p, hx, hp]))
+    field = hamilton_field(chart.spec)(np.concatenate([at.x, at.p, hx, hp]))
+    return field[:chart.m], field[chart.m:]
 
 
 class LegendreEnergy:

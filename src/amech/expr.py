@@ -510,16 +510,20 @@ def generate(names: Sequence[str], params: Mapping[str, float],
         return None
     # the arrays are views of one buffer, built from its values when none is
     # a literal +0.0, else started as zeros and given every other slot in
-    # one scatter, through indices built once when the code is compiled
+    # one scatter, through indices built once when the code is compiled; an
+    # empty array is made once then too, and shared by every call
     k = sum(len(group) for group, *_ in checks)
-    arrays = [len(group) for group, shape, *_ in groups if shape is not None]
-    size = sum(arrays)
-    parts, kept, start, zero = [], [], 0, _literal(0.0)
+    size = sum(len(group) for group, shape, *_ in groups if shape is not None)
+    parts, kept, start, zero, empties = [], [], 0, _literal(0.0), ""
     for group, shape, *_ in groups:
         ops = operands[k:k + len(group)]
         k += len(group)
         if shape is None:
             parts.append(ops[0])
+            continue
+        if not ops:
+            parts.append(f"_empty{len(parts)}")
+            empties += f"{parts[-1]} = _zeros({shape})\n{parts[-1]}.flags.writeable = False\n"
             continue
         kept += [(start + i, op) for i, op in enumerate(ops) if op != zero]
         view = "_buf" if len(ops) == size else f"_buf[{start}:{start + len(ops)}]"
@@ -528,16 +532,16 @@ def generate(names: Sequence[str], params: Mapping[str, float],
     values, indices = "".join(f"{op}, " for _, op in kept), ""
     if kept and len(kept) == size:
         lines.append(f"_buf = _array(({values}))")
-    elif arrays:
+    elif size:
         lines.append(f"_buf = _zeros({size})")
         if kept:
             indices = f"_idx = _index({[i for i, _ in kept]!r})\n"
             lines.append(f"_buf[_idx] = ({values})")
-    if arrays:
+    if size:
         # views taken after this are read-only too
         lines.append("_buf.flags.writeable = False")
     unpack = "".join(f"v{i}, " for i in range(len(names)))
-    source = (indices + "def _generated(v):\n"
+    source = (indices + empties + "def _generated(v):\n"
               + (f"    {unpack}= v\n" if names else "")
               + "".join(f"    {line}\n" for line in lines)
               + f"    return {', '.join(parts)}\n")

@@ -386,7 +386,7 @@ def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
         return -energy_differential(sys, EPoint(z[:m], z[m:]))
 
     def alpha_jacobian(z: np.ndarray) -> np.ndarray:
-        _, g, h = sys.energy_derivatives(EPoint(z[:m], z[m:]))
+        _, g, h = sys.energy_derivatives(z)
         return _forcing_jacobian(chart, z[:m], g, h)
 
     def anchor(z: np.ndarray) -> np.ndarray:

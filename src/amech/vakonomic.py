@@ -5,25 +5,26 @@ y^alpha = Psi^alpha(x, y^a). State is (x, y^a, p_alpha); dependent momenta
 are recomputed from the primary constraint at every evaluation, never
 integrated. The bracket on the constrained phase space coincides with the
 linear Poisson bracket of the dual bundle and is exported as an alias of it,
-and the dynamics section reads the spec's generated Hamilton field. The
-restricted Lagrangian and the generated point function are `expr.kept`
-entries of the spec, built once for every system of its trees.
+and the dynamics section reads the spec's generated Hamilton field. Every
+field at a state is one call of `dynamics`' mechanics point of the spec,
+the restricted Lagrangian and Psi; with no constrained index it is the
+Euler-Lagrange point itself. The restricted Lagrangian and the point are
+`expr.kept` entries of the spec, built once for every system of its trees.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .algebroid import (AlgebroidChart, DualPoint, _tensor_slots, _tensor_trees,
-                        chart_from_spec, hamilton_field, lie_poisson_bracket)
+from .algebroid import (AlgebroidChart, DualPoint, chart_from_spec, hamilton_field,
+                        lie_poisson_bracket)
 from .dsl import SystemSpec
+from .dynamics import _mechanics_point, _multiplier_names
 from .errors import MuSolveFailed, SingularR
-from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout, kept,
-                   lazy_generated, substitute, variables_of)
+from .expr import Expr, kept, substitute, variables_of
 from .linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 __all__ = [
@@ -66,9 +67,10 @@ class VakonomicSystem:
 
     constrained lists the fiber indices alpha whose velocities are determined
     by Psi; the rest are free. The restricted Lagrangian is a function of the
-    base coordinates and the free velocities only. The point code is
-    assembled from the anchor and bracket trees of the chart's spec. The
-    rank tolerance is resolved from AMECH_TOL once, here.
+    base coordinates and the free velocities only; it and Psi are kept as
+    trees, anything else raises TypeError. The point code is assembled from
+    them and the anchor and bracket trees of the chart's spec. The rank
+    tolerance is resolved from AMECH_TOL once, here.
     """
 
     def __init__(self, chart: AlgebroidChart, constrained: Sequence[int],
@@ -84,10 +86,12 @@ class VakonomicSystem:
             raise ValueError("one constraint expression per constrained index")
         self.free = tuple(a for a in range(chart.n) if a not in self.constrained)
         self.free_names = tuple(chart.fiber_names[a] for a in self.free)
-        names = chart.base_names + self.free_names
-        self._lt = ScalarFunction(names, expr=restricted_lagrangian, params=chart.params)
-        self._psi = tuple(ScalarFunction(names, expr=f, params=chart.params) for f in psi)
-        self._point = _point_function(self)
+        self._lt, self._psi = restricted_lagrangian, tuple(psi)
+        for tree in (self._lt, *self._psi):
+            if not isinstance(tree, Expr):
+                raise TypeError(f"a model function must be an expression tree, "
+                                f"got {type(tree).__name__}")
+        self._point = _mechanics_point(chart.spec, self.constrained, (self._lt, *self._psi))
         self._free_idx = np.array(self.free, dtype=np.intp)
         self._con_idx = np.array(self.constrained, dtype=np.intp)
         self.rank_rtol = rank_rtol()
@@ -114,95 +118,6 @@ class VakonomicSystem:
     def ode_rhs(self, t: float, vec: np.ndarray) -> np.ndarray:
         del t
         return np.concatenate(vakonomic_rhs(self, vec))
-
-
-def _multiplier_names(constrained: tuple[int, ...]) -> tuple[str, ...]:
-    """The momentum names of the constrained directions, which the
-    multipliers take; the DSL keeps them free of every other name."""
-    return tuple(f"p{a + 1}" for a in constrained)
-
-
-def _point_function(sys: VakonomicSystem) -> Callable[[np.ndarray], tuple]:
-    """The generated function of a packed state (x, ya, palpha) that returns
-    every field of `_PointData`, in its order.
-
-    Made once per spec, constrained split, Ltilde and Psi trees, and kept on
-    the spec like the chart code; the code is generated at the first point.
-    """
-    trees = (sys._lt.expr,) + tuple(f.expr for f in sys._psi)
-    spec, constrained = sys.chart.spec, sys.constrained
-    # the entry's layout holds the trees, so their ids stay theirs
-    return kept(spec, ("vakonomic_point", constrained, tuple(map(id, trees))),
-                lambda: lazy_generated(
-                    sys.state_labels, sys.chart.params,
-                    functools.partial(_point_layout, spec, constrained, trees)))
-
-
-def _point_layout(spec: SystemSpec, constrained: tuple[int, ...],
-                  trees: tuple[Expr, ...]) -> tuple:
-    """The `_PointData` fields as trees over (x, ya, palpha).
-
-    The checks walk Ltilde's jet, then the stacked Psi values, gradients and
-    Hessians, then rho's and C's entries, so an error is the one the
-    separate evaluations reported, in their order. The fields are sums of
-    products of those trees with the multipliers and velocities.
-    """
-    m, n = spec.m, spec.n
-    free = tuple(a for a in range(n) if a not in constrained)
-    nf, nc = len(free), len(constrained)
-    names = spec.base + tuple(spec.fiber[a] for a in free)
-    nv = len(names)
-    lt_jet = _jet_layout(trees[0], names, 2)[0]
-    psi_jets = [_jet_layout(f, names, 2)[0] for f in trees[1:]]
-    psi_groups = [([tree for jet in psi_jets for tree in jet[k][0]], shape, k)
-                  for k, shape in enumerate([(nc,), (nc, nv), (nc, nv, nv)])]
-    rho_slots, c_slots = _tensor_slots(spec)
-    rho_flat, c_flat = _tensor_trees(rho_slots), _tensor_trees(c_slots)
-    checks = lt_jet + psi_groups + [(rho_flat, None, 0), (c_flat, None, 0)]
-
-    lt, psi = trees[0], trees[1:]
-    g, h = lt_jet[1][0], lt_jet[2][0]
-    psi_g = [jet[1][0] for jet in psi_jets]
-    psi_h = [jet[2][0] for jet in psi_jets]
-    ya = [Var(name) for name in names[m:]]
-    p = [Var(name) for name in _multiplier_names(constrained)]
-
-    def minus_p(tree: Expr, column) -> Expr:
-        # tree - p_beta column[beta]: a partial of Ltilde less the multipliers'
-        return _fold("-", tree, _dot(zip(p, column)))
-
-    y_full, p_full = [_ZERO] * n, [_ZERO] * n
-    for k, a in enumerate(free):
-        y_full[a] = ya[k]
-        p_full[a] = minus_p(g[m + k], [gb[m + k] for gb in psi_g])
-    for j, a in enumerate(constrained):
-        y_full[a], p_full[a] = psi[j], p[j]
-    # lam_i = d(Ltilde)/dx_i - p_beta dPsi^beta/dx_i drives every momentum
-    # equation through the anchor
-    lam = [minus_p(g[i], [gb[i] for gb in psi_g]) for i in range(m)]
-    R = [minus_p(h[(m + a) * nv + m + b], [hb[(m + a) * nv + m + b] for hb in psi_h])
-         for a in range(nf) for b in range(nf)]
-    xdot = [_dot(zip(rho_flat[i * n:(i + 1) * n], y_full)) for i in range(m)]
-    # lam . rho[:, a] and cterm_a = C[b, a, d] y_full[d] p_full[b]
-    lam_rho = [_dot(zip(lam, rho_flat[a::n])) for a in range(n)]
-    cterm = [_dot((_fold("*", c_flat[(b * n + a) * n + d], y_full[d]), p_full[b])
-                  for b in range(n) for d in range(n)) for a in range(n)]
-    pdot = [_fold("-", lam_rho[a], cterm[a]) for a in constrained]
-    # the p_a equation, expanded by the chain rule and solved against R
-    rhs = []
-    for k, a in enumerate(free):
-        r = _fold("+", _fold("-", _ZERO, cterm[a]), lam_rho[a])
-        mixed = [minus_p(h[i * nv + m + k], [hb[i * nv + m + k] for hb in psi_h])
-                 for i in range(m)]
-        r = _fold("-", r, _dot(zip(xdot, mixed)))
-        rhs.append(_fold("+", r, _dot(zip(pdot, (gb[m + k] for gb in psi_g)))))
-    # the free part, then the constrained part, then Ltilde, as pontryagin_H
-    h_w1 = _fold("-", _fold("+", _dot(zip([p_full[a] for a in free], ya)),
-                            _dot(zip(p, psi))), lt)
-    groups = [([lt], None, 0), (y_full, (n,), 0), (p_full, (n,), 0), (lam, (m,), 0),
-              (R, (nf, nf), 0), (rhs, (nf,), 0), (xdot, (m,), 0), (pdot, (nc,), 0),
-              ([h_w1], None, 0)]
-    return groups, checks
 
 
 def vakonomic_from_spec(spec: SystemSpec) -> VakonomicSystem:
@@ -236,7 +151,7 @@ class _PointData:
 
     def __init__(self, sys: VakonomicSystem, *parts: np.ndarray):
         (self.lt_value, self.y_full, self.p_full, self.lam, self.R, self.rhs,
-         self.xdot, self.pdot, self.h_w1) = sys._point(
+         self.xdot, self.pdot, self.h_w1, *_) = sys._point(
             parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
@@ -356,8 +271,8 @@ def hamiltonian_section(sys: VakonomicSystem,
     # the generated point code keeps its result at the solved velocity
     d = _PointData(sys, at.x, mu_solve(sys, at.x, at.p), at.p[sys._con_idx])
     # w is the Hamilton field's pdot with dH/dx = -lam and dH/dp = u
-    _, w = hamilton_field(sys.chart.spec)(np.concatenate([at.x, at.p, -d.lam, d.y_full]))
-    return d.y_full.copy(), w.copy()
+    field = hamilton_field(sys.chart.spec)(np.concatenate([at.x, at.p, -d.lam, d.y_full]))
+    return d.y_full.copy(), field[sys.chart.m:].copy()
 
 
 def euler_poincare_residual(sys: VakonomicSystem, times: np.ndarray,
@@ -372,7 +287,7 @@ def euler_poincare_residual(sys: VakonomicSystem, times: np.ndarray,
     """
     if sys.chart.m != 0:
         raise ValueError("reduced-equation residual needs a base-free chart")
-    if any(variables_of(f.expr) - set(sys.chart.params) for f in sys._psi):
+    if any(variables_of(f) - set(sys.chart.params) for f in sys._psi):
         raise ValueError("constraint block must be constant")
     times = np.asarray(times, dtype=float)
     ya_series = np.atleast_2d(np.asarray(ya_series, dtype=float))

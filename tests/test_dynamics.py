@@ -27,7 +27,7 @@ from amech.dynamics import (
     system_from_spec,
 )
 from amech import dynamics, expr
-from amech.errors import NewtonFailed, SingularHessian
+from amech.errors import EvalDomainError, NewtonFailed, SingularHessian
 from amech.presets import load as load_preset
 from amech.dsl import parse_expression, parse_system
 from strategies import perfbench_workloads
@@ -322,6 +322,29 @@ def test_hamilton_and_bracket_take_the_exact_gradients(pid, monkeypatch):
         lie_poisson_bracket(chart, H, G, at)
         lie_poisson_bracket(chart, G, H, at)
     assert calls == []
+
+
+def test_energy_derivatives_take_the_packed_vector():
+    sys = system_from_spec(load_preset("capri_kobayashi").spec)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        z = rng.uniform(-1.0, 1.0, sys.chart.m + sys.chart.n)
+        packed = sys.energy_derivatives(z)
+        split = sys.energy_derivatives(EPoint(z[:sys.chart.m], z[sys.chart.m:]))
+        for got, want in zip(packed, split):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_the_el_point_checks_rho_before_c():
+    # the EL point walks L's jet, then rho, then C, as the vakonomic point
+    # does: where both are undefined, rho's error is the one reported
+    sys = system_from_spec(parse_system(
+        "system both_undefined\nbase [q]\nfiber [v, w]\n"
+        "anchor { v -> (ln(q)); w -> (0) }\nbracket { [v, w] = sqrt(q)*v }\n"
+        "lagrangian = 0.5*(v^2 + w^2)\n"))
+    with pytest.raises(EvalDomainError) as err:
+        sys.derivatives(EPoint(np.array([-1.0]), np.array([0.2, 0.3])))
+    assert str(err.value) == "ln of non-positive value -1.0 at node ln"
 
 
 def _el_reference(sys, x, y):

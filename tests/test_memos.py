@@ -182,6 +182,27 @@ def test_every_command_keeps_its_code_in_one_dict_a_copy_drops(tmp_path, monkeyp
         assert not any(k.startswith("_") for k in vars(copy.deepcopy(owner)))
 
 
+def test_el_then_vakonomic_runs_of_a_blockless_model_compile_one_point(tmp_path, monkeypatch):
+    # with no vakonomic block the vakonomic point is L's EL point, kept on
+    # the spec, so the vakonomic run after an el run compiles nothing; a
+    # point's code returns its eleven fields, a monitor's jet fewer
+    spec = copy.deepcopy(load_preset("tq_pendulum").spec)
+    real_load = cli._load_model
+    monkeypatch.setattr(cli, "_load_model", lambda args: {**real_load(args), "spec": spec})
+    sources = []
+    real_compile = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda source: sources.append(source) or real_compile(source))
+    common = ["--preset", "tq_pendulum", "--t1", "0.05", "--out", str(tmp_path / "t.csv"),
+              "--manifest", str(tmp_path / "m.json")]
+    assert main(["simulate", "--mode", "el", *common]) == 0
+    el_sources = len(sources)
+    assert main(["simulate", "--mode", "vakonomic", *common]) == 0
+    assert sources[el_sources:] == []
+    points = [s for s in sources if s.rstrip().splitlines()[-1].count(",") >= 8]
+    assert len(points) == 1
+
+
 def _commands(facts, out):
     modes = [m for m in MODES if m in facts["modes"]]
     yield ["validate", "--points", "3", "--out", out]
@@ -238,6 +259,17 @@ def test_hamilton_mode_solves_the_legendre_inverse_once_per_point(tmp_path, monk
     steps = len(out.read_text().splitlines()) - 2  # the header and row 0
     assert steps == 20
     assert len(solves) == 4 * steps + 1
+
+
+@pytest.mark.parametrize("pid", ["tq_pendulum", "so3_rigid_body", "skinner_rusk_demo"])
+def test_the_hamilton_row_returns_the_field_array_itself(pid):
+    # xdot and pdot are views of one read-only array, which the row returns
+    # without a copy: a repeated point hands out the kept array again
+    mode = MODES["hamilton"](load_preset(pid).spec)
+    y = np.linspace(0.3, 0.9, len(mode.labels))
+    field = mode.rhs(0.0, y)
+    assert field.shape == y.shape and not field.flags.writeable
+    assert mode.rhs(0.0, y) is field
 
 
 def test_vakonomic_mode_runs_the_point_code_once_per_stage(monkeypatch):

@@ -112,18 +112,25 @@ def test_affine_rhs_oracle():
 
 
 def test_unconstrained_block_reduces_to_euler_lagrange():
-    spec = load_preset("skinner_rusk_demo").spec
-    vsys = vakonomic_from_spec(spec)
-    lsys = system_from_spec(spec)
-    assert vsys.constrained == ()
-    assert vsys.state_labels == ("q1", "q2", "v1", "v2")
-    for row in _random_states(vsys.state_labels, 10, seed=3):
-        s = VakState(x=row[:2], ya=row[2:], palpha=np.zeros(0))
-        xdot, yadot, pdot = vakonomic_rhs(vsys, s)
-        el_x, el_y = euler_lagrange_rhs(lsys, EPoint(row[:2], row[2:]))
-        assert_allclose(xdot, el_x, atol=1e-13)
-        assert_allclose(yadot, el_y, atol=1e-13)
-        assert pdot.shape == (0,)
+    # with no constrained index the vakonomic point is L's EL point itself;
+    # every vakonomic preset without one is checked
+    unconstrained = [pid for pid in preset_ids()
+                     if "vakonomic" in load_preset(pid).facts["modes"]
+                     and vakonomic_from_spec(load_preset(pid).spec).constrained == ()]
+    assert unconstrained == ["skinner_rusk_demo", "so3_rigid_body", "tq_pendulum"]
+    for pid in unconstrained:
+        spec = load_preset(pid).spec
+        vsys, lsys = vakonomic_from_spec(spec), system_from_spec(spec)
+        assert vsys.state_labels == lsys.chart.base_names + lsys.chart.fiber_names
+        assert vsys._point is lsys._point
+        m = lsys.chart.m
+        for row in _random_states(vsys.state_labels, 10, seed=3):
+            s = VakState(x=row[:m], ya=row[m:], palpha=np.zeros(0))
+            xdot, yadot, pdot = vakonomic_rhs(vsys, s)
+            el_x, el_y = euler_lagrange_rhs(lsys, EPoint(row[:m], row[m:]))
+            assert xdot.tobytes() == el_x.tobytes(), pid
+            assert yadot.tobytes() == el_y.tobytes(), pid
+            assert pdot.shape == (0,)
 
 
 def test_momenta_and_primary_constraints():
@@ -367,6 +374,9 @@ def test_constructor_validation():
         VakonomicSystem(chart, (7,), (L,), L)
     with pytest.raises(ValueError):
         VakonomicSystem(chart, (2,), (), L)
+    for psi, lt in (((lambda x: 0.0,), L), ((L,), lambda x: 0.0)):
+        with pytest.raises(TypeError, match="expression tree"):
+            VakonomicSystem(chart, (2,), psi, lt)
 
 
 def test_point_data_reports_a_constraint_value_error_before_a_derivative_error():

@@ -12,6 +12,7 @@ from amech import expr, vakonomic
 from amech.algebroid import chart_from_spec
 from amech.cli import main
 from amech.dsl import parse_system, with_params
+from amech.expr import ScalarFunction
 from amech.presets import ids as preset_ids, load as load_preset
 from amech.vakonomic import vakonomic_from_spec
 from strategies import perfbench_workloads
@@ -43,8 +44,9 @@ def _reference(sys, x, ya, palpha):
     point data and the right-hand side were built from before they became
     one generated call."""
     m, v = sys.chart.m, np.concatenate([x, ya])
-    lt_value, g, h = sys._lt.derivatives(v)
-    jets = [f.derivatives(v) for f in sys._psi]
+    names, params = sys.chart.base_names + sys.free_names, sys.chart.params
+    lt_value, g, h = ScalarFunction(names, expr=sys._lt, params=params).derivatives(v)
+    jets = [ScalarFunction(names, expr=f, params=params).derivatives(v) for f in sys._psi]
     psi_value = np.array([jet[0] for jet in jets])
     psi_g = np.array([jet[1] for jet in jets]).reshape(len(jets), v.size)
     psi_h = np.array([jet[2] for jet in jets]).reshape(len(jets), v.size, v.size)
