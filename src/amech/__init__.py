@@ -14,7 +14,7 @@ from .algebroid import (AlgebroidChart, DualObservable, DualPoint,
 from .dsl import (SystemSpec, VakonomicBlock, format_system, parse_expression,
                   parse_system, with_params)
 from .dynamics import (CartanData, EPoint, LagrangianSystem, LegendreEnergy,
-                       RegularityReport, cartan, euler_lagrange_rhs,
+                       QuadraticHamiltonian, RegularityReport, cartan, euler_lagrange_rhs,
                        hamilton_rhs, hamiltonian_from_lagrangian, is_regular,
                        legendre, legendre_inverse, sode_defect,
                        system_from_spec)
@@ -48,7 +48,7 @@ __all__ = [
     "SystemSpec", "VakonomicBlock", "format_system", "parse_expression",
     "parse_system", "with_params",
     "CartanData", "EPoint", "LagrangianSystem", "LegendreEnergy",
-    "RegularityReport", "cartan", "euler_lagrange_rhs", "hamilton_rhs",
+    "QuadraticHamiltonian", "RegularityReport", "cartan", "euler_lagrange_rhs", "hamilton_rhs",
     "hamiltonian_from_lagrangian", "is_regular", "legendre",
     "legendre_inverse", "sode_defect", "system_from_spec",
     "AmechError", "DslError", "EvalDomainError", "InconsistentDynamics",

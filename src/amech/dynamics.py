@@ -2,9 +2,11 @@
 
 Builds the Cartan objects (presymplectic matrix, energy, its differential),
 the Legendre transform, the regular Euler-Lagrange vector field and the
-Hamilton equations on the dual bundle. The induced Hamiltonian
-`LegendreEnergy` holds the one Newton inverse of the Legendre map: for a
-regular L on all of E*, for a singular L on its momentum image, where the
+Hamilton equations on the dual bundle. When the velocity Hessian W is a
+regular constant, the Legendre map is affine in the velocity and the induced
+Hamiltonian is `QuadraticHamiltonian`, a tree in closed form. Otherwise it is
+`LegendreEnergy`, which holds the one Newton inverse of the Legendre map: for
+a regular L on all of E*, for a singular L on its momentum image, where the
 velocities along the kernel directions are pinned to zero. The Lagrangian
 is an expression tree, so every derivative here is exact, the energy's
 included; nothing in this module is differenced.
@@ -12,10 +14,12 @@ One generated mechanics point serves both this module and `vakonomic`: a
 function of (x, y^a, p_alpha) built from the restricted Lagrangian, the
 constraint graph Psi and the spec's anchor and bracket trees. The
 Euler-Lagrange point is that point with no constrained index, so an EL and
-a vakonomic system of one L share its code. The point of a spec and its
-trees, and the E_L function of a Lagrangian, are `expr.kept` entries of the
-spec and of L's root node, so every later system of the same trees reuses
-them.
+a vakonomic system of one L share its code. Where the regularity matrix is
+a constant, the point also solves against it with `regular_solve`'s own
+operations, and each system decides its regularity once. The point of a
+spec and its trees, and the E_L function and closed-form Hamiltonian of a
+Lagrangian, are `expr.kept` entries of the spec and of L's root node, so
+every later system of the same trees reuses them.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ import numpy as np
 
 from .algebroid import (AlgebroidChart, DualPoint, _anchor_drive, as_dual_observable,
                         hamilton_field)
-from .errors import SingularHessian
-from .expr import (Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
-                   keep_last, kept, lazy_generated, partials)
+from .errors import EvalDomainError, SingularHessian
+from .expr import (Binary, Const, Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
+                   evaluate, keep_last, kept, lazy_generated, partials, substitute,
+                   variables_of)
 from .linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
     "hamilton_rhs",
     "hamiltonian_from_lagrangian",
     "LegendreEnergy",
+    "QuadraticHamiltonian",
     "sode_defect",
 ]
 
@@ -70,7 +76,9 @@ class EPoint:
 class LagrangianDerivatives(NamedTuple):
     """L at one bundle point with its derivative blocks, its energy
     E_L = y dL/dy - L and the Euler-Lagrange force system W f = b, W being
-    the velocity Hessian w; rho_y is rho(x) y, the base velocity."""
+    the velocity Hessian w; rho_y is rho(x) y, the base velocity. ydot is f
+    from the point's own solve when W is a constant it solves against, else
+    empty."""
 
     value: float
     lx: np.ndarray
@@ -81,6 +89,7 @@ class LagrangianDerivatives(NamedTuple):
     energy: float
     b: np.ndarray
     rho_y: np.ndarray
+    ydot: np.ndarray
 
 
 class LagrangianSystem:
@@ -101,6 +110,8 @@ class LagrangianSystem:
                                   expr=lagrangian, params=chart.params)
         self._point = _mechanics_point(chart.spec, (), (lagrangian,))
         self._energy: ScalarFunction | None = None
+        # the regularity verdict of a constant W, decided at its first solve
+        self._verdict: tuple[bool, float] | None = None
 
     def value(self, at: EPoint) -> float:
         return self.derivatives(at).value
@@ -118,8 +129,8 @@ class LagrangianSystem:
     def derivatives(self, at: EPoint) -> LagrangianDerivatives:
         """Every field at the point, from one call of the mechanics point with
         nothing constrained; the arrays are the call's own, read-only."""
-        lt, _, ly, lx, w, b, rho_y, _, energy, hxy, hxx = self._point(_packed(at))
-        return LagrangianDerivatives(lt, lx, ly, hxy, w, hxx, energy, b, rho_y)
+        lt, _, ly, lx, w, b, ydot, rho_y, _, energy, hxy, hxx = self._point(_packed(at))
+        return LagrangianDerivatives(lt, lx, ly, hxy, w, hxx, energy, b, rho_y, ydot)
 
     def energy(self, at: EPoint) -> float:
         """E_L = y dL/dy - L, its sum taken left to right."""
@@ -184,8 +195,10 @@ def _point_layout(spec, constrained: tuple[int, ...], trees: tuple[Expr, ...]) -
     """The mechanics point's fields as trees over (x, ya, palpha): Ltilde,
     y_full, p_full, lam = dLtilde/dx - p.dPsi/dx, the regularity matrix R
     and right-hand side rhs of the free-velocity equation R yadot = rhs,
-    xdot, the multiplier drive pdot, H_W1, d p_free/dx (m x n_free) and
-    d lam/dx (m x m).
+    yadot itself when R is a constant that `_solve_trees` solves against
+    (else empty), xdot, the multiplier drive pdot and H_W1; with nothing
+    constrained also d p/dx (m x n) and d lam/dx (m x m), the blocks of L's
+    Hessian that LagrangianDerivatives reads.
 
     The checks walk Ltilde's jet, then the stacked Psi values, gradients and
     Hessians, then rho's and C's entries, so an error is the one the
@@ -225,7 +238,6 @@ def _point_layout(spec, constrained: tuple[int, ...], trees: tuple[Expr, ...]) -
     lam = [first(i) for i in range(m)]
     R = [second((m + a) * nv + m + b) for a in range(nf) for b in range(nf)]
     pfx = [second(i * nv + m + k) for i in range(m) for k in range(nf)]
-    lamx = [second(i * nv + j) for i in range(m) for j in range(m)]
     xdot, drive, tensor_checks = _anchor_drive(spec, lam, y_full, p_full)
     pdot = [drive[a] for a in constrained]
     # the p_a equation, expanded by the chain rule and solved against R
@@ -235,10 +247,61 @@ def _point_layout(spec, constrained: tuple[int, ...], trees: tuple[Expr, ...]) -
     # the free part, then the constrained part, then Ltilde, as pontryagin_H
     h_w1 = _fold("-", _fold("+", _dot(zip([p_full[a] for a in free], ya)),
                             _dot(zip(p, psi))), lt)
+    r = _constant(R, spec.params)
+    yadot = [] if r is None else _solve_trees(r.reshape(nf, nf), rhs)
     groups = [([lt], None, 0), (y_full, (n,), 0), (p_full, (n,), 0), (lam, (m,), 0),
-              (R, (nf, nf), 0), (rhs, (nf,), 0), (xdot, (m,), 0), (pdot, (nc,), 0),
-              ([h_w1], None, 0), (pfx, (m, nf), 0), (lamx, (m, m), 0)]
+              (R, (nf, nf), 0), (rhs, (nf,), 0), (yadot, (len(yadot),), 0), (xdot, (m,), 0),
+              (pdot, (nc,), 0), ([h_w1], None, 0)]
+    if not constrained:
+        lamx = [second(i * nv + j) for i in range(m) for j in range(m)]
+        groups += [(pfx, (m, nf), 0), (lamx, (m, m), 0)]
     return groups, lt_jet + psi_groups + tensor_checks
+
+
+def _constant(trees: list[Expr], params) -> np.ndarray | None:
+    """The values of trees that name only params, from the tree walk, whose
+    bits the generated code repeats; None when a tree names any other
+    variable or fails there."""
+    if any(variables_of(tree) - params.keys() for tree in trees):
+        return None
+    try:
+        return np.array([evaluate(tree, params) for tree in trees])
+    except (ArithmeticError, EvalDomainError):
+        return None
+
+
+def _solve_trees(r: np.ndarray, b: list[Expr]) -> list[Expr]:
+    """Trees of f with r f = b for a constant symmetric r: regular_solve's
+    own operations for r's size class, r's quantities as literals, so f has
+    its bits. [] for a dense r of size 3 or more and for an r those
+    operations would divide by zero.
+
+    1x1 and diagonal: b_a / w_a + 0.0. 2x2: the scaled adjugate,
+    (q b0 - r b1) / det / scale + 0.0. The nodes are built unfolded, so
+    the + 0.0 that turns a -0.0 into +0.0 stays.
+    """
+    def plus_zero(tree: Expr) -> Expr:
+        return Binary("+", tree, _ZERO)
+
+    if not np.all(np.isfinite(r)):
+        return []
+    if len(b) == 2:
+        (p, _), (s, q) = r.tolist()
+        scale = max(abs(p), abs(s), abs(q))
+        if not scale:
+            return []
+        p, s, q = p / scale, s / scale, q / scale
+        det = p * q - s * s
+        if not det:
+            return []
+        return [plus_zero(Binary("/", Binary("/", Binary(
+                    "-", Binary("*", Const(c0), b0), Binary("*", Const(s), b1)),
+                    Const(det)), Const(scale)))
+                for c0, b0, b1 in ((q, b[0], b[1]), (p, b[1], b[0]))]
+    w = r.diagonal()
+    if np.any(r - np.diag(w)) or not np.all(w):
+        return []
+    return [plus_zero(Binary("/", ba, Const(wa))) for ba, wa in zip(b, w.tolist())]
 
 
 def system_from_spec(spec) -> LagrangianSystem:
@@ -299,11 +362,15 @@ def legendre(sys: LagrangianSystem, at: EPoint) -> DualPoint:
 
 
 def legendre_inverse(sys: LagrangianSystem, at: DualPoint) -> EPoint:
-    """Velocity with dL/dy(x, y) = p, by damped Newton seeded at y = p.
+    """Velocity with dL/dy(x, y) = p: the closed form dH/dp of a
+    QuadraticHamiltonian, else by damped Newton seeded at y = p.
 
     Local only; convergence failure raises rather than returning a bad point.
     """
-    return EPoint(at.x, LegendreEnergy(sys)._solve_velocity(at.x, at.p)[0])
+    H = hamiltonian_from_lagrangian(sys)
+    if isinstance(H, QuadraticHamiltonian):
+        return EPoint(at.x, H.gradients(at)[1])
+    return EPoint(at.x, H._solve_velocity(at.x, at.p)[0])
 
 
 @dataclass(frozen=True)
@@ -330,17 +397,32 @@ def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, n
     """Euler-Lagrange vector field at a point of a regular Lagrangian.
 
     Returns (xdot, ydot), xdot = rho y read-only, and ydot from the force
-    system, solved by the same `regular_solve` that gives the Hessian's
-    regularity verdict. at is an EPoint, any (x, y) of float arrays, or
-    the packed vector (x, y).
+    system, as `_solved` gives it with the Hessian's regularity verdict. at
+    is an EPoint, any (x, y) of float arrays, or the packed vector (x, y).
     """
     d = sys.derivatives(at)
-    regular, smin, _, f = regular_solve(d.w, d.b, sys.rank_rtol)
+    regular, smin, f = _solved(sys, d.w, d.b, d.ydot)
     if not regular:
         raise SingularHessian(
             f"velocity Hessian singular (sigma_min={smin:.3e}); "
             "use the constraint algorithm")
     return d.rho_y, f
+
+
+def _solved(sys, r: np.ndarray, rhs: np.ndarray,
+            solution: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
+    """(regular, smallest singular value, f) for r f = rhs at a point of sys.
+
+    solution is the point's own solve, non-empty only when r is a constant:
+    its verdict is then decided once per system, with the system's rank
+    tolerance, and kept on sys. Otherwise `regular_solve` gives both.
+    """
+    if not solution.size:
+        regular, smin, _, f = regular_solve(r, rhs, sys.rank_rtol)
+        return regular, smin, f
+    if sys._verdict is None:
+        sys._verdict = regularity(r, sys.rank_rtol)[:2]
+    return (*sys._verdict, solution)
 
 
 def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -376,9 +458,6 @@ class LegendreEnergy:
         self.transverse_idx = tuple(a for a in range(sys.chart.n)
                                     if a not in self.kernel_idx)
         self._tr = np.array(self.transverse_idx, dtype=np.intp)
-        # without a kernel the solve indexes by slices, which take views
-        self._solve_tr, self._solve_tt = ((self._tr, np.ix_(self._tr, self._tr))
-                                          if self.kernel_idx else (slice(None),) * 2)
         m = sys.chart.m
         # the value, gradients and Hessian at one packed (x, p) share one
         # solve; _solve_velocity is looked up at each call, so a wrap of it
@@ -392,12 +471,10 @@ class LegendreEnergy:
                         p: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
         """Full velocity, read-only, with kernel components zero and
         dL/dy_T = p_T, and the derivatives of L there."""
-        sys, tr, tt = self.sys, self._solve_tr, self._solve_tt
-        n = sys.chart.n
+        sys, tr = self.sys, self._tr
+        tt, n = np.ix_(tr, tr), sys.chart.n
 
         def full(yt: np.ndarray) -> np.ndarray:
-            if not self.kernel_idx:  # yt is the whole velocity
-                return yt
             y = np.zeros(n)
             y[tr] = yt
             return y
@@ -444,14 +521,85 @@ class LegendreEnergy:
         return h
 
 
-def hamiltonian_from_lagrangian(sys: LagrangianSystem) -> LegendreEnergy:
+class QuadraticHamiltonian:
+    """The induced Hamiltonian of an L whose velocity Hessian W is a regular
+    constant, in closed form: H = E_L(x, y) = p y - L(x, y) at the velocity
+    y(x, p) = W^-1 (p - a(x)), a(x) being dL/dy at y = 0.
+
+    With W constant, dL/dy = W y + a(x), so the Legendre Newton's first step
+    from y = p, y = p - W^-1 (dL/dy(x, p) - p), is exact, and y is written
+    so: W^-1 as `_solve_trees` applies it for W's size class (so where the
+    Newton stops after that step, y has its bits), else as literal entries.
+    y goes into E_L and L's gradient by substitution. The value, E_L summed
+    left to right as LegendreEnergy's, and the gradients, the stationarity
+    identities dH/dx = -dL/dx(x, y(x, p)) and dH/dp = y(x, p) that
+    LegendreEnergy reads at its Newton velocity, come from one generated
+    call of (x, p), kept for its last point; the Hessian is the value
+    tree's, as a DualObservable's would be.
+    """
+
+    def __init__(self, chart: AlgebroidChart, lagrangian: Expr, w: np.ndarray):
+        m, params = chart.m, chart.params
+        names = chart.base_names + chart.fiber_names
+        grad = partials(lagrangian, names)
+        p = [Var(name) for name in chart.momentum_names]
+        at_p = dict(zip(chart.fiber_names, p))
+        # the Newton residual at y = p: r = dL/dy(x, p) - p = W p + a(x) - p
+        r = [_fold("-", substitute(tree, at_p), pa) for tree, pa in zip(grad[m:], p)]
+        step = _solve_trees(w, r) or [_dot(zip(map(Const, row), r))
+                                      for row in np.linalg.inv(w).tolist()]
+        y = [_fold("-", pa, da) for pa, da in zip(p, step)]
+        velocity = dict(zip(chart.fiber_names, y))
+        self.expr = substitute(_energy_tree(lagrangian, names, m), velocity)
+        hx = [_fold("-", _ZERO, substitute(tree, velocity)) for tree in grad[:m]]
+        dual_names = chart.base_names + chart.momentum_names
+        self._fields = lazy_generated(
+            dual_names, params,
+            lambda: ([([self.expr], None, 0), (hx, (m,), 0), (y, (chart.n,), 0)], ()))
+        self._sf = ScalarFunction(dual_names, expr=self.expr, params=params)
+
+    def __call__(self, x: np.ndarray, p: np.ndarray) -> float:
+        return self.value(DualPoint(x, p))
+
+    def value(self, at: DualPoint) -> float:
+        return self._fields(np.concatenate([at.x, at.p]))[0]
+
+    def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
+        """(dH/dx, dH/dp), read-only."""
+        return self._fields(np.concatenate([at.x, at.p]))[1:]
+
+    def hessian(self, at: DualPoint) -> np.ndarray:
+        """Second derivatives of H in (x, p)."""
+        return self._sf.hessian(np.concatenate([at.x, at.p]))
+
+
+def hamiltonian_from_lagrangian(
+        sys: LagrangianSystem) -> QuadraticHamiltonian | LegendreEnergy:
     """Energy pushed through the inverse Legendre transform, H(x, p).
 
-    Valid where the Newton inverse converges (hyperregular Lagrangians).
-    The result is callable as H(x, p) and carries exact gradients for the
-    Hamilton equations.
+    A QuadraticHamiltonian when the velocity Hessian W names only params
+    and is regular with the system's rank tolerance; W's values and the
+    QuadraticHamiltonian are found once for the Lagrangian's root node,
+    names and params, and kept on that node.
+    Otherwise a LegendreEnergy, valid where its Newton inverse converges
+    (hyperregular Lagrangians). Either is callable as H(x, p) and carries
+    exact gradients for the Hamilton equations.
     """
-    return LegendreEnergy(sys)
+    lagrangian, names, m, n = sys._sf.expr, sys._sf.names, sys.chart.m, sys.chart.n
+    key = (names, m, tuple(sorted(sys._sf.params.items())))
+
+    def velocity_hessian() -> np.ndarray | None:
+        # the row-major trees of L's Hessian in (x, y)
+        hessian = _jet_layout(lagrangian, names, 2)[0][2][0]
+        w = _constant([hessian[(m + a) * (m + n) + m + b] for a in range(n) for b in range(n)],
+                      sys._sf.params)
+        return None if w is None else w.reshape(n, n)
+
+    w = kept(lagrangian, ("velocity_hessian", *key), velocity_hessian)
+    if w is None or not regularity(w, sys.rank_rtol)[0]:
+        return LegendreEnergy(sys)
+    return kept(lagrangian, ("hamiltonian", *key),
+                lambda: QuadraticHamiltonian(sys.chart, lagrangian, w))
 
 
 def sode_defect(at: EPoint, section_value: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -22,10 +22,10 @@ import numpy as np
 from .algebroid import (AlgebroidChart, DualPoint, chart_from_spec, hamilton_field,
                         lie_poisson_bracket)
 from .dsl import SystemSpec
-from .dynamics import _mechanics_point, _multiplier_names
+from .dynamics import _mechanics_point, _multiplier_names, _solved
 from .errors import MuSolveFailed, SingularR
 from .expr import Expr, kept, substitute, variables_of
-from .linalg import damped_newton, rank_rtol, regular_solve, regularity
+from .linalg import damped_newton, rank_rtol, regularity
 
 __all__ = [
     "VakState",
@@ -95,6 +95,8 @@ class VakonomicSystem:
         self._free_idx = np.array(self.free, dtype=np.intp)
         self._con_idx = np.array(self.constrained, dtype=np.intp)
         self.rank_rtol = rank_rtol()
+        # the regularity verdict of a constant R, decided at its first solve
+        self._verdict: tuple[bool, float] | None = None
 
     @property
     def n_free(self) -> int:
@@ -146,12 +148,13 @@ class _PointData:
     arrays are the call's own, read-only: the full velocity y_full and
     momentum p_full, lam = dLtilde/dx - p.dPsi/dx, the regularity matrix R
     and right-hand side rhs of the free-velocity equation R yadot = rhs,
+    yadot from the point's own solve when R is a constant (else empty),
     xdot, the multiplier drive pdot, and the floats lt_value and h_w1.
     """
 
     def __init__(self, sys: VakonomicSystem, *parts: np.ndarray):
         (self.lt_value, self.y_full, self.p_full, self.lam, self.R, self.rhs,
-         self.xdot, self.pdot, self.h_w1, *_) = sys._point(
+         self.yadot, self.xdot, self.pdot, self.h_w1, *_) = sys._point(
             parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
@@ -225,13 +228,13 @@ def vakonomic_rhs(sys: VakonomicSystem,
     Returns (xdot, yadot, palphadot), the first and last read-only. The
     free-velocity equation comes from expanding the momentum equation for
     p_a by the chain rule and solving against the symmetric regularity
-    matrix, by the same `regular_solve` that gives its verdict. s is a
+    matrix, as `dynamics._solved` gives it with its verdict. s is a
     VakState, or the packed state vector.
     """
     d = _point_data(sys, s)
     if not sys.n_free:
         return d.xdot, np.zeros(0), d.pdot
-    regular, smin, _, yadot = regular_solve(d.R, d.rhs, sys.rank_rtol)
+    regular, smin, yadot = _solved(sys, d.R, d.rhs, d.yadot)
     if not regular:
         raise SingularR(f"regularity matrix singular (sigma_min={smin:.3e}); "
                         "use the constraint algorithm")

@@ -244,6 +244,17 @@ def test_a_repeated_simulate_on_a_preset_generates_nothing(tmp_path, monkeypatch
     assert second.read_bytes() == first.read_bytes()
 
 
+# a cubic velocity term: W = v - 2 depends on the velocity, so its
+# Hamiltonian takes the Legendre Newton
+CUBIC = """\
+system cubic
+base [q]
+fiber [v]
+anchor { v -> (1) }
+lagrangian = v^3/6 - v^2 - 0.5*q^2
+"""
+
+
 def test_hamilton_mode_solves_the_legendre_inverse_once_per_point(tmp_path, monkeypatch):
     # the energy monitor reads each row before the next step starts from it,
     # and that step's first stage finds the row's solve in LegendreEnergy's
@@ -252,9 +263,10 @@ def test_hamilton_mode_solves_the_legendre_inverse_once_per_point(tmp_path, monk
     real_solve = LegendreEnergy._solve_velocity
     monkeypatch.setattr(LegendreEnergy, "_solve_velocity",
                         lambda self, x, p: solves.append(1) or real_solve(self, x, p))
-    out = tmp_path / "h.csv"
-    assert main(["simulate", "--preset", "so3_rigid_body", "--mode", "hamilton",
-                 "--t1", "0.2", "--dt", "0.01", "--out", str(out),
+    model, out = tmp_path / "cubic.amech", tmp_path / "h.csv"
+    model.write_text(CUBIC)
+    assert main(["simulate", str(model), "--mode", "hamilton", "--init", "q=0",
+                 "--init", "p1=2.5", "--t1", "0.2", "--dt", "0.01", "--out", str(out),
                  "--manifest", str(tmp_path / "m.json")]) == 0
     steps = len(out.read_text().splitlines()) - 2  # the header and row 0
     assert steps == 20
@@ -366,8 +378,9 @@ def test_a_repeated_hamilton_simulate_generates_nothing(tmp_path, monkeypatch):
 @pytest.mark.parametrize("pid", preset_ids())
 def test_each_right_hand_side_runs_the_generated_code_once_per_point(pid, monkeypatch):
     # el, sode and vakonomic are one generated call at a fresh point, and
-    # hamilton is one call of L's point code per Legendre Newton point plus
-    # one of the Hamilton field: no numpy assembly reads the chart tensors
+    # hamilton, whose presets all have a constant velocity Hessian, is one
+    # call of the closed-form Hamiltonian and one of the Hamilton field, with
+    # no Legendre Newton: no numpy assembly reads the chart tensors
     runs = []
     real_generate = expr.generate
 
@@ -397,7 +410,7 @@ def test_each_right_hand_side_runs_the_generated_code_once_per_point(pid, monkey
             del runs[:], newton_points[:]
             mode.rhs(0.0, y0 + 0.01 * k)
             if name == "hamilton":
-                assert newton_points and len(runs) == len(newton_points) + 1, name
+                assert newton_points == [] and len(runs) == 2, name
             else:
                 assert len(runs) == 1 and newton_points == [], name
     assert seen

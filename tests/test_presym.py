@@ -11,7 +11,7 @@ from amech import dynamics, presym
 from amech.dsl import parse_system
 from amech.dynamics import (EPoint, LegendreEnergy, cartan,
                             energy_differential, euler_lagrange_rhs,
-                            hamiltonian_from_lagrangian, legendre, system_from_spec)
+                            legendre, system_from_spec)
 from amech.errors import (
     AmechError,
     InconsistentDynamics,
@@ -345,10 +345,11 @@ REGULAR = [pid for pid in preset_ids() if "hamilton" in load_preset(pid).facts["
 @pytest.mark.parametrize("pid", REGULAR)
 def test_regular_hamiltonian_side_is_the_legendre_energy(pid):
     # one class: with an empty kernel the Hamiltonian side's data is the
-    # Hamiltonian of the Hamilton mode, number for number
+    # regular LegendreEnergy, number for number (the Hamilton mode of these
+    # presets takes the closed form, compared in test_constant_hessian.py)
     sys = system_from_spec(load_preset(pid).spec)
     _, data = hamiltonian_problem_from_lagrangian(sys)
-    H = hamiltonian_from_lagrangian(sys)
+    H = LegendreEnergy(sys)
     assert presym.HamiltonianSideData is LegendreEnergy
     assert data.kernel_idx == ()
     rng = np.random.default_rng(9)
