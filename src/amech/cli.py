@@ -23,13 +23,13 @@ from . import presets
 from .algebroid import (DualPoint, DualObservable, chart_from_spec, check_structure,
                         jacobi_residual)
 from .dsl import COLUMN_NAMES, parse_expression, parse_system
-from .dynamics import (EPoint, euler_lagrange_rhs,
+from .dynamics import (EPoint, _constant_velocity_hessian, euler_lagrange_rhs,
                        hamiltonian_from_lagrangian, hamilton_rhs, is_regular,
                        system_from_spec)
 from .errors import (AmechError, DslError, OdeError, SingularHessian, SingularR,
                      UnboundVariableError, UnknownPresetError)
 from .expr import ScalarFunction, variables_of
-from .linalg import min_norm_lstsq, rank_rtol
+from .linalg import min_norm_lstsq, rank_rtol, regularity
 from .odeint import IntegratorConfig, OdeProblem, integrate
 from .presym import (hamiltonian_problem_from_lagrangian, lagrangian_problem,
                      run_constraint_algorithm, solve_on_final)
@@ -210,11 +210,12 @@ def _sode_locus_project(problem, run, sys_, z0: np.ndarray) -> np.ndarray:
         # restricted solve may be inconsistent; only the defect value matters.
         return solve_on_final(problem, z, run=run, tol=np.inf).X[:n] - z[m:]
 
-    z = _project_onto(final.values, final.jacobian, z0)
-    # the defect has no tree, so its rows are differenced
-    z = _project_onto(lambda zz: np.concatenate([final.values(zz), defect(zz)]),
-                      lambda zz: np.vstack([final.jacobian(zz), _fd_gradient(defect, zz)]),
-                      z, tol=1e-10)
+    def read(zz: np.ndarray) -> tuple:
+        # the defect has no tree, so its rows are differenced, only for a step
+        values, rows = final(zz)[:2]
+        return np.append(values, defect(zz)), lambda: np.vstack([rows, _fd_gradient(defect, zz)])
+
+    z, _ = _project_onto(read, _project_onto(final, z0)[0], tol=1e-10)
     solve_on_final(problem, z, run=run)
     return z
 
@@ -281,7 +282,12 @@ def _hamilton_mode(spec) -> Mode:
         return hamilton_rhs(chart, H, point(state))[0].base
 
     def start(y0, seed):
-        if not is_regular(sys_, EPoint(y0[:m], y0[m:])).regular:
+        # a constant W's verdict was made with H; any other W is read at the
+        # velocity that H's Legendre inverse gives the start, kept for the rhs
+        w = _constant_velocity_hessian(sys_)
+        regular = (regularity(w, sys_.rank_rtol)[0] if w is not None else
+                   is_regular(sys_, EPoint(y0[:m], H.gradients(point(y0))[1])).regular)
+        if not regular:
             raise SingularHessian("Lagrangian is singular; run `amech constrain` "
                                   "for the Hamiltonian-side algorithm")
         return y0
@@ -419,7 +425,7 @@ def cmd_constrain(args) -> int:
     seeds = [rng.uniform(0.6, 1.4, size=chart.m + chart.n)
              for _ in range(args.probes)]
     run = run_constraint_algorithm(problem, seeds)
-    solved = solve_on_final(problem, run.probes[0], run=run)
+    solved = solve_on_final(problem, run.probes[0], basis=run.final_basis)
     report = {
         "system": spec.name,
         "side": args.side,

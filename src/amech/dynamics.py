@@ -585,8 +585,22 @@ def hamiltonian_from_lagrangian(
     (hyperregular Lagrangians). Either is callable as H(x, p) and carries
     exact gradients for the Hamilton equations.
     """
+    w = _constant_velocity_hessian(sys)
+    if w is None or not regularity(w, sys.rank_rtol)[0]:
+        return LegendreEnergy(sys)
+    return kept(sys._sf.expr, ("hamiltonian", *_lagrangian_key(sys)),
+                lambda: QuadraticHamiltonian(sys.chart, sys._sf.expr, w))
+
+
+def _lagrangian_key(sys: LagrangianSystem) -> tuple:
+    return sys._sf.names, sys.chart.m, tuple(sorted(sys._sf.params.items()))
+
+
+def _constant_velocity_hessian(sys: LagrangianSystem) -> np.ndarray | None:
+    """The velocity Hessian W when its trees name only params, else None;
+    found once for the Lagrangian's root node, names and params, and kept on
+    that node."""
     lagrangian, names, m, n = sys._sf.expr, sys._sf.names, sys.chart.m, sys.chart.n
-    key = (names, m, tuple(sorted(sys._sf.params.items())))
 
     def velocity_hessian() -> np.ndarray | None:
         # the row-major trees of L's Hessian in (x, y)
@@ -595,11 +609,7 @@ def hamiltonian_from_lagrangian(
                       sys._sf.params)
         return None if w is None else w.reshape(n, n)
 
-    w = kept(lagrangian, ("velocity_hessian", *key), velocity_hessian)
-    if w is None or not regularity(w, sys.rank_rtol)[0]:
-        return LegendreEnergy(sys)
-    return kept(lagrangian, ("hamiltonian", *key),
-                lambda: QuadraticHamiltonian(sys.chart, lagrangian, w))
+    return kept(lagrangian, ("velocity_hessian", *_lagrangian_key(sys)), velocity_hessian)
 
 
 def sode_defect(at: EPoint, section_value: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -222,7 +222,8 @@ def _is(node: Expr, value: float) -> bool:
 
 
 def _fold(op: str, a: Expr, b: Expr) -> Expr:
-    """The node a op b, with constant arithmetic, zeros and ones folded away."""
+    """The node a op b, with constant arithmetic, zeros, ones and double
+    negations folded away."""
     if isinstance(a, Const) and isinstance(b, Const) and not (op == "/" and b.value == 0.0):
         return Const(_BINARY_FN[op](a.value, b.value))
     if (_is(a, 0.0) and op in "*/") or (_is(b, 0.0) and op == "*"):
@@ -232,7 +233,8 @@ def _fold(op: str, a: Expr, b: Expr) -> Expr:
     if (_is(a, 0.0) and op == "+") or (_is(a, 1.0) and op == "*"):
         return b
     if _is(a, 0.0) and op == "-":
-        return Unary("neg", b)
+        # -(-x) is x, bit for bit
+        return b.arg if isinstance(b, Unary) and b.op == "neg" else Unary("neg", b)
     return Binary(op, a, b)
 
 

@@ -55,21 +55,23 @@ def null_space(a: np.ndarray) -> np.ndarray:
 
     A matrix with no rows constrains nothing, so the basis is the identity.
     """
-    return _null_space(a, guarded=False)
+    return _spaces(a, guarded=False)[1]
 
 
-def _null_space(a: np.ndarray, guarded: bool) -> np.ndarray:
-    """null_space from one SVD, with decide_rank's guard when guarded."""
+def _spaces(a: np.ndarray, guarded: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """(orthonormal rows spanning a's rows, null_space(a), a's largest
+    singular value) from one SVD, with decide_rank's guard when guarded."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not np.any(a):
-        return np.eye(a.shape[1])
+        return np.zeros((0, a.shape[1])), np.eye(a.shape[1]), 0.0
     _, s, vt = np.linalg.svd(a)
-    return vt[_count(s, guarded):].T
+    rank = _count(s, guarded)
+    return vt[:rank], vt[rank:].T, float(s[0])
 
 
 def row_space_rank(a: np.ndarray) -> int:
     """Numerical rank with the shared relative threshold."""
-    return _rank(a, guarded=False)
+    return len(_spaces(a, guarded=False)[0])
 
 
 def decide_rank(a: np.ndarray) -> int:
@@ -80,14 +82,7 @@ def decide_rank(a: np.ndarray) -> int:
     they raise RankAmbiguous so the caller can surface the problem instead of
     silently picking a manifold dimension.
     """
-    return _rank(a, guarded=True)
-
-
-def _rank(a: np.ndarray, guarded: bool) -> int:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0 or not np.any(a):
-        return 0
-    return _count(np.linalg.svd(a, compute_uv=False), guarded)
+    return len(_spaces(a, guarded=True)[0])
 
 
 def _count(s: np.ndarray, guarded: bool) -> int:

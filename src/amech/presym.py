@@ -1,21 +1,19 @@
 """Pointwise constraint algorithm for presymplectic systems on algebroids.
 
-A problem bundles the presymplectic matrix field, the forcing covector and
-the anchor that maps fiber directions to coordinate tangents. The engine
-grows a sequence of constraint levels until the forcing is compatible with
-the admissible fiber directions, then solves the restricted dynamical
-equation. A level's constraints are one `Constraints` value: the problem's
-primary constraints, then the pairing z -> alpha(z) @ E of the forcing with
-the directions E that every level so far kept, one component per column.
-The Lagrangian and Hamiltonian sides of a concrete system are wired up by the
-two problem builders at the bottom.
-
-The Hamiltonian side takes its Hamiltonian and Hessian from
-`dynamics.LegendreEnergy` with the kernel of the velocity Hessian, and its
-primary constraints from one call of L's derivatives. Every problem carries
-the exact Jacobian of its forcing, so constraint gradients are exact: the
-pairing's Jacobian is E^T d(alpha). Nothing here is differenced; only the
-SODE defect that `cli` projects onto has differenced rows.
+A problem bundles the presymplectic matrix field, the forcing covector, its
+exact Jacobian and the anchor from fiber directions to coordinate tangents.
+The engine grows constraint levels until the forcing is compatible with the
+admissible fiber directions, then solves the restricted dynamical equation.
+A level's constraints are one `Constraints` value, the problem's primaries
+then the pairing z -> alpha(z) @ E with the directions E kept so far; one
+call of it reads each callable once and returns the values with their exact
+rows, and a probe keeps the read its projection ended on. A probe's rank is
+one SVD of its rows; a candidate's rank test folds the rows kept before it
+into that row basis, a Gram-Schmidt step judged by the one rank rule.
+Nothing here is differenced; only the SODE defect that `cli` projects onto
+has differenced rows. The two builders at the bottom wire up the Lagrangian
+side and the Hamiltonian side, which takes its Hamiltonian from
+`dynamics.LegendreEnergy` with the kernel of the velocity Hessian.
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ from .errors import (AmechError, InconsistentDynamics,
 # call time: the traced benchmark run (perfbench/spans.py) wraps
 # `presym._fd_gradient`.
 from .expr import _fd_gradient
-from .linalg import (_null_space, damped_newton, decide_rank, min_norm_lstsq, null_space,
-                     regularity, row_space_rank)
+from .linalg import (_count, _spaces, damped_newton, min_norm_lstsq, null_space, regularity,
+                     row_space_rank)
 
 __all__ = [
     "PresymplecticProblem",
@@ -85,38 +83,32 @@ class PresymplecticProblem:
 class Constraints:
     """A level's constraints: the problem's primaries, then z -> alpha(z) @ e.
 
-    The columns of e are the directions every level so far kept, side by
-    side, so alpha and alpha_jacobian are each called once per point
-    whatever the number of levels, and not at all when e has no columns.
+    The columns of e are the directions every level so far kept, side by side.
+    A call at z reads the primaries, alpha and alpha_jacobian once each (the
+    last two not when e has no columns) and returns the values, their exact
+    rows (primary rows, then e^T d(alpha)), and alpha and alpha_jacobian or None.
     """
 
     problem: PresymplecticProblem
     e: np.ndarray
 
-    def values(self, z: np.ndarray) -> np.ndarray:
-        """Primary values, then the pairings, as one vector."""
-        parts = [np.zeros(0)]
-        if self.problem.primary is not None:
-            parts.append(self.problem.primary(z)[0])
-        if self.e.shape[1]:
-            parts.append(self.problem.alpha(z) @ self.e)
-        return np.concatenate(parts)
-
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Rows of the values' Jacobian at z: the primary rows, then
-        e^T d(alpha)."""
-        rows = [np.zeros((0, self.problem.d))]
-        if self.problem.primary is not None:
-            rows.append(self.problem.primary(z)[1])
-        if self.e.shape[1]:
-            rows.append(self.e.T @ self.problem.alpha_jacobian(z))
-        return np.vstack(rows)
+    def __call__(self, z: np.ndarray) -> tuple:
+        problem, e = self.problem, self.e
+        parts = [(np.zeros(0), np.zeros((0, problem.d)))]
+        if problem.primary is not None:
+            parts.append(problem.primary(z))
+        alpha = alpha_jacobian = None
+        if e.shape[1]:
+            alpha, alpha_jacobian = problem.alpha(z), problem.alpha_jacobian(z)
+            parts.append((alpha @ e, e.T @ alpha_jacobian))
+        values, rows = zip(*parts)
+        return np.concatenate(values), np.vstack(rows), alpha, alpha_jacobian
 
 
 def _constraint_jacobian(constraints: Constraints, z: np.ndarray) -> np.ndarray:
     """Rows of the constraint values' Jacobian at z; a module-level name that
     the traced benchmark run (perfbench/spans.py) wraps."""
-    return constraints.jacobian(z)
+    return constraints(z)[1]
 
 
 def kernel(omega_matrix: np.ndarray) -> np.ndarray:
@@ -141,8 +133,8 @@ def perp(omega_matrix: np.ndarray, f_basis: np.ndarray) -> np.ndarray:
 
 def _fiber_basis(problem: PresymplecticProblem, j: np.ndarray,
                  z: np.ndarray) -> np.ndarray:
-    """Rank-guarded basis of the admissible fiber directions cut out by rows j."""
-    return _null_space(j @ problem.anchor(z), guarded=True)
+    """Rank-guarded orthonormal basis of the admissible fiber directions cut out by rows j."""
+    return _spaces(j @ problem.anchor(z), guarded=True)[1]
 
 
 @dataclass(frozen=True)
@@ -169,13 +161,14 @@ class ConstraintRun:
     levels: tuple[ConstraintLevel, ...]
     stabilization_level: int
     probes: tuple[np.ndarray, ...]
+    final_basis: np.ndarray | None = None  # the last level's fiber basis at probes[0]
 
     @property
     def final_constraints(self) -> Constraints:
         return self.levels[-1].constraints
 
     def membership_residual(self, z: np.ndarray) -> float:
-        return float(np.max(np.abs(self.final_constraints.values(z)), initial=0.0))
+        return float(np.max(np.abs(self.final_constraints(z)[0]), initial=0.0))
 
     def report(self) -> dict:
         return {"levels": [lvl.report() for lvl in self.levels],
@@ -191,46 +184,65 @@ def consistency_residual(problem: PresymplecticProblem, z: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     e_basis = _fiber_basis(problem, _constraint_jacobian(level.constraints, z), z)
-    v = perp(problem.omega(z), e_basis)
-    if not v.shape[1]:
-        return 0.0
-    pair = problem.alpha(z) @ v
-    return float(np.max(np.abs(pair)))
+    pair = problem.alpha(z) @ null_space(e_basis.T @ problem.omega(z).T)
+    return float(np.max(np.abs(pair), initial=0.0))
 
 
-def _project_onto(values: Callable[[np.ndarray], np.ndarray],
-                  jacobian: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
-                  tol: float = 1e-12) -> np.ndarray:
-    """Move a point onto the zero set of values, whose Jacobian rows are
-    jacobian, by damped Gauss-Newton."""
+def _project_onto(read: Callable[[np.ndarray], tuple], z0: np.ndarray,
+                  tol: float = 1e-12) -> tuple[np.ndarray, tuple]:
+    """Move a point onto the zero set of read(z) = (values, rows, ...) by damped
+    Gauss-Newton; returns it and its read. rows are the values' Jacobian rows,
+    or a function giving them that only a step calls."""
 
-    def step(zz: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return min_norm_lstsq(jacobian(zz), r)[0]
+    def residual(zz: np.ndarray) -> tuple[np.ndarray, tuple]:
+        data = read(zz)
+        return data[0], data
 
-    return damped_newton(lambda zz: (values(zz), zz), step, z0,
-                         "constraint projection", tol=tol)[0]
+    def step(data: tuple, r: np.ndarray) -> np.ndarray:
+        return min_norm_lstsq(data[1]() if callable(data[1]) else data[1], r)[0]
+
+    return damped_newton(residual, step, z0, "constraint projection", tol=tol)
+
+
+def _grown(basis: np.ndarray, scale: float, row: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Orthonormal rows basis and their scale with row folded in, and whether
+    it added rank: whether `_count` with decide_rank's guard counts the size
+    of its component off basis against the larger of scale and |row|."""
+    off = row - (basis @ row) @ basis
+    size, scale = float(np.linalg.norm(off)), max(scale, float(np.linalg.norm(row)))
+    if not size or _count(np.array([scale, size]), guarded=True) < 2:
+        return basis, scale, False
+    return np.vstack([basis, off / size]), scale, True
 
 
 def _kept_columns(problem: PresymplecticProblem, e: np.ndarray,
-                  probes: Sequence[np.ndarray], jacs: Sequence[np.ndarray]) -> list[int]:
+                  projected: Sequence[tuple[np.ndarray, tuple]],
+                  spans: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> list[int]:
     """Columns of e whose pairing z -> alpha(z) @ e[:, c] cuts the probe set further.
 
     A column whose pairing is nonzero at some probe is kept; one that
     vanishes at every probe is kept when its gradient is not noise and adds
-    rank, at some probe, to the accumulated rows jacs[p] plus the rows kept
-    before it.
+    rank, at some probe, to the probe's rows (in spans) and the rows kept
+    before it, folded in when a candidate reaches the probe.
     """
-    values = np.vstack([problem.alpha(z) @ e for z in probes])
-    vanishes = ~np.any(np.abs(values) > ZERO_VALUE_TOL, axis=0)
-    grads = [e.T @ problem.alpha_jacobian(z) for z in probes] if vanishes.any() else []
+    alphas = [problem.alpha(z) if read[2] is None else read[2] for z, read in projected]
+    vanishes = ~np.any(np.abs(np.vstack([a @ e for a in alphas])) > ZERO_VALUE_TOL, axis=0)
+    grads = [e.T @ (problem.alpha_jacobian(z) if read[3] is None else read[3])
+             for z, read in projected] if vanishes.any() else []
     kept: list[int] = []
+    held = [[basis, scale, 0] for basis, _, scale in spans]  # and the kept rows folded in
+
+    def adds_rank(p: int, c: int) -> bool:
+        g, (basis, scale, count) = grads[p], held[p]
+        for row in g[kept[count:]]:
+            basis, scale, _ = _grown(basis, scale, row)
+        held[p] = [basis, scale, len(kept)]
+        return _grown(basis, scale, g[c])[2]
+
     for c in range(vanishes.size):
-        if not vanishes[c]:
-            kept.append(c)
-        elif (any(np.max(np.abs(g[c]), initial=0.0) > ZERO_GRAD_TOL for g in grads)
-              and any(decide_rank(np.vstack([j, g[kept + [c]]]))
-                      > decide_rank(np.vstack([j, g[kept]]))
-                      for j, g in zip(jacs, grads))):
+        if (not vanishes[c]
+                or any(np.max(np.abs(g[c]), initial=0.0) > ZERO_GRAD_TOL for g in grads)
+                and any(adds_rank(p, c) for p in range(len(grads)))):
             kept.append(c)
     return kept
 
@@ -239,39 +251,39 @@ def run_constraint_algorithm(problem: PresymplecticProblem,
                              seeds: Sequence[np.ndarray]) -> ConstraintRun:
     """Grow constraint levels until the forcing is compatible at every probe.
 
-    Probe points are projected onto each new zero set. The candidate
-    directions are the omega-orthogonal complements of the admissible ones at
-    every probe; those kept join the columns of E in the next level's
-    constraints, the primaries and z -> alpha(z) @ E. A level is final when
-    none is kept.
+    Probe points are projected onto each new zero set, whose last read is the
+    probe's. The candidate directions are the omega-orthogonal complements of
+    the admissible ones at every probe; those kept join the columns of E in
+    the next level's constraints, the primaries and z -> alpha(z) @ E. A
+    level is final when none is kept.
     """
     if not seeds:
         raise ValueError("need at least one seed point")
     accumulated = Constraints(problem, np.zeros((problem.r, 0)))
-    probes = [_project_onto(accumulated.values, accumulated.jacobian,
-                            np.asarray(s, dtype=float)) for s in seeds]
+    projected = [_project_onto(accumulated, np.asarray(s, dtype=float)) for s in seeds]
 
     levels: list[ConstraintLevel] = []
     old_rank = 0
     for k in range(MAX_LEVELS):
-        jacs = [_constraint_jacobian(accumulated, z) for z in probes]
-        rank = max(decide_rank(j) for j in jacs)
-        bases = [_fiber_basis(problem, j, z) for j, z in zip(jacs, probes)]
+        spans = [_spaces(read[1], guarded=True) for _, read in projected]
+        rank = max(len(rows) for rows, _, _ in spans)
+        bases = [_fiber_basis(problem, read[1], z) for z, read in projected]
         levels.append(ConstraintLevel(
             k=k, constraints=accumulated, new_rank=rank - old_rank,
             fiber_constraint_rank=problem.r - bases[0].shape[1],
-            probe_residuals=tuple(float(np.max(np.abs(accumulated.values(z)),
-                                               initial=0.0)) for z in probes)))
+            probe_residuals=tuple(float(np.max(np.abs(read[0]), initial=0.0))
+                                  for _, read in projected)))
         old_rank = rank
 
-        e = np.hstack([perp(problem.omega(z), b) for z, b in zip(probes, bases)])
-        kept = _kept_columns(problem, e, probes, jacs) if e.shape[1] else []
+        # perp of each basis, without its rank check: the bases are orthonormal
+        e = np.hstack([null_space(b.T @ problem.omega(z).T)
+                       for (z, _), b in zip(projected, bases)])
+        kept = _kept_columns(problem, e, projected, spans) if e.shape[1] else []
         if not kept:
-            return ConstraintRun(problem=problem, levels=tuple(levels),
-                                 stabilization_level=k, probes=tuple(probes))
+            return ConstraintRun(problem=problem, levels=tuple(levels), stabilization_level=k,
+                                 probes=tuple(z for z, _ in projected), final_basis=bases[0])
         accumulated = Constraints(problem, np.hstack([accumulated.e, e[:, kept]]))
-        probes = [_project_onto(accumulated.values, accumulated.jacobian, z)
-                  for z in probes]
+        projected = [_project_onto(accumulated, z) for z, _ in projected]
 
     raise MaxLevelsExceeded(f"no stabilization within {MAX_LEVELS} levels")
 
@@ -349,10 +361,10 @@ def sode_extract(sys: LagrangianSystem, run: ConstraintRun, at: EPoint) -> SodeR
 # Problem builders for the two sides of a Lagrangian system
 
 
-def _prolongation_anchor(chart, x: np.ndarray) -> np.ndarray:
+def _prolongation_anchor(chart, z: np.ndarray) -> np.ndarray:
     m, n = chart.m, chart.n
     out = np.zeros((m + n, 2 * n))
-    out[:m, :n] = chart.rho(x)
+    out[:m, :n] = chart.rho(z[:m])
     out[m:, n:] = np.eye(n)
     return out
 
@@ -389,11 +401,9 @@ def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
         _, g, h = sys.energy_derivatives(z)
         return _forcing_jacobian(chart, z[:m], g, h)
 
-    def anchor(z: np.ndarray) -> np.ndarray:
-        return _prolongation_anchor(chart, z[:m])
-
     return PresymplecticProblem(d=m + n, r=2 * n, omega=omega, alpha=alpha,
-                                anchor=anchor, alpha_jacobian=alpha_jacobian)
+                                anchor=functools.partial(_prolongation_anchor, chart),
+                                alpha_jacobian=alpha_jacobian)
 
 
 def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
@@ -474,10 +484,8 @@ def hamiltonian_problem_from_lagrangian(
         return _forcing_jacobian(chart, at.x, np.concatenate(data.gradients(at)),
                                  data.hessian(at))
 
-    def anchor(z: np.ndarray) -> np.ndarray:
-        return _prolongation_anchor(chart, z[:m])
-
     problem = PresymplecticProblem(
-        d=m + n, r=2 * n, omega=omega, alpha=alpha, anchor=anchor,
+        d=m + n, r=2 * n, omega=omega, alpha=alpha,
+        anchor=functools.partial(_prolongation_anchor, chart),
         alpha_jacobian=alpha_jacobian, primary=primary)
     return problem, data

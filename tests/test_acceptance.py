@@ -162,10 +162,10 @@ def test_c04_constraint_algorithm_stabilizes_both_sides():
     rng = np.random.default_rng(4)
     worst_l = worst_h = worst_zero = 0.0
     for _ in range(50):
-        zl = _project_onto(lfinal.values, lfinal.jacobian, rng.uniform(-1.0, 1.0, size=7))
+        zl = _project_onto(lfinal, rng.uniform(-1.0, 1.0, size=7))[0]
         worst_l = max(worst_l, lrun.membership_residual(zl))
         worst_zero = max(worst_zero, abs(zl[0]), abs(zl[1]))
-        zh = _project_onto(hfinal.values, hfinal.jacobian, rng.uniform(-1.0, 1.0, size=7))
+        zh = _project_onto(hfinal, rng.uniform(-1.0, 1.0, size=7))[0]
         worst_h = max(worst_h, hrun.membership_residual(zh))
         worst_zero = max(worst_zero, abs(zh[0]), abs(zh[1]),
                          abs(zh[3]), abs(zh[4]))
@@ -222,7 +222,7 @@ def test_c06_legendre_maps_final_set_into_final_set():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(50):
-        zl = _project_onto(lfinal.values, lfinal.jacobian, rng.uniform(-1.0, 1.0, size=7))
+        zl = _project_onto(lfinal, rng.uniform(-1.0, 1.0, size=7))[0]
         dp = legendre(sys_, EPoint(zl[:3], zl[3:]))
         worst = max(worst, hrun.membership_residual(np.concatenate([dp.x, dp.p])))
     _verdict(6, worst < 1e-8, f"image membership residual {worst:.2e} (< 1e-08)")

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from amech import cli, dynamics
+from amech import cli, dynamics, expr
 from amech.algebroid import DualPoint
 from amech.cli import MODES, main
 from amech.dsl import parse_system
@@ -234,3 +234,48 @@ def test_the_hamilton_row_reaches_hamilton_rhs_by_its_module_level_name(monkeypa
         monkeypatch.setattr(module, "hamilton_rhs", wrapped)
     mode.rhs(0.0, np.array([0.3, 0.4, 0.5]))
     assert len(calls) == 1
+
+
+def test_the_hamilton_start_reads_w_at_the_legendre_inverse_velocity(tmp_path, monkeypatch,
+                                                                     capsys):
+    # the start's momentum is not a velocity: W = v - 2 is read at the v
+    # whose momentum v^2/2 - 2v is p1, the velocity the first rhs reuses
+    model = tmp_path / "cubic.amech"
+    model.write_text(CUBIC)
+    argv = ["simulate", str(model), "--mode", "hamilton", "--init", "q=0", "--t1", "1",
+            "--dt", "1e-2", "--out", str(tmp_path / "o.csv"),
+            "--manifest", str(tmp_path / "m.json")]
+    read, is_regular = [], cli.is_regular
+    monkeypatch.setattr(cli, "is_regular", lambda s, at: read.append(at.y) or is_regular(s, at))
+    assert main(argv + ["--init", "p1=2.5"]) == 0
+    [y] = read
+    assert y[0] != 2.5 and y[0] ** 2 / 2 - 2 * y[0] == pytest.approx(2.5, abs=1e-12)
+    # at p1 = 2 the momentum read as a velocity is where W = 0; the start is
+    # no longer refused as singular, and the Legendre Newton, seeded there,
+    # names its own failure (exit 1)
+    capsys.readouterr()
+    assert main(argv + ["--init", "p1=2"]) == 1
+    err = capsys.readouterr().err
+    assert "Legendre inverse" in err and "singular" in err and "Lagrangian is singular" not in err
+
+
+def test_a_constant_w_hamilton_run_compiles_no_lagrangian_point(tmp_path, monkeypatch):
+    # the start takes the verdict the closed-form Hamiltonian was built on,
+    # so L's mechanics point is never generated
+    text = ("system quad\nbase [q]\nfiber [v, w]\nanchor { v -> (1); w -> (0) }\n"
+            "params { a = 2.0 }\nlagrangian = 0.5*(v^2 + a*w^2) + q*v - cos(q)\n")
+    sources, compile_ = [], expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
+                        or compile_(source))
+    sys_ = system_from_spec(copy.deepcopy(parse_system(text)))
+    assert isinstance(hamiltonian_from_lagrangian(sys_), QuadraticHamiltonian)
+    sources.clear()
+    sys_.derivatives(np.array([0.1, 0.2, 0.3]))
+    [point] = sources
+    sources.clear()
+    model = tmp_path / "quad.amech"
+    model.write_text(text)
+    assert main(["simulate", str(model), "--mode", "hamilton", "--init", "p1=0.3",
+                 "--t1", "0.05", "--dt", "1e-2", "--out", str(tmp_path / "o.csv"),
+                 "--manifest", str(tmp_path / "m.json")]) == 0
+    assert sources and point not in sources

@@ -1,5 +1,6 @@
 """Expression trees, symbolic differentiation, and ScalarFunction."""
 
+import copy
 import itertools
 import math
 import pickle
@@ -495,6 +496,28 @@ def _sources(monkeypatch):
     monkeypatch.setattr(expr_module, "_compile",
                         lambda source: sources.append(source) or compile_(source))
     return sources
+
+
+def test_a_double_negation_folds_to_its_operand():
+    # -(-x) is x bit for bit, so 0 - (-x) and -(0 - x) build no negation
+    assert _fold("-", Const(0.0), Unary("neg", X)) is X
+    assert _fold("-", Const(0.0), _fold("-", Const(0.0), X)) is X
+    assert _fold("-", Const(0.0), X) == Unary("neg", X)
+
+
+def test_the_pendulum_point_negates_no_negation(monkeypatch):
+    # d(-(1 - cos q))/dq was built as 0 - (0 - -sin q): three negations in a
+    # row, now one; its values keep their bits (the reference CSVs)
+    from amech.dynamics import system_from_spec
+    from amech.presets import load as load_preset
+
+    sources = _sources(monkeypatch)
+    system_from_spec(copy.deepcopy(load_preset("tq_pendulum").spec)).derivatives(
+        np.array([0.3, 0.4]))
+    [source] = sources
+    negated = dict(re.findall(r"^    (t\d+) = -(t\d+)$", source, re.MULTILINE))
+    assert negated, source
+    assert not set(negated) & set(negated.values()), source
 
 
 def test_literal_statements_are_folded_where_the_code_is_generated(monkeypatch):

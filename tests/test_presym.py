@@ -20,7 +20,7 @@ from amech.errors import (
     RankAmbiguous,
 )
 from amech.expr import _fd_gradient
-from amech.linalg import rank_rtol
+from amech.linalg import _spaces, decide_rank, rank_rtol
 from amech.presets import ids as preset_ids, load as load_preset
 from amech.presym import (
     ConstraintLevel,
@@ -150,6 +150,85 @@ def test_the_fiber_basis_refuses_a_rank_inside_the_band():
         _fiber_basis(problem, np.eye(2), np.zeros(2))
 
 
+def test_the_fiber_basis_is_orthonormal():
+    # the loop takes omega-orthogonal complements of it without perp's check
+    rng = np.random.default_rng(13)
+    for side in SIDES:
+        problem = _problem(_ck(), side)
+        for z in _seeds(3, 4, 3, seed=14):
+            for j in (np.zeros((0, problem.d)), rng.normal(size=(2, problem.d)),
+                      np.eye(problem.d)[[0, 1, 3]]):
+                basis = _fiber_basis(problem, j, z)
+                assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-14)
+                assert np.max(np.abs(j @ problem.anchor(z) @ basis), initial=0.0) < 1e-12
+
+
+# -- incremental rank of the kept columns ---------------------------------------
+
+
+def _pairing_problem(rows):
+    """A problem whose pairings all vanish and whose candidate gradients, with
+    e the identity, are rows."""
+    rows = np.asarray(rows, dtype=float)
+    return PresymplecticProblem(d=rows.shape[1], r=rows.shape[0], omega=None,
+                                alpha=lambda z: np.zeros(rows.shape[0]), anchor=None,
+                                alpha_jacobian=lambda z: rows)
+
+
+def _kept(rows, constraint_rows=None, probes=1):
+    problem = _pairing_problem(rows)
+    j = np.zeros((0, problem.d)) if constraint_rows is None else constraint_rows
+    read = (np.zeros(len(j)), j, None, None)
+    return presym._kept_columns(problem, np.eye(problem.r), [(np.zeros(problem.d), read)] * probes,
+                                [_spaces(j, guarded=True)] * probes)
+
+
+def _kept_by_rank(rows, constraint_rows):
+    # the rule the incremental basis replaces: a vanishing column adds rank
+    # when decide_rank of the rows with it exceeds decide_rank without it
+    kept = []
+    for c, row in enumerate(rows):
+        with_c = np.vstack([constraint_rows, rows[kept + [c]]])
+        if decide_rank(with_c) > decide_rank(np.vstack([constraint_rows, rows[kept]])):
+            kept.append(c)
+    return kept
+
+
+def test_a_row_off_the_kept_rows_by_1e_9_is_ambiguous():
+    for off in (1e-9, 1e-10, 1e-8):
+        rows = [[1.0, 0.0, 0.0], [1.0, off, 0.0]]
+        with pytest.raises(RankAmbiguous):
+            _kept(rows)
+        with pytest.raises(RankAmbiguous):
+            decide_rank(np.array(rows))
+
+
+def test_a_row_off_the_kept_rows_by_1e_13_adds_no_rank():
+    rows = [[1.0, 0.0, 0.0], [1.0, 1e-13, 0.0], [0.0, 0.0, 2.0], [3.0, 1e-13, -4.0]]
+    assert _kept(rows) == [0, 2]
+    # off the constraint rows too, and at every probe of several
+    assert _kept(rows[1:], constraint_rows=np.array([[2.0, 0.0, 0.0]]), probes=3) == [1]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_kept_columns_agree_with_the_accumulated_rank(data):
+    # integer rows, some sums of others: the incremental basis keeps what
+    # comparing decide_rank with and without each row keeps
+    d = data.draw(st.integers(min_value=1, max_value=5))
+    entries = st.integers(min_value=-3, max_value=3)
+    base = np.array(data.draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                       min_size=1, max_size=4)), dtype=float)
+    picks = data.draw(st.lists(st.lists(st.integers(0, len(base) - 1), max_size=3),
+                               min_size=1, max_size=5))
+    rows = np.vstack([base] + [base[p].sum(axis=0, keepdims=True) for p in picks if p])
+    order = data.draw(st.permutations(range(len(rows))))
+    rows = rows[list(order)]
+    j = np.array(data.draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                    max_size=2)), dtype=float).reshape(-1, d)
+    assert _kept(rows, j) == _kept_by_rank(rows, j)
+
+
 # -- projection helper --------------------------------------------------------
 
 
@@ -158,15 +237,19 @@ def _circle(z):
 
 
 def test_project_onto_circle():
-    z = _project_onto(_circle, lambda z: _fd_gradient(_circle, z), np.array([2.0, 1.0]))
+    z, (values, rows) = _project_onto(lambda z: (_circle(z), _fd_gradient(_circle, z)),
+                                      np.array([2.0, 1.0]))
     assert abs(np.hypot(z[0], z[1]) - 1.0) < 1e-10
+    # the read of the point it returns
+    assert np.array_equal(values, _circle(z))
+    assert np.array_equal(rows, _fd_gradient(_circle, z))
 
 
 def test_project_onto_reports_failure():
     # g has no zeros, so the projection cannot converge
     g = lambda z: np.array([z[0] ** 2 + 1.0])
     with pytest.raises(NewtonFailed):
-        _project_onto(g, lambda z: _fd_gradient(g, z), np.array([0.5]))
+        _project_onto(lambda z: (g(z), _fd_gradient(g, z)), np.array([0.5]))
 
 
 # -- regular Lagrangian: level zero, solve equals the direct field ------------
@@ -177,7 +260,7 @@ def test_regular_system_stabilizes_immediately():
     problem = lagrangian_problem(sys)
     run = run_constraint_algorithm(problem, _seeds(1, 1, 3, seed=0))
     assert run.stabilization_level == 0
-    assert run.final_constraints.values(np.array([0.3, 0.4])).size == 0
+    assert run.final_constraints(np.array([0.3, 0.4]))[0].size == 0
     assert run.membership_residual(np.array([0.3, 0.4])) == 0.0
     rep = run.report()
     assert rep["stabilization_level"] == 0
@@ -219,7 +302,7 @@ def test_lagrangian_side_constraint_sequence():
     rng = np.random.default_rng(3)
     for _ in range(10):
         z0 = np.concatenate([rng.uniform(0.6, 1.4, 3), rng.uniform(-0.5, 0.5, 4)])
-        z = _project_onto(run.final_constraints.values, run.final_constraints.jacobian, z0)
+        z = _project_onto(run.final_constraints, z0)[0]
         assert abs(z[0]) < 1e-9 and abs(z[1]) < 1e-9
         assert run.membership_residual(z) < 1e-9
         assert solve_on_final(problem, z, run=run).residual < 1e-9
@@ -247,7 +330,7 @@ def test_hamiltonian_side_constraint_sequence():
     rng = np.random.default_rng(6)
     for _ in range(10):
         z0 = np.concatenate([rng.uniform(0.6, 1.4, 3), rng.uniform(-0.5, 0.5, 4)])
-        z = _project_onto(run.final_constraints.values, run.final_constraints.jacobian, z0)
+        z = _project_onto(run.final_constraints, z0)[0]
         # primaries pin p1 and p2, the secondary level pins x1 and y1
         assert abs(z[3]) < 1e-9 and abs(z[4]) < 1e-9
         assert abs(z[0]) < 1e-9 and abs(z[1]) < 1e-9
@@ -256,14 +339,15 @@ def test_hamiltonian_side_constraint_sequence():
 
 @pytest.mark.parametrize("side", ["lagrangian", "hamiltonian"])
 def test_each_level_adds_one_field_within_an_alpha_budget(side):
-    # a level's kept directions join one pairing, read with one alpha (or
-    # alpha_jacobian) call per point: a capri analysis makes 15 alpha calls,
-    # and 12 (Lagrangian side) or 9 (Hamiltonian side) alpha_jacobian calls
+    # a level's kept directions join one pairing, read with one alpha and
+    # alpha_jacobian call per point, and a probe's read is the projection's
+    # last: a capri analysis makes 9 alpha calls, and 9 (Lagrangian side) or
+    # 6 (Hamiltonian side) alpha_jacobian calls
     sys = _ck()
     if side == "lagrangian":
-        problem, jacobians = lagrangian_problem(sys), 12
+        problem, jacobians = lagrangian_problem(sys), 9
     else:
-        problem, jacobians = hamiltonian_problem_from_lagrangian(sys)[0], 9
+        problem, jacobians = hamiltonian_problem_from_lagrangian(sys)[0], 6
     calls = {"alpha": 0, "alpha_jacobian": 0}
 
     def counted(name):
@@ -279,31 +363,61 @@ def test_each_level_adds_one_field_within_an_alpha_budget(side):
                             alpha_jacobian=counted("alpha_jacobian")),
         _seeds(3, 4, 3, seed=2))
     assert [level.constraints.e.shape[1] for level in run.levels] == [0, 6]
-    assert calls["alpha"] <= 15
+    assert calls["alpha"] <= 9
     assert calls["alpha_jacobian"] <= jacobians
 
 
+@pytest.mark.parametrize("side", ["lagrangian", "hamiltonian"])
+def test_a_level_reads_each_point_once(side, monkeypatch):
+    # a level is the projection onto its constraints and the analysis of its
+    # probes; within one, each problem callable is called once per distinct
+    # point, the probes' reads being the projection's last
+    problem = _problem(_ck(), side)
+    levels = []
+    monkeypatch.setattr(presym, "Constraints",
+                        lambda *args: levels.append([]) or Constraints(*args))
+
+    def counted(name):
+        real = getattr(problem, name)
+        return lambda z: levels[-1].append((name, z.tobytes())) or real(z)
+
+    run = run_constraint_algorithm(
+        dataclasses.replace(problem, **{name: counted(name) for name in
+                                        ("primary", "alpha", "alpha_jacobian", "omega")
+                                        if getattr(problem, name) is not None}),
+        _seeds(3, 4, 3, seed=2))
+    assert run.stabilization_level == 1 and len(levels) == 2
+    for calls in levels:
+        assert len(calls) == len(set(calls)), calls
+    names = {name for calls in levels for name, _ in calls}
+    assert names == {"alpha", "alpha_jacobian", "omega"} | (
+        {"primary"} if side == "hamiltonian" else set())
+
+
 def test_constraints_call_alpha_once_per_point_for_any_number_of_levels():
-    # primaries first, then the pairing with every kept column, one alpha or
-    # alpha_jacobian call per point however many levels the columns came from
+    # primaries first, then the pairing with every kept column: one call reads
+    # the primaries, alpha and alpha_jacobian once each per point, however
+    # many levels the columns came from
     problem = hamiltonian_problem_from_lagrangian(_ck())[0]
     calls = []
     counted = dataclasses.replace(
         problem, alpha=lambda z: calls.append("alpha") or problem.alpha(z),
-        alpha_jacobian=lambda z: calls.append("jacobian") or problem.alpha_jacobian(z))
+        alpha_jacobian=lambda z: calls.append("jacobian") or problem.alpha_jacobian(z),
+        primary=lambda z: calls.append("primary") or problem.primary(z))
     rng = np.random.default_rng(7)
     z = np.array([0.2, -0.3, 1.2, 0.7, -0.4, 0.9, 0.1])
     one = rng.normal(size=(problem.r, 1))
     for e in (one, np.hstack([one, rng.normal(size=(problem.r, 2))])):
         constraints = Constraints(counted, e)
         calls.clear()
-        values = constraints.values(z)
-        assert calls == ["alpha"]
+        values, rows, alpha, alpha_jacobian = constraints(z)
+        assert calls == ["primary", "alpha", "jacobian"]
         assert np.array_equal(values, np.concatenate([problem.primary(z)[0],
                                                       problem.alpha(z) @ e]))
-        calls.clear()
-        assert constraints.jacobian(z).shape == (2 + e.shape[1], problem.d)
-        assert calls == ["jacobian"]
+        assert np.array_equal(rows, np.vstack([problem.primary(z)[1],
+                                               e.T @ problem.alpha_jacobian(z)]))
+        assert np.array_equal(alpha, problem.alpha(z))
+        assert np.array_equal(alpha_jacobian, problem.alpha_jacobian(z))
         level = ConstraintLevel(k=0, constraints=constraints, new_rank=0,
                                 fiber_constraint_rank=0, probe_residuals=())
         run = ConstraintRun(problem=counted, levels=(level,), stabilization_level=0,
@@ -311,9 +425,11 @@ def test_constraints_call_alpha_once_per_point_for_any_number_of_levels():
         assert run.membership_residual(z) == np.max(np.abs(values))
     none = Constraints(counted, np.zeros((problem.r, 0)))
     calls.clear()
-    assert np.array_equal(none.values(z), problem.primary(z)[0])
-    assert none.jacobian(z).shape == (2, problem.d)
-    assert calls == []
+    values, rows, alpha, alpha_jacobian = none(z)
+    assert np.array_equal(values, problem.primary(z)[0])
+    assert rows.shape == (2, problem.d)
+    assert alpha is None and alpha_jacobian is None
+    assert calls == ["primary"]
 
 
 def test_primary_constraints_are_momentum_zeroes():
@@ -516,8 +632,8 @@ def test_exact_jacobians_match_finite_differences(pid, side):
     final = run.final_constraints
     for z in seeds + list(run.probes):
         _assert_matches_fd(problem.alpha_jacobian(z), problem.alpha, z)
-        _assert_matches_fd(constraints.jacobian(z), constraints.values, z)
-        _assert_matches_fd(final.jacobian(z), final.values, z)
+        for c in (constraints, final):
+            _assert_matches_fd(c(z)[1], lambda zz: c(zz)[0], z)
 
 
 @pytest.mark.parametrize("side", SIDES)
