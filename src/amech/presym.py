@@ -230,7 +230,7 @@ def _kept_columns(problem: PresymplecticProblem, e: np.ndarray,
     grads = [e.T @ (problem.alpha_jacobian(z) if read[3] is None else read[3])
              for z, read in projected] if vanishes.any() else []
     kept: list[int] = []
-    held = [[basis, scale, 0] for basis, _, scale in spans]  # and the kept rows folded in
+    held = [[basis, scale, 0] for basis, _, scale in spans]  # and how many kept rows it holds
 
     def adds_rank(p: int, c: int) -> bool:
         g, (basis, scale, count) = grads[p], held[p]
@@ -305,11 +305,13 @@ def solve_on_final(problem: PresymplecticProblem, z: np.ndarray,
     a residual above tol means the sequence should not have stopped here.
     """
     z = np.asarray(z, dtype=float)
+    alpha = None
     if basis is None:
         constraints = (run.final_constraints if run is not None
                        else Constraints(problem, np.zeros((problem.r, 0))))
-        basis = _fiber_basis(problem, _constraint_jacobian(constraints, z), z)
-    alpha = problem.alpha(z)
+        _, rows, alpha, _ = constraints(z)
+        basis = _fiber_basis(problem, rows, z)
+    alpha = problem.alpha(z) if alpha is None else alpha
     if not basis.shape[1]:
         residual = float(np.max(np.abs(alpha), initial=0.0))
         if residual > tol:

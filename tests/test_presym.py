@@ -394,6 +394,23 @@ def test_a_level_reads_each_point_once(side, monkeypatch):
         {"primary"} if side == "hamiltonian" else set())
 
 
+def test_the_final_solve_reads_alpha_once():
+    # without a basis it reads the final constraints at z, and takes alpha
+    # from that read; the defect of an off-locus sode start is differenced
+    # through it
+    problem = lagrangian_problem(_ck())
+    run = run_constraint_algorithm(problem, _seeds(3, 4, 3, seed=2))
+    calls = []
+    counted = dataclasses.replace(problem, alpha=lambda z: calls.append(z) or problem.alpha(z))
+    final = dataclasses.replace(run.levels[-1],
+                                constraints=Constraints(counted, run.final_constraints.e))
+    counted_run = dataclasses.replace(run, problem=counted, levels=(*run.levels[:-1], final))
+    z = run.probes[1]
+    solved = solve_on_final(counted, z, run=counted_run)
+    assert len(calls) == 1
+    assert np.array_equal(solved.X, solve_on_final(problem, z, run=run).X)
+
+
 def test_constraints_call_alpha_once_per_point_for_any_number_of_levels():
     # primaries first, then the pairing with every kept column: one call reads
     # the primaries, alpha and alpha_jacobian once each per point, however
