@@ -23,13 +23,13 @@ from . import presets
 from .algebroid import (DualPoint, DualObservable, chart_from_spec, check_structure,
                         jacobi_residual)
 from .dsl import COLUMN_NAMES, parse_expression, parse_system
-from .dynamics import (EPoint, _constant_velocity_hessian, euler_lagrange_rhs,
+from .dynamics import (EPoint, euler_lagrange_rhs, hamilton_start_regular,
                        hamiltonian_from_lagrangian, hamilton_rhs, is_regular,
                        system_from_spec)
 from .errors import (AmechError, DslError, OdeError, SingularHessian, SingularR,
                      UnboundVariableError, UnknownPresetError)
 from .expr import ScalarFunction, variables_of
-from .linalg import min_norm_lstsq, rank_rtol, regularity
+from .linalg import min_norm_lstsq, rank_rtol
 from .odeint import IntegratorConfig, OdeProblem, integrate
 from .presym import (hamiltonian_problem_from_lagrangian, lagrangian_problem,
                      run_constraint_algorithm, solve_on_final)
@@ -271,7 +271,7 @@ def _el_mode(spec, sode: bool = False) -> Mode:
 def _hamilton_mode(spec) -> Mode:
     sys_ = system_from_spec(spec)
     chart, m = sys_.chart, sys_.chart.m
-    H = hamiltonian_from_lagrangian(sys_)
+    H = hamiltonian_from_lagrangian(sys_, follow=True)
 
     def point(state):
         return SimpleNamespace(x=state[:m], p=state[m:])
@@ -282,12 +282,7 @@ def _hamilton_mode(spec) -> Mode:
         return hamilton_rhs(chart, H, point(state))[0].base
 
     def start(y0, seed):
-        # a constant W's verdict was made with H; any other W is read at the
-        # velocity that H's Legendre inverse gives the start, kept for the rhs
-        w = _constant_velocity_hessian(sys_)
-        regular = (regularity(w, sys_.rank_rtol)[0] if w is not None else
-                   is_regular(sys_, EPoint(y0[:m], H.gradients(point(y0))[1])).regular)
-        if not regular:
+        if not hamilton_start_regular(sys_, H, point(y0)):
             raise SingularHessian("Lagrangian is singular; run `amech constrain` "
                                   "for the Hamiltonian-side algorithm")
         return y0

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebroid import (AlgebroidChart, DualPoint, _anchor_drive, as_dual_observable,
                         hamilton_field)
-from .errors import EvalDomainError, SingularHessian
+from .errors import EvalDomainError, NewtonFailed, SingularHessian
 from .expr import (Binary, Const, Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
                    evaluate, keep_last, kept, lazy_generated, partials, substitute,
                    variables_of)
@@ -53,6 +53,7 @@ __all__ = [
     "euler_lagrange_rhs",
     "hamilton_rhs",
     "hamiltonian_from_lagrangian",
+    "hamilton_start_regular",
     "LegendreEnergy",
     "QuadraticHamiltonian",
     "sode_defect",
@@ -445,14 +446,20 @@ class LegendreEnergy:
     Velocities along kernel_idx, a constant coordinate-aligned kernel of the
     velocity Hessian (empty for a regular L), are pinned to zero; the
     transverse ones solve dL/dy_T = p_T by damped Newton seeded at p_T.
+    With follow, each solve is seeded at the velocity of the one before, so
+    the solves along one trajectory stay on one branch of the inverse; the
+    first is seeded at p_T and, if that Newton fails, at y_T = 0.
     Stationarity of p y - L(x, y) in y makes the gradients exact at the
     solved velocity, dH/dx = -dL/dx and dH/dp_T = y_T, so the Newton inverse
     is never differenced; the Hessian adds the implicit-function derivatives
     of y_T there, so only second derivatives of L are needed.
     """
 
-    def __init__(self, sys: LagrangianSystem, kernel_idx: tuple[int, ...] = ()):
+    def __init__(self, sys: LagrangianSystem, kernel_idx: tuple[int, ...] = (),
+                 follow: bool = False):
         self.sys = sys
+        self.follow = follow
+        self._seed: np.ndarray | None = None  # the last solve's y_T, with follow
         self.chart = sys.chart
         self.kernel_idx = tuple(kernel_idx)
         self.transverse_idx = tuple(a for a in range(sys.chart.n)
@@ -484,8 +491,18 @@ class LegendreEnergy:
             d = sys.derivatives(np.concatenate([x, full(yt)]))
             return d.ly[tr] - p[tr], d
 
-        yt, d = damped_newton(residual, lambda d, r: np.linalg.solve(d.w[tt], r),
-                              p[tr], "Legendre inverse")
+        def solve(seed: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
+            return damped_newton(residual, lambda d, r: np.linalg.solve(d.w[tt], r),
+                                 seed, "Legendre inverse")
+
+        try:
+            yt, d = solve(p[tr] if self._seed is None else self._seed)
+        except NewtonFailed:
+            if not self.follow or self._seed is not None:
+                raise
+            yt, d = solve(np.zeros(tr.size))
+        if self.follow:
+            self._seed = yt
         y = full(yt)
         y.flags.writeable = False
         return y, d
@@ -573,8 +590,8 @@ class QuadraticHamiltonian:
         return self._sf.hessian(np.concatenate([at.x, at.p]))
 
 
-def hamiltonian_from_lagrangian(
-        sys: LagrangianSystem) -> QuadraticHamiltonian | LegendreEnergy:
+def hamiltonian_from_lagrangian(sys: LagrangianSystem, follow: bool = False
+                                ) -> QuadraticHamiltonian | LegendreEnergy:
     """Energy pushed through the inverse Legendre transform, H(x, p).
 
     A QuadraticHamiltonian when the velocity Hessian W names only params
@@ -582,25 +599,12 @@ def hamiltonian_from_lagrangian(
     QuadraticHamiltonian are found once for the Lagrangian's root node,
     names and params, and kept on that node.
     Otherwise a LegendreEnergy, valid where its Newton inverse converges
-    (hyperregular Lagrangians). Either is callable as H(x, p) and carries
-    exact gradients for the Hamilton equations.
+    (hyperregular Lagrangians), which follows the branch of its last solve
+    when follow is set, as a trajectory needs. Either is callable as H(x, p)
+    and carries exact gradients for the Hamilton equations.
     """
-    w = _constant_velocity_hessian(sys)
-    if w is None or not regularity(w, sys.rank_rtol)[0]:
-        return LegendreEnergy(sys)
-    return kept(sys._sf.expr, ("hamiltonian", *_lagrangian_key(sys)),
-                lambda: QuadraticHamiltonian(sys.chart, sys._sf.expr, w))
-
-
-def _lagrangian_key(sys: LagrangianSystem) -> tuple:
-    return sys._sf.names, sys.chart.m, tuple(sorted(sys._sf.params.items()))
-
-
-def _constant_velocity_hessian(sys: LagrangianSystem) -> np.ndarray | None:
-    """The velocity Hessian W when its trees name only params, else None;
-    found once for the Lagrangian's root node, names and params, and kept on
-    that node."""
     lagrangian, names, m, n = sys._sf.expr, sys._sf.names, sys.chart.m, sys.chart.n
+    key = (names, m, tuple(sorted(sys._sf.params.items())))
 
     def velocity_hessian() -> np.ndarray | None:
         # the row-major trees of L's Hessian in (x, y)
@@ -609,7 +613,27 @@ def _constant_velocity_hessian(sys: LagrangianSystem) -> np.ndarray | None:
                       sys._sf.params)
         return None if w is None else w.reshape(n, n)
 
-    return kept(lagrangian, ("velocity_hessian", *_lagrangian_key(sys)), velocity_hessian)
+    w = kept(lagrangian, ("velocity_hessian", *key), velocity_hessian)
+    if w is None or not regularity(w, sys.rank_rtol)[0]:
+        return LegendreEnergy(sys, follow=follow)
+    return kept(lagrangian, ("hamiltonian", *key),
+                lambda: QuadraticHamiltonian(sys.chart, lagrangian, w))
+
+
+def hamilton_start_regular(sys: LagrangianSystem, H, at: DualPoint) -> bool:
+    """Whether W is regular at the start (x, p) of a Hamilton run of
+    H = hamiltonian_from_lagrangian(sys): a QuadraticHamiltonian was built on
+    a regular constant W, with no call of L's point; any other W is read at
+    the velocity H's Legendre inverse gives the start, or at y = p where that
+    inverse cannot be solved.
+    """
+    if isinstance(H, QuadraticHamiltonian):
+        return True
+    try:
+        y = H.gradients(at)[1]
+    except NewtonFailed:
+        y = at.p
+    return is_regular(sys, EPoint(at.x, y)).regular
 
 
 def sode_defect(at: EPoint, section_value: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

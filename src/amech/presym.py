@@ -128,6 +128,11 @@ def perp(omega_matrix: np.ndarray, f_basis: np.ndarray) -> np.ndarray:
         raise ValueError("f_basis must be r x k")
     if row_space_rank(f_basis) < f_basis.shape[1]:
         raise ValueError("f_basis is rank-deficient")
+    return _perp(omega_matrix, f_basis)
+
+
+def _perp(omega_matrix: np.ndarray, f_basis: np.ndarray) -> np.ndarray:
+    """perp without its checks, for an orthonormal f_basis such as `_fiber_basis` gives."""
     return null_space(f_basis.T @ omega_matrix.T)
 
 
@@ -184,7 +189,7 @@ def consistency_residual(problem: PresymplecticProblem, z: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     e_basis = _fiber_basis(problem, _constraint_jacobian(level.constraints, z), z)
-    pair = problem.alpha(z) @ null_space(e_basis.T @ problem.omega(z).T)
+    pair = problem.alpha(z) @ _perp(problem.omega(z), e_basis)
     return float(np.max(np.abs(pair), initial=0.0))
 
 
@@ -275,9 +280,7 @@ def run_constraint_algorithm(problem: PresymplecticProblem,
                                   for _, read in projected)))
         old_rank = rank
 
-        # perp of each basis, without its rank check: the bases are orthonormal
-        e = np.hstack([null_space(b.T @ problem.omega(z).T)
-                       for (z, _), b in zip(projected, bases)])
+        e = np.hstack([_perp(problem.omega(z), b) for (z, _), b in zip(projected, bases)])
         kept = _kept_columns(problem, e, projected, spans) if e.shape[1] else []
         if not kept:
             return ConstraintRun(problem=problem, levels=tuple(levels), stabilization_level=k,

@@ -236,27 +236,61 @@ def test_the_hamilton_row_reaches_hamilton_rhs_by_its_module_level_name(monkeypa
     assert len(calls) == 1
 
 
-def test_the_hamilton_start_reads_w_at_the_legendre_inverse_velocity(tmp_path, monkeypatch,
-                                                                     capsys):
-    # the start's momentum is not a velocity: W = v - 2 is read at the v
-    # whose momentum v^2/2 - 2v is p1, the velocity the first rhs reuses
+def _run_cubic(tmp_path, *init):
     model = tmp_path / "cubic.amech"
     model.write_text(CUBIC)
-    argv = ["simulate", str(model), "--mode", "hamilton", "--init", "q=0", "--t1", "1",
-            "--dt", "1e-2", "--out", str(tmp_path / "o.csv"),
-            "--manifest", str(tmp_path / "m.json")]
-    read, is_regular = [], cli.is_regular
-    monkeypatch.setattr(cli, "is_regular", lambda s, at: read.append(at.y) or is_regular(s, at))
-    assert main(argv + ["--init", "p1=2.5"]) == 0
+    out = tmp_path / "o.csv"
+    code = main(["simulate", str(model), "--mode", "hamilton", "--init", "q=0",
+                 *(f"--init={item}" for item in init), "--t1", "1", "--dt", "1e-2",
+                 "--out", str(out), "--manifest", str(tmp_path / "m.json")])
+    return code, (np.genfromtxt(out, delimiter=",", names=True) if code == 0 else None)
+
+
+def test_the_hamilton_start_reads_w_at_the_legendre_inverse_velocity(tmp_path, monkeypatch):
+    # the start's momentum is not a velocity: W = v - 2 is read at the v
+    # whose momentum v^2/2 - 2v is p1, the velocity the first rhs reuses
+    read, is_regular = [], dynamics.is_regular
+    monkeypatch.setattr(dynamics, "is_regular",
+                        lambda s, at: read.append(at.y) or is_regular(s, at))
+    code, _ = _run_cubic(tmp_path, "p1=2.5")
+    assert code == 0
     [y] = read
     assert y[0] != 2.5 and y[0] ** 2 / 2 - 2 * y[0] == pytest.approx(2.5, abs=1e-12)
-    # at p1 = 2 the momentum read as a velocity is where W = 0; the start is
-    # no longer refused as singular, and the Legendre Newton, seeded there,
-    # names its own failure (exit 1)
-    capsys.readouterr()
-    assert main(argv + ["--init", "p1=2"]) == 1
-    err = capsys.readouterr().err
-    assert "Legendre inverse" in err and "singular" in err and "Lagrangian is singular" not in err
+
+
+def test_a_hamilton_start_where_y_equals_p_is_singular_runs_on_one_branch(tmp_path):
+    # at p1 = 2 the Newton cannot begin at y = p (W = 0 there); it begins at
+    # y = 0, finds v = 2 - sqrt(8), and every later solve is seeded at the
+    # velocity of the one before, so the run keeps that branch (W < 0) and
+    # its energy
+    code, out = _run_cubic(tmp_path, "p1=2")
+    assert code == 0
+    v = 2 - np.sqrt(4 + 2 * out["p1"])
+    assert out["p1"][0] == 2.0 and np.all(np.diff(out["p1"]) >= 0)
+    assert np.all(v - 2 < -2.8)
+    # RK4's drift at dt = 1e-2, far below the jump of a branch switch
+    assert np.max(np.abs(out["energy"] - out["energy"][0])) < 1e-9
+
+
+def test_a_followed_legendre_branch_keeps_the_energy(tmp_path):
+    # from p1 = 2.5 the upper branch v = 2 + sqrt(4 + 2 p1) is followed to
+    # t = 1; seeded at y = p at every solve, the run used to switch to the
+    # lower branch near t = 0.44, where the energy fell from 16.667 to 1.580
+    code, out = _run_cubic(tmp_path, "p1=2.5")
+    assert code == 0
+    assert out["energy"][0] == pytest.approx(50 / 3, rel=1e-12)
+    assert np.max(np.abs(out["energy"] - out["energy"][0])) < 1e-9
+
+
+def test_a_singular_varying_w_hamilton_start_routes_to_exit_3(tmp_path, capsys):
+    # capri's W = diag(0, 0, m2, m2 rho^2) varies with x and has zero rows,
+    # so the Legendre inverse cannot be solved at the start; W is then read
+    # at y = p, where it is singular, and the run is refused as singular
+    code = main(["simulate", "--preset", "capri_kobayashi", "--mode", "hamilton",
+                 "--init", "rho=1", "--init", "p4=0.3", "--t1", "0.05",
+                 "--out", str(tmp_path / "o.csv"), "--manifest", str(tmp_path / "m.json")])
+    assert code == 3
+    assert "amech constrain" in capsys.readouterr().err
 
 
 def test_a_constant_w_hamilton_run_compiles_no_lagrangian_point(tmp_path, monkeypatch):
