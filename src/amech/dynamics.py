@@ -279,10 +279,14 @@ def _solve_trees(r: np.ndarray, b: list[Expr]) -> list[Expr]:
 
     1x1 and diagonal: b_a / w_a + 0.0. 2x2: the scaled adjugate,
     (q b0 - r b1) / det / scale + 0.0. The nodes are built unfolded, so
-    the + 0.0 that turns a -0.0 into +0.0 stays.
+    the + 0.0 that turns a -0.0 into +0.0 stays; only a division by 1.0,
+    x bit for bit, folds away.
     """
     def plus_zero(tree: Expr) -> Expr:
         return Binary("+", tree, _ZERO)
+
+    def over(tree: Expr, c: float) -> Expr:
+        return tree if c == 1.0 else Binary("/", tree, Const(c))
 
     if not np.all(np.isfinite(r)):
         return []
@@ -295,14 +299,13 @@ def _solve_trees(r: np.ndarray, b: list[Expr]) -> list[Expr]:
         det = p * q - s * s
         if not det:
             return []
-        return [plus_zero(Binary("/", Binary("/", Binary(
-                    "-", Binary("*", Const(c0), b0), Binary("*", Const(s), b1)),
-                    Const(det)), Const(scale)))
+        return [plus_zero(over(over(Binary(
+                    "-", Binary("*", Const(c0), b0), Binary("*", Const(s), b1)), det), scale))
                 for c0, b0, b1 in ((q, b[0], b[1]), (p, b[1], b[0]))]
     w = r.diagonal()
     if np.any(r - np.diag(w)) or not np.all(w):
         return []
-    return [plus_zero(Binary("/", ba, Const(wa))) for ba, wa in zip(b, w.tolist())]
+    return [plus_zero(over(ba, wa)) for ba, wa in zip(b, w.tolist())]
 
 
 def system_from_spec(spec) -> LagrangianSystem:

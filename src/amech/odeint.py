@@ -90,11 +90,11 @@ class Trajectory:
 
     def to_csv(self) -> str:
         names = ["t", *self.labels, *self.monitors]
-        cols = [self.times, *self.states.T, *self.monitors.values()]
-        lines = [",".join(names)]
-        for row in zip(*cols):
-            lines.append(",".join("%.17g" % v for v in row))
-        return "\n".join(lines) + "\n"
+        cols = [np.asarray(col).tolist() for col in
+                (self.times, *self.states.T, *self.monitors.values())]
+        # one format per row, each value as "%.17g" formats it alone
+        row = ",".join(["%.17g"] * len(cols))
+        return "\n".join([",".join(names), *(row % values for values in zip(*cols))]) + "\n"
 
     def to_json(self) -> str:
         return json.dumps({

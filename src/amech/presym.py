@@ -11,9 +11,12 @@ rows, and a probe keeps the read its projection ended on. A probe's rank is
 one SVD of its rows; a candidate's rank test folds the rows kept before it
 into that row basis, a Gram-Schmidt step judged by the one rank rule.
 Nothing here is differenced; only the SODE defect that `cli` projects onto
-has differenced rows. The two builders at the bottom wire up the Lagrangian
-side and the Hamiltonian side, which takes its Hamiltonian from
-`dynamics.LegendreEnergy` with the kernel of the velocity Hessian.
+has differenced rows. The two builders at the bottom generate each side's
+problem from trees, as code kept on the spec: the Lagrangian side's omega,
+alpha and anchor are one call of z = (x, y), alpha's Jacobian from the E_L
+tree a second, made at its first call; the Hamiltonian side's alpha and
+its Jacobian read `dynamics.LegendreEnergy`'s derivatives, with the kernel
+of the velocity Hessian.
 """
 
 from __future__ import annotations
@@ -24,16 +27,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebroid import DualPoint
-from .dynamics import (EPoint, LagrangianSystem, LegendreEnergy, _el_force_rhs, cartan,
-                       energy_differential)
+from .algebroid import DualPoint, _tensor_slots, _tensor_trees, momentum_names
+from .dynamics import EPoint, LagrangianSystem, LegendreEnergy, _el_force_rhs, _energy_tree
 from .errors import (AmechError, InconsistentDynamics,
                      LinearSolveResidualTooLarge, MaxLevelsExceeded,
                      NotOnFinalManifold)
 # Bound under presym's own name, where cli's SODE projection imports it at
 # call time: the traced benchmark run (perfbench/spans.py) wraps
 # `presym._fd_gradient`.
-from .expr import _fd_gradient
+from .expr import (Const, Expr, Var, _ONE, _ZERO, _dot, _fd_gradient, _fold, _jet_layout,
+                   kept, lazy_generated, partials)
 from .linalg import (_count, _spaces, damped_newton, min_norm_lstsq, null_space, regularity,
                      row_space_rank)
 
@@ -366,23 +369,64 @@ def sode_extract(sys: LagrangianSystem, run: ConstraintRun, at: EPoint) -> SodeR
 # Problem builders for the two sides of a Lagrangian system
 
 
-def _prolongation_anchor(chart, z: np.ndarray) -> np.ndarray:
-    m, n = chart.m, chart.n
-    out = np.zeros((m + n, 2 * n))
-    out[:m, :n] = chart.rho(z[:m])
-    out[m:, n:] = np.eye(n)
-    return out
+def _anchor_trees(spec, rho: list[Expr]) -> list[Expr]:
+    """The prolongation anchor [[rho, 0], [0, I]], (m + n) x 2n, row-major."""
+    m, n = spec.m, spec.n
+    return [rho[i * n + a] if i < m and a < n else _ONE if i - m == a - n else _ZERO
+            for i in range(m + n) for a in range(2 * n)]
 
 
-def _forcing_jacobian(chart, x: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """d alpha for alpha = -[rho^T d_x f ; d_v f], f a function of (x, v)
-    with gradient g and Hessian h at the point."""
-    m, n = chart.m, chart.n
-    out = np.zeros((2 * n, m + n))
-    out[n:] = -h[m:]
-    out[:n] = -(chart.rho(x).T @ h[:m])
-    out[:n, :m] -= np.einsum("iaj,i->aj", chart.rho_jacobian(x), g[:m])
-    return out
+def _forcing(spec, g: list[Expr], h: list[Expr] | None = None) -> tuple:
+    """The group of alpha = -[rho^T g[:m]; g[m:]], g the gradient of a
+    function of (x, v); given its Hessian h too, row-major, of d alpha
+    instead: -[rho^T h[:m] + d rho . g[:m]; h[m:]], 2n x (m + n). Each sum
+    runs in the numpy assembly's order, the d rho term subtracted last."""
+    m, n, d = spec.m, spec.n, spec.m + spec.n
+    rho = _tensor_trees(_tensor_slots(spec)[0])
+    neg = functools.partial(_fold, "-", _ZERO)
+    if h is None:
+        return [neg(_dot(zip(rho[a::n], g))) for a in range(n)] + [*map(neg, g[m:])], (2 * n,), 0
+    drho = [partials(tree, spec.base) for tree in rho]
+    return [_fold("-", neg(_dot(zip(rho[a::n], h[j::d]))),
+                  _dot((drho[i * n + a][j], g[i]) for i in range(m)) if j < m else _ZERO)
+            for a in range(n) for j in range(d)] + [*map(neg, h[m * d:])], (2 * n, d), 0
+
+
+def _lagrangian_layout(spec, lagrangian: Expr) -> tuple:
+    """omega_L, alpha and the anchor as trees over (x, y), in `cartan`'s and
+    `energy_differential`'s assembly: omega_L = [[M - M^T + L_y.C, W], [-W^T, 0]],
+    M = hxy^T rho, and alpha = -[rho^T (hxy y - L_x); W y]. L's jet, rho's
+    and C's entries are walked first, as the mechanics point walks them."""
+    m, n, d = spec.m, spec.n, spec.m + spec.n
+    jet = _jet_layout(lagrangian, spec.base + spec.fiber, 2)[0]
+    g, h = jet[1][0], jet[2][0]
+    rho, cs = map(_tensor_trees, _tensor_slots(spec))
+    hxy = [h[i * d + m:(i + 1) * d] for i in range(m)]
+    w = [h[a * d + m:(a + 1) * d] for a in range(m, d)]
+    mx = [[_dot(zip((row[a] for row in hxy), rho[b::n])) for b in range(n)] for a in range(n)]
+    omega = [t for a in range(n) for t in [
+        _fold("+", _fold("-", mx[a][b], mx[b][a]), _dot(zip(g[m:], cs[a * n + b::n * n])))
+        for b in range(n)] + w[a]]
+    omega += [t for a in range(n) for t in [_fold("-", _ZERO, w[b][a]) for b in range(n)]
+              + [_ZERO] * n]
+    y = [Var(name) for name in spec.fiber]
+    alpha = _forcing(spec, [_fold("-", _dot(zip(row, y)), lx) for row, lx in zip(hxy, g)]
+                     + [_dot(zip(row, y)) for row in w])
+    groups = [(omega, (2 * n, 2 * n), 0), alpha, (_anchor_trees(spec, rho), (d, 2 * n), 0)]
+    return groups, jet + [(rho, None, 0), (cs, None, 0)]
+
+
+def _forcing_layout(spec, g: list[Expr], h: list[Expr] | None = None,
+                    checks: list = ()) -> tuple:
+    """`_forcing`'s group, walked after checks and rho's entries."""
+    return [_forcing(spec, g, h)], [*checks, (_tensor_trees(_tensor_slots(spec)[0]), None, 0)]
+
+
+def _energy_forcing_layout(spec, lagrangian: Expr) -> tuple:
+    """d alpha over (x, y) from E_L's jet, which is walked first."""
+    names = spec.base + spec.fiber
+    jet = _jet_layout(_energy_tree(lagrangian, names, spec.m), names, 2)[0]
+    return _forcing_layout(spec, jet[1][0], jet[2][0], jet)
 
 
 def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
@@ -393,22 +437,18 @@ def lagrangian_problem(sys: LagrangianSystem) -> PresymplecticProblem:
     the dynamics rather than its time-reverse. Its exact Jacobian comes from
     the Hessian of the E_L tree.
     """
-    chart = sys.chart
-    m, n = chart.m, chart.n
+    spec, lagrangian = sys.chart.spec, sys._sf.expr
 
-    def omega(z: np.ndarray) -> np.ndarray:
-        return cartan(sys, EPoint(z[:m], z[m:])).omegaL
+    def code(role: str, layout: Callable) -> Callable[[np.ndarray], object]:
+        # the entry's layout holds L, so its id stays L's
+        return kept(spec, (role, id(lagrangian)), lambda: lazy_generated(
+            spec.base + spec.fiber, spec.params, functools.partial(layout, spec, lagrangian)))
 
-    def alpha(z: np.ndarray) -> np.ndarray:
-        return -energy_differential(sys, EPoint(z[:m], z[m:]))
-
-    def alpha_jacobian(z: np.ndarray) -> np.ndarray:
-        _, g, h = sys.energy_derivatives(z)
-        return _forcing_jacobian(chart, z[:m], g, h)
-
-    return PresymplecticProblem(d=m + n, r=2 * n, omega=omega, alpha=alpha,
-                                anchor=functools.partial(_prolongation_anchor, chart),
-                                alpha_jacobian=alpha_jacobian)
+    point = code("presymplectic_point", _lagrangian_layout)
+    return PresymplecticProblem(
+        d=spec.m + spec.n, r=2 * spec.n, omega=lambda z: point(z)[0],
+        alpha=lambda z: point(z)[1], anchor=lambda z: point(z)[2],
+        alpha_jacobian=code("energy_forcing_jacobian", _energy_forcing_layout))
 
 
 def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
@@ -418,8 +458,16 @@ def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
     of the presets sit at zero). At each, the kernel is the rows of W within
     sys.rank_rtol of zero relative to its largest entry, and the rest of W
     must pass regularity. A kernel that moves or tilts across samples is out
-    of scope for the Hamiltonian-side builder.
+    of scope for the Hamiltonian-side builder. The indices are sampled
+    once for the Lagrangian's root node, names, params and rank tolerance,
+    and kept on that node; a sampling that raises keeps nothing.
     """
+    key = ("kernel_indices", sys._sf.names, sys.chart.m,
+           tuple(sorted(sys._sf.params.items())), sys.rank_rtol)
+    return kept(sys._sf.expr, key, functools.partial(_sampled_kernel, sys))
+
+
+def _sampled_kernel(sys: LagrangianSystem) -> tuple[int, ...]:
     chart = sys.chart
     rng = np.random.default_rng(12345)
     idx = None
@@ -468,29 +516,49 @@ def hamiltonian_problem_from_lagrangian(
     induced Hamiltonian, its exact Jacobian from the Hessian of the
     Hamiltonian.
     """
-    from .algebroid import omega_E_matrix
-
-    chart = sys.chart
-    m, n = chart.m, chart.n
+    spec = sys.chart.spec
+    m, n = spec.m, spec.n
     data = LegendreEnergy(sys, _kernel_indices(sys))
     primary = (functools.partial(_primary_constraints, sys,
                                  np.array(data.kernel_idx, dtype=np.intp))
                if data.kernel_idx else None)
+    point = kept(spec, "dual_presymplectic_point", lambda: lazy_generated(
+        spec.base + momentum_names(n), spec.params, functools.partial(_dual_layout, spec)))
+    codes = [_forcing_code(spec, hessian) for hessian in (False, True)]
 
-    def omega(z: np.ndarray) -> np.ndarray:
-        return omega_E_matrix(chart, DualPoint(z[:m], z[m:]))
-
-    def alpha(z: np.ndarray) -> np.ndarray:
-        hx, hp = data.gradients(DualPoint(z[:m], z[m:]))
-        return -np.concatenate([chart.rho(z[:m]).T @ hx, hp])
-
-    def alpha_jacobian(z: np.ndarray) -> np.ndarray:
+    def forcing(z: np.ndarray, hessian: bool = False) -> np.ndarray:
         at = DualPoint(z[:m], z[m:])
-        return _forcing_jacobian(chart, at.x, np.concatenate(data.gradients(at)),
-                                 data.hessian(at))
+        parts = [at.x, *data.gradients(at)] + ([data.hessian(at).ravel()] if hessian else [])
+        return codes[hessian](np.concatenate(parts))
 
     problem = PresymplecticProblem(
-        d=m + n, r=2 * n, omega=omega, alpha=alpha,
-        anchor=functools.partial(_prolongation_anchor, chart),
-        alpha_jacobian=alpha_jacobian, primary=primary)
+        d=m + n, r=2 * n, omega=lambda z: point(z)[0], alpha=forcing,
+        anchor=lambda z: point(z)[1],
+        alpha_jacobian=functools.partial(forcing, hessian=True), primary=primary)
     return problem, data
+
+
+def _dual_layout(spec) -> tuple:
+    """omega_E = [[C.p, I], [-I, 0]] and the anchor as trees over (x, p), in
+    `omega_E_matrix`'s assembly; rho's and C's entries are walked first."""
+    n = spec.n
+    rho, cs = map(_tensor_trees, _tensor_slots(spec))
+    p = [Var(name) for name in momentum_names(n)]
+    omega = [t for a in range(n) for t in [_dot(zip(cs[a * n + b::n * n], p)) for b in range(n)]
+             + [_ONE if b == a else _ZERO for b in range(n)]]
+    omega += [Const(-1.0) if b == a else _ZERO for a in range(n) for b in range(2 * n)]
+    groups = [(omega, (2 * n, 2 * n), 0), (_anchor_trees(spec, rho), (spec.m + n, 2 * n), 0)]
+    return groups, [(rho, None, 0), (cs, None, 0)]
+
+
+def _forcing_code(spec, hessian: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """The spec's generated alpha of the packed (x, g), or d alpha of the
+    packed (x, g, h), g and h a function's gradient and row-major Hessian in
+    (x, p); kept on the spec."""
+    m, d = spec.m, spec.m + spec.n
+    # no spec name holds a "/", so these slots are never shadowed
+    names = spec.base + tuple(f"g/{k}" for k in range(d)) + tuple(
+        f"h/{k}" for k in range(d * d * hessian))
+    g, h = [Var(name) for name in names[m:m + d]], [Var(name) for name in names[m + d:]]
+    return kept(spec, ("forcing", hessian), lambda: lazy_generated(
+        names, spec.params, functools.partial(_forcing_layout, spec, g, h or None)))

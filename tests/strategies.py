@@ -5,6 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 from amech.expr import Binary, Const, Pow, Unary, Var
@@ -45,3 +46,19 @@ def perfbench_workloads():
     finally:
         del sys.modules[spec.name]
     return workloads
+
+
+def varying_sweep_charts():
+    """Spec texts of the model_sweep charts, so(3) in a random integer basis
+    crossed with T R^k for k = 1..3, whose Lagrangian gains terms that make
+    the velocity Hessian W and the mixed partials depend on the base:
+    0.5*(sin(q1)^2 + qk^2)*f1^2 + 0.3*q1*v1*f2. W stays positive definite
+    for |q1| < 2, since the sweep's mass matrix is at least 0.8 I."""
+    def text(seed: int, k: int) -> str:
+        model = perfbench_workloads().generate_model(np.random.default_rng(seed), k,
+                                                     f"varying_k{k}")
+        return (model.text.rstrip("\n")
+                + f" + 0.5*(sin(q1)^2 + q{k}^2)*f1^2 + 0.3*q1*v1*f2\n")
+
+    return st.builds(text, st.integers(min_value=0, max_value=2**16),
+                     st.integers(min_value=1, max_value=3))

@@ -485,3 +485,16 @@ def test_the_so3_point_code_computes_no_literal_statement(monkeypatch):
     assert statements
     for rhs in statements:
         assert re.search(r"\b[tv]\d+\b", rhs), rhs
+
+
+def test_the_tq_pendulum_point_code_divides_by_no_one(monkeypatch):
+    # W = 1 is solved in the point as b / 1.0 + 0.0; x / 1.0 is x bit for
+    # bit, so the division folds away and only the + 0.0 stays
+    sources = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
+                        or compile_(source))
+    sys = system_from_spec(copy.deepcopy(load_preset("tq_pendulum").spec))
+    sys.derivatives(EPoint(np.array([0.3]), np.array([0.7])))
+    assert len(sources) == 1
+    assert "/ (1.0)" not in sources[0] and "+ (0.0)" in sources[0]

@@ -214,6 +214,24 @@ def test_csv_layout():
     assert parsed == traj.states[1, 0]
 
 
+def test_csv_rows_match_the_per_value_join():
+    # one "%.17g" format per row writes each value as formatting it alone does,
+    # signed zeros, subnormals, huge values and non-finite monitors included
+    rng = np.random.default_rng(4)
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
+               -1e300, 1.0 / 3.0, -123456789.0, 0.1]
+    states = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-20, 20, size=(12, 3))
+    states[:len(special), 1] = special
+    monitors = {"E": np.array(special[::-1] + [math.inf, math.nan]), "n": np.arange(12.0)}
+    traj = Trajectory(times=np.linspace(0.0, 1.1, 12), states=states, labels=("a", "b", "c"),
+                      monitors=monitors)
+    cols = [traj.times, *traj.states.T, *traj.monitors.values()]
+    expected = "\n".join(["t,a,b,c,E,n", *(",".join("%.17g" % v for v in row)
+                                           for row in zip(*cols))]) + "\n"
+    assert traj.to_csv() == expected
+    assert "-0," in expected and "e-324" in expected and "1.7976931348623157e+308" in expected
+
+
 def test_json_round_trip():
     import json
 

@@ -1,5 +1,6 @@
 """Constraint-algorithm engine: kernels, levels, restricted solves, SODE."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from amech import dynamics, presym
+from amech import dynamics, expr, presym
 from amech.dsl import parse_system
 from amech.dynamics import (EPoint, LegendreEnergy, cartan,
                             energy_differential, euler_lagrange_rhs,
@@ -561,6 +562,33 @@ def test_a_kernel_row_that_vanishes_only_in_floating_point_is_kernel():
     assert _kernel_indices(system_from_spec(parse_system(text))) == (1,)
 
 
+def test_the_kernel_is_sampled_once_per_lagrangian_and_tolerance(monkeypatch):
+    # W is sampled at five points for the first build; a second build from
+    # the same spec reuses the indices, a different AMECH_TOL samples again
+    spec = copy.deepcopy(load_preset("capri_kobayashi").spec)
+    samples = []
+    second = dynamics.LagrangianSystem.second_derivatives
+    monkeypatch.setattr(dynamics.LagrangianSystem, "second_derivatives",
+                        lambda self, at: samples.append(at) or second(self, at))
+    problem, data = hamiltonian_problem_from_lagrangian(system_from_spec(spec))
+    assert len(samples) == 5 and data.kernel_idx == (0, 1)
+    again, data = hamiltonian_problem_from_lagrangian(system_from_spec(spec))
+    assert len(samples) == 5 and data.kernel_idx == (0, 1)
+    monkeypatch.setenv("AMECH_TOL", "1e-7")
+    hamiltonian_problem_from_lagrangian(system_from_spec(spec))
+    assert len(samples) == 10
+
+
+def test_a_varying_kernel_is_rejected_at_every_build():
+    # nothing is kept when the sampling raises
+    spec = parse_system("system moving\nbase [x]\nfiber [v1, v2]\n"
+                        "anchor { v1 -> (1); v2 -> (0) }\n"
+                        "lagrangian = 0.5*(v1 + x*v2)^2\n")
+    for _ in range(2):
+        with pytest.raises(AmechError, match="varies"):
+            hamiltonian_problem_from_lagrangian(system_from_spec(spec))
+
+
 def test_run_requires_seeds():
     sys = system_from_spec(load_preset("tq_pendulum").spec)
     with pytest.raises(ValueError):
@@ -661,11 +689,19 @@ def test_capri_constraint_algorithm_differences_nothing(side, monkeypatch):
     assert calls == []
 
 
-def test_energy_tree_is_built_at_the_first_jacobian_request():
-    # regular presets stop at level 0 and never ask for a Jacobian
-    sys = system_from_spec(load_preset("tq_pendulum").spec)
+def test_energy_tree_is_built_at_the_first_jacobian_request(monkeypatch):
+    # regular presets stop at level 0 and never ask for a Jacobian; its code
+    # (E_L's jet, third derivatives of L) is generated at the first request
+    sources = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
+                        or compile_(source))
+    sys = system_from_spec(copy.deepcopy(load_preset("tq_pendulum").spec))
     problem = lagrangian_problem(sys)
+    assert sources == []
     run_constraint_algorithm(problem, _seeds(1, 1, 3, seed=0))
-    assert sys._energy is None
+    assert len(sources) == 1
     problem.alpha_jacobian(np.array([0.3, 0.4]))
-    assert sys._energy is not None
+    assert len(sources) == 2
+    problem.alpha_jacobian(np.array([0.5, -0.4]))
+    assert len(sources) == 2
