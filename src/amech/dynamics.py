@@ -2,14 +2,16 @@
 
 Builds the Cartan objects (presymplectic matrix, energy, its differential),
 the Legendre transform, the regular Euler-Lagrange vector field and the
-Hamilton equations on the dual bundle. When the velocity Hessian W is a
-regular constant, the Legendre map is affine in the velocity and the induced
-Hamiltonian is `QuadraticHamiltonian`, a tree in closed form. Otherwise it is
-`LegendreEnergy`, which holds the one Newton inverse of the Legendre map: for
-a regular L on all of E*, for a singular L on its momentum image, where the
-velocities along the kernel directions are pinned to zero. The Lagrangian
-is an expression tree, so every derivative here is exact, the energy's
-included; nothing in this module is differenced.
+Hamilton equations on the dual bundle. The induced Hamiltonian lives on all
+of E* for a regular L, on the momentum image of a singular one, where the
+velocities along the kernel directions are pinned to zero. When L is at
+most quadratic in the velocities and the transverse block of its velocity
+Hessian is a regular constant, or varies with x and is 1x1, diagonal or
+2x2, the Legendre map is affine in those velocities and the Hamiltonian is
+`QuadraticHamiltonian`, trees in closed form. Otherwise it is
+`LegendreEnergy`, which holds the one Newton inverse of the Legendre map.
+The Lagrangian is an expression tree, so every derivative here is exact,
+the energy's included; nothing in this module is differenced.
 One generated mechanics point serves both this module and `vakonomic`: a
 function of (x, y^a, p_alpha) built from the restricted Lagrangian, the
 constraint graph Psi and the spec's anchor and bracket trees. The
@@ -33,9 +35,9 @@ import numpy as np
 from .algebroid import (AlgebroidChart, DualPoint, _anchor_drive, as_dual_observable,
                         hamilton_field)
 from .errors import EvalDomainError, NewtonFailed, SingularHessian
-from .expr import (Binary, Const, Expr, ScalarFunction, Var, _ZERO, _dot, _fold, _jet_layout,
-                   evaluate, keep_last, kept, lazy_generated, partials, substitute,
-                   variables_of)
+from .expr import (Binary, Const, Expr, ScalarFunction, Var, _ONE, _ZERO, _dot, _fold, _is,
+                   _jet_layout, _polynomial_degree, evaluate, keep_last, kept, lazy_generated,
+                   partials, substitute, variables_of)
 from .linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 __all__ = [
@@ -271,41 +273,54 @@ def _constant(trees: list[Expr], params) -> np.ndarray | None:
         return None
 
 
-def _solve_trees(r: np.ndarray, b: list[Expr]) -> list[Expr]:
-    """Trees of f with r f = b for a constant symmetric r: regular_solve's
-    own operations for r's size class, r's quantities as literals, so f has
-    its bits. [] for a dense r of size 3 or more and for an r those
-    operations would divide by zero.
+def _solve_trees(r, b: list[Expr]) -> list[Expr]:
+    """Trees of f with r f = b for a symmetric r, an array of constants or
+    a nested list of trees: regular_solve's own operations for r's size
+    class, so for constants, taken as literals, f has its bits. [] for a
+    dense r of size 3 or more and for an r those operations would divide
+    by a literal zero.
 
     1x1 and diagonal: b_a / w_a + 0.0. 2x2: the scaled adjugate,
-    (q b0 - r b1) / det / scale + 0.0. The nodes are built unfolded, so
-    the + 0.0 that turns a -0.0 into +0.0 stays; only a division by 1.0,
-    x bit for bit, folds away.
+    (q b0 - r b1) / det / scale + 0.0. Trees have no max, so a 2x2 of
+    trees is not scaled, and one whose off-diagonal tree is the literal 0
+    is diagonal. The nodes are built unfolded, so the + 0.0 that turns a
+    -0.0 into +0.0 stays; only a division by 1.0, x bit for bit, folds away.
     """
     def plus_zero(tree: Expr) -> Expr:
         return Binary("+", tree, _ZERO)
 
-    def over(tree: Expr, c: float) -> Expr:
-        return tree if c == 1.0 else Binary("/", tree, Const(c))
+    def over(tree: Expr, c: Expr) -> Expr:
+        return tree if _is(c, 1.0) else Binary("/", tree, c)
 
-    if not np.all(np.isfinite(r)):
-        return []
-    if len(b) == 2:
-        (p, _), (s, q) = r.tolist()
-        scale = max(abs(p), abs(s), abs(q))
-        if not scale:
-            return []
-        p, s, q = p / scale, s / scale, q / scale
-        det = p * q - s * s
-        if not det:
-            return []
-        return [plus_zero(over(over(Binary(
-                    "-", Binary("*", Const(c0), b0), Binary("*", Const(s), b1)), det), scale))
+    def adjugate(p: Expr, s: Expr, q: Expr, det: Expr, scale: Expr) -> list[Expr]:
+        return [plus_zero(over(over(Binary("-", Binary("*", c0, b0), Binary("*", s, b1)), det),
+                               scale))
                 for c0, b0, b1 in ((q, b[0], b[1]), (p, b[1], b[0]))]
-    w = r.diagonal()
-    if np.any(r - np.diag(w)) or not np.all(w):
+
+    if isinstance(r, np.ndarray):
+        if not np.all(np.isfinite(r)):
+            return []
+        if len(b) == 2:
+            (p, _), (s, q) = r.tolist()
+            scale = max(abs(p), abs(s), abs(q))
+            if not scale:
+                return []
+            p, s, q = p / scale, s / scale, q / scale
+            det = p * q - s * s
+            return adjugate(*map(Const, (p, s, q, det, scale))) if det else []
+        if np.any(r - np.diag(r.diagonal())):
+            return []
+        w = [Const(v) for v in r.diagonal().tolist()]
+    elif len(b) == 2 and not _is(r[1][0], 0.0):
+        (p, _), (s, q) = r
+        return adjugate(p, s, q, Binary("-", Binary("*", p, q), Binary("*", s, s)), _ONE)
+    elif any(not _is(v, 0.0) for a, row in enumerate(r) for c, v in enumerate(row) if a != c):
         return []
-    return [plus_zero(over(ba, wa)) for ba, wa in zip(b, w.tolist())]
+    else:
+        w = [row[a] for a, row in enumerate(r)]
+    if any(_is(wa, 0.0) for wa in w):
+        return []
+    return [plus_zero(over(ba, wa)) for ba, wa in zip(b, w)]
 
 
 def system_from_spec(spec) -> LagrangianSystem:
@@ -366,15 +381,13 @@ def legendre(sys: LagrangianSystem, at: EPoint) -> DualPoint:
 
 
 def legendre_inverse(sys: LagrangianSystem, at: DualPoint) -> EPoint:
-    """Velocity with dL/dy(x, y) = p: the closed form dH/dp of a
-    QuadraticHamiltonian, else by damped Newton seeded at y = p.
+    """Velocity with dL/dy(x, y) = p: dH/dp of the induced Hamiltonian, in
+    closed form for a QuadraticHamiltonian, else by damped Newton seeded at
+    y = p.
 
     Local only; convergence failure raises rather than returning a bad point.
     """
-    H = hamiltonian_from_lagrangian(sys)
-    if isinstance(H, QuadraticHamiltonian):
-        return EPoint(at.x, H.gradients(at)[1])
-    return EPoint(at.x, H._solve_velocity(at.x, at.p)[0])
+    return EPoint(at.x, hamiltonian_from_lagrangian(sys).gradients(at)[1])
 
 
 @dataclass(frozen=True)
@@ -542,41 +555,75 @@ class LegendreEnergy:
 
 
 class QuadraticHamiltonian:
-    """The induced Hamiltonian of an L whose velocity Hessian W is a regular
-    constant, in closed form: H = E_L(x, y) = p y - L(x, y) at the velocity
-    y(x, p) = W^-1 (p - a(x)), a(x) being dL/dy at y = 0.
+    """The induced Hamiltonian of an L of fiber degree at most 2, in closed
+    form: H = E_L(x, y) = p y - L(x, y) at the velocity y(x, p) with y_K = 0
+    along kernel_idx and dL/dy_T = p_T, w being W_TT: its values where
+    constant, else its trees.
 
-    With W constant, dL/dy = W y + a(x), so the Legendre Newton's first step
-    from y = p, y = p - W^-1 (dL/dy(x, p) - p), is exact, and y is written
-    so: W^-1 as `_solve_trees` applies it for W's size class (so where the
-    Newton stops after that step, y has its bits), else as literal entries.
-    y goes into E_L and L's gradient by substitution. The value, E_L summed
-    left to right as LegendreEnergy's, and the gradients, the stationarity
-    identities dH/dx = -dL/dx(x, y(x, p)) and dH/dp = y(x, p) that
-    LegendreEnergy reads at its Newton velocity, come from one generated
-    call of (x, p), kept for its last point; the Hessian is the value
-    tree's, as a DualObservable's would be.
+    dL/dy_T = W_TT(x) y_T + a_T(x) at y_K = 0, so the Legendre Newton's
+    first step from (0_K, p_T), y_T = p_T - W_TT^-1 r with r = dL/dy_T there
+    less p_T, is exact, and y is written so: W_TT^-1 as `_solve_trees`
+    applies it (so where the Newton stops after that step, y has its bits),
+    or as literal entries for a dense constant one. y goes into E_L and L's
+    partial trees by substitution. The value, E_L summed left to right as
+    LegendreEnergy's, and the gradients, the stationarity identities
+    dH/dx = -dL/dx and dH/dp = y that LegendreEnergy reads at its Newton
+    velocity, are one generated call of (x, p), kept for its last point;
+    the Hessian, LegendreEnergy's implicit-function formula as trees from
+    L's second partials at y, is a second, made at its first call.
     """
 
-    def __init__(self, chart: AlgebroidChart, lagrangian: Expr, w: np.ndarray):
-        m, params = chart.m, chart.params
+    def __init__(self, chart: AlgebroidChart, lagrangian: Expr, w,
+                 kernel_idx: tuple[int, ...] = ()):
+        m, n, params = chart.m, chart.n, chart.params
         names = chart.base_names + chart.fiber_names
+        self.chart, self.kernel_idx = chart, tuple(kernel_idx)
+        self.transverse_idx = tr = tuple(a for a in range(n) if a not in self.kernel_idx)
+        self.constant = isinstance(w, np.ndarray)
         grad = partials(lagrangian, names)
         p = [Var(name) for name in chart.momentum_names]
-        at_p = dict(zip(chart.fiber_names, p))
-        # the Newton residual at y = p: r = dL/dy(x, p) - p = W p + a(x) - p
-        r = [_fold("-", substitute(tree, at_p), pa) for tree, pa in zip(grad[m:], p)]
-        step = _solve_trees(w, r) or [_dot(zip(map(Const, row), r))
-                                      for row in np.linalg.inv(w).tolist()]
-        y = [_fold("-", pa, da) for pa, da in zip(p, step)]
+        at_p = {name: _ZERO if a in self.kernel_idx else p[a]
+                for a, name in enumerate(chart.fiber_names)}
+
+        def solve(b: list[Expr]) -> list[Expr]:
+            return _solve_trees(w, b) or [_dot(zip(map(Const, row), b))
+                                          for row in np.linalg.inv(w).tolist()]
+
+        # the Newton residual at yhat: r = dL/dy_T(x, yhat) - p_T = W_TT p_T + a_T(x) - p_T
+        r = [_fold("-", substitute(grad[m + a], at_p), p[a]) for a in tr]
+        y = [_ZERO] * n
+        for a, da in zip(tr, solve(r)):
+            y[a] = _fold("-", p[a], da)
         velocity = dict(zip(chart.fiber_names, y))
         self.expr = substitute(_energy_tree(lagrangian, names, m), velocity)
         hx = [_fold("-", _ZERO, substitute(tree, velocity)) for tree in grad[:m]]
+        self.gradient_trees = hx + y
+
+        def hessian_trees() -> list[Expr]:
+            # dy_T = W_TT^-1 (dp_T - L_{y_T x} dx), d(dH/dx) = -L_xx dx - L_{x y_T} dy_T
+            d = m + n
+            hessian = _jet_layout(lagrangian, names, 2)[0][2][0]
+            at_y = [substitute(tree, velocity) for tree in hessian[:m * d]]
+            neg = functools.partial(_fold, "-", _ZERO)
+            lxt = [[at_y[i * d + m + a] for a in tr] for i in range(m)]
+            columns = [solve([neg(t) for t in row]) for row in lxt] + [
+                solve([_ONE if k == c else _ZERO for k in range(len(tr))]) for c in range(len(tr))]
+            h = [[_ZERO] * d for _ in range(d)]
+            for j, col in zip([*range(m), *(m + a for a in tr)], columns):
+                for i in range(m):
+                    term = _dot(zip(lxt[i], col))
+                    h[i][j] = _fold("-", neg(at_y[i * d + j]), term) if j < m else neg(term)
+                for a, t in zip(tr, col):
+                    h[m + a][j] = t
+            return [t for row in h for t in row]
+
+        self.hessian_trees = functools.cache(hessian_trees)
         dual_names = chart.base_names + chart.momentum_names
         self._fields = lazy_generated(
             dual_names, params,
             lambda: ([([self.expr], None, 0), (hx, (m,), 0), (y, (chart.n,), 0)], ()))
-        self._sf = ScalarFunction(dual_names, expr=self.expr, params=params)
+        self._hessian = lazy_generated(
+            dual_names, params, lambda: ([(self.hessian_trees(), (m + n, m + n), 0)], ()))
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> float:
         return self.value(DualPoint(x, p))
@@ -589,51 +636,62 @@ class QuadraticHamiltonian:
         return self._fields(np.concatenate([at.x, at.p]))[1:]
 
     def hessian(self, at: DualPoint) -> np.ndarray:
-        """Second derivatives of H in (x, p)."""
-        return self._sf.hessian(np.concatenate([at.x, at.p]))
+        """Second derivatives of H in (x, p), read-only."""
+        return self._hessian(np.concatenate([at.x, at.p]))
 
 
-def hamiltonian_from_lagrangian(sys: LagrangianSystem, follow: bool = False
+def hamiltonian_from_lagrangian(sys: LagrangianSystem, follow: bool = False,
+                                kernel_idx: tuple[int, ...] = ()
                                 ) -> QuadraticHamiltonian | LegendreEnergy:
-    """Energy pushed through the inverse Legendre transform, H(x, p).
+    """Energy pushed through the inverse Legendre transform, H(x, p), with
+    the velocities along kernel_idx pinned to zero.
 
-    A QuadraticHamiltonian when the velocity Hessian W names only params
-    and is regular with the system's rank tolerance; W's values and the
+    A QuadraticHamiltonian when L's fiber degree is at most 2 and its
+    transverse velocity Hessian W_TT either names only params and is
+    regular with the system's rank tolerance, or varies with x and is 1x1,
+    diagonal or 2x2. The degree, W_TT's values or trees and the
     QuadraticHamiltonian are found once for the Lagrangian's root node,
-    names and params, and kept on that node.
+    names, params and kernel, and kept on that node.
     Otherwise a LegendreEnergy, valid where its Newton inverse converges
     (hyperregular Lagrangians), which follows the branch of its last solve
     when follow is set, as a trajectory needs. Either is callable as H(x, p)
     and carries exact gradients for the Hamilton equations.
     """
     lagrangian, names, m, n = sys._sf.expr, sys._sf.names, sys.chart.m, sys.chart.n
-    key = (names, m, tuple(sorted(sys._sf.params.items())))
+    key = (names, m, tuple(sorted(sys._sf.params.items())), tuple(kernel_idx))
+    tr = [a for a in range(n) if a not in kernel_idx]
 
-    def velocity_hessian() -> np.ndarray | None:
-        # the row-major trees of L's Hessian in (x, y)
+    def transverse_hessian():
+        # W_TT's values where its trees name only params, else the trees
+        # themselves; None for an L of fiber degree above 2
+        if kept(lagrangian, ("fiber_degree", names[m:]),
+                lambda: _polynomial_degree(lagrangian, frozenset(names[m:]))) > 2:
+            return None
         hessian = _jet_layout(lagrangian, names, 2)[0][2][0]
-        w = _constant([hessian[(m + a) * (m + n) + m + b] for a in range(n) for b in range(n)],
-                      sys._sf.params)
-        return None if w is None else w.reshape(n, n)
+        trees = [[hessian[(m + a) * (m + n) + m + b] for b in tr] for a in tr]
+        w = _constant([tree for row in trees for tree in row], sys._sf.params)
+        return trees if w is None else w.reshape(len(tr), len(tr))
 
-    w = kept(lagrangian, ("velocity_hessian", *key), velocity_hessian)
-    if w is None or not regularity(w, sys.rank_rtol)[0]:
-        return LegendreEnergy(sys, follow=follow)
+    w = kept(lagrangian, ("velocity_hessian", *key), transverse_hessian)
+    if not (regularity(w, sys.rank_rtol)[0] if isinstance(w, np.ndarray)
+            else w is not None and _solve_trees(w, [_ZERO] * len(tr))):
+        return LegendreEnergy(sys, kernel_idx, follow)
     return kept(lagrangian, ("hamiltonian", *key),
-                lambda: QuadraticHamiltonian(sys.chart, lagrangian, w))
+                lambda: QuadraticHamiltonian(sys.chart, lagrangian, w, kernel_idx))
 
 
 def hamilton_start_regular(sys: LagrangianSystem, H, at: DualPoint) -> bool:
     """Whether W is regular at the start (x, p) of a Hamilton run of
-    H = hamiltonian_from_lagrangian(sys): a QuadraticHamiltonian was built on
-    a regular constant W, with no call of L's point; any other W is read at
-    the velocity H's Legendre inverse gives the start, or at y = p where that
-    inverse cannot be solved.
+    H = hamiltonian_from_lagrangian(sys): a QuadraticHamiltonian built on a
+    regular constant W is, with no call of L's point; any other W is read
+    at the velocity a LegendreEnergy's inverse gives the start, or at y = p
+    where that inverse cannot be solved or W, a QuadraticHamiltonian's,
+    does not depend on y.
     """
-    if isinstance(H, QuadraticHamiltonian):
+    if isinstance(H, QuadraticHamiltonian) and H.constant:
         return True
     try:
-        y = H.gradients(at)[1]
+        y = at.p if isinstance(H, QuadraticHamiltonian) else H.gradients(at)[1]
     except NewtonFailed:
         y = at.p
     return is_regular(sys, EPoint(at.x, y)).regular

@@ -14,9 +14,11 @@ Nothing here is differenced; only the SODE defect that `cli` projects onto
 has differenced rows. The two builders at the bottom generate each side's
 problem from trees, as code kept on the spec: the Lagrangian side's omega,
 alpha and anchor are one call of z = (x, y), alpha's Jacobian from the E_L
-tree a second, made at its first call; the Hamiltonian side's alpha and
-its Jacobian read `dynamics.LegendreEnergy`'s derivatives, with the kernel
-of the velocity Hessian.
+tree a second, made at its first call; the Hamiltonian side's omega, anchor,
+primaries and alpha are one call of z = (x, p), alpha's Jacobian a second,
+both from the trees of `dynamics.QuadraticHamiltonian`, with the kernel of
+the velocity Hessian. A Lagrangian without that closed form keeps
+`dynamics.LegendreEnergy`, whose derivatives feed a generated forcing.
 """
 
 from __future__ import annotations
@@ -28,15 +30,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebroid import DualPoint, _tensor_slots, _tensor_trees, momentum_names
-from .dynamics import EPoint, LagrangianSystem, LegendreEnergy, _el_force_rhs, _energy_tree
+from .dynamics import (EPoint, LagrangianSystem, LegendreEnergy, QuadraticHamiltonian,
+                       _el_force_rhs, _energy_tree, hamiltonian_from_lagrangian)
 from .errors import (AmechError, InconsistentDynamics,
                      LinearSolveResidualTooLarge, MaxLevelsExceeded,
                      NotOnFinalManifold)
 # Bound under presym's own name, where cli's SODE projection imports it at
 # call time: the traced benchmark run (perfbench/spans.py) wraps
 # `presym._fd_gradient`.
-from .expr import (Const, Expr, Var, _ONE, _ZERO, _dot, _fd_gradient, _fold, _jet_layout,
-                   kept, lazy_generated, partials)
+from .expr import (Const, Expr, Unary, Var, _ONE, _ZERO, _dot, _fd_gradient, _fold,
+                   _jet_layout, kept, lazy_generated, partials, substitute)
 from .linalg import (_count, _spaces, damped_newton, min_norm_lstsq, null_space, regularity,
                      row_space_rank)
 
@@ -488,67 +491,74 @@ def _sampled_kernel(sys: LagrangianSystem) -> tuple[int, ...]:
     return idx
 
 
-def _primary_constraints(sys: LagrangianSystem, kernel_idx: np.ndarray,
-                         z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi_K(x, p) = p_K - dL/dy_K(x, 0) over the kernel directions K, and
-    their rows (-d2L/dy_K dx at (x, 0), e_K), from one call of L's
-    derivatives: dL/dy along a kernel direction is velocity-independent.
-    """
-    m, n = sys.chart.m, sys.chart.n
-    d = sys.derivatives(EPoint(z[:m], np.zeros(n)))
-    rows = np.zeros((kernel_idx.size, m + n))
-    rows[:, :m] = -d.hxy[:, kernel_idx].T
-    rows[np.arange(kernel_idx.size), m + kernel_idx] = 1.0
-    return z[m + kernel_idx] - d.ly[kernel_idx], rows
-
-
 # Bound under presym's own name: the traced benchmark run (perfbench/spans.py)
 # wraps `presym.HamiltonianSideData._solve_velocity`.
 HamiltonianSideData = LegendreEnergy
 
 
 def hamiltonian_problem_from_lagrangian(
-        sys: LagrangianSystem) -> tuple[PresymplecticProblem, LegendreEnergy]:
+        sys: LagrangianSystem) -> tuple[PresymplecticProblem,
+                                        QuadraticHamiltonian | LegendreEnergy]:
     """Dual-bundle presymplectic problem of a Lagrangian, on its momentum image.
 
     Coordinates are z = (x, p); level-0 constraints are the primary ones
     (empty for regular L). The forcing is the negated differential of the
-    induced Hamiltonian, its exact Jacobian from the Hessian of the
-    Hamiltonian.
+    induced Hamiltonian, its exact Jacobian from the Hamiltonian's Hessian:
+    for a QuadraticHamiltonian in the generated point, and d alpha from its
+    Hessian trees in a second call; a LegendreEnergy's, read at z, are fed
+    to the spec's generated forcing.
     """
-    spec = sys.chart.spec
+    spec, lagrangian = sys.chart.spec, sys._sf.expr
     m, n = spec.m, spec.n
-    data = LegendreEnergy(sys, _kernel_indices(sys))
-    primary = (functools.partial(_primary_constraints, sys,
-                                 np.array(data.kernel_idx, dtype=np.intp))
-               if data.kernel_idx else None)
-    point = kept(spec, "dual_presymplectic_point", lambda: lazy_generated(
-        spec.base + momentum_names(n), spec.params, functools.partial(_dual_layout, spec)))
-    codes = [_forcing_code(spec, hessian) for hessian in (False, True)]
+    kernel = _kernel_indices(sys)
+    data = hamiltonian_from_lagrangian(sys, kernel_idx=kernel)
+    g = data.gradient_trees if isinstance(data, QuadraticHamiltonian) else None
 
-    def forcing(z: np.ndarray, hessian: bool = False) -> np.ndarray:
-        at = DualPoint(z[:m], z[m:])
-        parts = [at.x, *data.gradients(at)] + ([data.hessian(at).ravel()] if hessian else [])
-        return codes[hessian](np.concatenate(parts))
+    def code(role: str, layout: Callable) -> Callable[[np.ndarray], object]:
+        # the entry's layout holds L, so its id stays L's
+        return kept(spec, (role, id(lagrangian), kernel), lambda: lazy_generated(
+            spec.base + momentum_names(n), spec.params, layout))
 
-    problem = PresymplecticProblem(
-        d=m + n, r=2 * n, omega=lambda z: point(z)[0], alpha=forcing,
-        anchor=lambda z: point(z)[1],
-        alpha_jacobian=functools.partial(forcing, hessian=True), primary=primary)
-    return problem, data
+    point = code("dual_presymplectic_point",
+                 functools.partial(_dual_layout, spec, lagrangian, kernel, g))
+    if g is None:
+        codes = [_forcing_code(spec, hessian) for hessian in (False, True)]
+
+        def forcing(z: np.ndarray, hessian: bool = False) -> np.ndarray:
+            at = DualPoint(z[:m], z[m:])
+            parts = [at.x, *data.gradients(at)] + ([data.hessian(at).ravel()] if hessian else [])
+            return codes[hessian](np.concatenate(parts))
+
+        alpha, alpha_jacobian = forcing, functools.partial(forcing, hessian=True)
+    else:
+        alpha, alpha_jacobian = (lambda z: point(z)[4]), code(
+            "dual_forcing_jacobian", lambda: _forcing_layout(spec, g, data.hessian_trees()))
+    return PresymplecticProblem(
+        d=m + n, r=2 * n, omega=lambda z: point(z)[0], alpha=alpha,
+        anchor=lambda z: point(z)[1], alpha_jacobian=alpha_jacobian,
+        primary=(lambda z: point(z)[2:4]) if kernel else None), data
 
 
-def _dual_layout(spec) -> tuple:
+def _dual_layout(spec, lagrangian: Expr, kernel: tuple[int, ...],
+                 g: list[Expr] | None) -> tuple:
     """omega_E = [[C.p, I], [-I, 0]] and the anchor as trees over (x, p), in
-    `omega_E_matrix`'s assembly; rho's and C's entries are walked first."""
-    n = spec.n
+    `omega_E_matrix`'s assembly, the primaries p_K - dL/dy_K(x, 0) with
+    their rows (-d2L/dy_K dx at (x, 0), e_K), and alpha given H's gradient
+    g; rho's and C's entries are walked first."""
+    m, n, d = spec.m, spec.n, spec.m + spec.n
     rho, cs = map(_tensor_trees, _tensor_slots(spec))
     p = [Var(name) for name in momentum_names(n)]
     omega = [t for a in range(n) for t in [_dot(zip(cs[a * n + b::n * n], p)) for b in range(n)]
              + [_ONE if b == a else _ZERO for b in range(n)]]
     omega += [Const(-1.0) if b == a else _ZERO for a in range(n) for b in range(2 * n)]
-    groups = [(omega, (2 * n, 2 * n), 0), (_anchor_trees(spec, rho), (spec.m + n, 2 * n), 0)]
-    return groups, [(rho, None, 0), (cs, None, 0)]
+    at_zero = dict.fromkeys(spec.fiber, _ZERO)
+    jet = _jet_layout(lagrangian, spec.base + spec.fiber, 2)[0]
+    phi = [_fold("-", p[a], substitute(jet[1][0][m + a], at_zero)) for a in kernel]
+    rows = [Unary("neg", substitute(jet[2][0][(m + a) * d + i], at_zero)) if i < m
+            else _ONE if i == m + a else _ZERO for a in kernel for i in range(d)]
+    groups = [(omega, (2 * n, 2 * n), 0), (_anchor_trees(spec, rho), (m + n, 2 * n), 0),
+              (phi, (len(kernel),), 0), (rows, (len(kernel), d), 0)]
+    return groups + ([_forcing(spec, g)] if g else []), [(rho, None, 0), (cs, None, 0)]
 
 
 def _forcing_code(spec, hessian: bool) -> Callable[[np.ndarray], np.ndarray]:

@@ -62,3 +62,34 @@ def varying_sweep_charts():
 
     return st.builds(text, st.integers(min_value=0, max_value=2**16),
                      st.integers(min_value=1, max_value=3))
+
+
+def fiber_quadratic_charts():
+    """Spec texts of TQ for Q = R^(m + k), m = 1 or 2 and k = 0..2, with
+    fibers v over the q's and u over the r's, and a Lagrangian at most
+    quadratic in the velocities: the velocity Hessian W_TT(q) of the v's is
+    1x1, diagonal or, with coupled, 2x2, positive definite everywhere, and
+    L does not name the u's, which are a constant coordinate-aligned kernel
+    held by a potential in the r's, as capri_kobayashi's e1, e2 are."""
+    def text(seed: int, m: int, k: int, coupled: bool) -> str:
+        rng = np.random.default_rng(seed)
+        a, c, s = rng.uniform(0.8, 1.5, 2), rng.uniform(0.5, 1.5, k), rng.uniform(0.5, 1.5)
+        base = [f"q{i + 1}" for i in range(m)] + [f"r{j + 1}" for j in range(k)]
+        fiber = [f"v{i + 1}" for i in range(m)] + [f"u{j + 1}" for j in range(k)]
+        anchor = [f"{name} -> ({', '.join('1' if i == j else '0' for j in range(m + k))})"
+                  for i, name in enumerate(fiber)]
+        q = f"q{m}"
+        terms = [f"0.5*({a[0]:.3f} + sin({q})^2)*v1^2"]
+        if m == 2:
+            terms.append(f"0.5*({a[1]:.3f} + {q}^2)*v2^2")
+            if coupled:
+                terms.append(f"0.2*cos({q})*v1*v2")
+        potential = [f"q{i + 1}^2" for i in range(m)] + [f"{cj:.3f}*r{j + 1}^2"
+                                                          for j, cj in enumerate(c)]
+        return (f"system quadratic\nbase [{', '.join(base)}]\nfiber [{', '.join(fiber)}]\n"
+                f"anchor {{ {'; '.join(anchor)} }}\nlagrangian = {' + '.join(terms)}"
+                f" + {s:.3f}*{q}*v{m} - 0.5*({' + '.join(potential)})\n")
+
+    return st.builds(text, st.integers(min_value=0, max_value=2**16),
+                     st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=2),
+                     st.booleans())

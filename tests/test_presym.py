@@ -615,7 +615,7 @@ def test_hamiltonian_value_reads_the_newton_point(monkeypatch):
     # L's point code per Newton point and none after it, and the same bits
     # as the energy at the solved velocity
     sys = _ck()
-    _, data = hamiltonian_problem_from_lagrangian(sys)
+    data = LegendreEnergy(sys, _kernel_indices(sys))
     x, p = np.array([0.3, -0.2, 1.1]), np.array([0.0, 0.0, 0.4, -0.2])
     y, _ = data._solve_velocity(x, p)
     expected = sys.energy(EPoint(x, y))

@@ -1,0 +1,192 @@
+"""A Lagrangian at most quadratic in the velocities has its induced
+Hamiltonian in closed form, as trees, also with a kernel and with a
+transverse velocity Hessian W_TT that varies with the base: it agrees with
+the Legendre Newton, its forcing Jacobian with central differences of the
+forcing, and the Legendre map sends the Lagrangian-side final set into the
+Hamiltonian-side one. The Hamiltonian side of `constrain` then runs no
+Newton, no point of L and no dense solve; a Lagrangian of higher degree in
+the velocities keeps the Newton."""
+
+import copy
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from amech import cli, dynamics, expr
+from amech.algebroid import DualPoint
+from amech.cli import main
+from amech.dsl import MAX_DEPTH, parse_system
+from amech.dynamics import (EPoint, LagrangianSystem, LegendreEnergy, QuadraticHamiltonian,
+                            hamiltonian_from_lagrangian, legendre, system_from_spec)
+from amech.expr import _fd_gradient
+from amech.presets import ids as preset_ids, load as load_preset
+from amech.presym import (_kernel_indices, _project_onto, hamiltonian_problem_from_lagrangian,
+                          lagrangian_problem, run_constraint_algorithm)
+from strategies import fiber_quadratic_charts
+
+ONE_FIBER = "base [q]\nfiber [v]\nanchor { v -> (1) }\n"
+CUBIC = f"system cubic\n{ONE_FIBER}lagrangian = v^3/6 - v^2 - 0.5*q^2\n"
+# a product of MAX_DEPTH - 1 velocities, at the parser's depth bound
+CHAIN = f"system chain\n{ONE_FIBER}lagrangian = v^2 + v{'*v' * (MAX_DEPTH - 2)}\n"
+VARYING = f"system varying\n{ONE_FIBER}lagrangian = 0.5*(1 + q^2)*v^2 - 0.5*q^2\n"
+# W = q^2, singular at q = 0
+VANISHING = f"system vanishing\n{ONE_FIBER}lagrangian = 0.5*q^2*v^2 - 0.5*q^2\n"
+
+# sha256 of the generated source of the closed-form Hamiltonian's value and
+# gradients on the presets with a Hamilton mode, as it was before the closed
+# form took kernels and varying W: a regular constant W keeps its code
+CONSTANT_W_SOURCES = {
+    "skinner_rusk_demo": "ad6a28fcd39ea31c07efad5c9448d6f78a787140fd395d7c44cfdb5ff4e7ae52",
+    "so3_rigid_body": "c81cd4925a700fa8caf3845c23547c3f7108e81c25773942752b6820ad8d593d",
+    "tq_pendulum": "ed212f5caa0855837b443b459689fae553e5226e346d7732dbb7e9dddb569bc3",
+}
+
+
+def _close(got, want, rel: float) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    return float(np.max(np.abs(got - want), initial=0.0)) <= rel * scale
+
+
+@settings(max_examples=12, deadline=None)
+@given(fiber_quadratic_charts())
+def test_the_tree_hamiltonian_is_the_legendre_newton_one(text):
+    sys_ = system_from_spec(parse_system(text))
+    m, n = sys_.chart.m, sys_.chart.n
+    kernel = _kernel_indices(sys_)
+    assert kernel == tuple(a for a, name in enumerate(sys_.chart.fiber_names) if name[0] == "u")
+    H, newton = hamiltonian_from_lagrangian(sys_, kernel_idx=kernel), LegendreEnergy(sys_, kernel)
+    assert isinstance(H, QuadraticHamiltonian) and not H.constant
+    rng = np.random.default_rng(len(text))
+    for _ in range(4):
+        at = DualPoint(rng.uniform(-1.5, 1.5, m), rng.uniform(-1.5, 1.5, n))
+        for got, want in [(H.value(at), newton.value(at)),
+                          *zip(H.gradients(at), newton.gradients(at)),
+                          (H.hessian(at), newton.hessian(at))]:
+            assert _close(got, want, 1e-14)
+
+
+@settings(max_examples=8, deadline=None)
+@given(fiber_quadratic_charts())
+def test_the_hamiltonian_side_forcing_jacobian_differentiates_the_forcing(text):
+    problem, data = hamiltonian_problem_from_lagrangian(system_from_spec(parse_system(text)))
+    assert isinstance(data, QuadraticHamiltonian)
+    rng = np.random.default_rng(len(text))
+    for _ in range(3):
+        z = rng.uniform(-1.2, 1.2, problem.d)
+        assert _close(problem.alpha_jacobian(z), _fd_gradient(problem.alpha, z), 1e-7)
+
+
+@settings(max_examples=6, deadline=None)
+@given(fiber_quadratic_charts())
+def test_the_legendre_map_sends_the_lagrangian_final_set_into_the_hamiltonian_one(text):
+    sys_ = system_from_spec(parse_system(text))
+    m, d = sys_.chart.m, sys_.chart.m + sys_.chart.n
+    rng = np.random.default_rng(7)
+    lrun = run_constraint_algorithm(lagrangian_problem(sys_),
+                                    [rng.uniform(0.6, 1.4, d) for _ in range(3)])
+    hrun = run_constraint_algorithm(hamiltonian_problem_from_lagrangian(sys_)[0],
+                                    [rng.uniform(0.6, 1.4, d) for _ in range(3)])
+    for _ in range(10):
+        zl = _project_onto(lrun.final_constraints, rng.uniform(-1.0, 1.0, d))[0]
+        dp = legendre(sys_, EPoint(zl[:m], zl[m:]))
+        assert hrun.membership_residual(np.concatenate([dp.x, dp.p])) < 1e-8
+
+
+@pytest.mark.parametrize("pid", preset_ids())
+def test_the_hamiltonian_side_of_constrain_runs_no_newton_l_point_or_dense_solve(
+        pid, tmp_path, monkeypatch):
+    argv = ["constrain", "--preset", pid, "--side", "hamiltonian",
+            "--out", str(tmp_path / "r.json"), "--manifest", str(tmp_path / "m.json")]
+    # the first build samples W at five points for the kernel, kept on L
+    assert main([*argv, "--seed", "0"]) == 0
+    calls = []
+    for owner, name in ((LegendreEnergy, "_solve_velocity"), (LagrangianSystem, "derivatives"),
+                        (np.linalg, "solve")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, _real=real:
+                            calls.append(_name) or _real(*args))
+    assert main([*argv, "--seed", "1"]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", [CUBIC, CHAIN], ids=["cubic", "chain"])
+def test_a_lagrangian_of_higher_velocity_degree_keeps_the_newton(text):
+    sys_ = system_from_spec(parse_system(text))
+    assert isinstance(hamiltonian_from_lagrangian(sys_), LegendreEnergy)
+    # the degree is read off L's structure: no second partial of L was taken
+    assert not [key for key in vars(sys_._sf.expr).get("_kept", {})
+                if key[0] == "partials" and key[1] == 2]
+    assert isinstance(hamiltonian_problem_from_lagrangian(sys_)[1], LegendreEnergy)
+
+
+@pytest.mark.parametrize("pid", sorted(CONSTANT_W_SOURCES))
+def test_a_regular_constant_w_keeps_its_hamilton_code(pid, monkeypatch):
+    sources, compile_ = [], expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
+                        or compile_(source))
+    # a copy of the spec holds nothing generated, so the code is made here
+    sys_ = system_from_spec(copy.deepcopy(load_preset(pid).spec))
+    H = hamiltonian_from_lagrangian(sys_)
+    assert isinstance(H, QuadraticHamiltonian) and H.constant
+    sources.clear()
+    H.value(DualPoint(np.full(sys_.chart.m, 0.3), np.full(sys_.chart.n, 0.2)))
+    [source] = sources
+    assert hashlib.sha256(source.encode()).hexdigest() == CONSTANT_W_SOURCES[pid]
+
+
+def _hamilton_csv(tmp_path, text, name, *init):
+    model, out = tmp_path / "model.amech", tmp_path / name
+    model.write_text(text)
+    code = main(["simulate", str(model), "--mode", "hamilton",
+                 *(f"--init={item}" for item in init), "--t1", "1", "--dt", "1e-2",
+                 "--out", str(out), "--manifest", str(tmp_path / "m.json")])
+    return code, (np.genfromtxt(out, delimiter=",", names=True) if code == 0 else None)
+
+
+def test_a_varying_w_hamilton_run_takes_the_closed_form_and_agrees_with_the_newton(
+        tmp_path, monkeypatch):
+    H = hamiltonian_from_lagrangian(system_from_spec(parse_system(VARYING)))
+    assert isinstance(H, QuadraticHamiltonian) and not H.constant
+    code, closed = _hamilton_csv(tmp_path, VARYING, "closed.csv", "q=0.3", "p1=0.8")
+    assert code == 0
+    monkeypatch.setattr(cli, "hamiltonian_from_lagrangian",
+                        lambda sys_, follow=False: LegendreEnergy(sys_, follow=follow))
+    code, newton = _hamilton_csv(tmp_path, VARYING, "newton.csv", "q=0.3", "p1=0.8")
+    assert code == 0
+    for name in newton.dtype.names:
+        assert _close(closed[name], newton[name], 1e-12), name
+
+
+def test_a_varying_w_singular_at_a_hamilton_start_exits_3_with_no_newton(
+        tmp_path, monkeypatch, capsys):
+    assert isinstance(hamiltonian_from_lagrangian(system_from_spec(parse_system(VANISHING))),
+                      QuadraticHamiltonian)
+    read, is_regular = [], dynamics.is_regular
+    monkeypatch.setattr(dynamics, "is_regular",
+                        lambda s, at: read.append(at.y) or is_regular(s, at))
+    monkeypatch.setattr(dynamics, "damped_newton", None)
+    code, _ = _hamilton_csv(tmp_path, VANISHING, "o.csv", "q=0", "p1=0.3")
+    assert code == 3
+    assert "amech constrain" in capsys.readouterr().err
+    # W does not depend on y: it is read at the start, at y = p
+    assert [y.tolist() for y in read] == [[0.3]]
+
+
+def test_a_system_builds_no_hamiltonian_until_one_is_asked_for(monkeypatch):
+    # the degree walk and the Hamiltonian's code run when a Hamiltonian is
+    # built and called, never when a system is made from a spec
+    walks, sources = [], []
+    walk, compile_ = dynamics._polynomial_degree, expr._compile
+    monkeypatch.setattr(dynamics, "_polynomial_degree",
+                        lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
+                        or compile_(source))
+    for pid in preset_ids():
+        system_from_spec(copy.deepcopy(load_preset(pid).spec))
+    assert walks == [] and sources == []
+    capri = copy.deepcopy(load_preset("capri_kobayashi").spec)
+    hamiltonian_from_lagrangian(system_from_spec(capri))
+    assert len(walks) == 1 and sources == []
