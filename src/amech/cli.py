@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 import time
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from .linalg import min_norm_lstsq, rank_rtol
 from .odeint import IntegratorConfig, OdeProblem, integrate
 from .presym import (hamiltonian_problem_from_lagrangian, lagrangian_problem,
                      run_constraint_algorithm, solve_on_final)
-from .vakonomic import h_w1, vakonomic_bracket, vakonomic_from_spec
+from .vakonomic import h_w1, vakonomic_bracket, vakonomic_from_spec, vakonomic_rhs
 
 __all__ = ["main", "cmd_validate", "cmd_simulate", "cmd_constrain", "cmd_bracket"]
 
@@ -244,7 +243,7 @@ def _el_mode(spec, sode: bool = False) -> Mode:
 
     def el_rhs(t, state):
         del t
-        return np.concatenate(euler_lagrange_rhs(sys_, state))
+        return euler_lagrange_rhs(sys_, state, True)
 
     def sode_rhs(t, state):
         del t
@@ -273,27 +272,24 @@ def _hamilton_mode(spec) -> Mode:
     chart, m = sys_.chart, sys_.chart.m
     H = hamiltonian_from_lagrangian(sys_, follow=True)
 
-    def point(state):
-        return SimpleNamespace(x=state[:m], p=state[m:])
-
     def rhs(t, state):
         del t
-        # xdot and pdot are views of the field's one array, returned as it is
-        return hamilton_rhs(chart, H, point(state))[0].base
+        # positional, as a wrapper of the name may take no keywords
+        return hamilton_rhs(chart, H, state, True)
 
     def start(y0, seed):
-        if not hamilton_start_regular(sys_, H, point(y0)):
+        if not hamilton_start_regular(sys_, H, DualPoint(y0[:m], y0[m:])):
             raise SingularHessian("Lagrangian is singular; run `amech constrain` "
                                   "for the Hamiltonian-side algorithm")
         return y0
 
     return Mode(chart.base_names + chart.momentum_names, rhs,
-                lambda t, state: H.value(point(state)), start)
+                lambda t, state: H.value(state), start)
 
 
 def _vakonomic_mode(spec) -> Mode:
     vsys = vakonomic_from_spec(spec)
-    return Mode(vsys.state_labels, vsys.ode_rhs,
+    return Mode(vsys.state_labels, lambda t, state: vakonomic_rhs(vsys, state, True),
                 lambda t, state: h_w1(vsys, state),
                 lambda y0, seed: y0)
 

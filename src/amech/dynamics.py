@@ -137,7 +137,7 @@ class LagrangianSystem:
 
     def energy(self, at: EPoint) -> float:
         """E_L = y dL/dy - L, its sum taken left to right."""
-        return self.derivatives(at).energy
+        return self._point.values(_packed(at))[9]
 
     def energy_derivatives(self, at: EPoint) -> tuple[float, np.ndarray, np.ndarray]:
         """E_L = y dL/dy - L with its gradient and Hessian in (x, y), exact.
@@ -157,9 +157,11 @@ class LagrangianSystem:
 
 
 def _packed(at) -> np.ndarray:
-    """The packed vector (x, y) of a point of E, or the point itself when it
-    is one."""
-    return at if isinstance(at, np.ndarray) else np.concatenate([at.x, at.y])
+    """The packed vector (x, y) of a point of E, or (x, p) of a point of E*,
+    or the point itself when it is one."""
+    if isinstance(at, np.ndarray):
+        return at
+    return np.concatenate([at.x, at.y if hasattr(at, "y") else at.p])
 
 
 def _energy_tree(lagrangian: Expr, names: tuple[str, ...], m: int) -> Expr:
@@ -410,49 +412,65 @@ def _el_force_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.nda
     return d.w, d.b
 
 
-def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint) -> tuple[np.ndarray, np.ndarray]:
+def euler_lagrange_rhs(sys: LagrangianSystem, at: EPoint,
+                       flat: bool = False) -> tuple[np.ndarray, np.ndarray] | list:
     """Euler-Lagrange vector field at a point of a regular Lagrangian.
 
     Returns (xdot, ydot), xdot = rho y read-only, and ydot from the force
     system, as `_solved` gives it with the Hessian's regularity verdict. at
     is an EPoint, any (x, y) of float arrays, or the packed vector (x, y).
+    With flat, a right-hand side: one list, read from the point's floats.
     """
-    d = sys.derivatives(at)
-    regular, smin, f = _solved(sys, d.w, d.b, d.ydot)
+    point = sys._point.values if flat else sys._point
+    _, _, _, _, r, rhs, f, xdot, *_ = point(_packed(at))
+    regular, smin, f = _solved(sys, r, rhs, f)
     if not regular:
         raise SingularHessian(
             f"velocity Hessian singular (sigma_min={smin:.3e}); "
             "use the constraint algorithm")
-    return d.rho_y, f
+    return [*xdot, *f] if flat else (xdot, f)
 
 
-def _solved(sys, r: np.ndarray, rhs: np.ndarray,
-            solution: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
-    """(regular, smallest singular value, f) for r f = rhs at a point of sys.
+def _solved(sys, r, rhs, solution) -> tuple[bool, float, np.ndarray | tuple | None]:
+    """(regular, smallest singular value, f) for r f = rhs at a point of sys,
+    from the point's arrays or floats.
 
     solution is the point's own solve, non-empty only when r is a constant:
     its verdict is then decided once per system, with the system's rank
     tolerance, and kept on sys. Otherwise `regular_solve` gives both.
     """
-    if not solution.size:
-        regular, smin, _, f = regular_solve(r, rhs, sys.rank_rtol)
+    k = len(rhs)
+    if not len(solution):
+        regular, smin, _, f = regular_solve(np.reshape(r, (k, k)), np.asarray(rhs, dtype=float),
+                                            sys.rank_rtol)
         return regular, smin, f
     if sys._verdict is None:
-        sys._verdict = regularity(r, sys.rank_rtol)[:2]
+        sys._verdict = regularity(np.reshape(r, (k, k)), sys.rank_rtol)[:2]
     return (*sys._verdict, solution)
 
 
-def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
+def hamilton_rhs(chart: AlgebroidChart, H, at: DualPoint,
+                 flat: bool = False) -> tuple[np.ndarray, np.ndarray] | list:
     """Hamilton equations on the dual bundle.
 
     xdot_i = rho[i,A] dH/dp_A; pdot_A = -(rho[i,A] dH/dx_i + C[c,A,B] p_c dH/dp_B),
     from H's gradients and one call of the generated Hamilton field of the
     chart's spec. at is a DualPoint, or any (x, p) of float arrays. The
-    arrays are two read-only views of the call's one array.
+    arrays are two read-only views of the call's one array. With flat, H is
+    a Hamiltonian of `hamiltonian_from_lagrangian`, at the packed (x, p) and
+    the field a right-hand side: one list of the call's floats, fed those of
+    a QuadraticHamiltonian's own call.
     """
-    hx, hp = as_dual_observable(chart, H).gradients(at)
-    field = hamilton_field(chart.spec)(np.concatenate([at.x, at.p, hx, hp]))
-    return field[:chart.m], field[chart.m:]
+    field = hamilton_field(chart.spec)
+    if not flat:
+        hx, hp = as_dual_observable(chart, H).gradients(at)
+        field = field(np.concatenate([at.x, at.p, hx, hp]))
+        return field[:chart.m], field[chart.m:]
+    if isinstance(H, QuadraticHamiltonian):
+        _, hx, hp = H._fields.values(at)
+    else:  # a LegendreEnergy, which takes the packed point too
+        hx, hp = (g.tolist() for g in H.gradients(at))
+    return list(field.values([*at.tolist(), *hx, *hp]))
 
 
 class LegendreEnergy:
@@ -525,12 +543,12 @@ class LegendreEnergy:
 
     def value(self, at: DualPoint) -> float:
         # E_L from the derivatives the Newton solve ends on
-        return self._solved(np.concatenate([at.x, at.p]))[1].energy
+        return self._solved(_packed(at))[1].energy
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dx, dH/dp) = (-dL/dx, the kept solve's velocity), read-only;
         the kernel components of the solved velocity are zero."""
-        y, d = self._solved(np.concatenate([at.x, at.p]))
+        y, d = self._solved(_packed(at))
         hx = -d.lx
         hx.flags.writeable = False
         return hx, y
@@ -541,7 +559,7 @@ class LegendreEnergy:
         At the solved velocity dy_T = W_TT^-1 (dp_T - L_{y_T x} dx) and
         d(dH/dx) = -L_xx dx - L_{x y_T} dy_T; kernel rows vanish.
         """
-        _, d = self._solved(np.concatenate([at.x, at.p]))
+        _, d = self._solved(_packed(at))
         m, tr = self.chart.m, self._tr
         lxt = d.hxy[:, tr]
         # rows of dy_T / d(x, p_T)
@@ -629,15 +647,15 @@ class QuadraticHamiltonian:
         return self.value(DualPoint(x, p))
 
     def value(self, at: DualPoint) -> float:
-        return self._fields(np.concatenate([at.x, at.p]))[0]
+        return self._fields.values(_packed(at))[0]
 
     def gradients(self, at: DualPoint) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dx, dH/dp), read-only."""
-        return self._fields(np.concatenate([at.x, at.p]))[1:]
+        return self._fields(_packed(at))[1:]
 
     def hessian(self, at: DualPoint) -> np.ndarray:
         """Second derivatives of H in (x, p), read-only."""
-        return self._hessian(np.concatenate([at.x, at.p]))
+        return self._hessian(_packed(at))
 
 
 def hamiltonian_from_lagrangian(sys: LagrangianSystem, follow: bool = False,

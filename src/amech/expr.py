@@ -15,10 +15,10 @@ straight-line Python function per layout of trees and variable order, one
 operation per line in the tree's own order, with repeated subexpressions
 computed once, so every number is bit-identical to the walk. `lazy_generated`
 builds that code at the first call, reuses compiled code with the same
-source text and keeps its last result, read-only, for a repeated point,
-through `keep_last`, the package's one last-point memo. Generated code and
-derived trees are kept on the spec or expression node they come from, by
-`kept`, the package's one place for them.
+source text and keeps its last result, floats and read-only arrays of them,
+for a repeated point, through `keep_last`, the package's one last-point
+memo. Generated code and derived trees are kept on the spec or expression
+node they come from, by `kept`, the package's one place for them.
 Where the code raises ArithmeticError or ValueError, or the trees name a
 variable outside the names and params, `_walk` walks the same layout, so the
 caller sees the walk's own error or the unbound name.
@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
@@ -160,7 +161,10 @@ _BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
 
-def _eval_node(node: Expr, env: Mapping[str, float], path: tuple) -> float:
+def _eval_node(node: Expr, env: Mapping[str, float], path: tuple, memo=None) -> float:
+    # with memo, a dict, each node's value is kept in it by id
+    if memo is not None and id(node) in memo:
+        return memo[id(node)]
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -169,26 +173,28 @@ def _eval_node(node: Expr, env: Mapping[str, float], path: tuple) -> float:
         except KeyError:
             raise UnboundVariableError(node.name, _format_path(path)) from None
     if isinstance(node, Unary):
-        v = _eval_node(node.arg, env, path + (node.op,))
-        if node.op == "neg":
-            return -v
+        v = _eval_node(node.arg, env, path + (node.op,), memo)
         if node.op == "ln" and v <= 0.0:
             raise EvalDomainError(f"ln of non-positive value {v}", _format_path(path + ("ln",)))
         if node.op == "sqrt" and v < 0.0:
             raise EvalDomainError(f"sqrt of negative value {v}", _format_path(path + ("sqrt",)))
-        return _UNARY_FN[node.op](v)
-    if isinstance(node, Binary):
-        left = _eval_node(node.left, env, path + (node.op, "left"))
-        right = _eval_node(node.right, env, path + (node.op, "right"))
+        v = -v if node.op == "neg" else _UNARY_FN[node.op](v)
+    elif isinstance(node, Binary):
+        left = _eval_node(node.left, env, path + (node.op, "left"), memo)
+        right = _eval_node(node.right, env, path + (node.op, "right"), memo)
         if node.op == "/" and right == 0.0:
             raise EvalDomainError("division by zero", _format_path(path + ("/",)))
-        return _BINARY_FN[node.op](left, right)
-    if isinstance(node, Pow):
-        base = _eval_node(node.base, env, path + ("^", "base"))
+        v = _BINARY_FN[node.op](left, right)
+    elif isinstance(node, Pow):
+        base = _eval_node(node.base, env, path + ("^", "base"), memo)
         if node.exponent < 0 and base == 0.0:
             raise EvalDomainError("zero base with negative exponent", _format_path(path + ("^",)))
-        return base ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+        v = base ** node.exponent
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if memo is not None:
+        memo[id(node)] = v
+    return v
 
 
 def _format_path(path: tuple) -> str:
@@ -348,11 +354,12 @@ def partials(expr: Expr, wrt: Sequence[str]) -> list[Expr]:
 
 
 def _eval_labelled(tree: Expr, bindings: Mapping[str, float],
-                   names: Sequence[str]) -> float:
-    """Evaluate tree; in a partial with respect to names (if any) the failing
-    node is a generated one, so a domain error names the derivative instead."""
+                   names: Sequence[str], memo: dict | None = None) -> float:
+    """Evaluate tree, through memo (see `_eval_node`); in a partial with respect
+    to names (if any) the failing node is a generated one, so a domain error
+    names the derivative instead."""
     try:
-        return evaluate(tree, bindings)
+        return _eval_node(tree, bindings, (), memo)
     except EvalDomainError as exc:
         if not names:
             raise
@@ -401,10 +408,7 @@ def hessian(expr: Expr, wrt: Sequence[str], bindings: Mapping[str, float]) -> np
 GENERATED_CACHE_SIZE = 64
 
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
-              "sqrt": math.sqrt, "_zeros": np.zeros,
-              "_array": functools.partial(np.array, dtype=float),
-              "_index": functools.partial(np.array, dtype=np.intp),
-              "_inf": math.inf, "_nan": math.nan}
+              "sqrt": math.sqrt, "_inf": math.inf, "_nan": math.nan}
 
 
 def _literal(value: float) -> str:
@@ -496,12 +500,12 @@ def generate(names: Sequence[str], params: Mapping[str, float],
 
     A group is (trees, shape, order); the order is for `_walk` only and may
     be left out. The function returns one value per group, or a tuple of
-    them: the group's single float for shape None, else an array of that
-    shape (a tuple) filled in row-major order, read-only. checks are groups
-    too, whose trees are evaluated for their domain errors only. Variables
-    take the names first, then params, as in the walk. The function checks
-    nothing: a domain failure surfaces as ArithmeticError or ValueError.
-    None when a tree names anything else.
+    them: the group's single float for shape None, else the tuple of its
+    floats in row-major order (`_arrays` makes arrays of them). checks are
+    groups too, whose trees are evaluated for their domain errors only.
+    Variables take the names first, then params, as in the walk. The
+    function checks nothing: a domain failure surfaces as ArithmeticError or
+    ValueError. None when a tree names anything else.
     """
     slots = {name: _literal(float(value)) for name, value in params.items()}
     slots.update((name, f"v{i}") for i, name in enumerate(names))
@@ -510,44 +514,41 @@ def generate(names: Sequence[str], params: Mapping[str, float],
         lines, operands = _straight_line(trees, slots)
     except KeyError:
         return None
-    # the arrays are views of one buffer, built from its values when none is
-    # a literal +0.0, else started as zeros and given every other slot in
-    # one scatter, through indices built once when the code is compiled; an
-    # empty array is made once then too, and shared by every call
-    k = sum(len(group) for group, *_ in checks)
-    size = sum(len(group) for group, shape, *_ in groups if shape is not None)
-    parts, kept, start, zero, empties = [], [], 0, _literal(0.0), ""
+    parts, k = [], sum(len(group) for group, *_ in checks)
     for group, shape, *_ in groups:
         ops = operands[k:k + len(group)]
         k += len(group)
-        if shape is None:
-            parts.append(ops[0])
-            continue
-        if not ops:
-            parts.append(f"_empty{len(parts)}")
-            empties += f"{parts[-1]} = _zeros({shape})\n{parts[-1]}.flags.writeable = False\n"
-            continue
-        kept += [(start + i, op) for i, op in enumerate(ops) if op != zero]
-        view = "_buf" if len(ops) == size else f"_buf[{start}:{start + len(ops)}]"
-        parts.append(view if len(shape) == 1 else f"{view}.reshape({shape})")
-        start += len(ops)
-    values, indices = "".join(f"{op}, " for _, op in kept), ""
-    if kept and len(kept) == size:
-        lines.append(f"_buf = _array(({values}))")
-    elif size:
-        lines.append(f"_buf = _zeros({size})")
-        if kept:
-            indices = f"_idx = _index({[i for i, _ in kept]!r})\n"
-            lines.append(f"_buf[_idx] = ({values})")
-    if size:
-        # views taken after this are read-only too
-        lines.append("_buf.flags.writeable = False")
+        parts.append(ops[0] if shape is None else f"({''.join(f'{op}, ' for op in ops)})")
     unpack = "".join(f"v{i}, " for i in range(len(names)))
-    source = (indices + empties + "def _generated(v):\n"
+    source = ("def _generated(v):\n"
               + (f"    {unpack}= v\n" if names else "")
               + "".join(f"    {line}\n" for line in lines)
               + f"    return {', '.join(parts)}\n")
     return _compile(source)
+
+
+def _array_plan(shapes: list) -> tuple:
+    """For `_arrays`: each shaped group's index and packer, and each group's
+    buffer slice (None for a float) and shape (None for a vector: the slice)."""
+    packs, items, at = [], [], 0
+    for i, shape in enumerate(shapes):
+        size = 0 if shape is None else math.prod(shape)
+        if shape is not None:
+            packs.append((i, struct.Struct(f"{size}d").pack))
+        items.append((shape and slice(at, at + size), shape if len(shape or ()) > 1 else None))
+        at += size
+    return packs, items
+
+
+def _arrays(values: object, plan: tuple) -> object:
+    """A generated call's values with each group of a shape as a read-only
+    array: views of one buffer of the groups' floats, packed as doubles."""
+    packs, items = plan
+    groups = (values,) if len(items) == 1 else values
+    buf = np.frombuffer(b"".join([pack(*groups[i]) for i, pack in packs]))
+    arrays = tuple([group if part is None else buf[part] if shape is None
+                    else buf[part].reshape(shape) for group, (part, shape) in zip(groups, items)])
+    return arrays[0] if len(items) == 1 else arrays
 
 
 def _walk(names: Sequence[str], params: Mapping[str, float], layout: tuple,
@@ -585,7 +586,8 @@ def kept(owner: object, key: Hashable, build: Callable[[], T]) -> T:
 
 
 def keep_last(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
-    """g(x) = fn(x) for x as a float array, kept for the last x by its bytes.
+    """g(x) = fn(x) for x as a float array, or a list of floats that fn gets
+    as it is; kept for the last x by the bytes of its doubles.
 
     The package's one last-point memo: consecutive calls at one point (a
     right-hand side's first stage at the row its monitors just read, the
@@ -595,8 +597,8 @@ def keep_last(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
     last: list = [None, None]
 
     def g(x: np.ndarray) -> T:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
+        x = x if type(x) is list else np.asarray(x, dtype=float)
+        key = struct.pack(f"{len(x)}d", *x) if type(x) is list else x.tobytes()
         if last[0] != key:
             last[:] = key, fn(x)
         return last[1]
@@ -606,9 +608,9 @@ def keep_last(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
 
 def lazy_generated(names: Sequence[str], params: Mapping[str, float],
                    layout: Callable[[], tuple]) -> Callable[[np.ndarray], object]:
-    """f(x): the code `generate` makes of layout() run at x, through
-    `keep_last`, so a repeated point runs it once and its read-only result is
-    shared.
+    """f(x): the code `generate` makes of layout() run at x through
+    `keep_last`, so a repeated point runs it once, its groups of a shape as
+    read-only arrays built once per point; f.values(x): the call's floats.
 
     layout() returns (groups, checks); it runs, with the code generation, at
     the first call, never before. Where the trees cannot be compiled, or the
@@ -616,21 +618,32 @@ def lazy_generated(names: Sequence[str], params: Mapping[str, float],
     and `_walk` evaluates it, so the caller sees the walk's own error,
     message and path.
     """
-    compiled: list = []
+    code: list = []  # the compiled function, or None, and its `_array_plan`
 
-    def f(x: np.ndarray) -> object:
-        if not compiled:
-            compiled.append(generate(names, params, *layout()))
-        if compiled[0] is not None:
+    def run(x: np.ndarray) -> object:
+        if not code:
+            groups, checks = layout()
+            code[:] = generate(names, params, groups, checks), _array_plan([g[1] for g in groups])
+        if code[0] is not None:
             try:
-                return compiled[0](x.tolist())
+                return code[0](x if type(x) is list else x.tolist())
             except (ArithmeticError, ValueError):
                 _walk(names, params, layout(), x)
                 raise  # the walk found no error: the code's own stands
         # a tree names a variable outside names and params: the walk reports it
         _walk(names, params, layout(), x)
 
-    return keep_last(f)
+    values = keep_last(run)
+    last: list = [None, None]  # the values the arrays were built from, and they
+
+    def f(x: np.ndarray) -> object:
+        got = values(x)
+        if last[0] is not got:
+            last[:] = got, _arrays(got, code[1])
+        return last[1]
+
+    f.values = values
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +792,7 @@ class ScalarFunction:
         return _bindings(self.names, self.params, v)
 
     def value(self, v: Sequence[float]) -> float:
-        return float(self._jets[0](v))
+        return float(self._jets[0].values(np.asarray(v, dtype=float)))
 
     def gradient(self, v: Sequence[float]) -> np.ndarray:
         return self._jets[1](v)[1]

@@ -27,14 +27,15 @@ __all__ = [
     "monitor_drift",
 ]
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
+Rhs = Callable[[float, np.ndarray], "np.ndarray | list[float]"]
 Monitor = Callable[[float, np.ndarray], float]
 Row = Callable[[float, np.ndarray], None]
 
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """First-order system: dimension, right-hand side, component labels."""
+    """First-order system: dimension, right-hand side (an array, or a list
+    of floats, of t and y, a float array), component labels."""
 
     dim: int
     rhs: Rhs
@@ -113,31 +114,43 @@ class DriftReport:
     time_of_max: float
 
 
-def _checked_rhs(problem: OdeProblem, t: float, y: np.ndarray) -> np.ndarray:
+def _checked_rhs(problem: OdeProblem, t: float, y: np.ndarray) -> list[float]:
+    """The right-hand side at (t, y) as a list of floats, checked; a list, as
+    the mode rows of `cli` return, is taken as the floats it holds."""
     try:
-        dy = np.asarray(problem.rhs(t, y), dtype=float)
+        dy = problem.rhs(t, y)
+        if type(dy) is not list:
+            dy = np.asarray(dy, dtype=float)
+            if dy.shape != (problem.dim,):
+                raise StepFailure(f"rhs returned shape {dy.shape}, expected ({problem.dim},)")
+            dy = dy.tolist()
+        # a plain scan of the floats (an entry that is no number raises here)
+        finite = all(map(math.isfinite, dy))
     # singular dynamics met mid-run keeps its own error (exit code 3)
     except (MaxStepsExceeded, ToleranceUnreachable, StepFailure, SingularHessian,
             SingularR):
         raise
     except Exception as exc:
         raise StepFailure(f"rhs raised at t={t!r}: {exc}") from exc
-    if dy.shape != (problem.dim,):
-        raise StepFailure(f"rhs returned shape {dy.shape}, expected ({problem.dim},)")
-    # a plain scan of the floats: a numpy reduction costs more on a short state
-    if not all(map(math.isfinite, dy.tolist())):
-        i = int(np.flatnonzero(~np.isfinite(dy))[0])
+    if len(dy) != problem.dim:
+        raise StepFailure(f"rhs returned shape ({len(dy)},), expected ({problem.dim},)")
+    if not finite:
+        i = next(i for i, v in enumerate(dy) if not math.isfinite(v))
         raise StepFailure(
             f"rhs component {i} ({problem.labels[i]}) is not finite at t={t!r}")
     return dy
 
 
 def _rk4_step(problem: OdeProblem, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """y + (h/6)(k1 + 2 k2 + 2 k3 + k4) and the stage points, each an array,
+    formed in floats in the numpy expressions' operation order: their bits."""
     k1 = _checked_rhs(problem, t, y)
-    k2 = _checked_rhs(problem, t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = _checked_rhs(problem, t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = _checked_rhs(problem, t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = y.tolist()
+    k2 = _checked_rhs(problem, t + 0.5 * h, np.array([a + 0.5 * h * b for a, b in zip(y, k1)]))
+    k3 = _checked_rhs(problem, t + 0.5 * h, np.array([a + 0.5 * h * b for a, b in zip(y, k2)]))
+    k4 = _checked_rhs(problem, t + h, np.array([a + h * b for a, b in zip(y, k3)]))
+    return np.array([a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
 
 # Dormand-Prince 4(5) tableau. The last b5 weight is zero and the last stage

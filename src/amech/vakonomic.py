@@ -217,28 +217,32 @@ def momenta(sys: VakonomicSystem, s: VakState) -> np.ndarray:
 
 def h_w1(sys: VakonomicSystem, s: VakState) -> float:
     """Hamiltonian on the primary constraint set, evaluated at a state: a
-    VakState or the packed state vector."""
-    return _point_data(sys, s).h_w1
+    VakState or the packed state vector; read from the point's floats."""
+    return sys._point.values(s if isinstance(s, np.ndarray) else sys.pack(s))[9]
 
 
-def vakonomic_rhs(sys: VakonomicSystem,
-                  s: VakState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def vakonomic_rhs(sys: VakonomicSystem, s: VakState,
+                  flat: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray] | list:
     """Explicit constrained-variational equations at one state.
 
     Returns (xdot, yadot, palphadot), the first and last read-only. The
     free-velocity equation comes from expanding the momentum equation for
     p_a by the chain rule and solving against the symmetric regularity
     matrix, as `dynamics._solved` gives it with its verdict. s is a
-    VakState, or the packed state vector.
+    VakState, or the packed state vector. With flat, s is the packed state
+    and the field a right-hand side: one list, read from the point's floats.
     """
-    d = _point_data(sys, s)
-    if not sys.n_free:
-        return d.xdot, np.zeros(0), d.pdot
-    regular, smin, yadot = _solved(sys, d.R, d.rhs, d.yadot)
-    if not regular:
-        raise SingularR(f"regularity matrix singular (sigma_min={smin:.3e}); "
-                        "use the constraint algorithm")
-    return d.xdot, yadot, d.pdot
+    if flat:
+        _, _, _, _, r, rhs, yadot, xdot, pdot, *_ = sys._point.values(s)
+    else:
+        d = _point_data(sys, s)
+        r, rhs, yadot, xdot, pdot = d.R, d.rhs, d.yadot, d.xdot, d.pdot
+    if sys.n_free:
+        regular, smin, yadot = _solved(sys, r, rhs, yadot)
+        if not regular:
+            raise SingularR(f"regularity matrix singular (sigma_min={smin:.3e}); "
+                            "use the constraint algorithm")
+    return [*xdot, *yadot, *pdot] if flat else (xdot, yadot, pdot)
 
 
 vakonomic_bracket = lie_poisson_bracket

@@ -603,14 +603,14 @@ def test_writing_into_a_returned_array_raises(monkeypatch):
 
 def _counted_keep_last():
     """keep_last of a function that records its points and raises at
-    x[0] < 0, and the list of those points."""
+    x[0] < 0, and the list of those points; a list reaches it as a list."""
     runs = []
 
     def fn(x):
-        runs.append(x.tolist())
+        runs.append(list(map(float, x)))
         if x[0] < 0.0:
             raise ValueError("negative")
-        return x.sum()
+        return sum(x)
 
     return keep_last(fn), runs
 
@@ -632,10 +632,23 @@ def test_keep_last_keeps_nothing_from_a_call_that_raises():
     assert runs == [[1.0, 2.0], [-1.0, 2.0], [-1.0, 2.0]]
 
 
-def test_keep_last_tells_negative_zero_from_zero():
+@pytest.mark.parametrize("pack", [list, np.array], ids=["list", "array"])
+def test_keep_last_tells_negative_zero_from_zero(pack):
+    # the mode rows pass the generated points float arrays (the stage points)
+    # and lists (the Hamilton field's inputs); both key on the doubles' bytes
     f, runs = _counted_keep_last()
-    f([1.0, 0.0])
-    f([1.0, -0.0])
-    f([1.0, -0.0])
+    f(pack([1.0, 0.0]))
+    f(pack([1.0, -0.0]))
+    f(pack([1.0, -0.0]))
     assert runs == [[1.0, 0.0], [1.0, -0.0]]
     assert math.copysign(1.0, runs[1][1]) == -1.0
+
+
+@pytest.mark.parametrize("pack", [list, np.array], ids=["list", "array"])
+def test_a_generated_call_returns_the_sign_of_a_zero_it_is_given(pack):
+    f = lazy_generated(("x", "y"), {}, lambda: ([([Var("x") * Var("y")], None, 0),
+                                                 ([Var("x"), Var("y")], (2,), 0)], []))
+    assert f.values(pack([0.0, 2.0])) == (0.0, (0.0, 2.0))
+    value, vector = f.values(pack([-0.0, 2.0]))
+    assert math.copysign(1.0, value) == math.copysign(1.0, vector[0]) == -1.0
+    assert math.copysign(1.0, f(pack([-0.0, 2.0]))[1][0]) == -1.0

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from amech import cli, dynamics, expr
+from amech.algebroid import DualPoint, chart_from_spec
 from amech.cli import MODES, _resolve_init, build_parser, main
 from amech.dsl import format_system, parse_system, with_params
-from amech.dynamics import EPoint, LegendreEnergy, system_from_spec
+from amech.dynamics import (EPoint, LegendreEnergy, euler_lagrange_rhs, hamilton_rhs,
+                            hamiltonian_from_lagrangian, system_from_spec)
 from amech.errors import DslError
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import ids as preset_ids, load as load_preset
@@ -273,15 +275,46 @@ def test_hamilton_mode_solves_the_legendre_inverse_once_per_point(tmp_path, monk
     assert len(solves) == 4 * steps + 1
 
 
-@pytest.mark.parametrize("pid", ["tq_pendulum", "so3_rigid_body", "skinner_rusk_demo"])
-def test_the_hamilton_row_returns_the_field_array_itself(pid):
-    # xdot and pdot are views of one read-only array, which the row returns
-    # without a copy: a repeated point hands out the kept array again
-    mode = MODES["hamilton"](load_preset(pid).spec)
-    y = np.linspace(0.3, 0.9, len(mode.labels))
-    field = mode.rhs(0.0, y)
-    assert field.shape == y.shape and not field.flags.writeable
-    assert mode.rhs(0.0, y) is field
+ROWS = [(pid, name) for pid in preset_ids() for name in load_preset(pid).facts["modes"]
+        if name in ("el", "hamilton", "vakonomic")]
+
+
+@pytest.mark.parametrize("pid, name", ROWS)
+def test_each_mode_row_returns_its_library_field_as_floats(pid, name):
+    # a row returns a flat list of floats read from the generated call's
+    # floats, bit for bit the library's own arrays of the field
+    spec = load_preset(pid).spec
+    mode = MODES[name](spec)
+    if name == "el":
+        sys_ = system_from_spec(spec)
+        field = lambda y: np.concatenate(euler_lagrange_rhs(sys_, EPoint(y[:m], y[m:])))
+    elif name == "hamilton":
+        sys_ = system_from_spec(spec)
+        H = hamiltonian_from_lagrangian(sys_, follow=True)
+        field = lambda y: np.concatenate(hamilton_rhs(sys_.chart, H, DualPoint(y[:m], y[m:])))
+    else:
+        vsys = vakonomic_from_spec(spec)
+        field = lambda y: vsys.ode_rhs(0.0, y)
+    m = chart_from_spec(spec).m
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        y = rng.uniform(-0.9, 0.9, len(mode.labels))
+        row = mode.rhs(0.0, y)
+        assert type(row) is list and all(type(v) is float for v in row)
+        assert np.array(row).tobytes() == field(y).tobytes()
+
+
+def test_the_hamilton_row_of_a_newton_hamiltonian_returns_its_field_as_floats():
+    # the cubic's H is a LegendreEnergy: its gradients feed the field's call
+    spec = parse_system(CUBIC)
+    mode = MODES["hamilton"](spec)
+    sys_ = system_from_spec(spec)
+    H = hamiltonian_from_lagrangian(sys_, follow=True)
+    for y in ([0.0, 2.5], [0.1, 2.4], [-0.2, 2.3]):
+        row = mode.rhs(0.0, np.array(y))
+        assert type(row) is list and all(type(v) is float for v in row)
+        field = hamilton_rhs(sys_.chart, H, DualPoint(y[:1], y[1:]))
+        assert np.array(row).tobytes() == np.concatenate(field).tobytes()
 
 
 def test_vakonomic_mode_runs_the_point_code_once_per_stage(monkeypatch):
@@ -414,3 +447,65 @@ def test_each_right_hand_side_runs_the_generated_code_once_per_point(pid, monkey
             else:
                 assert len(runs) == 1 and newton_points == [], name
     assert seen
+
+
+# so(3) in an integer basis crossed with T R^1, as the benchmark's model sweep
+# writes one; used by no other test
+SWEEP = """\
+system sweep_pinned
+base [q1]
+fiber [v1, f1, f2, f3]
+anchor { v1 -> (1); f1 -> (0); f2 -> (0); f3 -> (0) }
+bracket { [f1,f2] = (-1)*f3; [f1,f3] = (2)*f1 + (1)*f2; [f2,f3] = (-5)*f1 + (-2)*f2 }
+params { g = 1.4992 }
+lagrangian = 0.5*(1.1884*v1^2 + -0.0347*v1*f1 + 0.0404*v1*f2 + 0.4318*v1*f3 + \
+1.7009*f1^2 + -0.1092*f1*f2 + -0.0267*f1*f3 + 1.6766*f2^2 + 0.2353*f2*f3 + \
+1.1368*f3^2) - (g*(1 - cos(q1)) + 0.7660*q1^2)
+"""
+
+
+def _counted_generate(monkeypatch) -> list:
+    """The names of every `expr.generate` call from here on."""
+    calls, real_generate = [], expr.generate
+    monkeypatch.setattr(expr, "generate",
+                        lambda names, *args: calls.append(names) or real_generate(names, *args))
+    return calls
+
+
+def test_a_sweep_model_generates_eight_functions_over_its_three_commands(tmp_path, monkeypatch):
+    # the chart's rho and C with their Jacobians, L's mechanics point, and the
+    # gradients of the bracket's F, G and the H of its Jacobi check
+    model = tmp_path / "sweep.amech"
+    model.write_text(SWEEP)
+    calls = _counted_generate(monkeypatch)
+    common = ["--manifest", str(tmp_path / "m.json")]
+    at = [f"--at={name}={value}" for name, value in
+          (("q1", 0.3), ("p1", 0.1), ("p2", 0.2), ("p3", 0.4), ("p4", -0.3))]
+    assert main(["validate", str(model), "--points", "3",
+                 "--out", str(tmp_path / "v.json"), *common]) == 0
+    assert main(["bracket", str(model), "--F", "p2", "--G", "p3", *at,
+                 "--out", str(tmp_path / "b.json"), *common]) == 0
+    assert main(["simulate", str(model), "--mode", "el", "--t1", "0.05", "--dt", "0.01",
+                 "--init", "q1=0.2", "--out", str(tmp_path / "t.csv"), *common]) == 0
+    momenta = ("q1", "p1", "p2", "p3", "p4")
+    assert sorted(calls) == sorted([("q1",)] * 4 + [("q1", "v1", "f1", "f2", "f3")]
+                                   + [momenta] * 3)
+
+
+# expr.generate calls of one simulate of a fresh copy of each preset, per
+# mode, before the generated code returned floats
+GENERATED_PER_SIMULATE = {"el": 1, "hamilton": 2, "vakonomic": 1, "sode": 3}
+
+
+@pytest.mark.parametrize("pid, name", [(pid, name) for pid in preset_ids()
+                                       for name in load_preset(pid).facts["modes"]])
+def test_one_simulate_of_a_preset_generates_no_more_functions_than_before(
+        pid, name, monkeypatch):
+    preset = load_preset(pid)
+    calls = _counted_generate(monkeypatch)
+    mode = MODES[name](copy.deepcopy(preset.spec))
+    y0, _ = _resolve_init(mode.labels, preset.facts["default_init"][name], {})
+    y0 = mode.start(y0, 0)
+    integrate(OdeProblem(dim=len(y0), rhs=mode.rhs, labels=mode.labels),
+              IntegratorConfig(t0=0.0, t1=0.05, h=0.01), y0, {"energy": mode.energy})
+    assert len(calls) <= GENERATED_PER_SIMULATE[name]

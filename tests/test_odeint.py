@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from amech import odeint
@@ -24,6 +25,36 @@ HARMONIC = OdeProblem(dim=2, rhs=lambda t, y: np.array([y[1], -y[0]]),
 
 def _energy(t, y):
     return 0.5 * (y[0] ** 2 + y[1] ** 2)
+
+
+# signed zeros, subnormals and magnitudes near overflow, besides any finite float
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.lists(EDGE_FLOATS, min_size=n, max_size=n), min_size=5, max_size=5)),
+       st.one_of(st.sampled_from([1e-3, 0.5, 5e-324, 1e300]), st.floats(1e-300, 1e3)),
+       st.sampled_from([list, np.array]))
+def test_the_float_rk4_step_has_the_bits_of_the_numpy_expressions(rows, h, pack):
+    # the rhs returns k1..k4 in turn, as a list (a mode row) or an array
+    y, *ks = (np.array(row) for row in rows)
+    stages, slopes = [], iter(ks)
+
+    def rhs(t, point):
+        stages.append(point.copy())
+        return pack(next(slopes).tolist())
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = odeint._rk4_step(OdeProblem(dim=y.size, rhs=rhs), 0.0, y, h)
+        k1, k2, k3, k4 = ks
+        points = [y, y + 0.5 * h * k1, y + 0.5 * h * k2, y + h * k3]
+        update = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert [p.tobytes() for p in stages] == [p.tobytes() for p in points]
+    assert step.tobytes() == update.tobytes()
 
 
 def test_constant_rhs_stays_put():

@@ -35,12 +35,13 @@ VARYING = f"system varying\n{ONE_FIBER}lagrangian = 0.5*(1 + q^2)*v^2 - 0.5*q^2\
 VANISHING = f"system vanishing\n{ONE_FIBER}lagrangian = 0.5*q^2*v^2 - 0.5*q^2\n"
 
 # sha256 of the generated source of the closed-form Hamiltonian's value and
-# gradients on the presets with a Hamilton mode, as it was before the closed
-# form took kernels and varying W: a regular constant W keeps its code
+# gradients on the presets with a Hamilton mode: its statements as they were
+# before the closed form took kernels and varying W (a regular constant W
+# keeps its code), returning the groups as float tuples
 CONSTANT_W_SOURCES = {
-    "skinner_rusk_demo": "ad6a28fcd39ea31c07efad5c9448d6f78a787140fd395d7c44cfdb5ff4e7ae52",
-    "so3_rigid_body": "c81cd4925a700fa8caf3845c23547c3f7108e81c25773942752b6820ad8d593d",
-    "tq_pendulum": "ed212f5caa0855837b443b459689fae553e5226e346d7732dbb7e9dddb569bc3",
+    "skinner_rusk_demo": "977771d20caca84f7f7197a92dd4a52584b7a419e93911f235c7e58e912e5b80",
+    "so3_rigid_body": "e9bf96d548c5ab045bfec1cd48bd7d108640ab5de7321629e41b28fe86175648",
+    "tq_pendulum": "4ee27fa8fcb06c47b87d83571537a6afab2a4b4bc4589665d4f0eae2ebc1eb4c",
 }
 
 
@@ -100,16 +101,36 @@ def test_the_hamiltonian_side_of_constrain_runs_no_newton_l_point_or_dense_solve
         pid, tmp_path, monkeypatch):
     argv = ["constrain", "--preset", pid, "--side", "hamiltonian",
             "--out", str(tmp_path / "r.json"), "--manifest", str(tmp_path / "m.json")]
-    # the first build samples W at five points for the kernel, kept on L
+    calls = _record_calls(monkeypatch)
+    # the first run too: the kernel's samples walk W's trees
     assert main([*argv, "--seed", "0"]) == 0
+    assert main([*argv, "--seed", "1"]) == 0
+    assert calls == []
+
+
+def _record_calls(monkeypatch) -> list:
+    """The names of the Newton solve, L's point and numpy's dense solve, as
+    they are called from here on."""
     calls = []
     for owner, name in ((LegendreEnergy, "_solve_velocity"), (LagrangianSystem, "derivatives"),
                         (np.linalg, "solve")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _name=name, _real=real:
                             calls.append(_name) or _real(*args))
-    assert main([*argv, "--seed", "1"]) == 0
-    assert calls == []
+    return calls
+
+
+@pytest.mark.parametrize("pid", preset_ids())
+def test_a_fresh_hamiltonian_problem_reads_no_l_point_and_compiles_nothing(pid, monkeypatch):
+    # a copy of the spec holds nothing kept: the kernel is sampled here
+    sources, compile_ = [], expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
+                        or compile_(source))
+    calls = _record_calls(monkeypatch)
+    sys_ = system_from_spec(copy.deepcopy(load_preset(pid).spec))
+    hamiltonian_problem_from_lagrangian(sys_)
+    assert "kernel_indices" in {key[0] for key in vars(sys_._sf.expr)["_kept"]}
+    assert calls == [] and sources == []
 
 
 @pytest.mark.parametrize("text", [CUBIC, CHAIN], ids=["cubic", "chain"])
