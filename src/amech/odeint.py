@@ -34,8 +34,8 @@ Row = Callable[[float, np.ndarray], None]
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """First-order system: dimension, right-hand side (an array, or a list
-    of floats, of t and y, a float array), component labels."""
+    """First-order system: dimension, right-hand side rhs(t, y) of a float
+    array y, returning an array or a list of floats, component labels."""
 
     dim: int
     rhs: Rhs
