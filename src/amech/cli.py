@@ -564,7 +564,9 @@ def main(argv=None) -> int:
         if args.cmd == "export-preset":
             return cmd_export_preset(args)
         raise UsageError(f"unknown command {args.cmd!r}")
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        if exc.filename is None:
+            raise
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (DslError, UsageError, UnboundVariableError, UnknownPresetError) as exc:

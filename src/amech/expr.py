@@ -7,18 +7,18 @@ difference rules `_fd_gradient` and `_fd_hessian` are cross-checks of that
 route; `_fd_gradient` also differentiates the one function that has no
 tree, the SODE defect that `cli` projects an off-locus start onto.
 
-Two routes evaluate the trees. The tree walk (`evaluate`, `grad`,
-`hessian`) is the reference: it checks every primitive's domain and reports
-a failure with its path. The hot paths (`ScalarFunction`, the chart tensors,
-the vakonomic point) run generated code instead: `generate` emits one
-straight-line Python function per layout of trees and variable order, one
-operation per line in the tree's own order, with repeated subexpressions
-computed once, so every number is bit-identical to the walk. `lazy_generated`
-builds that code at the first call, reuses compiled code with the same
-source text and keeps its last result, floats and read-only arrays of them,
-for a repeated point, through `keep_last`, the package's one last-point
-memo. Generated code and derived trees are kept on the spec or expression
-node they come from, by `kept`, the package's one place for them.
+Two routes evaluate the trees. The tree walk (`evaluate`, `grad`, `hessian`)
+is the reference: memoised, so a node that trees share is evaluated once, it
+checks every primitive's domain and reports a failure with its path. The hot
+paths (`ScalarFunction`, the chart tensors, the vakonomic point) run generated
+code instead: `generate` emits one straight-line Python function per layout of
+trees and variable order, one operation per line in the tree's own order, with
+repeated subexpressions computed once, so every number is bit-identical to the
+walk. `lazy_generated` builds that code at the first call, reuses compiled
+code with the same source text and keeps its last result, floats and read-only
+arrays of them, for a repeated point, through `keep_last`, the package's one
+last-point memo. Generated code and derived trees are kept on the spec or
+expression node they come from, by `kept`, the package's one place for them.
 Where the code raises ArithmeticError or ValueError, or the trees name a
 variable outside the names and params, `_walk` walks the same layout, so the
 caller sees the walk's own error or the unbound name.
@@ -161,9 +161,9 @@ _BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
 
-def _eval_node(node: Expr, env: Mapping[str, float], path: tuple, memo=None) -> float:
-    # with memo, a dict, each node's value is kept in it by id
-    if memo is not None and id(node) in memo:
+def _eval_node(node: Expr, env: Mapping[str, float], path: tuple, memo: dict) -> float:
+    # each computed node's value is kept in memo by id
+    if id(node) in memo:
         return memo[id(node)]
     if isinstance(node, Const):
         return node.value
@@ -192,8 +192,7 @@ def _eval_node(node: Expr, env: Mapping[str, float], path: tuple, memo=None) -> 
         v = base ** node.exponent
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    if memo is not None:
-        memo[id(node)] = v
+    memo[id(node)] = v
     return v
 
 
@@ -207,7 +206,7 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     Plain floats in, plain float out. Association is fixed by the tree shape,
     so the result is bit-identical across calls.
     """
-    return _eval_node(expr, bindings, ())
+    return _eval_node(expr, bindings, (), {})
 
 
 def _bindings(names: Sequence[str], params: Mapping[str, float],
@@ -353,28 +352,26 @@ def partials(expr: Expr, wrt: Sequence[str]) -> list[Expr]:
     return [tree for _, tree in _partials(expr, tuple(wrt), 1)]
 
 
-def _eval_labelled(tree: Expr, bindings: Mapping[str, float],
-                   names: Sequence[str], memo: dict | None = None) -> float:
-    """Evaluate tree, through memo (see `_eval_node`); in a partial with respect
-    to names (if any) the failing node is a generated one, so a domain error
-    names the derivative instead."""
-    try:
-        return _eval_node(tree, bindings, (), memo)
-    except EvalDomainError as exc:
-        if not names:
-            raise
-        label = " and ".join(f"'{name}'" for name in names)
-        raise EvalDomainError(f"derivative with respect to {label} is undefined",
-                              _format_path(())) from exc
-
-
-def _eval_partials(expr: Expr, wrt: Sequence[str], order: int,
-                   bindings: Mapping[str, float]) -> list[float]:
-    if not wrt:
-        raise ValueError("wrt must name at least one variable")
-    evaluate(expr, bindings)
-    return [_eval_labelled(tree, bindings, names)
-            for names, tree in _partials(expr, tuple(wrt), order)]
+def _evaluated(groups: Sequence[tuple], env: Mapping[str, float],
+               names: Sequence[str]) -> list[float]:
+    """The values of the trees of groups, (trees, shape, order) as in
+    `generate`, in order, from one walk with one memo: a node that trees
+    share is evaluated once. A tree of an order-k group is the partial with
+    respect to the names indexed by its position on the group's last k axes,
+    and a domain error in it says so."""
+    memo, values = {}, []
+    for trees, shape, order in groups:
+        for k, tree in enumerate(trees):
+            try:
+                values.append(_eval_node(tree, env, (), memo))
+            except EvalDomainError as exc:
+                if not order:
+                    raise
+                index = np.unravel_index(k, shape)[len(shape) - order:]
+                label = " and ".join(f"'{names[i]}'" for i in index)
+                raise EvalDomainError(f"derivative with respect to {label} is undefined",
+                                      _format_path(())) from exc
+    return values
 
 
 def grad(expr: Expr, wrt: Sequence[str], bindings: Mapping[str, float]) -> np.ndarray:
@@ -384,21 +381,22 @@ def grad(expr: Expr, wrt: Sequence[str], bindings: Mapping[str, float]) -> np.nd
     derivative that is undefined where expr is defined (sqrt at zero) raises
     EvalDomainError naming its variables.
     """
-    return np.array(_eval_partials(expr, wrt, 1, bindings))
+    if not wrt:
+        raise ValueError("wrt must name at least one variable")
+    value, gradient = _jet_layout(expr, tuple(wrt), 1)[0]
+    return np.array(_evaluated([value, gradient], bindings, wrt)[1:])
 
 
 def hessian(expr: Expr, wrt: Sequence[str], bindings: Mapping[str, float]) -> np.ndarray:
     """Second-derivative matrix of expr; errors as in grad.
 
-    The upper triangle is evaluated and mirrored, so the result is exactly
-    symmetric.
+    The lower triangle holds the upper triangle's own trees, each evaluated
+    once, so the result is exactly symmetric.
     """
-    values = iter(_eval_partials(expr, wrt, 2, bindings))
-    h = np.empty((len(wrt), len(wrt)))
-    for i in range(len(wrt)):
-        for j in range(i, len(wrt)):
-            h[i, j] = h[j, i] = next(values)
-    return h
+    if not wrt:
+        raise ValueError("wrt must name at least one variable")
+    value, _, h = _jet_layout(expr, tuple(wrt), 2)[0]
+    return np.array(_evaluated([value, h], bindings, wrt)[1:]).reshape(len(wrt), len(wrt))
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +551,10 @@ def _arrays(values: object, plan: tuple) -> object:
 
 def _walk(names: Sequence[str], params: Mapping[str, float], layout: tuple,
           x: Sequence[float]) -> None:
-    """The tree walk of a (groups, checks) layout at x, run for its first
-    error: each check group's trees, then each group's, in order. A tree of
-    an order-k group is the partial with respect to the names indexed by its
-    position on the group's last k axes, and a domain error in it says so,
-    as in grad and hessian."""
-    env = _bindings(names, params, x)
+    """`_evaluated` of a (groups, checks) layout at x, the check groups
+    first, run for its first error."""
     groups, checks = layout
-    for trees, shape, order in [*checks, *groups]:
-        for k, tree in enumerate(trees):
-            index = np.unravel_index(k, shape)[len(shape) - order:] if order else ()
-            _eval_labelled(tree, env, [names[i] for i in index])
+    _evaluated([*checks, *groups], _bindings(names, params, x), names)
 
 
 T = TypeVar("T")

@@ -38,7 +38,7 @@ from .errors import (AmechError, InconsistentDynamics,
 # Bound under presym's own name, where cli's SODE projection imports it at
 # call time: the traced benchmark run (perfbench/spans.py) wraps
 # `presym._fd_gradient`.
-from .expr import (Const, Expr, Unary, Var, _ONE, _ZERO, _bindings, _dot, _eval_labelled,
+from .expr import (Const, Expr, Unary, Var, _ONE, _ZERO, _bindings, _dot, _evaluated,
                    _fd_gradient, _fold, _jet_layout, kept, lazy_generated, partials,
                    substitute)
 from .linalg import (_count, _spaces, damped_newton, min_norm_lstsq, null_space, regularity,
@@ -473,17 +473,16 @@ def _kernel_indices(sys: LagrangianSystem) -> tuple[int, ...]:
 
 def _sampled_kernel(sys: LagrangianSystem) -> tuple[int, ...]:
     m, n, names = sys.chart.m, sys.chart.n, sys._sf.names
-    # W's trees, walked with shared nodes evaluated once: the point's bits
+    # W's trees, each shared node evaluated once per point: the point's bits
     hessian = _jet_layout(sys._sf.expr, names, 2)[0][2][0]
+    trees = [hessian[(m + a) * (m + n) + m + b] for a in range(n) for b in range(n)]
     rng = np.random.default_rng(12345)
     idx = None
     for _ in range(5):
         x = rng.uniform(0.5, 1.5, size=m)
         y = rng.uniform(-0.5, 0.5, size=n)
-        env, memo = _bindings(names, sys._sf.params, [*x, *y]), {}
-        w = np.array([[_eval_labelled(hessian[(m + a) * (m + n) + m + b], env,
-                                      (names[m + a], names[m + b]), memo) for b in range(n)]
-                      for a in range(n)])
+        w = np.array(_evaluated([(trees, (n, n), 2)], _bindings(names, sys._sf.params, [*x, *y]),
+                                names[m:])).reshape(n, n)
         rows = np.max(np.abs(w), axis=1)
         in_kernel = rows <= sys.rank_rtol * np.max(rows)
         here = tuple(np.flatnonzero(in_kernel).tolist())

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -98,6 +99,17 @@ def test_missing_model_file_names_the_file(tmp_path, capsys):
     path = tmp_path / "nofile.amech"
     assert main(["validate", str(path), "--manifest", str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("where", ["model", "out"])
+def test_a_directory_for_a_file_names_it(tmp_path, capsys, where):
+    model = tmp_path / "m.amech"
+    model.write_text("system free\nbase [q]\nfiber [v]\nanchor { v -> (1) }\n"
+                     "lagrangian = 0.5*v^2\n")
+    argv = {"model": ["validate", str(tmp_path)],
+            "out": ["validate", str(model), "--out", str(tmp_path)]}[where]
+    assert main([*argv, "--manifest", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
 def test_a_package_error_outside_the_exit_code_table_is_exit_1(tmp_path, capsys):
@@ -220,6 +232,21 @@ def test_a_model_at_the_depth_bound_runs_every_command(tmp_path, chain):
                  ["constrain"], ["constrain", "--side", "hamiltonian"],
                  ["bracket", "--F", "p1", "--G", "q*p1", "--at", "q=0.2"]):
         assert main([argv[0], str(model), *argv[1:], *flags]) == 0, argv
+
+
+def test_a_domain_error_past_the_depth_bound_hessian_is_reported_in_seconds(tmp_path, capsys):
+    # rho = sqrt(q) fails at q = -1 only after L's value, gradient and Hessian
+    # trees, whose shared prefixes one memoised walk evaluates once each
+    model = tmp_path / "chain.amech"
+    model.write_text("system chain\nbase [q]\nfiber [v]\nanchor { v -> (sqrt(q)) }\n"
+                     "lagrangian = v^2 + v" + "*v" * (MAX_DEPTH - 2) + "\n")
+    start = time.perf_counter()
+    code = main(["simulate", str(model), "--init", "q=-1", "--init", "v=0.5", "--t1", "0.02",
+                 "--dt", "0.01", "--out", str(tmp_path / "r.csv"),
+                 "--manifest", str(tmp_path / "m.json")])
+    assert time.perf_counter() - start < 10.0
+    assert code == 1
+    assert capsys.readouterr().err == "error: sqrt of negative value -1.0 at node sqrt\n"
 
 
 def test_simulate_hamilton_keeps_casimir(tmp_path):

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from numpy.testing import assert_allclose
 from amech import expr as expr_module
 from amech.algebroid import AlgebroidChart, chart_from_spec, check_structure
 from amech.algebroid import _fd_tensor_jacobian
-from amech.dsl import parse_system
+from amech.dsl import MAX_DEPTH, parse_system
 from amech.errors import EvalDomainError, UnboundVariableError
 from amech.expr import (
     Binary,
@@ -35,7 +36,7 @@ from amech.expr import (
     substitute,
     variables_of,
 )
-from amech.expr import _fd_gradient, _fd_hessian, _fold, _jet_layout, _partials
+from amech.expr import _fd_gradient, _fd_hessian, _fold, _jet_layout, _partials, _walk
 from amech.vakonomic import VakonomicSystem
 from strategies import NAMES, exprs
 
@@ -460,6 +461,61 @@ def test_the_fallback_walk_names_a_partial_by_its_slot():
         with pytest.raises(EvalDomainError) as err:
             f([-1.0, 2.0, 3.0])
         assert str(err.value) == message
+
+
+@pytest.fixture
+def eval_node_calls(monkeypatch):
+    """A one-item list counting the calls of the tree walk's node evaluator,
+    its recursive calls included; the recursion limit is doubled meanwhile
+    for the counter's own frames."""
+    calls, walk, limit = [0], expr_module._eval_node, sys.getrecursionlimit()
+
+    def counting(*args):
+        calls[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(expr_module, "_eval_node", counting)
+    sys.setrecursionlimit(2 * limit)
+    yield calls
+    sys.setrecursionlimit(limit)
+
+
+def _distinct_nodes(trees) -> int:
+    seen, stack = {}, list(trees)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += [getattr(node, f) for f in ("arg", "left", "right", "base")
+                      if hasattr(node, f)]
+    return len(seen)
+
+
+# L = v^2 + v*v*...*v at the parser's depth bound: its partial trees share
+# the chain's prefixes, so a walk per path makes millions of node calls
+DEPTH_CHAIN = parse_system("system chain\nbase [q]\nfiber [v]\nanchor { v -> (1) }\n"
+                           "lagrangian = v^2 + v" + "*v" * (MAX_DEPTH - 2) + "\n").lagrangian
+
+
+@pytest.mark.parametrize("walk", [
+    lambda names, env: _walk(names, {}, _jet_layout(DEPTH_CHAIN, names, 2), [*env.values()]),
+    lambda names, env: hessian(DEPTH_CHAIN, names, env),
+], ids=["_walk", "hessian"])
+def test_one_walk_evaluates_each_node_once(eval_node_calls, walk):
+    names, env = ("q", "v"), {"q": 0.3, "v": 0.9}
+    trees = [tree for group, *_ in _jet_layout(DEPTH_CHAIN, names, 2)[0] for tree in group]
+    walk(names, env)
+    # one call per root and per operand of each distinct node evaluated
+    assert 0 < eval_node_calls[0] <= len(trees) + 2 * _distinct_nodes(trees)
+
+
+def test_the_walk_of_the_depth_chain_is_the_generated_jet_bit_for_bit():
+    names, x = ("q", "v"), [0.3, 0.9]
+    env = dict(zip(names, x))
+    value, g, h = ScalarFunction(names, expr=DEPTH_CHAIN).derivatives(x)
+    assert _bits(evaluate(DEPTH_CHAIN, env)) == _bits(value)
+    assert _bits(grad(DEPTH_CHAIN, names, env)) == _bits(g)
+    assert _bits(hessian(DEPTH_CHAIN, names, env)) == _bits(h)
 
 
 def test_generated_code_binds_names_before_params():
