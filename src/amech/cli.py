@@ -10,8 +10,10 @@ reruns are bitwise identical on the data outputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -47,7 +49,8 @@ class UsageError(Exception):
 def _load_model(args) -> dict:
     """Resolve --preset/file into spec + provenance + facts, with the facts'
     channels as trees (a preset's parsed once per process), and the rank
-    tolerance the manifest records, resolved from AMECH_TOL before any output."""
+    tolerance the manifest records. AMECH_TOL, --seed and the --out and
+    manifest paths are checked here, before any output."""
     if getattr(args, "preset", None):
         preset = presets.load(args.preset)
         model = {"spec": preset.spec, "dsl": preset.dsl, "facts": preset.facts,
@@ -67,7 +70,23 @@ def _load_model(args) -> dict:
     else:
         raise UsageError("need a model: --preset ID or a file path")
     model["rank_tolerance"] = rank_rtol()
+    if getattr(args, "seed", 0) < 0:
+        raise AmechError(f"--seed must be non-negative, got {args.seed}")
+    for path in (getattr(args, "out", None),
+                 getattr(args, "manifest", None) or "amech-manifest.json"):
+        if path:
+            _check_writable(path)
     return model
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise for a
+    directory or a missing parent directory, without opening it."""
+    parent = os.path.dirname(path) or "."
+    code = (errno.EISDIR if os.path.isdir(path) else None if os.path.isdir(parent)
+            else errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _parse_bindings(pairs, what: str) -> dict[str, float]:
@@ -84,12 +103,6 @@ def _parse_bindings(pairs, what: str) -> dict[str, float]:
         if not np.isfinite(out[name]):
             raise UsageError(f"bad number {raw!r} for {what} {name!r}")
     return out
-
-
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise AmechError(f"--seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -133,7 +146,7 @@ def cmd_validate(args) -> int:
     if args.points < 1:
         raise AmechError(f"--points must be at least 1, got {args.points}")
     chart = chart_from_spec(spec)
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     points = []
     worst_r1 = worst_r2 = 0.0
     for _ in range(args.points):
@@ -256,7 +269,7 @@ def _el_mode(spec, sode: bool = False) -> Mode:
 
     def project(y0, seed):
         problem = lagrangian_problem(sys_)
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         seeds = [y0] + [y0 + rng.normal(0.0, 0.3, size=y0.size) for _ in range(2)]
         run = run_constraint_algorithm(problem, seeds)
         return _sode_locus_project(problem, run, sys_, y0)
@@ -343,7 +356,7 @@ def cmd_simulate(args) -> int:
     problem_ode = OdeProblem(dim=len(labels), rhs=mode.rhs, labels=tuple(labels))
     traj = integrate(problem_ode, config, y0, monitors)
     if derived:
-        channels = derived(traj, spec.params)
+        channels = derived(traj)
         # a run too short to difference has none
         if channels and tuple(channels) != derived_names:
             raise AmechError(f"derived channels {list(channels)} are not the "
@@ -410,7 +423,7 @@ def cmd_constrain(args) -> int:
         problem = lagrangian_problem(sys_)
     else:
         problem, _ = hamiltonian_problem_from_lagrangian(sys_)
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     if args.probes < 1:
         raise AmechError(f"--probes must be at least 1, got {args.probes}")
     seeds = [rng.uniform(0.6, 1.4, size=chart.m + chart.n)
@@ -508,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3,
-                   help="fixed step (RK4); ignored when --rtol is given")
+                   help="fixed step (RK4), or the first step of the adaptive "
+                        "pair when --rtol is given")
     p.add_argument("--rtol", type=float, default=None,
                    help="switch to the adaptive pair with this tolerance")
     p.add_argument("--atol", type=float, default=1e-10)

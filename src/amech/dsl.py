@@ -31,7 +31,7 @@ from .errors import (
     DuplicateIndexError,
     UndeclaredNameError,
 )
-from .expr import Binary, Const, Expr, Pow, Unary, Var, format_expr, variables_of
+from .expr import Binary, Const, Expr, Pow, Unary, Var, _is, format_expr, variables_of
 
 __all__ = [
     "SystemSpec",
@@ -628,7 +628,7 @@ def format_system(spec: SystemSpec) -> str:
     lines = [f"system {spec.name}"]
     lines.append("base [" + ", ".join(spec.base) + "]")
     lines.append("fiber [" + ", ".join(spec.fiber) + "]")
-    if all(_is_zero(e) for row in spec.anchor for e in row):
+    if all(_is(e, 0.0) for row in spec.anchor for e in row):
         lines.append("anchor zero")
     else:
         entries = []
@@ -641,7 +641,7 @@ def format_system(spec: SystemSpec) -> str:
             coeffs = spec.bracket[(a, b)]
             terms = []
             for c, coef in enumerate(coeffs):
-                if _is_zero(coef):
+                if _is(coef, 0.0):
                     continue
                 terms.append(f"({format_expr(coef)})*{spec.fiber[c]}")
             rhs = " + ".join(terms) if terms else "0*" + spec.fiber[0]
@@ -656,7 +656,3 @@ def format_system(spec: SystemSpec) -> str:
                    for idx, e in zip(spec.vakonomic.constrained, spec.vakonomic.psi)]
         lines.append("vakonomic { " + "; ".join(entries) + " }")
     return "\n".join(lines) + "\n"
-
-
-def _is_zero(expr: Expr) -> bool:
-    return isinstance(expr, Const) and expr.value == 0.0

@@ -35,9 +35,9 @@ import numpy as np
 from .algebroid import (AlgebroidChart, DualPoint, _anchor_drive, as_dual_observable,
                         hamilton_field)
 from .errors import EvalDomainError, NewtonFailed, SingularHessian
-from .expr import (Binary, Const, Expr, ScalarFunction, Var, _ONE, _ZERO, _dot, _fold, _is,
-                   _jet_layout, _polynomial_degree, evaluate, keep_last, kept, lazy_generated,
-                   partials, substitute, variables_of)
+from .expr import (Binary, Const, Expr, ScalarFunction, Var, _ONE, _ZERO, _dot, _fold, _free,
+                   _is, _jet_layout, evaluate, keep_last, kept, lazy_generated, partials,
+                   substitute, variables_of)
 from .linalg import damped_newton, rank_rtol, regular_solve, regularity
 
 __all__ = [
@@ -573,7 +573,7 @@ class LegendreEnergy:
 
 
 class QuadraticHamiltonian:
-    """The induced Hamiltonian of an L of fiber degree at most 2, in closed
+    """The induced Hamiltonian of an L whose W names no velocity, in closed
     form: H = E_L(x, y) = p y - L(x, y) at the velocity y(x, p) with y_K = 0
     along kernel_idx and dL/dy_T = p_T, w being W_TT: its values where
     constant, else its trees.
@@ -664,12 +664,13 @@ def hamiltonian_from_lagrangian(sys: LagrangianSystem, follow: bool = False,
     """Energy pushed through the inverse Legendre transform, H(x, p), with
     the velocities along kernel_idx pinned to zero.
 
-    A QuadraticHamiltonian when L's fiber degree is at most 2 and its
-    transverse velocity Hessian W_TT either names only params and is
-    regular with the system's rank tolerance, or varies with x and is 1x1,
-    diagonal or 2x2. The degree, W_TT's values or trees and the
-    QuadraticHamiltonian are found once for the Lagrangian's root node,
-    names, params and kernel, and kept on that node.
+    A QuadraticHamiltonian when no tree of L's velocity Hessian W names a
+    velocity (the trees are folded, so a zero coefficient leaves none) and
+    its transverse block W_TT either names only params and is regular with
+    the system's rank tolerance, or varies with x and is 1x1, diagonal or
+    2x2. That check, W_TT's values or trees and the QuadraticHamiltonian
+    are made once for the Lagrangian's root node, names, params and kernel,
+    and kept on that node.
     Otherwise a LegendreEnergy, valid where its Newton inverse converges
     (hyperregular Lagrangians), which follows the branch of its last solve
     when follow is set, as a trajectory needs. Either is callable as H(x, p)
@@ -681,12 +682,12 @@ def hamiltonian_from_lagrangian(sys: LagrangianSystem, follow: bool = False,
 
     def transverse_hessian():
         # W_TT's values where its trees name only params, else the trees
-        # themselves; None for an L of fiber degree above 2
-        if kept(lagrangian, ("fiber_degree", names[m:]),
-                lambda: _polynomial_degree(lagrangian, frozenset(names[m:]))) > 2:
+        # themselves; None when a tree of W names a velocity
+        hessian, memo = _jet_layout(lagrangian, names, 2)[0][2][0], {}
+        block = [[hessian[(m + a) * (m + n) + m + b] for b in range(n)] for a in range(n)]
+        if any(_free(tree, memo) & set(names[m:]) for row in block for tree in row):
             return None
-        hessian = _jet_layout(lagrangian, names, 2)[0][2][0]
-        trees = [[hessian[(m + a) * (m + n) + m + b] for b in tr] for a in tr]
+        trees = [[block[a][b] for b in tr] for a in tr]
         w = _constant([tree for row in trees for tree in row], sys._sf.params)
         return trees if w is None else w.reshape(len(tr), len(tr))
 

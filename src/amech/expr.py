@@ -661,34 +661,6 @@ def variables_of(expr: Expr) -> frozenset[str]:
     return _free(expr, {})
 
 
-def _polynomial_degree(expr: Expr, names: frozenset[str]) -> float:
-    """The tree's degree as a polynomial in names, read off its structure:
-    a sum's is its terms' largest, a product's its factors' sum, an integer
-    power's a multiple of its base's, a quotient's its numerator's over a
-    denominator free of names; any other function of names is math.inf.
-    Each node is visited once."""
-    memo: dict[int, tuple[Expr, float]] = {}
-
-    def walk(node: Expr) -> float:
-        if id(node) not in memo:
-            if isinstance(node, (Const, Var)):
-                degree = float(isinstance(node, Var) and node.name in names)
-            elif isinstance(node, Binary):
-                a, b = walk(node.left), walk(node.right)
-                degree = (max(a, b) if node.op in "+-" else a + b if node.op == "*"
-                          else math.inf if b else a)
-            else:
-                arg, k = ((node.arg, 1 if node.op == "neg" else math.inf)
-                          if isinstance(node, Unary)
-                          else (node.base, node.exponent if node.exponent >= 0 else math.inf))
-                a = walk(arg)
-                degree = a * k if a and k else 0.0
-            memo[id(node)] = (node, degree)
-        return memo[id(node)][1]
-
-    return walk(expr)
-
-
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 

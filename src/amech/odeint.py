@@ -64,6 +64,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "dp45"):
             raise ValueError(f"unknown method {self.method!r}")
+        if not all(map(math.isfinite, (self.t0, self.t1, self.rtol, self.atol,
+                                       0.0 if self.h is None else self.h))):
+            raise ValueError("t0, t1, h, rtol and atol must be finite")
         if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
         if self.method == "rk4" and (self.h is None or self.h <= 0.0):
@@ -228,9 +231,11 @@ def _run_rk4(problem: OdeProblem, config: IntegratorConfig, y0: np.ndarray,
     t0, t1, h = config.t0, config.t1, float(config.h)
     # Grid times are computed as t0 + k*h, not accumulated, so the node set
     # is independent of intermediate rounding.
-    n_full = int(np.floor((t1 - t0) / h + 1e-12))
+    # compared as a float, so a count too large for int() is refused too
+    n_full = np.floor((t1 - t0) / h + 1e-12)
     if n_full > config.max_steps:
-        raise MaxStepsExceeded(f"{n_full} steps exceed max_steps={config.max_steps}")
+        raise MaxStepsExceeded(f"{n_full:.0f} steps exceed max_steps={config.max_steps}")
+    n_full = int(n_full)
     row(t0, y0)
     y = y0
     t = t0

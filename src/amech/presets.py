@@ -108,12 +108,11 @@ def _second_time_derivative(series: np.ndarray, times: np.ndarray) -> np.ndarray
     return np.gradient(np.gradient(series, times), times)
 
 
-def martinet_pendulum_channels(traj, params: dict | None = None) -> dict[str, np.ndarray]:
+def martinet_pendulum_channels(traj) -> dict[str, np.ndarray]:
     """Pendulum form of the straightest-path flow: theta is the heading of
     the velocity (e1, e2) and obeys theta'' + p3 r sin(theta) = 0 with
     r = |(e1, e2)| constant. Edge rows of the residual carry the one-sided
     differentiation error."""
-    del params
     times = np.asarray(traj.times, dtype=float)
     if times.size < 5:
         return {}
@@ -126,11 +125,10 @@ def martinet_pendulum_channels(traj, params: dict | None = None) -> dict[str, np
     return {"theta": theta, "pendulum_residual": resid}
 
 
-def plate_ball_pendulum_channels(traj, params: dict | None = None) -> dict[str, np.ndarray]:
+def plate_ball_pendulum_channels(traj) -> dict[str, np.ndarray]:
     """Pendulum form of the rolling flow: with the conserved pair
     k1 = e1 - p4 = r cos(phi), k2 = e2 + p3 = r sin(phi), the heading
     theta = atan2(e2, e1) obeys theta'' + r sin(theta - phi) = 0."""
-    del params
     times = np.asarray(traj.times, dtype=float)
     if times.size < 5:
         return {}

@@ -716,3 +716,77 @@ def test_validate_needs_at_least_one_point(tmp_path, capsys, points):
     captured = capsys.readouterr()
     assert captured.err == f"error: --points must be at least 1, got {points}\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--t1", "inf"], 2), (["--t1", "nan"], 2), (["--t0=-inf"], 2),
+    (["--dt", "nan"], 2), (["--dt", "inf"], 2),
+    (["--rtol", "inf"], 2), (["--rtol", "nan"], 2), (["--atol", "inf"], 2),
+    (["--t1", "1e300", "--dt", "1e-300"], 4),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_integration_settings_out_of_range_keep_their_exit_code(tmp_path, capsys, flags, code):
+    # a non-finite setting is a usage error, a step count too large for an
+    # int exceeds --max-steps; neither is a traceback or a run
+    out, manifest = tmp_path / "o.csv", tmp_path / "m.json"
+    assert main(["simulate", "--preset", "tq_pendulum", "--t1", "0.01", *flags,
+                 "--out", str(out), "--manifest", str(manifest)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("must be finite" if code == 2 else "exceed") in err
+    assert not out.exists() and not manifest.exists()
+
+
+_NO_OUT = {
+    "validate": ["validate", "--preset", "tq_pendulum"],
+    "constrain": ["constrain", "--preset", "tq_pendulum"],
+    "simulate": ["simulate", "--preset", "tq_pendulum", "--t1", "0.01"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_NO_OUT))
+def test_an_unusable_manifest_path_stops_a_command_before_its_output(tmp_path, capsys, cmd):
+    assert main([*_NO_OUT[cmd], "--manifest", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {tmp_path}: Is a directory\n")
+    missing = tmp_path / "no_such_dir" / "m.json"
+    assert main([*_NO_OUT[cmd], "--manifest", str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"error: {missing}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("cmd", sorted(_NO_OUT))
+def test_an_unusable_manifest_path_leaves_the_out_file_as_it_was(tmp_path, capsys, cmd):
+    out = tmp_path / "o"
+    out.write_text("kept\n")
+    assert main([*_NO_OUT[cmd], "--out", str(out), "--manifest", str(tmp_path)]) == 2
+    assert out.read_text() == "kept\n" and capsys.readouterr().out == ""
+    missing = tmp_path / "no_such_dir" / "o"
+    manifest = tmp_path / "m.json"
+    assert main([*_NO_OUT[cmd], "--out", str(missing), "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr() == ("", f"error: {missing}: No such file or directory\n")
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "--preset", "so3_rigid_body", "--F", "p1", "--G", "p2"],
+    ["simulate", "--preset", "tq_pendulum", "--t1", "0.01"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_refused_by_a_command_that_draws_nothing(tmp_path, capsys, argv):
+    manifest = tmp_path / "m.json"
+    assert main([*argv, "--seed", "-1", "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n")
+    assert not manifest.exists()
+
+
+def test_dt_is_the_first_step_of_the_adaptive_pair(tmp_path, capsys):
+    assert main(["simulate", "--help"]) == 0
+    assert "the first step of the adaptive pair" in " ".join(capsys.readouterr().out.split())
+    rows = []
+    for dt in ("1e-3", "1e-2"):
+        out, manifest, replay = (tmp_path / f"{dt}.csv", tmp_path / f"{dt}.json",
+                                 tmp_path / f"{dt}.replay.csv")
+        assert main(["simulate", "--preset", "tq_pendulum", "--t1", "1", "--rtol", "1e-6",
+                     "--dt", dt, "--out", str(out), "--manifest", str(manifest)]) == 0
+        assert main(["simulate", "--from-manifest", str(manifest), "--out", str(replay),
+                     "--manifest", str(tmp_path / "m2.json")]) == 0
+        assert replay.read_bytes() == out.read_bytes()
+        rows.append(out.read_text().count("\n") - 1)
+    # the header and 9 rows, the header and 7
+    assert rows == [9, 7]

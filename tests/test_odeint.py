@@ -218,6 +218,20 @@ def test_config_validation(kwargs):
         IntegratorConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["t0", "t1", "h", "rtol", "atol"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_setting_is_refused(name, value):
+    kwargs = {"t0": 0.0, "t1": 1.0, "method": "dp45", "h": 0.1, name: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        IntegratorConfig(**kwargs)
+
+
+def test_a_step_count_too_large_for_an_int_exceeds_max_steps():
+    with pytest.raises(MaxStepsExceeded, match="inf steps exceed"):
+        integrate(OdeProblem(dim=1, rhs=lambda t, y: y),
+                  IntegratorConfig(t0=0.0, t1=1e300, h=1e-300), np.array([1.0]))
+
+
 def test_problem_label_handling():
     assert OdeProblem(dim=2, rhs=lambda t, y: y).labels == ("y1", "y2")
     with pytest.raises(ValueError):

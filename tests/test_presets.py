@@ -174,7 +174,7 @@ def test_plate_ball_pendulum_channels_on_trajectory():
 @pytest.mark.parametrize("pid", ["martinet", "plate_ball"])
 def test_derived_channels_are_the_declared_names(pid):
     facts = load(pid).facts
-    out = facts["derived"](_vak_trajectory(pid, t1=0.05, h=1e-2), load(pid).spec.params)
+    out = facts["derived"](_vak_trajectory(pid, t1=0.05, h=1e-2))
     assert tuple(out) == facts["derived_names"]
 
 

@@ -133,14 +133,31 @@ def test_a_fresh_hamiltonian_problem_reads_no_l_point_and_compiles_nothing(pid, 
     assert calls == [] and sources == []
 
 
+def _kept_w(sys_) -> list:
+    """The W checks kept on L's root node."""
+    kept_ = vars(sys_._sf.expr).get("_kept", {})
+    return [value for key, value in kept_.items() if key[0] == "velocity_hessian"]
+
+
 @pytest.mark.parametrize("text", [CUBIC, CHAIN], ids=["cubic", "chain"])
 def test_a_lagrangian_of_higher_velocity_degree_keeps_the_newton(text):
     sys_ = system_from_spec(parse_system(text))
     assert isinstance(hamiltonian_from_lagrangian(sys_), LegendreEnergy)
-    # the degree is read off L's structure: no second partial of L was taken
-    assert not [key for key in vars(sys_._sf.expr).get("_kept", {})
-                if key[0] == "partials" and key[1] == 2]
+    # W names the velocity, and that verdict is kept on L
+    assert _kept_w(sys_) == [None]
     assert isinstance(hamiltonian_problem_from_lagrangian(sys_)[1], LegendreEnergy)
+
+
+def test_a_zero_coefficient_of_a_higher_velocity_power_keeps_the_closed_form():
+    # L has no cubic term, so W = 1 names no velocity and H is closed-form
+    text = f"system zero_cubic\n{ONE_FIBER}lagrangian = 0.5*v^2 + 0*v^3 - 0.5*q^2\n"
+    sys_ = system_from_spec(parse_system(text))
+    H = hamiltonian_from_lagrangian(sys_)
+    assert isinstance(H, QuadraticHamiltonian) and H.constant
+    at = DualPoint(np.array([0.3]), np.array([0.8]))
+    assert H.value(at) == pytest.approx(0.5 * 0.8**2 + 0.5 * 0.3**2, rel=1e-15)
+    newton = LegendreEnergy(sys_).gradients(at)
+    assert all(np.allclose(a, b, rtol=1e-12) for a, b in zip(H.gradients(at), newton))
 
 
 @pytest.mark.parametrize("pid", sorted(CONSTANT_W_SOURCES))
@@ -197,17 +214,15 @@ def test_a_varying_w_singular_at_a_hamilton_start_exits_3_with_no_newton(
 
 
 def test_a_system_builds_no_hamiltonian_until_one_is_asked_for(monkeypatch):
-    # the degree walk and the Hamiltonian's code run when a Hamiltonian is
-    # built and called, never when a system is made from a spec
-    walks, sources = [], []
-    walk, compile_ = dynamics._polynomial_degree, expr._compile
-    monkeypatch.setattr(dynamics, "_polynomial_degree",
-                        lambda *args: walks.append(args) or walk(*args))
+    # the W check and the Hamiltonian's code run when a Hamiltonian is built
+    # and called, never when a system is made from a spec
+    sources, compile_ = [], expr._compile
     monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
                         or compile_(source))
     for pid in preset_ids():
-        system_from_spec(copy.deepcopy(load_preset(pid).spec))
-    assert walks == [] and sources == []
-    capri = copy.deepcopy(load_preset("capri_kobayashi").spec)
-    hamiltonian_from_lagrangian(system_from_spec(capri))
-    assert len(walks) == 1 and sources == []
+        assert _kept_w(system_from_spec(copy.deepcopy(load_preset(pid).spec))) == []
+    assert sources == []
+    capri = system_from_spec(copy.deepcopy(load_preset("capri_kobayashi").spec))
+    hamiltonian_from_lagrangian(capri)
+    hamiltonian_from_lagrangian(capri)
+    assert len(_kept_w(capri)) == 1 and sources == []
