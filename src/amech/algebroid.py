@@ -153,8 +153,10 @@ def _chart_code(spec: SystemSpec) -> tuple:
             trees = [tree for s in slots
                      for tree in ([_ZERO] * m if s is None
                                   else [_signed(d, s[1]) for d in partials(s[0], base)])]
-            # every entry is checked before any partial, as grad checks its root
-            checks = [([s[0] for s in slots if s is not None], None, 0)] if m else []
+            # every entry is checked before any partial, as grad checks its root;
+            # a negated constant, as the parser writes (-1), is checked as its value
+            entries = [_signed(s[0], False) for s in slots if s is not None]
+            checks = [(entries, None, 0)] if m else []
             return [(trees, shape + (m,), 1)], checks
 
         return lazy_generated(base, spec.params, layout)

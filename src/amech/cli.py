@@ -349,7 +349,7 @@ def cmd_simulate(args) -> int:
     method = "dp45" if args.rtol is not None else "rk4"
     try:
         config = IntegratorConfig(t0=args.t0, t1=args.t1, method=method,
-                                  h=args.dt, rtol=args.rtol or 1e-8,
+                                  h=args.dt, rtol=1e-8 if args.rtol is None else args.rtol,
                                   atol=args.atol, max_steps=args.max_steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

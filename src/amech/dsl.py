@@ -336,13 +336,15 @@ def momentum_names(n: int) -> tuple[str, ...]:
     return tuple(f"p{A + 1}" for A in range(n))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def parse_system(text: str) -> SystemSpec:
     """Parse and name-check a full system document.
 
-    The last document parsed is kept: the same text gives the same spec
-    object, so the partial trees and generated code kept on its expression
-    nodes serve every later command on that model. Callers must not mutate
+    The last two documents parsed are kept: the same text gives the same
+    spec object, so the partial trees and generated code kept on its
+    expression nodes serve every later command on that model. Two, because a
+    model is often parsed, then its formatted text, and then the first text
+    again (a round trip check before a CLI load). Callers must not mutate
     the spec's `bracket` or `params` (`with_params` copies). Errors are not
     kept; a bad document raises on every call.
     """

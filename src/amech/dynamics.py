@@ -38,7 +38,7 @@ from .errors import EvalDomainError, NewtonFailed, SingularHessian
 from .expr import (Binary, Const, Expr, ScalarFunction, Var, _ONE, _ZERO, _dot, _fold, _free,
                    _is, _jet_layout, evaluate, keep_last, kept, lazy_generated, partials,
                    substitute, variables_of)
-from .linalg import damped_newton, rank_rtol, regular_solve, regularity
+from .linalg import damped_newton, rank_rtol, regular_solution, regular_solve, regularity
 
 __all__ = [
     "EPoint",
@@ -526,7 +526,8 @@ class LegendreEnergy:
             return d.ly[tr] - p[tr], d
 
         def solve(seed: np.ndarray) -> tuple[np.ndarray, LagrangianDerivatives]:
-            return damped_newton(residual, lambda d, r: np.linalg.solve(d.w[tt], r),
+            return damped_newton(residual,
+                                 lambda d, r: regular_solution(d.w[tt], r, sys.rank_rtol),
                                  seed, "Legendre inverse")
 
         try:
@@ -563,7 +564,8 @@ class LegendreEnergy:
         m, tr = self.chart.m, self._tr
         lxt = d.hxy[:, tr]
         # rows of dy_T / d(x, p_T)
-        dyt = np.linalg.solve(d.w[np.ix_(tr, tr)], np.hstack([-lxt.T, np.eye(tr.size)]))
+        dyt = regular_solution(d.w[np.ix_(tr, tr)], np.hstack([-lxt.T, np.eye(tr.size)]),
+                               self.sys.rank_rtol)
         h = np.zeros((m + self.chart.n,) * 2)
         h[:m, :m] = -d.hxx - lxt @ dyt[:, :m]
         h[:m, m + tr] = -lxt @ dyt[:, m:]

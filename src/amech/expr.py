@@ -14,7 +14,8 @@ paths (`ScalarFunction`, the chart tensors, the vakonomic point) run generated
 code instead: `generate` emits one straight-line Python function per layout of
 trees and variable order, one operation per line in the tree's own order, with
 repeated subexpressions computed once, so every number is bit-identical to the
-walk. `lazy_generated` builds that code at the first call, reuses compiled
+walk; a layout of constants only gets no code, just its values.
+`lazy_generated` builds that code at the first call, reuses compiled
 code with the same source text and keeps its last result, floats and read-only
 arrays of them, for a repeated point, through `keep_last`, the package's one
 last-point memo. Generated code and derived trees are kept on the spec or
@@ -504,10 +505,20 @@ def generate(names: Sequence[str], params: Mapping[str, float],
     Variables take the names first, then params, as in the walk. The
     function checks nothing: a domain failure surfaces as ArithmeticError or
     ValueError. None when a tree names anything else.
+
+    When every tree is a Const (the anchor and structure functions of a Lie
+    algebra or a tangent bundle, and their Jacobians) no code is built: the
+    function returns the same values, each Const's own float, which is what
+    the compiled literal reads back, and refuses a point of the wrong length
+    with ValueError as the compiled unpacking does.
     """
+    trees = [tree for group, *_ in [*checks, *groups] for tree in group]
+    if all(type(tree) is Const for tree in trees):
+        values = [group[0].value if shape is None else tuple([t.value for t in group])
+                  for group, shape, *_ in groups]
+        return _constant_code(len(names), values[0] if len(values) == 1 else tuple(values))
     slots = {name: _literal(float(value)) for name, value in params.items()}
     slots.update((name, f"v{i}") for i, name in enumerate(names))
-    trees = [tree for group, *_ in [*checks, *groups] for tree in group]
     try:
         lines, operands = _straight_line(trees, slots)
     except KeyError:
@@ -523,6 +534,16 @@ def generate(names: Sequence[str], params: Mapping[str, float],
               + "".join(f"    {line}\n" for line in lines)
               + f"    return {', '.join(parts)}\n")
     return _compile(source)
+
+
+def _constant_code(width: int, values: object) -> Callable[[list[float]], object]:
+    """`generate`'s function of trees that are all constants."""
+    def constant(v: list[float]) -> object:
+        if width and len(v) != width:
+            raise ValueError(f"expected {width} values to unpack, got {len(v)}")
+        return values
+
+    return constant
 
 
 def _array_plan(shapes: list) -> tuple:

@@ -26,6 +26,7 @@ __all__ = [
     "min_norm_lstsq",
     "regularity",
     "regular_solve",
+    "regular_solution",
     "damped_newton",
     "AMBIGUITY_BAND",
 ]
@@ -113,7 +114,8 @@ def regular_solve(a: np.ndarray, b: np.ndarray | None = None, rtol: float | None
     means the smallest exceeds the shared relative threshold times a positive
     largest one; an empty matrix is not regular here, and callers that accept
     it say so themselves. The solution is None unless a is regular and b is
-    given. rtol is the threshold, which a system resolves once and passes;
+    given; a 2-D b is solved one column at a time, each as a vector b.
+    rtol is the threshold, which a system resolves once and passes;
     rank_rtol() when None. Only the lower triangle is read, and a NaN
     eigenvalue raises LinAlgError, as the SVD of such a matrix does.
 
@@ -151,14 +153,38 @@ def regular_solve(a: np.ndarray, b: np.ndarray | None = None, rtol: float | None
     regular = smax > 0.0 and smin > (rank_rtol() if rtol is None else rtol) * smax
     if not regular or b is None:
         return regular, smin, smax, None
-    # + 0.0 turns a -0.0 into the +0.0 that eigh's sums of products give
-    if n == 1:
-        return regular, smin, smax, np.array([b.item() / lam + 0.0])
-    if n == 2:
-        b0, b1 = b.tolist()
-        return regular, smin, smax, np.array([(q * b0 - r * b1) / det / scale + 0.0,
-                                              (p * b1 - r * b0) / det / scale + 0.0])
-    return regular, smin, smax, vectors @ ((b @ vectors) / lam)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        # + 0.0 turns a -0.0 into the +0.0 that eigh's sums of products give
+        if n == 1:
+            return np.array([b.item() / lam + 0.0])
+        if n == 2:
+            b0, b1 = b.tolist()
+            return np.array([(q * b0 - r * b1) / det / scale + 0.0,
+                             (p * b1 - r * b0) / det / scale + 0.0])
+        return vectors @ ((b @ vectors) / lam)
+
+    if b.ndim == 1:
+        return regular, smin, smax, solve(b)
+    columns = [solve(col) for col in np.array(b.T, dtype=float)]
+    return regular, smin, smax, np.reshape(columns, (-1, n)).T
+
+
+def regular_solution(a: np.ndarray, b: np.ndarray, rtol: float | None = None) -> np.ndarray:
+    """regular_solve's solution of a x = b, for a Newton step or an
+    implicit-function derivative; LinAlgError when a is not regular, so
+    damped_newton reports a singular Jacobian.
+
+    From size 3 the eigenvector solve carries a few more ulps than an LU
+    does, so one step of iterative refinement follows it: a Newton that
+    stops after one step then lands as near the root as with an LU.
+    """
+    regular, smin, _, x = regular_solve(a, b, rtol)
+    if not regular:
+        raise np.linalg.LinAlgError(f"matrix is not regular (sigma_min={smin:.3e})")
+    if len(a) > 2:
+        x = x + regular_solve(a, b - a @ x, rtol)[3]
+    return x
 
 
 def min_norm_lstsq(a: np.ndarray, b: np.ndarray,

@@ -25,7 +25,7 @@ from .dsl import SystemSpec
 from .dynamics import _mechanics_point, _multiplier_names, _solved
 from .errors import MuSolveFailed, SingularR
 from .expr import Expr, kept, substitute, variables_of
-from .linalg import damped_newton, rank_rtol, regularity
+from .linalg import damped_newton, rank_rtol, regular_solution, regularity
 
 __all__ = [
     "VakState",
@@ -263,8 +263,8 @@ def mu_solve(sys: VakonomicSystem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         d = _PointData(sys, x, ya, palpha)
         return d.p_full[free] - p[free], d.R
 
-    return damped_newton(residual, np.linalg.solve, np.zeros(sys.n_free),
-                         "velocity solve", error=MuSolveFailed)[0]
+    return damped_newton(residual, lambda jac, r: regular_solution(jac, r, sys.rank_rtol),
+                         np.zeros(sys.n_free), "velocity solve", error=MuSolveFailed)[0]
 
 
 def hamiltonian_section(sys: VakonomicSystem,

@@ -735,6 +735,16 @@ def test_integration_settings_out_of_range_keep_their_exit_code(tmp_path, capsys
     assert not out.exists() and not manifest.exists()
 
 
+@pytest.mark.parametrize("rtol", ["0", "-1", "-0"])
+def test_a_tolerance_that_is_not_positive_is_refused(tmp_path, capsys, rtol):
+    # --rtol 0 selects DP45 and is refused as -1 is, never run at the default
+    out, manifest = tmp_path / "o.csv", tmp_path / "m.json"
+    assert main(["simulate", "--preset", "tq_pendulum", "--t1", "1", "--rtol", rtol,
+                 "--out", str(out), "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == "error: tolerances must be positive\n"
+    assert not out.exists() and not manifest.exists()
+
+
 _NO_OUT = {
     "validate": ["validate", "--preset", "tq_pendulum"],
     "constrain": ["constrain", "--preset", "tq_pendulum"],

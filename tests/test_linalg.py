@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from amech.errors import MuSolveFailed, NewtonFailed, RankAmbiguous
 from amech.linalg import (AMBIGUITY_BAND, damped_newton, decide_rank, null_space, rank_rtol,
-                          regular_solve, regularity, row_space_rank)
+                          regular_solution, regular_solve, regularity, row_space_rank)
 
 
 def _circle_and_diagonal(x):
@@ -239,6 +239,45 @@ def test_eigh_runs_only_from_3x3(monkeypatch):
     for n in (1, 2, 3, 4):
         regular_solve(np.eye(n) + 0.1, np.ones(n))
     assert calls == [(3, 3), (4, 4)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=_conditioned(), k=st.integers(min_value=0, max_value=3))
+def test_a_matrix_right_hand_side_is_solved_column_by_column(data, k):
+    # each column takes a vector b's operations, signed zeros included
+    w, b = data
+    rhs = np.column_stack([b, -0.0 * b, *[b[::-1] * (j + 1) for j in range(k)]])
+    _, _, _, x = regular_solve(w, rhs)
+    assert x.shape == rhs.shape
+    for j in range(rhs.shape[1]):
+        assert x[:, j].tobytes() == regular_solve(w, rhs[:, j].copy())[3].tobytes()
+
+
+def test_a_1x1_matrix_right_hand_side_divides_each_entry():
+    x = regular_solve(np.array([[-2.5]]), np.array([[1.0, -0.0, 3.0]]))[3]
+    assert x.tobytes() == np.array([[1.0 / -2.5, 0.0, 3.0 / -2.5]]).tobytes()
+
+
+def test_regular_solution_refuses_what_regular_solve_refuses():
+    v = np.array([1.0, 2.0, -0.5])
+    for a in (np.zeros((1, 1)), np.diag([1.0, 1e-12]), np.outer(v, v)):
+        with pytest.raises(np.linalg.LinAlgError, match="not regular"):
+            regular_solution(a, np.ones(len(a)))
+    # a Newton step of a non-regular matrix keeps damped_newton's message
+    with pytest.raises(NewtonFailed, match="singular Jacobian"):
+        damped_newton(lambda x: (x - 1.0, np.zeros((2, 2))), regular_solution,
+                      np.zeros(2), "flat")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=_conditioned())
+def test_regular_solution_is_regular_solve_up_to_size_two_and_refined_beyond(data):
+    w, b = data
+    x = regular_solution(w, b)
+    if len(w) <= 2:
+        assert x.tobytes() == regular_solve(w, b)[3].tobytes()
+    expected = np.linalg.solve(w, b)
+    assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def _ranks(a):

@@ -1,10 +1,12 @@
-"""Per-process set-up: the argument parser, the last parsed document and each
+"""Per-process set-up: the argument parser, the last two parsed documents and each
 preset are built once, and a later command on the same model reuses the
 partial trees and generated code kept on its expression nodes."""
 
 import copy
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amech import cli, dynamics, expr
-from amech.algebroid import DualPoint, chart_from_spec
+from amech import cli, dsl, dynamics, expr
+from amech.algebroid import DualPoint, _signed, _tensor_slots, _tensor_trees, chart_from_spec
 from amech.cli import MODES, _resolve_init, build_parser, main
 from amech.dsl import format_system, parse_system, with_params
 from amech.dynamics import (EPoint, LegendreEnergy, euler_lagrange_rhs, hamilton_rhs,
                             hamiltonian_from_lagrangian, system_from_spec)
 from amech.errors import DslError
+from amech.expr import Const, evaluate, partials
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import ids as preset_ids, load as load_preset
 from amech.vakonomic import h_w1, vakonomic_from_spec
@@ -46,13 +49,90 @@ lagrangian = 0.5*(a*u1^2 + u2^2 + b*u3^2) + 0.125*q1*u1*u3 - sin(q1)*cos(q2) - 0
 """
 
 
-def test_parse_system_keeps_the_last_document():
+def test_parse_system_keeps_the_last_two_documents():
     spec = parse_system(DOC)
     assert parse_system(DOC) is spec
     other = parse_system(DOC.replace("k = 2.0", "k = 3.0"))
     assert other is not spec and other.params == {"k": 3.0}
+    # A, B, A: both are kept
+    assert parse_system(DOC) is spec
+    assert parse_system(DOC.replace("k = 2.0", "k = 3.0")) is other
+    # A, B, C, A: C pushes out A, the older of the two, so A is parsed again
+    parse_system(DOC.replace("k = 2.0", "k = 4.0"))
     assert parse_system(DOC) is not spec
     assert parse_system(DOC) == spec
+
+
+# so(3) in an integer basis crossed with T R^2, as the model sweep writes it;
+# used by no other test
+SWEEP_K2 = """\
+system sweep_memo_k2
+base [q1, q2]
+fiber [v1, v2, f1, f2, f3]
+anchor { v1 -> (1, 0); v2 -> (0, 1); f1 -> (0, 0); f2 -> (0, 0); f3 -> (0, 0) }
+bracket { [f1,f2] = (-1)*f2 + (1)*f3; [f1,f3] = (1)*f1 + (-2)*f2 + (1)*f3; \
+[f2,f3] = (2)*f1 + (-1)*f2 }
+params { g = 0.6159 }
+lagrangian = 0.5*(1.8031*v1^2 + -0.2055*v1*v2 + 1.7178*v2^2 + 1.2940*f1^2 + 1.2792*f2^2 + \
+1.1789*f3^2) - (g*(1 - cos(q1)) + 0.7166*q1^2 + g*(1 - cos(q2)) + 0.7759*q2^2)
+"""
+
+
+def test_a_round_trip_and_a_cli_load_tokenize_a_document_once(tmp_path, monkeypatch):
+    # the sweep's sequence: parse, parse the formatted text, then load the
+    # first text from a file, which the second kept document serves
+    tokenized, tokenize = [], dsl._tokenize
+    monkeypatch.setattr(dsl, "_tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    parse_system.cache_clear()
+    formatted = format_system(parse_system(SWEEP_K2))
+    assert format_system(parse_system(formatted)) == formatted != SWEEP_K2
+    model = tmp_path / "sweep.amech"
+    model.write_text(SWEEP_K2)
+    assert main(["validate", str(model), "--points", "2", "--out", str(tmp_path / "v.json"),
+                 "--manifest", str(tmp_path / "m.json")]) == 0
+    assert tokenized == [SWEEP_K2, formatted]
+
+
+def test_constant_chart_tensors_compile_nothing(monkeypatch):
+    sources, compile_ = [], expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda source: sources.append(source)
+                        or compile_(source))
+    # a copy of the spec holds nothing generated, so the code is made here
+    spec = copy.deepcopy(parse_system(SWEEP_K2))
+    chart = chart_from_spec(spec)
+    x = np.array([0.3, -0.7])
+    got = [chart.rho(x), chart.structure(x), chart.rho_jacobian(x),
+           chart.structure_jacobian(x)]
+    assert sources == []
+    # the tree values, bit for bit: rho, C and their partials, negated slots signed
+    rho_slots, c_slots = _tensor_slots(spec)
+    trees = [_tensor_trees(rho_slots), _tensor_trees(c_slots)]
+    for slots in (rho_slots, c_slots):
+        trees.append([tree for s in slots for tree in (
+            [Const(0.0)] * 2 if s is None
+            else [_signed(d, s[1]) for d in partials(s[0], spec.base)])])
+    for array, shape, group in zip(got, [(2, 5), (5, 5, 5), (2, 5, 2), (5, 5, 5, 2)], trees):
+        assert array.shape == shape and not array.flags.writeable
+        assert array.tobytes() == np.array([evaluate(t, spec.params) for t in group]).tobytes()
+    assert chart.structure(np.array([1.0, 2.0])) is got[1]
+    with pytest.raises(ValueError):
+        chart.structure(np.array([1.0, 2.0, 3.0]))
+
+
+def test_a_layout_of_constants_returns_each_value_as_it_is(monkeypatch):
+    monkeypatch.setattr(expr, "_compile", None)
+    specials = [Const(-0.0), Const(math.inf), Const(-math.inf), Const(math.nan), Const(0.1)]
+    code = expr.generate(("a", "b"), {"k": 2.0}, [(specials, (5,), 0), (specials[3:], None, 0)],
+                         [(specials[:1], None, 0)])
+    vector, single = code([1.0, 2.0])
+    assert struct.pack("5d", *vector) == struct.pack("5d", -0.0, math.inf, -math.inf,
+                                                     math.nan, 0.1)
+    assert math.isnan(single) and type(single) is float
+    only = expr.generate(("a",), {}, [(specials[:2], (2,), 0)])([4.0])
+    assert struct.pack("2d", *only) == struct.pack("2d", -0.0, math.inf)
+    for wrong in ([], [1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError):
+            code(wrong)
 
 
 def test_parse_errors_are_raised_on_every_call():

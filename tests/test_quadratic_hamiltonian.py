@@ -184,6 +184,57 @@ def _hamilton_csv(tmp_path, text, name, *init):
     return code, (np.genfromtxt(out, delimiter=",", names=True) if code == 0 else None)
 
 
+def _dense_solve(monkeypatch) -> list:
+    """Step the Legendre Newton and solve its Hessian with np.linalg.solve,
+    as before they took regular_solution; returns the solves' sizes."""
+    sizes = []
+    monkeypatch.setattr(dynamics, "regular_solution",
+                        lambda a, b, rtol=None: sizes.append(len(a)) or np.linalg.solve(a, b))
+    return sizes
+
+
+def test_the_cubic_hamilton_run_keeps_the_bits_of_the_dense_solve(tmp_path, monkeypatch):
+    # W is 1x1, where the sized solve is the division an LU makes
+    model = tmp_path / "cubic.amech"
+    model.write_text(CUBIC)
+
+    def run(name: str) -> bytes:
+        assert main(["simulate", str(model), "--mode", "hamilton", "--init=q=0",
+                     "--init=p1=2.5", "--t1", "1", "--dt", "1e-2", "--out", str(tmp_path / name),
+                     "--manifest", str(tmp_path / "m.json")]) == 0
+        return (tmp_path / name).read_bytes()
+
+    sized = run("sized.csv")
+    sizes = _dense_solve(monkeypatch)
+    assert run("dense.csv") == sized
+    assert sizes and set(sizes) == {1}
+
+
+# W = [[1 + 0.6 v^2 + 0.04 w^2, 0.3 + 0.08 v w], [0.3 + 0.08 v w, 1 + 0.04 v^2 + 0.6 q w]]
+QUARTIC_2X2 = ("system quartic2\nbase [q]\nfiber [v, w]\nanchor { v -> (1); w -> (q) }\n"
+               "lagrangian = 0.5*(v^2 + w^2) + 0.3*v*w + 0.05*v^4 + 0.02*v^2*w^2"
+               " + 0.1*q*w^3 - 0.5*q^2\n")
+
+
+def test_a_2x2_legendre_newton_agrees_with_the_dense_solve(monkeypatch):
+    sys_ = system_from_spec(parse_system(QUARTIC_2X2))
+    assert isinstance(hamiltonian_from_lagrangian(sys_), LegendreEnergy)
+    rng = np.random.default_rng(34)
+    points = [DualPoint(rng.uniform(-0.5, 0.5, 1), rng.uniform(-1.5, 1.5, 2)) for _ in range(20)]
+
+    def outputs() -> list:
+        H = LegendreEnergy(sys_)
+        return [(H.value(at), *H.gradients(at), H.hessian(at)) for at in points]
+
+    sized = outputs()
+    sizes = _dense_solve(monkeypatch)
+    dense = outputs()
+    assert sizes and set(sizes) == {2}
+    for got, want in zip(sized, dense):
+        for a, b in zip(got, want):
+            assert _close(a, b, 1e-14)
+
+
 def test_a_varying_w_hamilton_run_takes_the_closed_form_and_agrees_with_the_newton(
         tmp_path, monkeypatch):
     H = hamiltonian_from_lagrangian(system_from_spec(parse_system(VARYING)))

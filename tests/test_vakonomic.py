@@ -11,7 +11,7 @@ from amech.algebroid import DualPoint, chart_from_spec
 from amech.dsl import parse_expression, parse_system
 from amech.dynamics import EPoint, euler_lagrange_rhs, system_from_spec
 from amech.errors import AmechError, EvalDomainError, MuSolveFailed, SingularR
-from amech.linalg import damped_newton
+from amech.linalg import damped_newton, regular_solution
 from amech.odeint import IntegratorConfig, OdeProblem, integrate
 from amech.presets import ids as preset_ids, load as load_preset
 from amech.vakonomic import (
@@ -251,7 +251,8 @@ def test_hamiltonian_section_reuses_the_solved_point_data(monkeypatch):
 
 
 def _mu_solve_in_the_old_form(sys, x, p):
-    """mu_solve as a damped Newton on p - p_full stepped by solve(-R, r)."""
+    """mu_solve as a damped Newton on p - p_full stepped by the solution
+    against -R."""
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
     palpha, free = p[sys._con_idx], sys._free_idx
 
@@ -259,7 +260,8 @@ def _mu_solve_in_the_old_form(sys, x, p):
         d = vakonomic._PointData(sys, x, ya, palpha)
         return p[free] - d.p_full[free], d.R
 
-    return damped_newton(residual, lambda r_matrix, r: np.linalg.solve(-r_matrix, r),
+    return damped_newton(residual,
+                         lambda r_matrix, r: regular_solution(-r_matrix, r, sys.rank_rtol),
                          np.zeros(sys.n_free), "velocity solve", error=MuSolveFailed)[0]
 
 
